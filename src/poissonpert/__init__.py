@@ -26,10 +26,9 @@ from .measures import (AdmissibilityReport, AtomWindow, BoxWindow, DensityMeasur
                        discrete, hellinger_decomposed, hellinger_measures,
                        hellinger_poisson, lebesgue_decompose, lebesgue_measure,
                        signed_power_integral)
-from .rng import RngStream
-from .sampler import (CoupledPair, EstimateResult, MCPlan, MeckeResult, mc_expectation,
-                      mecke_check, sample_counts, sample_poisson,
-                      thin_superpose_couple)
+from .rng import EstimateResult, MCPlan, RngStream
+from .sampler import (CoupledPair, MeckeResult, mc_expectation, mecke_check,
+                      sample_counts, sample_poisson, thin_superpose_couple)
 from .series import (SeriesResult, frechet_remainder_check, gateaux_derivative,
                      parametric_series, variational_series)
 

@@ -213,10 +213,10 @@ def _run_deriv(cfg, args, out_dir: Path) -> int:
     lines = _summary_header("deriv")
     ok = True
     for r in rows:
-        if r.stderr > 0:
-            good = abs(r.estimate - r.oracle) <= 3.0 * r.stderr
-        else:
+        if r.stderr == 0.0:
             good = abs(r.estimate - r.oracle) <= 1e-6
+        else:
+            good = battery.z_gate(abs(r.estimate - r.oracle), r.stderr)
         ok = ok and good
         lines.append(f"{r.estimator}: estimate {_fmt(r.estimate)} oracle {_fmt(r.oracle)} "
                      f"stderr {_fmt(r.stderr)} [{'pass' if good else 'FAIL'}]")
@@ -274,7 +274,7 @@ def _run_likelihood(cfg, args, out_dir: Path) -> int:
     ok = True
     for name, value, target, tol, se in checks:
         good = (abs(value - target) <= tol) if tol is not None else \
-            (abs(value - target) <= 3.0 * se)
+            battery.z_gate(abs(value - target), se)
         ok = ok and good
         writer.writerow([name, _fmt(value), _fmt(target),
                          "" if tol is None else _fmt(tol), _fmt(se),
@@ -349,7 +349,7 @@ def _run_levy_sim(cfg, args, out_dir: Path) -> int:
     se_mean = float(np.std(vals) / math.sqrt(vals.size))
     mom = model.moments()
     budget = model.small_jump_budget()
-    ok = abs(mean - mom["mean"]) <= 3 * se_mean + abs(budget["mean_below"])
+    ok = battery.z_gate(abs(mean - mom["mean"]), se_mean, abs(budget["mean_below"]))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -390,7 +390,7 @@ def _run_levy_deriv(cfg, args, out_dir: Path) -> int:
     est = levy.levy_derivative(levy.terminal_value, model, pert, mc)
     closed = -theta * t0 / beta0 ** 2
     quad = -theta * t0 * _integral_x_exp(beta0)
-    ok = abs(est.estimate - closed) <= 3 * est.stderr and abs(quad - closed) < 1e-6
+    ok = battery.z_gate(abs(est.estimate - closed), est.stderr) and abs(quad - closed) < 1e-6
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -427,7 +427,7 @@ def _run_levy_sup(cfg, args, out_dir: Path) -> int:
     sup = levy.supremum_derivative(model, pert, mc)
     fd = levy.coupled_supremum_fd(model, pert, delta, mc.split(1))
     se = math.sqrt(sup.stderr ** 2 + fd.stderr ** 2)
-    ok = (abs(sup.estimate - fd.estimate) <= 3 * se
+    ok = (battery.z_gate(abs(sup.estimate - fd.estimate), se)
           and sup.kernel_max_err < 1e-12 and sup.bound_violations == 0)
 
     buf = io.StringIO()

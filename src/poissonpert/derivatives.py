@@ -24,18 +24,18 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .configuration import Functional, difference_n
-from .exact import EnumerationPlan, exact_expectation, exact_expected_difference
+from .configuration import Functional
+from .exact import EnumerationPlan
 from .measures import DiscreteMeasure, PerturbationFamily
-from .rng import RngStream, combine_batch_means, run_chunked
-from .sampler import EstimateResult, MCPlan, sample_poisson, thin_superpose_couple
-from .series import SeriesResult, parametric_series
+from .rng import EstimateResult, MCPlan, mc_mean
+from .sampler import _couple, sample_poisson
+from .series import SeriesResult, _signed_atoms, order_one, parametric_series
+
+SPOT_CHECKS = 64  # replications of the first chunk that probe the increasing event
 
 
 class NonIncreasingEventError(RuntimeError):
@@ -57,11 +57,7 @@ def linear_derivative(f: Functional, family: PerturbationFamily, theta: float,
         raise ValueError(f"theta={theta} outside declared interval {family.interval}")
     lam_theta = family.measure_at(theta)
     weights = _direction_weights(family)
-    if mode == "exact":
-        return _weighted_first_difference_exact(f, lam_theta, weights, plan)
-    if mode == "mc":
-        return _weighted_first_difference_mc(f, lam_theta, weights, mc)
-    raise ValueError(f"unknown mode {mode!r}")
+    return order_one(f, lam_theta, *_signed_atoms(weights), mode, plan, mc)
 
 
 def nonlinear_derivative(f: Functional, family: PerturbationFamily,
@@ -86,11 +82,7 @@ def nonlinear_derivative(f: Functional, family: PerturbationFamily,
     family.validate(list(rho.support()))
     base = family.base_measure()
     weights = _direction_weights(family)
-    if mode == "exact":
-        return _weighted_first_difference_exact(f, base, weights, plan)
-    if mode == "mc":
-        return _weighted_first_difference_mc(f, base, weights, mc)
-    raise ValueError(f"unknown mode {mode!r}")
+    return order_one(f, base, *_signed_atoms(weights), mode, plan, mc)
 
 
 def scaled_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -101,11 +93,7 @@ def scaled_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
         raise ValueError("theta must be nonnegative")
     scaled = lam.scaled(theta)
     weights = {a: lam.mass(a) for a in lam.atoms}
-    if mode == "exact":
-        return _weighted_first_difference_exact(f, scaled, weights, plan)
-    if mode == "mc":
-        return _weighted_first_difference_mc(f, scaled, weights, mc)
-    raise ValueError(f"unknown mode {mode!r}")
+    return order_one(f, scaled, *_signed_atoms(weights), mode, plan, mc)
 
 
 def scaled_taylor_report(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -122,48 +110,15 @@ def scaled_taylor_report(f: Functional, lam: DiscreteMeasure, theta: float,
     return parametric_series(f, family, theta, n_max=n_max, plan=plan)
 
 
-def _weighted_first_difference_exact(f, measure, weights, plan) -> float:
-    acc = []
-    for a, w in sorted(weights.items(), key=lambda kv: repr(kv[0])):
-        if w != 0.0:
-            acc.append(exact_expected_difference(f, measure, [a], plan) * w)
-    return math.fsum(acc)
-
-
-def _weighted_first_difference_mc(f, measure, weights, mc: MCPlan) -> EstimateResult:
-    if mc is None:
-        raise ValueError("mc mode needs an MCPlan")
-    atoms = [a for a, w in sorted(weights.items(), key=lambda kv: repr(kv[0])) if w != 0.0]
-    if not atoms:
-        return EstimateResult(0.0, 0.0)
-    ws = np.array([weights[a] for a in atoms])
-    mass_abs = float(np.abs(ws).sum())
-    probs = np.abs(ws) / mass_abs
-    signs = np.sign(ws)
-
-    def chunk(index, size, stream):
-        gen = stream.generator()
-        vals = np.empty(size)
-        for i in range(size):
-            j = int(gen.choice(len(atoms), p=probs))
-            phi = sample_poisson(measure, None, generator=gen)
-            vals[i] = mass_abs * signs[j] * difference_n(f, phi, [atoms[j]])
-        return (size, float(np.mean(vals)))
-
-    res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-    mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-    return EstimateResult(mean, se)
-
-
 def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
-                       mc: MCPlan, weight: Callable | None = None,
-                       spot_checks: int = 64) -> EstimateResult:
+                       mc: MCPlan, weight: Callable | None = None) -> EstimateResult:
     """Russo-type derivative: expected pivotal count over theta.
 
     Estimates theta^{-1} E_{theta lam} sum over points x of Phi of
     (f(Phi) - f(Phi - delta_x)) * weight(x).  f must be declared as the
     indicator of an increasing event; the declaration is spot-verified by
-    adding points, and any negative sampled pivotal term aborts.
+    adding a random atom on the first ``SPOT_CHECKS`` replications, and any
+    negative sampled pivotal term aborts.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -172,31 +127,26 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
     scaled = lam.scaled(theta)
     atoms = lam.support()
 
-    def chunk(index, size, stream):
-        gen = stream.generator()
-        vals = np.empty(size)
-        for i in range(size):
-            phi = sample_poisson(scaled, None, generator=gen)
-            base_val = f(phi)
-            if index == 0 and i < spot_checks and atoms:
-                probe = atoms[int(gen.integers(len(atoms)))]
-                if f(phi.add([probe])) < base_val - 1e-12:
-                    raise NonIncreasingEventError(
-                        f"adding a point decreased the functional at {probe!r}")
-            total = 0.0
-            for x, mult in phi.items():
-                term = base_val - f(phi.remove_one(x))
-                if term < -1e-12:
-                    raise NonIncreasingEventError(
-                        f"negative pivotal term at {x!r}; event is not increasing")
-                w = 1.0 if weight is None else weight(x)
-                total += mult * term * w
-            vals[i] = total / theta
-        return (size, float(np.mean(vals)))
+    def draw(gen, probe=False):
+        phi = sample_poisson(scaled, None, generator=gen)
+        base_val = f(phi)
+        if probe:
+            x = atoms[int(gen.integers(len(atoms)))]
+            if f(phi.add([x])) < base_val - 1e-12:
+                raise NonIncreasingEventError(
+                    f"adding a point decreased the functional at {x!r}")
+        total = 0.0
+        for x, mult in phi.items():
+            term = base_val - f(phi.remove_one(x))
+            if term < -1e-12:
+                raise NonIncreasingEventError(
+                    f"negative pivotal term at {x!r}; event is not increasing")
+            w = 1.0 if weight is None else weight(x)
+            total += mult * term * w
+        return total / theta
 
-    res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-    mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-    return EstimateResult(mean, se)
+    lead = (partial(draw, probe=True), SPOT_CHECKS if atoms else 0)
+    return mc_mean(draw, mc, lead=lead).estimate()
 
 
 def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -208,16 +158,11 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
     hi = lam.scaled(theta + delta)
     lo = lam.scaled(theta - delta)
 
-    def chunk(index, size, stream):
-        vals = np.empty(size)
-        for i in range(size):
-            pair = thin_superpose_couple(hi, lo, rng=stream.child(i))
-            vals[i] = (f(pair.phi_lambda) - f(pair.phi_nu)) / (2.0 * delta)
-        return (size, float(np.mean(vals)))
+    def draw(gen):
+        pair = _couple(hi, lo, None, gen, gen, gen)
+        return (f(pair.phi_lambda) - f(pair.phi_nu)) / (2.0 * delta)
 
-    res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-    mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-    return EstimateResult(mean, se)
+    return mc_mean(draw, mc).estimate()
 
 
 def richardson_fd(values: Callable[[float], float], theta: float,

@@ -41,10 +41,11 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _special
 
-from .rng import RngStream, combine_batch_means, run_chunked
-from .sampler import EstimateResult, MCPlan
+from .rng import EstimateResult, MCPlan, RngStream, mc_mean
+from .series import SeriesResult, mc_series
 
 CAP = 1e12
+Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
 
 
 class QuadratureError(RuntimeError):
@@ -861,12 +862,43 @@ def _direction_eps(direction: JumpDirection, direction_eps: float | None) -> flo
     return direction.min_eps
 
 
+JUMP_GROWTH_CAP = 3  # an order-n path sample costs 2^n path evaluations
+
+
+def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
+              eps_d: float, mass: float) -> Callable:
+    """The Levy backend's order-n term sampler.
+
+    Order n draws n marks (t, x), t uniform on [0, t0] and x from the
+    normalized |g| d nu_ref above eps_d, then one path, and returns the
+    signed and absolute (t0 mass)^n / n! times the n-fold path difference.
+    Order 0 returns f(X).
+    """
+    t0 = model.t0
+
+    def draw(n: int, gen: np.random.Generator) -> tuple[float, float]:
+        pairs = []
+        sgn = 1.0
+        for _ in range(n):
+            t = gen.uniform(0.0, t0)
+            x = float(direction.sample_above(eps_d, 1, gen)[0])
+            if float(np.asarray(direction.g(x))) < 0:
+                sgn = -sgn
+            pairs.append((t, x))
+        dval = path_difference(f, simulate_path(model, generator=gen), pairs)
+        scale = (t0 * mass) ** n / math.factorial(n)
+        return scale * sgn * dval, scale * abs(dval)
+
+    return draw
+
+
 def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
                     mc: MCPlan, direction_eps: float | None = None) -> EstimateResult:
     """First-order sensitivity of E f(X) to the jump density along g.
 
-    Outer samples (t, x) come from uniform time tensor the normalized
-    absolute direction; the inner difference is evaluated on a common path.
+    The order-one draw of ``jump_draw``: one mark (t, x) from uniform time
+    tensor the normalized absolute direction, and the one-jump difference on
+    a common path.
     """
     d = pert.direction
     check_direction(d)
@@ -876,23 +908,8 @@ def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
         raise ConditionError("absolute direction mass is not finite")
     if mass == 0.0:
         return EstimateResult(0.0, 0.0)
-    t0 = model.t0
-
-    def chunk(index, size, stream):
-        gen = stream.generator()
-        vals = np.empty(size)
-        for i in range(size):
-            t = gen.uniform(0.0, t0)
-            x = float(d.sample_above(eps_d, 1, gen)[0])
-            path = simulate_path(model, generator=gen)
-            delta = f(path.with_jump(t, x)) - f(path)
-            sgn = 1.0 if float(np.asarray(d.g(x))) >= 0 else -1.0
-            vals[i] = t0 * mass * sgn * delta
-        return (size, float(np.mean(vals)))
-
-    res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-    mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-    return EstimateResult(mean, se)
+    draw = jump_draw(f, model, d, eps_d, mass)
+    return mc_mean(lambda gen: draw(1, gen)[0], mc).estimate()
 
 
 def path_difference(f: PathFunctional, path: CadlagPath,
@@ -912,18 +929,18 @@ def path_difference(f: PathFunctional, path: CadlagPath,
 
 def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
                 mc: MCPlan, n_max: int = 6, delta: JumpDirection | None = None,
-                direction_eps: float | None = None, eps_abs: float = 1e-4):
+                direction_eps: float | None = None, eps_abs: float = 1e-4
+                ) -> SeriesResult:
     """Expansion of E f(X) from the base model toward the target jump density.
 
     Order n integrates the expected n-fold path difference against the
-    tensorized signed density gap.  Hypotheses (common reference, square
-    gaps, small-jump moments, drift relation) are hard errors.  An order-n
-    sample costs 2^n path evaluations, so the per-order budget growth is
-    capped and the stop rule accepts either two consecutive terms below
-    their own 2 sigma or below the absolute floor ``eps_abs``.
+    tensorized signed density gap (``mc_series`` over ``jump_draw``).
+    Hypotheses (common reference, square gaps, small-jump moments, drift
+    relation) are hard errors.  An order-n sample costs 2^n path
+    evaluations, so the per-order budget growth is capped at 2^3 and the stop
+    rule accepts either two consecutive terms below their own 2 sigma or
+    below the absolute floor ``eps_abs``.
     """
-    from .series import SeriesResult
-
     check_pair(model, target)
     if delta is None:
         if not isinstance(model.jumps, CompoundPoissonJumps):
@@ -935,52 +952,8 @@ def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
         delta = cp_direction(model.jumps, gap)
     eps_d = _direction_eps(delta, direction_eps)
     mass = delta.abs_mass_above(eps_d)
-    t0 = model.t0
-
-    terms, abs_terms, stderrs = [], [], []
-    converged = False
-    stop = n_max
-    for n in range(n_max + 1):
-        if n > 0 and mass == 0.0:
-            terms.append(0.0)
-            abs_terms.append(0.0)
-            stderrs.append(0.0)
-            stop, converged = n, True
-            break
-
-        def chunk(index, size, stream, _n=n):
-            gen = stream.generator()
-            scale = (t0 * mass) ** _n / math.factorial(_n)
-            vals = np.empty(size)
-            avals = np.empty(size)
-            for i in range(size):
-                pairs = []
-                sgn = 1.0
-                for _ in range(_n):
-                    t = gen.uniform(0.0, t0)
-                    x = float(delta.sample_above(eps_d, 1, gen)[0])
-                    if float(np.asarray(delta.g(x))) < 0:
-                        sgn = -sgn
-                    pairs.append((t, x))
-                path = simulate_path(model, generator=gen)
-                dval = path_difference(f, path, pairs)
-                vals[i] = scale * sgn * dval
-                avals[i] = scale * abs(dval)
-            return (size, float(np.mean(vals)), float(np.mean(avals)))
-
-        budget = mc.samples * (2 ** min(n, 3))
-        res = run_chunked(chunk, budget, mc.stream.child(n), mc.chunks, mc.workers)
-        mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-        amean, _ = combine_batch_means([r[2] for r in res], [r[0] for r in res])
-        terms.append(mean)
-        abs_terms.append(amean)
-        stderrs.append(se)
-        if n >= 1 and all(abs(terms[k]) < max(2 * stderrs[k], eps_abs) for k in (n - 1, n)):
-            stop, converged = n, True
-            break
-    partials = [math.fsum(terms[: k + 1]) for k in range(len(terms))]
-    return SeriesResult(terms=terms, abs_terms=abs_terms, partial_sums=partials,
-                        truncation_order=stop, converged=converged, stderrs=stderrs)
+    return mc_series(jump_draw(f, model, delta, eps_d, mass), mass, n_max, mc,
+                     JUMP_GROWTH_CAP, eps_abs)
 
 
 @dataclass(frozen=True)
@@ -1006,22 +979,16 @@ class SupremumDerivativeResult:
 
 
 def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
-                        direction_eps: float | None = None,
-                        q_bins: int = 81, q_range: tuple[float, float] | None = None,
-                        check_kernel: bool = True,
-                        pairs_per_path: int = 1) -> SupremumDerivativeResult:
+                        direction_eps: float | None = None) -> SupremumDerivativeResult:
     """Sensitivity of the expected running supremum to the jump density.
 
-    Per replication: draw t uniform, simulate a path, form the past/future
+    Per replication: simulate a path, draw t uniform, form the past/future
     supremum gap Y_t, draw a jump size from the normalized absolute
-    direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  When
-    ``check_kernel`` is set, the kernel is cross-checked against the
-    re-evaluated path difference and the |difference| <= 2|x| envelope on
-    every sample.
-
-    ``pairs_per_path`` lets several (t, x) draws share one simulated path;
-    replications become correlated but stay unbiased, and the batch-means
-    error remains honest because chunks are independent.
+    direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  The
+    kernel is cross-checked against the re-evaluated path difference and the
+    |difference| <= 2|x| envelope on every sample.  Y_t is summarized in
+    ``Q_BINS`` bins over +-(4 scale + 1), with scale the terminal mean and
+    standard deviation plus the drift over [0, t0].
     """
     if not model.jumps.mom5_ok:
         raise ConditionError("the upper-tail second moment of the reference "
@@ -1031,51 +998,30 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
     eps_d = _direction_eps(d, direction_eps)
     mass = d.abs_mass_above(eps_d)
     t0 = model.t0
-    if q_range is None:
-        mom = model.moments()
-        scale = abs(mom["mean"]) + math.sqrt(max(mom["var"], 0.0)) + abs(model.slope) * t0
-        q_range = (-4.0 * scale - 1.0, 4.0 * scale + 1.0)
-    edges = np.linspace(q_range[0], q_range[1], q_bins + 1)
-    per_path = max(1, int(pairs_per_path))
+    mom = model.moments()
+    scale = abs(mom["mean"]) + math.sqrt(max(mom["var"], 0.0)) + abs(model.slope) * t0
+    edges = np.linspace(-4.0 * scale - 1.0, 4.0 * scale + 1.0, Q_BINS + 1)
 
-    def chunk(index, size, stream):
-        gen = stream.generator()
-        vals = np.empty(size)
-        counts = np.zeros(q_bins, dtype=np.int64)
-        max_err = 0.0
-        violations = 0
-        i = 0
-        while i < size:
-            path = simulate_path(model, generator=gen)
-            sup_total = path.supremum() if check_kernel and mass > 0 else 0.0
-            for _ in range(min(per_path, size - i)):
-                t = gen.uniform(0.0, t0)
-                s_t = path.sup_over(0.0, t)
-                z_t = path.sup_over(t, t0)
-                y = s_t - z_t
-                x = float(d.sample_above(eps_d, 1, gen)[0]) if mass > 0 else 0.0
-                kernel = max(x - y, 0.0) - max(-y, 0.0)
-                if check_kernel and mass > 0:
-                    delta = path.with_jump(t, x).supremum() - sup_total
-                    max_err = max(max_err, abs(delta - kernel))
-                    if abs(delta) > 2.0 * abs(x) + 1e-12:
-                        violations += 1
-                sgn = 1.0 if mass == 0 or float(np.asarray(d.g(x))) >= 0 else -1.0
-                vals[i] = t0 * mass * sgn * kernel
-                j = int(np.searchsorted(edges, y, side="right")) - 1
-                if 0 <= j < q_bins:
-                    counts[j] += 1
-                i += 1
-        return (size, float(np.mean(vals)), counts, max_err, violations)
+    def draw(gen):
+        path = simulate_path(model, generator=gen)
+        t = gen.uniform(0.0, t0)
+        y = path.sup_over(0.0, t) - path.sup_over(t, t0)
+        if mass == 0:
+            return 0.0, y, 0.0, 0.0
+        x = float(d.sample_above(eps_d, 1, gen)[0])
+        kernel = max(x - y, 0.0) - max(-y, 0.0)
+        delta = path.with_jump(t, x).supremum() - path.supremum()
+        sgn = 1.0 if float(np.asarray(d.g(x))) >= 0 else -1.0
+        return (t0 * mass * sgn * kernel, y, abs(delta - kernel),
+                float(abs(delta) > 2.0 * abs(x) + 1e-12))
 
-    res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-    mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-    counts = np.sum([r[2] for r in res], axis=0)
-    max_err = max(r[3] for r in res)
-    violations = sum(r[4] for r in res)
+    res = mc_mean(draw, mc)
+    bins = np.searchsorted(edges, res.values(1), side="right") - 1
+    counts = np.bincount(bins[(bins >= 0) & (bins < Q_BINS)], minlength=Q_BINS)
     return SupremumDerivativeResult(
-        estimate=mean, stderr=se, q_summary=Histogram(edges=edges, counts=counts),
-        kernel_max_err=max_err, bound_violations=violations, samples=mc.samples)
+        *res.estimate(), q_summary=Histogram(edges=edges, counts=counts),
+        kernel_max_err=float(np.max(res.values(2))),
+        bound_violations=int(np.sum(res.values(3))), samples=mc.samples)
 
 
 def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
@@ -1086,14 +1032,8 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
     lo = perturbed_model(model, pert, pert.theta0 - delta)
     hi = perturbed_model(model, pert, pert.theta0 + delta)
 
-    def chunk(index, size, stream):
-        gen = stream.generator()
-        vals = np.empty(size)
-        for i in range(size):
-            p_lo, p_hi = simulate_coupled(lo, hi, gen)
-            vals[i] = (f(p_hi) - f(p_lo)) / (2.0 * delta)
-        return (size, float(np.mean(vals)))
+    def draw(gen):
+        p_lo, p_hi = simulate_coupled(lo, hi, gen)
+        return (f(p_hi) - f(p_lo)) / (2.0 * delta)
 
-    res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-    mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-    return EstimateResult(mean, se)
+    return mc_mean(draw, mc).estimate()

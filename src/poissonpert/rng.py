@@ -5,6 +5,14 @@ the draw sequence, and distinct stream ids give statistically independent
 generators.  Estimators never share a stream between chunks; each chunk owns
 a child stream and chunk results are reduced in chunk order, so the output
 is byte-identical for any worker count.
+
+Every Monte Carlo estimator in the package is one call of ``mc_mean``.  Its
+contract: the estimator supplies ``draw(gen)``, which returns the values of
+one replication (a float or a tuple of floats, the fields) drawn from
+``gen``.  ``mc_mean`` splits the plan's budget into chunks, builds each
+chunk's generator from its own child stream, calls ``draw`` once per
+replication on that generator, and reduces every field to its pooled mean
+and batch-means standard error over the chunk means, taken in chunk order.
 """
 
 from __future__ import annotations
@@ -60,6 +68,29 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (1 if c < rem else 0) for c in range(chunks)]
 
 
+@dataclass(frozen=True)
+class MCPlan:
+    """Sample budget plus the stream that owns it."""
+
+    samples: int
+    stream: RngStream
+    chunks: int = 32
+    workers: int = 1
+
+    def split(self, index: int) -> "MCPlan":
+        return MCPlan(self.samples, self.stream.child(index), self.chunks, self.workers)
+
+
+@dataclass(frozen=True)
+class EstimateResult:
+    estimate: float
+    stderr: float
+
+    def __iter__(self):
+        yield self.estimate
+        yield self.stderr
+
+
 def run_chunked(
     fn: Callable[[int, int, RngStream], object],
     total: int,
@@ -98,3 +129,42 @@ def combine_batch_means(means: Sequence[float], sizes: Sequence[int]) -> tuple[f
     var_between = math.fsum(w * (m - mean) ** 2 for w, m in zip(weights, means))
     se = math.sqrt(var_between / (c - 1))
     return mean, se
+
+
+@dataclass(frozen=True)
+class ChunkedDraws:
+    """Every replication's fields, one ``(fields, n)`` array per chunk."""
+
+    sizes: list[int]
+    chunks: list[np.ndarray]
+
+    def estimate(self, field: int = 0) -> EstimateResult:
+        """Pooled mean and batch-means standard error of one field.
+
+        Each chunk mean is ``np.mean`` over a contiguous 1-D row, the same
+        summation order as a per-chunk accumulator array.
+        """
+        means = [float(np.mean(c[field])) for c in self.chunks]
+        return EstimateResult(*combine_batch_means(means, self.sizes))
+
+    def values(self, field: int) -> np.ndarray:
+        """One field of every replication, in chunk order."""
+        return np.concatenate([c[field] for c in self.chunks])
+
+
+def mc_mean(draw: Callable[[np.random.Generator], object], plan: MCPlan,
+            lead: tuple[Callable[[np.random.Generator], object], int] | None = None
+            ) -> ChunkedDraws:
+    """Run ``draw(gen)`` once per replication of ``plan`` on its chunk's generator.
+
+    ``lead = (draw_0, k)`` replaces the draw by ``draw_0`` for the first k
+    replications of chunk 0 (spot checks that should run once per estimate).
+    """
+    def chunk(index: int, n: int, stream: RngStream) -> np.ndarray:
+        gen = stream.generator()
+        k = min(lead[1], n) if lead is not None and index == 0 else 0
+        rows = [lead[0](gen) for _ in range(k)] + [draw(gen) for _ in range(n - k)]
+        return np.ascontiguousarray(np.array(rows, dtype=float).reshape(n, -1).T)
+
+    chunks = run_chunked(chunk, plan.samples, plan.stream, plan.chunks, plan.workers)
+    return ChunkedDraws([c.shape[1] for c in chunks], chunks)

@@ -21,30 +21,7 @@ import numpy as np
 
 from .configuration import PointConfiguration
 from .measures import DensityMeasure, DiscreteMeasure, MeasureMismatchError
-from .rng import RngStream, combine_batch_means, run_chunked
-
-
-@dataclass(frozen=True)
-class MCPlan:
-    """Sample budget plus the stream that owns it."""
-
-    samples: int
-    stream: RngStream
-    chunks: int = 32
-    workers: int = 1
-
-    def split(self, index: int) -> "MCPlan":
-        return MCPlan(self.samples, self.stream.child(index), self.chunks, self.workers)
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    estimate: float
-    stderr: float
-
-    def __iter__(self):
-        yield self.estimate
-        yield self.stderr
+from .rng import EstimateResult, MCPlan, RngStream, mc_mean
 
 
 def sample_poisson(m, window=None, rng: RngStream | None = None,
@@ -104,11 +81,6 @@ def sample_counts(m: DiscreteMeasure, window, rng: RngStream, size: int) -> np.n
     return gen.poisson(masses, size=(size, masses.size))
 
 
-def counts_to_config(atoms, counts) -> PointConfiguration:
-    cfg = {a: int(c) for a, c in zip(atoms, counts) if c}
-    return PointConfiguration._trusted(cfg, int(sum(cfg.values())))
-
-
 @dataclass(frozen=True)
 class CoupledPair:
     """Configurations of both intensities plus their shared retained points."""
@@ -129,10 +101,13 @@ def thin_superpose_couple(lam, nu, window=None, rng: RngStream | None = None) ->
     """
     if rng is None:
         raise ValueError("an RngStream is required")
-    gen_base = rng.child(0).generator()
-    gen_thin = rng.child(1).generator()
-    gen_extra = rng.child(2).generator()
+    return _couple(lam, nu, window, rng.child(0).generator(), rng.child(1).generator(),
+                   rng.child(2).generator())
 
+
+def _couple(lam, nu, window, gen_base, gen_thin, gen_extra) -> CoupledPair:
+    """The coupling drawn from explicit generators: the base configuration,
+    the thinning coins and the superposed remainder may share one."""
     if isinstance(lam, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
         lam_r, nu_r = lam.restrict(window), nu.restrict(window)
         phi_l = sample_poisson(lam_r, None, generator=gen_base)
@@ -190,17 +165,7 @@ def mc_expectation(f, m, window=None, plan: MCPlan | None = None) -> EstimateRes
     """Monte Carlo E f(Phi) with batch-means standard error."""
     if plan is None:
         raise ValueError("an MCPlan is required")
-
-    def chunk(index: int, n: int, stream: RngStream):
-        gen = stream.generator()
-        acc = []
-        for _ in range(n):
-            acc.append(f(sample_poisson(m, window, generator=gen)))
-        return (n, float(np.mean(acc)))
-
-    results = run_chunked(chunk, plan.samples, plan.stream, plan.chunks, plan.workers)
-    mean, se = combine_batch_means([r[1] for r in results], [r[0] for r in results])
-    return EstimateResult(mean, se)
+    return mc_mean(lambda gen: f(sample_poisson(m, window, generator=gen)), plan).estimate()
 
 
 @dataclass(frozen=True)
@@ -229,35 +194,23 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
     if plan is None:
         raise ValueError("an MCPlan is required")
 
-    def lhs_chunk(index: int, n: int, stream: RngStream):
-        gen = stream.generator()
-        acc = []
-        for _ in range(n):
-            phi = sample_poisson(m, window, generator=gen)
-            total = 0.0
-            for x, mult in phi.items():
-                reduced = phi.remove_one(x)
-                total += mult * f(x, reduced)
-            acc.append(total)
-        return (n, float(np.mean(acc)))
+    def lhs_draw(gen):
+        phi = sample_poisson(m, window, generator=gen)
+        total = 0.0
+        for x, mult in phi.items():
+            total += mult * f(x, phi.remove_one(x))
+        return total
 
-    lhs_stream = plan.stream.child(0)
-    res = run_chunked(lhs_chunk, plan.samples, lhs_stream, plan.chunks, plan.workers)
-    lhs, lhs_se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
+    lhs, lhs_se = mc_mean(lhs_draw, plan.split(0)).estimate()
 
-    rhs_stream = plan.stream.child(1)
+    rhs_plan = plan.split(1)
     if isinstance(m, DiscreteMeasure):
         mr = m.restrict(window)
         rhs_parts, rhs_vars = [], []
         for j, atom in enumerate(mr.support()):
-            def atom_chunk(index: int, n: int, stream: RngStream, _a=atom):
-                gen = stream.generator()
-                acc = [f(_a, sample_poisson(mr, None, generator=gen)) for _ in range(n)]
-                return (n, float(np.mean(acc)))
-
-            res_a = run_chunked(atom_chunk, plan.samples, rhs_stream.child(j),
-                                plan.chunks, plan.workers)
-            mean_a, se_a = combine_batch_means([r[1] for r in res_a], [r[0] for r in res_a])
+            mean_a, se_a = mc_mean(
+                lambda gen, _a=atom: f(_a, sample_poisson(mr, None, generator=gen)),
+                rhs_plan.split(j)).estimate()
             rhs_parts.append(mr.mass(atom) * mean_a)
             rhs_vars.append((mr.mass(atom) * se_a) ** 2)
         rhs = math.fsum(rhs_parts)
@@ -266,18 +219,13 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
         win = window or m.window()
         mass_ref = m.reference_mass(win)
 
-        def rhs_chunk(index: int, n: int, stream: RngStream):
-            gen = stream.generator()
-            acc = []
-            for _ in range(n):
-                # int E f dm = mass_ref * E_{x ~ ref/mass}[h(x) E f(x, Phi)]
-                p = tuple(m.reference_sampler(win, gen, 1)[0])
-                phi = sample_poisson(m, win, generator=gen)
-                acc.append(m.density_at(p) * f(p, phi))
-            return (n, float(np.mean(acc)))
+        def rhs_draw(gen):
+            # int E f dm = mass_ref * E_{x ~ ref/mass}[h(x) E f(x, Phi)]
+            p = tuple(m.reference_sampler(win, gen, 1)[0])
+            phi = sample_poisson(m, win, generator=gen)
+            return m.density_at(p) * f(p, phi)
 
-        res_r = run_chunked(rhs_chunk, plan.samples, rhs_stream, plan.chunks, plan.workers)
-        mean_r, se_r = combine_batch_means([r[1] for r in res_r], [r[0] for r in res_r])
+        mean_r, se_r = mc_mean(rhs_draw, rhs_plan).estimate()
         rhs = mass_ref * mean_r
         rhs_se = mass_ref * se_r
     else:

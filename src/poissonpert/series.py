@@ -6,10 +6,20 @@ The target expectation under nu expands around lam as
 
 with the signed powers integrated through densities against any dominating
 measure.  Exact mode evaluates each order from a shifted-expectation table
-and its mixed forward differences (see :mod:`poissonpert.exact`); Monte Carlo
-mode samples atoms from the normalized absolute perturbation and carries the
-signs as weights, doubling the per-order sample budget each order because
-higher orders are smaller but relatively noisier.
+and its mixed forward differences (see :mod:`poissonpert.exact`).
+
+Monte Carlo mode is one per-order loop, ``mc_series``, over an order-n term sampler
+``draw(n, gen)`` that returns one sample of the signed order-n term and of
+its absolute companion.  Two backends supply the draw:
+
+* ``atom_draw`` (discrete intensities): n atoms from the normalized absolute
+  perturbation, one configuration, the n-th difference D^n f;
+* ``levy.jump_draw`` (Levy jump measures): n marks (t, x) from
+  dt tensor the normalized |g| d nu_ref, one path, the n-fold path difference.
+
+The signs are carried as weights, and the per-order budget doubles each
+order up to a backend cap because higher orders are smaller but relatively
+noisier.  Derivatives are the order-one draw of the same samplers.
 
 The parametric version follows the one-dimensional family
 lam_theta = (h_lam + (theta - theta0) h) rho and, evaluated at theta = 1 with
@@ -24,19 +34,20 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .configuration import Functional, difference_n
-from .exact import (EnumerationPlan, exact_expectation, expectation_table,
-                    expected_difference_orders, forward_difference_table,
-                    order_sums, weight_table)
+from .exact import (EnumerationPlan, exact_expectation, exact_expected_difference,
+                    expectation_table, expected_difference_orders,
+                    forward_difference_table, order_sums, weight_table)
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
                        admissibility_check, lebesgue_decompose)
-from .rng import RngStream, combine_batch_means, run_chunked
-from .sampler import MCPlan, sample_poisson
+from .rng import EstimateResult, MCPlan, mc_mean
+from .sampler import sample_poisson
 
 EPS_ABS = 1e-10
 
@@ -136,19 +147,18 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
         rho = _default_rho(lam, nu, decomposition)
     report = _admissibility_gate(lam, nu, rho, decomposition, strict)
 
+    atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
+    weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
     if mode == "exact":
-        atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
-        weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
         terms, abs_terms = expected_difference_orders(f, lam, weights, n_max, plan)
         stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
         return _assemble(terms, abs_terms, stop, converged, admissibility=report)
     if mode == "mc":
         if mc is None:
             raise ValueError("mc mode needs an MCPlan")
-        atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
-        weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
-        return _mc_series(f, lam, weights, n_max, mc, admissibility=report,
-                          eps_abs=eps_abs)
+        draw, mass_abs = atom_draw(f, lam, *_signed_atoms(weights))
+        return mc_series(draw, mass_abs, n_max, mc, ATOM_GROWTH_CAP, eps_abs,
+                         admissibility=report)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -166,75 +176,94 @@ def _default_rho(lam, nu, decomposition):
     raise ValueError(f"unknown decomposition {decomposition!r}")
 
 
-def _mc_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int,
-               mc: MCPlan, admissibility=None, eps_abs: float = EPS_ABS) -> SeriesResult:
-    """Per-order importance sampling from the normalized absolute weights.
+ATOM_GROWTH_CAP = 4  # an order-n atom sample costs 2^n evaluations
 
-    Per-order budgets grow with the order (higher orders are relatively
+
+def mc_series(draw: Callable, mass_abs: float, n_max: int, mc: MCPlan,
+              growth_cap: int, eps_abs: float, admissibility=None) -> SeriesResult:
+    """Per-order importance sampling of the series from ``draw(n, gen)``.
+
+    Order n runs ``mc.samples * 2^min(n, growth_cap)`` replications on child
+    stream n: budgets grow with the order (higher orders are relatively
     noisier) but the growth is capped because each order-n sample already
     costs 2^n evaluations.  The stop rule is two consecutive terms below
-    their own 2 sigma or below the absolute floor; the floor matters because
-    an estimator whose noise shrinks with the term never clears the relative
-    test.
+    their own 2 sigma or below the absolute floor ``eps_abs``; the floor
+    matters because an estimator whose noise shrinks with the term never
+    clears the relative test.  A zero absolute mass stops after order 0.
     """
-    atoms = [a for a, w in sorted(weights.items(), key=lambda kv: repr(kv[0])) if w != 0.0]
-    ws = np.array([weights[a] for a in atoms])
-    mass_abs = float(np.abs(ws).sum())
-
     terms: list[float] = []
     abs_terms: list[float] = []
     stderrs: list[float] = []
-    converged = False
-    stop = n_max
     for n in range(n_max + 1):
-        if n == 0:
-            def chunk0(index, size, stream, _n=n):
-                gen = stream.generator()
-                vals = [f(sample_poisson(base, None, generator=gen)) for _ in range(size)]
-                return (size, float(np.mean(vals)), float(np.mean(np.abs(vals))))
-
-            budget = mc.samples
-            res = run_chunked(chunk0, budget, mc.stream.child(0), mc.chunks, mc.workers)
-        else:
-            if mass_abs == 0.0:
-                terms.append(0.0)
-                abs_terms.append(0.0)
-                stderrs.append(0.0)
-                stop, converged = n, True
-                break
-            probs = np.abs(ws) / mass_abs
-            signs = np.sign(ws)
-
-            def chunkn(index, size, stream, _n=n):
-                gen = stream.generator()
-                scale = mass_abs ** _n / math.factorial(_n)
-                vals = np.empty(size)
-                avals = np.empty(size)
-                for i in range(size):
-                    picks = gen.choice(len(atoms), size=_n, p=probs)
-                    xs = [atoms[int(j)] for j in picks]
-                    sgn = float(np.prod(signs[picks]))
-                    phi = sample_poisson(base, None, generator=gen)
-                    d = difference_n(f, phi, xs)
-                    vals[i] = scale * sgn * d
-                    avals[i] = scale * abs(d)
-                return (size, float(np.mean(vals)), float(np.mean(avals)))
-
-            budget = mc.samples * (2 ** min(n, 4))
-            res = run_chunked(chunkn, budget, mc.stream.child(n), mc.chunks, mc.workers)
-
-        mean, se = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-        amean, _ = combine_batch_means([r[2] for r in res], [r[0] for r in res])
-        terms.append(mean)
-        abs_terms.append(amean)
-        stderrs.append(se)
+        if n > 0 and mass_abs == 0.0:
+            terms.append(0.0)
+            abs_terms.append(0.0)
+            stderrs.append(0.0)
+            return _assemble(terms, abs_terms, n, True, stderrs, admissibility)
+        plan = MCPlan(mc.samples * 2 ** min(n, growth_cap), mc.stream.child(n),
+                      mc.chunks, mc.workers)
+        res = mc_mean(partial(draw, n), plan)
+        term = res.estimate(0)
+        terms.append(term.estimate)
+        abs_terms.append(res.estimate(1).estimate)
+        stderrs.append(term.stderr)
         if n >= 1 and all(abs(terms[k]) < max(2 * stderrs[k], eps_abs) for k in (n - 1, n)):
-            stop, converged = n, True
-            break
-    else:
-        stop, converged = n_max, False
-    return _assemble(terms, abs_terms, stop, converged, stderrs=stderrs,
-                     admissibility=admissibility)
+            return _assemble(terms, abs_terms, n, True, stderrs, admissibility)
+    return _assemble(terms, abs_terms, n_max, False, stderrs, admissibility)
+
+
+def _signed_atoms(weights: dict) -> tuple[list, list]:
+    """Atoms with a nonzero weight, sorted by repr, and their weights."""
+    atoms = [a for a, w in sorted(weights.items(), key=lambda kv: repr(kv[0])) if w != 0.0]
+    return atoms, [weights[a] for a in atoms]
+
+
+def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequence
+              ) -> tuple[Callable, float]:
+    """The discrete backend's order-n term sampler and its absolute mass.
+
+    Order n draws n atoms i.i.d. from |w| / sum |w| (in the given atom
+    order), then Phi ~ Poisson(base), and returns the signed and absolute
+    (sum |w|)^n / n! D^n f(Phi).  Order 0 returns f(Phi).
+    """
+    ws = np.array(ws, dtype=float)
+    mass_abs = float(np.abs(ws).sum())
+    probs = np.abs(ws) / mass_abs if mass_abs else None
+    signs = np.sign(ws)
+
+    def draw(n: int, gen: np.random.Generator) -> tuple[float, float]:
+        if n == 0:
+            v = f(sample_poisson(base, None, generator=gen))
+            return v, abs(v)
+        picks = gen.choice(len(atoms), size=n, p=probs)
+        xs = [atoms[int(j)] for j in picks]
+        sgn = float(np.prod(signs[picks]))
+        d = difference_n(f, sample_poisson(base, None, generator=gen), xs)
+        scale = mass_abs ** n / math.factorial(n)
+        return scale * sgn * d, scale * abs(d)
+
+    return draw, mass_abs
+
+
+def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequence,
+              mode: str, plan: EnumerationPlan | None, mc: MCPlan | None
+              ) -> float | EstimateResult:
+    """int (E_base D_x f) w(dx) over the given atoms: the series' order-one term.
+
+    Exact mode sums the enumerated first differences; Monte Carlo mode runs
+    the order-one ``atom_draw``.
+    """
+    if mode == "exact":
+        return math.fsum(exact_expected_difference(f, base, [a], plan) * w
+                         for a, w in zip(atoms, ws) if w != 0.0)
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
+    if mc is None:
+        raise ValueError("mc mode needs an MCPlan")
+    if not atoms:
+        return EstimateResult(0.0, 0.0)
+    draw, _ = atom_draw(f, base, atoms, ws)
+    return mc_mean(lambda gen: draw(1, gen)[0], mc).estimate()
 
 
 def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
@@ -263,7 +292,8 @@ def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
     if mode == "mc":
         if mc is None:
             raise ValueError("mc mode needs an MCPlan")
-        return _mc_series(f, base, weights, n_max, mc, eps_abs=eps_abs)
+        draw, mass_abs = atom_draw(f, base, *_signed_atoms(weights))
+        return mc_series(draw, mass_abs, n_max, mc, ATOM_GROWTH_CAP, eps_abs)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -278,38 +308,9 @@ def gateaux_derivative(f: Functional, lam: DiscreteMeasure, h,
     if rho is None:
         rho = lam
     hfun = h if callable(h) else (lambda x, _t=dict(h): _t.get(x, 0.0))
-    if mode == "exact":
-        from .exact import exact_expected_difference
-        acc = []
-        for a in rho.support():
-            w = hfun(a) * rho.mass(a)
-            if w != 0.0:
-                acc.append(exact_expected_difference(f, lam, [a], plan) * w)
-        return math.fsum(acc)
-    if mode == "mc":
-        if mc is None:
-            raise ValueError("mc mode needs an MCPlan")
-        atoms = [a for a in rho.support() if hfun(a) != 0.0]
-        if not atoms:
-            return 0.0
-        ws = np.array([hfun(a) * rho.mass(a) for a in atoms])
-        mass_abs = float(np.abs(ws).sum())
-        probs = np.abs(ws) / mass_abs
-        signs = np.sign(ws)
-
-        def chunk(index, size, stream):
-            gen = stream.generator()
-            vals = np.empty(size)
-            for i in range(size):
-                j = int(gen.choice(len(atoms), p=probs))
-                phi = sample_poisson(lam, None, generator=gen)
-                vals[i] = mass_abs * signs[j] * difference_n(f, phi, [atoms[j]])
-            return (size, float(np.mean(vals)))
-
-        res = run_chunked(chunk, mc.samples, mc.stream, mc.chunks, mc.workers)
-        mean, _ = combine_batch_means([r[1] for r in res], [r[0] for r in res])
-        return mean
-    raise ValueError(f"unknown mode {mode!r}")
+    atoms = [a for a in rho.support() if hfun(a) != 0.0]
+    res = order_one(f, lam, atoms, [hfun(a) * rho.mass(a) for a in atoms], mode, plan, mc)
+    return res.estimate if mode == "mc" else res
 
 
 @dataclass(frozen=True)

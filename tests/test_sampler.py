@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
+import poissonpert as pp
 from poissonpert import (BoxWindow, MCPlan, PointConfiguration, discrete,
                          lebesgue_measure, mecke_check, sample_counts,
                          sample_poisson, thin_superpose_couple)
+from poissonpert import levy
 
 THREE_SIGMA_P = 0.0027  # two-sided normal tail at 3 sigma
 
@@ -144,12 +146,64 @@ class TestMecke:
         assert abs(res.lhs - res.rhs) <= 3 * res.stderr
 
 
+LAM = discrete({"a": 0.7, "b": 1.3})
+NU = discrete({"a": 1.1, "c": 0.4})
+FAMILY = pp.PerturbationFamily.linear(
+    LAM, lambda a: 1.0, {"a": 0.5, "b": -0.3}, 0.0, (0.0, 1.0))
+CP = levy.CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5})
+CP_MODEL = levy.LevyModel(jumps=CP, drift=0.3, drift_form="plain", t0=1.0, eps=0.0)
+CP_PERT = levy.JumpPerturbation(direction=levy.cp_direction(CP, {1.0: 0.8, -0.6: -0.5}),
+                                theta0=0.0, interval=(-0.8, 1.0))
+
+
+def _series(res):
+    return res.terms, res.abs_terms, res.stderrs, res.truncation_order
+
+
+def _supremum(res):
+    return (res.estimate, res.stderr, res.q_summary.counts.tolist(), res.kernel_max_err,
+            res.bound_violations)
+
+
+# every estimator that runs through the chunked Monte Carlo helper, on a
+# small plan; each returns its estimates and standard errors
+ESTIMATORS = {
+    "mc_expectation": lambda mc: tuple(pp.mc_expectation(
+        pp.void_indicator(), discrete({"x": 1.0, "y": 0.5}), plan=mc)),
+    "variational_series": lambda mc: _series(pp.variational_series(
+        pp.void_indicator(), LAM, NU, n_max=3, mode="mc", mc=mc)),
+    "parametric_series": lambda mc: _series(pp.parametric_series(
+        pp.count_squared(), FAMILY, 0.5, n_max=3, mode="mc", mc=mc)),
+    "linear_derivative": lambda mc: tuple(pp.linear_derivative(
+        pp.void_indicator(), FAMILY, 0.3, mode="mc", mc=mc)),
+    "nonlinear_derivative": lambda mc: tuple(pp.nonlinear_derivative(
+        pp.void_indicator(), FAMILY, mode="mc", mc=mc)),
+    "scaled_derivative": lambda mc: tuple(pp.scaled_derivative(
+        pp.count_squared(), LAM, 0.8, mode="mc", mc=mc)),
+    "gateaux_derivative": lambda mc: pp.gateaux_derivative(
+        pp.void_indicator(), LAM, {"a": 0.5, "b": -1.0}, mode="mc", mc=mc),
+    "pivotal_derivative": lambda mc: tuple(pp.pivotal_derivative(
+        pp.threshold_indicator(1), LAM, 0.5, mc)),
+    "coupled_scale_fd": lambda mc: tuple(pp.coupled_scale_fd(
+        pp.count_squared(), LAM, 0.5, 0.05, mc)),
+    "mecke_check": lambda mc: tuple(pp.mecke_check(
+        lambda x, phi: float(phi.total_points()), LAM, plan=mc)),
+    "supremum_derivative": lambda mc: _supremum(levy.supremum_derivative(
+        CP_MODEL, CP_PERT, mc)),
+    "coupled_supremum_fd": lambda mc: tuple(levy.coupled_supremum_fd(
+        CP_MODEL, CP_PERT, 0.1, mc)),
+    "levy_derivative": lambda mc: tuple(levy.levy_derivative(
+        levy.running_supremum, CP_MODEL, CP_PERT, mc)),
+    "levy_series": lambda mc: _series(levy.levy_series(
+        levy.terminal_value, CP_MODEL, levy.perturbed_model(CP_MODEL, CP_PERT, 0.5),
+        mc, n_max=2)),
+}
+
+
 class TestDeterminism:
-    def test_worker_count_does_not_change_results(self, rng):
-        from poissonpert import mc_expectation, void_indicator
-        m = discrete({"x": 1.0, "y": 0.5})
-        f = void_indicator()
-        a = mc_expectation(f, m, plan=MCPlan(8_000, rng.child(15), workers=1))
-        b = mc_expectation(f, m, plan=MCPlan(8_000, rng.child(15), workers=4))
-        assert a.estimate == b.estimate
-        assert a.stderr == b.stderr
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_worker_count_does_not_change_results(self, rng, name):
+        run = ESTIMATORS[name]
+        one = run(MCPlan(240, rng.child(15), chunks=8, workers=1))
+        four = run(MCPlan(240, rng.child(15), chunks=8, workers=4))
+        assert one == four
