@@ -2,10 +2,19 @@
 
 Every study is a subcommand driven by a flat key-value config file with
 section headers (INI).  Discrete measures live in plain-text files with one
-``atom-id mass`` pair per line.  Each run writes a CSV plus a human-readable
-summary naming the identity it exercises and a pass/fail line per check.
-Seeds are mandatory and re-running a config with the same seed is
-byte-identical for any worker count.
+``atom-id mass`` pair per line.  Each study checks one identity of the paper
+on its inputs and reports every check as a ``battery.CheckRow``, the row the
+``validate`` battery uses, through one writer:
+
+* ``<study>.csv`` with columns check, value, target, tol, mode, pass (the tol
+  of a ``z`` row is the standard error of its Monte Carlo estimate);
+* ``<study>_summary.txt`` with the identity, the study's notes, one line per
+  check and a ``k/n checks passed`` line.
+
+Data that is not a check goes to its own file: ``series_terms.csv`` (order,
+term, partial_sum, abs_term) and ``levy-sup_q.csv`` (bin_left, bin_right,
+count of the Y_t histogram).  Seeds are mandatory and re-running a config
+with the same seed is byte-identical for any worker count.
 
 Exit codes: 0 all checks pass, 2 config error, 3 admissibility failure in
 strict mode, 4 one or more checks failed.
@@ -24,20 +33,22 @@ from pathlib import Path
 import numpy as np
 
 from . import battery, exact, levy, likelihood, measures, series
+from .battery import CheckRow
 from .configuration import (Functional, constant_functional, count_functional,
                             count_squared, threshold_indicator, void_indicator)
-from .derivatives import (DerivativeRow, coupled_scale_fd, derivative_rows_csv,
-                          linear_derivative, nonlinear_derivative, pivotal_derivative,
-                          richardson_fd, scaled_derivative)
+from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
+                          pivotal_derivative, richardson_fd, scaled_derivative)
 from .likelihood import AdmissibilityError
-from .measures import AtomWindow, DiscreteMeasure, PerturbationFamily, discrete
-from .rng import RngStream
+from .measures import AtomWindow, DiscreteMeasure, PerturbationFamily
+from .rng import RngStream, mc_mean
 from .sampler import MCPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_CHECK = 4
+
+EXACT_TOL = 1e-6  # deterministic derivative and quadrature checks
 
 IDENTITY_NOTES = {
     "series": "variational expansion: E_nu f = sum_n 1/n! int (E_lam D^n f) d(nu-lam)^n",
@@ -124,18 +135,39 @@ def _atom_pairs(text: str) -> dict:
     return out
 
 
-def _write(out_dir: Path, name: str, csv_text: str, summary_lines: list[str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.csv").write_text(csv_text)
-    (out_dir / f"{name}_summary.txt").write_text("\n".join(summary_lines) + "\n")
-
-
-def _summary_header(name: str) -> list[str]:
-    return [f"study: {name}", f"identity: {IDENTITY_NOTES[name]}", ""]
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _row_line(r: CheckRow, good: bool) -> str:
+    line = f"{r.name}: value {_fmt(r.value)} target {_fmt(r.target)}"
+    if r.mode != "bool":
+        spread = "stderr" if r.mode == "z" else "tol"
+        line += f" gap {_fmt(abs(r.value - r.target))} {spread} {_fmt(r.tol)}"
+    if r.budget:
+        line += f" budget {_fmt(r.budget)}"
+    return f"{line} [{'pass' if good else 'FAIL'}]"
+
+
+def _report(out_dir: Path, study: str, rows: list[CheckRow], notes: list[str],
+            data: dict[str, str] | None = None) -> int:
+    """Write ``<study>.csv``, ``<study>_summary.txt`` and the study's data
+    files; EXIT_CHECK unless every row passes."""
+    verdicts = [r.passed for r in rows]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["check", "value", "target", "tol", "mode", "pass"])
+    for r, good in zip(rows, verdicts):
+        writer.writerow([r.name, _fmt(r.value), _fmt(r.target), _fmt(r.tol), r.mode,
+                         "pass" if good else "FAIL"])
+    lines = [f"study: {study}", f"identity: {IDENTITY_NOTES[study]}", "", *notes,
+             *map(_row_line, rows, verdicts), "", f"{sum(verdicts)}/{len(rows)} checks passed"]
+    files = {f"{study}.csv": buf.getvalue(),
+             f"{study}_summary.txt": "\n".join(lines) + "\n", **(data or {})}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    return EXIT_OK if all(verdicts) else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +186,13 @@ def _run_series(cfg, args, out_dir: Path) -> int:
     mc = _mc_plan(cfg, args, default_samples=20_000) if mode == "mc" else None
     result = series.variational_series(f, lam, nu, n_max=n_max, mode=mode, mc=mc,
                                        decomposition=decomposition, strict=args.strict)
-    oracle = exact.exact_expectation(f, nu) if mode == "exact" else None
-    lines = _summary_header("series")
-    ok = True
-    lines.append(f"value {_fmt(result.value)} after {result.truncation_order} orders "
-                 f"(converged: {result.converged})")
-    if oracle is not None:
-        gap = abs(result.value - oracle)
-        ok = gap < 1e-8
-        lines.append(f"direct-expectation oracle {_fmt(oracle)} gap {_fmt(gap)} "
-                     f"[{'pass' if ok else 'FAIL'}]")
-    _write(out_dir, "series", result.to_csv(), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    rows = []
+    if mode == "exact":
+        rows.append(CheckRow("series_vs_direct_expectation", result.value,
+                             exact.exact_expectation(f, nu), 1e-8, "abs"))
+    notes = [f"value {_fmt(result.value)} after {result.truncation_order} orders "
+             f"(converged: {result.converged})"]
+    return _report(out_dir, "series", rows, notes, {"series_terms.csv": result.to_csv()})
 
 
 def _run_deriv(cfg, args, out_dir: Path) -> int:
@@ -174,21 +201,19 @@ def _run_deriv(cfg, args, out_dir: Path) -> int:
     f = _functional_from(cfg, "deriv")
     theta = cfg.getfloat("deriv", "theta", fallback=1.0)
     mc = _mc_plan(cfg, args, default_samples=100_000)
-    rows: list[DerivativeRow] = []
+    rows: list[CheckRow] = []
 
     if estimator in ("scaled", "pivotal"):
         lam = _measure_from(cfg, "deriv", "lambda_file", base)
         exact_value = scaled_derivative(f, lam, theta)
         if estimator == "pivotal":
             est = pivotal_derivative(f, lam, theta, mc)
-            rows.append(DerivativeRow("pivotal", theta, est.estimate, est.stderr,
-                                      exact_value))
+            rows.append(CheckRow("pivotal", est.estimate, exact_value, est.stderr, "z"))
         else:
-            rows.append(DerivativeRow("scaled", theta, exact_value, 0.0, exact_value))
+            rows.append(CheckRow("scaled", exact_value, exact_value, EXACT_TOL, "abs"))
         delta = cfg.getfloat("deriv", "fd_delta", fallback=min(0.1, theta / 2))
         fd = coupled_scale_fd(f, lam, theta, delta, mc.split(1))
-        rows.append(DerivativeRow("coupled_fd", theta, fd.estimate, fd.stderr,
-                                  exact_value))
+        rows.append(CheckRow("coupled_fd", fd.estimate, exact_value, fd.stderr, "z"))
     elif estimator in ("linear", "nonlinear"):
         rho = _measure_from(cfg, "deriv", "rho_file", base)
         base_d = _density_table(cfg, "deriv", "base_file", base)
@@ -206,22 +231,10 @@ def _run_deriv(cfg, args, out_dir: Path) -> int:
             theta = theta0
         fd = richardson_fd(
             lambda t: exact.exact_expectation(f, fam.measure_at(t)), theta)
-        rows.append(DerivativeRow(estimator, theta, value, 0.0, fd))
+        rows.append(CheckRow(estimator, value, fd, EXACT_TOL, "abs"))
     else:
         raise ConfigError(f"unknown estimator {estimator!r}")
-
-    lines = _summary_header("deriv")
-    ok = True
-    for r in rows:
-        if r.stderr == 0.0:
-            good = abs(r.estimate - r.oracle) <= 1e-6
-        else:
-            good = battery.z_gate(abs(r.estimate - r.oracle), r.stderr)
-        ok = ok and good
-        lines.append(f"{r.estimator}: estimate {_fmt(r.estimate)} oracle {_fmt(r.oracle)} "
-                     f"stderr {_fmt(r.stderr)} [{'pass' if good else 'FAIL'}]")
-    _write(out_dir, "deriv", derivative_rows_csv(rows), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    return _report(out_dir, "deriv", rows, [f"theta {_fmt(theta)}"])
 
 
 def _tilt_family(rho, base_d, rates, theta0, interval) -> PerturbationFamily:
@@ -261,28 +274,13 @@ def _run_likelihood(cfg, args, out_dir: Path) -> int:
     direct = exact.exact_expectation(f, nu)
     rw_mc = likelihood.reweighted_expectation(f, nu, rho, mode="mc", mc=mc)
 
-    checks = [
-        ("mean_one", mean_one, 1.0, 1e-10, 0.0),
-        ("second_moment_equals_bound", second, bound, 1e-10, 0.0),
-        ("reweighted_exact_vs_direct", rw_exact, direct, 1e-10, 0.0),
-        ("reweighted_mc_vs_direct", rw_mc.estimate, direct, None, rw_mc.stderr),
+    rows = [
+        CheckRow("mean_one", mean_one, 1.0, 1e-10, "abs"),
+        CheckRow("second_moment_equals_bound", second, bound, 1e-10, "abs"),
+        CheckRow("reweighted_exact_vs_direct", rw_exact, direct, 1e-10, "abs"),
+        CheckRow("reweighted_mc_vs_direct", rw_mc.estimate, direct, rw_mc.stderr, "z"),
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "value", "target", "tol", "stderr", "pass"])
-    lines = _summary_header("likelihood")
-    ok = True
-    for name, value, target, tol, se in checks:
-        good = (abs(value - target) <= tol) if tol is not None else \
-            battery.z_gate(abs(value - target), se)
-        ok = ok and good
-        writer.writerow([name, _fmt(value), _fmt(target),
-                         "" if tol is None else _fmt(tol), _fmt(se),
-                         "pass" if good else "FAIL"])
-        lines.append(f"{name}: value {_fmt(value)} target {_fmt(target)} "
-                     f"[{'pass' if good else 'FAIL'}]")
-    _write(out_dir, "likelihood", buf.getvalue(), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    return _report(out_dir, "likelihood", rows, [])
 
 
 def _run_hellinger(cfg, args, out_dir: Path) -> int:
@@ -292,26 +290,13 @@ def _run_hellinger(cfg, args, out_dir: Path) -> int:
     report = measures.admissibility_check(lam, nu)
     identity = measures.hellinger_poisson(lam, nu)
     enumerated = exact.poisson_hellinger_exact(lam, nu)
-    gap = abs(identity - enumerated)
-    ok = gap < 1e-8
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "value", "ok"])
-    for name, value, good in report.rows():
-        writer.writerow([name, _fmt(value), "pass" if good else "flagged"])
-    writer.writerow(["law_hellinger_identity", _fmt(identity), "pass" if ok else "FAIL"])
-    writer.writerow(["law_hellinger_enumerated", _fmt(enumerated), "pass" if ok else "FAIL"])
-    lines = _summary_header("hellinger")
-    lines.append(f"measure-level H {_fmt(report.hellinger)}; "
-                 f"square gaps {_fmt(report.l2_gap_low)} / {_fmt(report.l2_gap_high)} "
-                 f"(verdict: {'ok' if report.l2_ok else 'capped'})")
-    lines.append(f"law-level identity {_fmt(identity)} vs enumeration {_fmt(enumerated)} "
-                 f"gap {_fmt(gap)} [{'pass' if ok else 'FAIL'}]")
-    _write(out_dir, "hellinger", buf.getvalue(), lines)
+    rows = [CheckRow("law_hellinger_identity", identity, enumerated, 1e-8, "abs")]
+    notes = [f"{name} {_fmt(value)} {'ok' if good else 'flagged'}"
+             for name, value, good in report.rows()]
+    code = _report(out_dir, "hellinger", rows, notes)
     if args.strict and not report.l2_ok:
         return EXIT_ADMISSIBILITY
-    return EXIT_OK if ok else EXIT_CHECK
+    return code
 
 
 def _levy_model_from(cfg, section: str) -> levy.LevyModel:
@@ -341,29 +326,22 @@ def _levy_model_from(cfg, section: str) -> levy.LevyModel:
 def _run_levy_sim(cfg, args, out_dir: Path) -> int:
     model = _levy_model_from(cfg, "levy")
     mc = _mc_plan(cfg, args, default_samples=50_000)
-    gen = mc.stream.generator()
-    vals = np.array([levy.simulate_path(model, generator=gen).value(model.t0)
-                     for _ in range(mc.samples)])
-    mean = float(np.mean(vals))
-    var = float(np.var(vals))
-    se_mean = float(np.std(vals) / math.sqrt(vals.size))
     mom = model.moments()
     budget = model.small_jump_budget()
-    ok = battery.z_gate(abs(mean - mom["mean"]), se_mean, abs(budget["mean_below"]))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "estimate", "stderr", "oracle", "bias_budget"])
-    writer.writerow(["terminal_mean", _fmt(mean), _fmt(se_mean), _fmt(mom["mean"]),
-                     _fmt(budget["mean_below"])])
-    writer.writerow(["terminal_var", _fmt(var), "", _fmt(mom["var"]),
-                     _fmt(budget["var_below"])])
-    lines = _summary_header("levy-sim")
-    lines.append(f"terminal mean {_fmt(mean)} vs {_fmt(mom['mean'])} "
-                 f"(se {_fmt(se_mean)}, dropped-mean budget "
-                 f"{_fmt(budget['mean_below'])}) [{'pass' if ok else 'FAIL'}]")
-    _write(out_dir, "levy-sim", buf.getvalue(), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    def draw(gen):
+        x = levy.simulate_path(model, generator=gen).value(model.t0)
+        return x, (x - mom["mean"]) ** 2
+
+    res = mc_mean(draw, mc)
+    mean, var = res.estimate(0), res.estimate(1)
+    rows = [
+        CheckRow("terminal_mean", mean.estimate, mom["mean"], mean.stderr, "z",
+                 abs(budget["mean_below"])),
+        CheckRow("terminal_var", var.estimate, mom["var"], var.stderr, "z",
+                 abs(budget["var_below"])),
+    ]
+    return _report(out_dir, "levy-sim", rows, [])
 
 
 def _run_levy_deriv(cfg, args, out_dir: Path) -> int:
@@ -374,37 +352,13 @@ def _run_levy_deriv(cfg, args, out_dir: Path) -> int:
     eps = cfg.getfloat("levy", "eps", fallback=0.05)
     mc = _mc_plan(cfg, args, default_samples=100_000)
 
-    st = levy.StableJumps(alpha, 1.0, 1.0)
-    gmax = theta * (alpha / beta0) ** alpha * math.exp(-alpha)
-
-    def g_nu(x):
-        x = np.asarray(x, dtype=float)
-        out = 1.0 + np.where(x > 0, theta * np.power(np.maximum(x, 0), alpha)
-                             * np.exp(-beta0 * np.maximum(x, 0)), 0.0)
-        return out if out.shape else float(out)
-
-    model = levy.LevyModel(jumps=st, density=g_nu, density_bound=1.0 + gmax,
-                           drift=0.0, drift_form="compensated", t0=t0, eps=eps)
-    pert = levy.JumpPerturbation(direction=levy.gamma_scale_direction(theta, beta0, st),
-                                 theta0=beta0, interval=(beta0 / 2, 3 * beta0 / 2))
+    model, pert = levy.gamma_overlay_model(theta, beta0, alpha, t0, eps)
     est = levy.levy_derivative(levy.terminal_value, model, pert, mc)
     closed = -theta * t0 / beta0 ** 2
     quad = -theta * t0 * _integral_x_exp(beta0)
-    ok = battery.z_gate(abs(est.estimate - closed), est.stderr) and abs(quad - closed) < 1e-6
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["estimator", "theta", "estimate", "stderr", "oracle", "gap_over_sigma"])
-    z = abs(est.estimate - closed) / est.stderr if est.stderr else 0.0
-    writer.writerow(["jump_sensitivity", _fmt(beta0), _fmt(est.estimate),
-                     _fmt(est.stderr), _fmt(closed), _fmt(z)])
-    writer.writerow(["quadrature", _fmt(beta0), _fmt(quad), "0", _fmt(closed),
-                     _fmt(abs(quad - closed))])
-    lines = _summary_header("levy-deriv")
-    lines.append(f"estimate {_fmt(est.estimate)} +- {_fmt(est.stderr)} vs closed form "
-                 f"{_fmt(closed)} (z = {_fmt(z)}) [{'pass' if ok else 'FAIL'}]")
-    _write(out_dir, "levy-deriv", buf.getvalue(), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    rows = [CheckRow("jump_sensitivity", est.estimate, closed, est.stderr, "z"),
+            CheckRow("quadrature", quad, closed, EXACT_TOL, "abs")]
+    return _report(out_dir, "levy-deriv", rows, [f"theta0 = beta0 = {_fmt(beta0)}"])
 
 
 def _integral_x_exp(beta0: float) -> float:
@@ -426,26 +380,16 @@ def _run_levy_sup(cfg, args, out_dir: Path) -> int:
 
     sup = levy.supremum_derivative(model, pert, mc)
     fd = levy.coupled_supremum_fd(model, pert, delta, mc.split(1))
-    se = math.sqrt(sup.stderr ** 2 + fd.stderr ** 2)
-    ok = (battery.z_gate(abs(sup.estimate - fd.estimate), se)
-          and sup.kernel_max_err < 1e-12 and sup.bound_violations == 0)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "estimate", "stderr", "oracle", "note"])
-    writer.writerow(["sup_derivative", _fmt(sup.estimate), _fmt(sup.stderr),
-                     _fmt(fd.estimate), "oracle = coupled finite difference"])
-    writer.writerow(["kernel_max_err", _fmt(sup.kernel_max_err), "", "0", ""])
-    writer.writerow(["bound_violations", str(sup.bound_violations), "", "0", ""])
-    (out_dir / "levy-sup_q.csv").parent.mkdir(parents=True, exist_ok=True)
-    (out_dir / "levy-sup_q.csv").write_text(sup.q_summary.to_csv())
-    lines = _summary_header("levy-sup")
-    lines.append(f"estimate {_fmt(sup.estimate)} +- {_fmt(sup.stderr)}; coupled FD "
-                 f"{_fmt(fd.estimate)} +- {_fmt(fd.stderr)} [{'pass' if ok else 'FAIL'}]")
-    lines.append(f"kernel max error {_fmt(sup.kernel_max_err)}; "
-                 f"bound violations {sup.bound_violations}")
-    _write(out_dir, "levy-sup", buf.getvalue(), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    rows = [
+        CheckRow("sup_derivative", sup.estimate, fd.estimate,
+                 math.sqrt(sup.stderr ** 2 + fd.stderr ** 2), "z"),
+        CheckRow("kernel_max_err", sup.kernel_max_err, 0.0, 1e-12, "abs"),
+        CheckRow("bound_violations", float(sup.bound_violations), 0.0, 0.0, "abs"),
+    ]
+    notes = [f"sup_derivative stderr {_fmt(sup.stderr)} and coupled-FD target stderr "
+             f"{_fmt(fd.stderr)}, combined in quadrature"]
+    return _report(out_dir, "levy-sup", rows, notes,
+                   {"levy-sup_q.csv": sup.q_summary.to_csv()})
 
 
 def _run_validate(cfg, args, out_dir: Path) -> int:
@@ -454,22 +398,7 @@ def _run_validate(cfg, args, out_dir: Path) -> int:
         seed = cfg.getint("mc", "seed")
     if seed is None:
         raise ConfigError("validate needs --seed (or [mc] seed in a config)")
-    rows = battery.run_battery(seed, workers=args.workers)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "value", "target", "tol", "mode", "pass"])
-    lines = _summary_header("validate")
-    ok = True
-    for r in rows:
-        good = r.passed
-        ok = ok and good
-        writer.writerow([r.name, _fmt(r.value), _fmt(r.target), _fmt(r.tol), r.mode,
-                         "pass" if good else "FAIL"])
-        lines.append(f"{r.name}: [{'pass' if good else 'FAIL'}]")
-    lines.append("")
-    lines.append(f"{sum(r.passed for r in rows)}/{len(rows)} checks passed")
-    _write(out_dir, "validate", buf.getvalue(), lines)
-    return EXIT_OK if ok else EXIT_CHECK
+    return _report(out_dir, "validate", battery.run_battery(seed, workers=args.workers), [])
 
 
 RUNNERS = {
@@ -483,15 +412,15 @@ RUNNERS = {
     "validate": _run_validate,
 }
 
-CSV_DOCS = """CSV columns per subcommand:
-  series      order, term, partial_sum, abs_term
-  deriv       estimator, theta, estimate, stderr, oracle, gap_over_sigma
-  likelihood  check, value, target, tol, stderr, pass
-  hellinger   quantity, value, ok
-  levy-sim    quantity, estimate, stderr, oracle, bias_budget
-  levy-deriv  estimator, theta, estimate, stderr, oracle, gap_over_sigma
-  levy-sup    quantity, estimate, stderr, oracle, note (+ levy-sup_q.csv histogram)
-  validate    check, value, target, tol, mode, pass
+OUTPUT_DOCS = """Every study writes <study>.csv with the columns
+  check, value, target, tol, mode, pass
+(mode abs: |value - target| <= tol; mode z: tol is the standard error and
+|value - target| <= 3 tol + budget, a bias budget shown in the summary when
+nonzero; mode bool: value is true) and <study>_summary.txt with the
+identity, the study's notes, one line per check and 'k/n checks passed'.  Data files: series_terms.csv (order, term,
+partial_sum, abs_term) and levy-sup_q.csv (bin_left, bin_right, count).
+Exit codes: 0 all checks pass, 2 config error, 3 admissibility failure
+(--strict), 4 a check failed.
 """
 
 
@@ -499,7 +428,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="poissonpert",
         description="Perturbation analysis studies for Poisson and Levy functionals.",
-        epilog=CSV_DOCS, formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog=OUTPUT_DOCS, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("subcommand", choices=sorted(RUNNERS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="seed override")

@@ -22,9 +22,6 @@ thinning construction (common random numbers), which is what makes the
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -174,31 +171,3 @@ def richardson_fd(values: Callable[[float], float], theta: float,
     r = (d1 / d2) ** 2
     return (r * fd2 - fd1) / (r - 1.0)
 
-
-@dataclass(frozen=True)
-class DerivativeRow:
-    estimator: str
-    theta: float
-    estimate: float
-    stderr: float
-    oracle: float
-
-    @property
-    def gap_sigmas(self) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.estimate == self.oracle else float("inf")
-        return abs(self.estimate - self.oracle) / self.stderr
-
-
-def derivative_rows_csv(rows: Sequence[DerivativeRow], target=None) -> str | None:
-    own = target is None
-    buf = io.StringIO() if own else target
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["estimator", "theta", "estimate", "stderr", "oracle", "gap_over_sigma"])
-    for r in rows:
-        writer.writerow([r.estimator, format(r.theta, ".17g"), format(r.estimate, ".17g"),
-                         format(r.stderr, ".17g"), format(r.oracle, ".17g"),
-                         format(r.gap_sigmas, ".17g")])
-    if own:
-        return buf.getvalue()
-    return None

@@ -26,9 +26,6 @@ as weights and the inner difference evaluated on a common path.  The running
 supremum admits a closed difference kernel (x - Y_t)^+ - (Y_t)^- with
 Y_t the gap between past and future suprema, which the supremum estimator
 exploits and cross-checks path by path.
-
-Everything here is univariate; the data model keeps a dimension field for
-interface stability and rejects d > 1.
 """
 
 from __future__ import annotations
@@ -501,12 +498,9 @@ class LevyModel:
     t0: float = 1.0
     eps: float = 0.0
     grid_n: int = 256
-    dimension: int = 1
     slope: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.dimension != 1:
-            raise ValueError("only univariate models are supported")
         if self.t0 <= 0:
             raise ValueError("horizon must be positive")
         if self.sigma2 < 0:
@@ -642,11 +636,6 @@ class CadlagPath:
         new_t = np.insert(self.jump_t, idx, t)
         new_x = np.insert(self.jump_x, idx, x)
         return CadlagPath(self.t0, self.slope, new_t, new_x, self.grid_t, self.grid_w)
-
-
-def path_shift(path: CadlagPath, t: float, x: float) -> CadlagPath:
-    """Functional-form alias for inserting a jump into a path."""
-    return path.with_jump(t, x)
 
 
 @dataclass(frozen=True)
@@ -843,6 +832,37 @@ def perturbed_model(model: LevyModel, pert: JumpPerturbation, theta: float) -> L
                 lambda x: np.asarray(x) * np.asarray(rem(theta, x)), 0.0, 1.0)
     return replace(model, density=JumpDensity(g_theta, gap_theta), density_bound=bound,
                    drift=drift)
+
+
+def gamma_overlay_model(theta: float, beta0: float, alpha: float, t0: float,
+                        eps: float) -> tuple[LevyModel, JumpPerturbation]:
+    """A gamma jump component laid over the power-tail reference, and its
+    scale perturbation.
+
+    The density g = 1 + theta x^alpha exp(-beta0 x) on x > 0 against
+    ``StableJumps(alpha, 1, 1)`` adds the gamma jump measure
+    theta x^(-1) exp(-beta0 x) dx; the perturbation moves its scale along
+    ``gamma_scale_direction`` around theta0 = beta0, where
+    d/dbeta E X_t0 = -theta t0 / beta0^2.  The gap g - 1 is carried exactly.
+    """
+    st = StableJumps(alpha, 1.0, 1.0)
+    gmax = theta * (alpha / beta0) ** alpha * math.exp(-alpha)
+
+    def gap(x):
+        x = np.asarray(x, dtype=float)
+        out = np.where(x > 0, theta * np.power(np.maximum(x, 0), alpha)
+                       * np.exp(-beta0 * np.maximum(x, 0)), 0.0)
+        return out if out.shape else float(out)
+
+    def g(x):
+        out = 1.0 + np.asarray(gap(x))
+        return out if out.shape else float(out)
+
+    model = LevyModel(jumps=st, density=JumpDensity(g, gap), density_bound=1.0 + gmax,
+                      drift=0.0, drift_form="compensated", t0=t0, eps=eps)
+    pert = JumpPerturbation(direction=gamma_scale_direction(theta, beta0, st),
+                            theta0=beta0, interval=(beta0 / 2, 3 * beta0 / 2))
+    return model, pert
 
 
 # ---------------------------------------------------------------------------

@@ -90,35 +90,6 @@ class AtomWindow:
         return point in self.atoms
 
 
-@dataclass(frozen=True)
-class GroundSpace:
-    """Where points live: a finite atom list or a box in R^d."""
-
-    kind: str
-    atoms: tuple = ()
-    box: BoxWindow | None = None
-
-    def __post_init__(self):
-        if self.kind == "discrete":
-            if len(set(self.atoms)) != len(self.atoms):
-                raise ValueError("discrete atom identifiers must be unique")
-        elif self.kind == "box":
-            if self.box is None:
-                raise ValueError("box space requires bounds")
-        else:
-            raise ValueError(f"unknown ground space kind {self.kind!r}")
-
-    @staticmethod
-    def discrete(atoms: Iterable) -> "GroundSpace":
-        return GroundSpace("discrete", atoms=tuple(atoms))
-
-    @staticmethod
-    def interval(lower, upper) -> "GroundSpace":
-        lo = tuple(lower) if isinstance(lower, (tuple, list)) else (float(lower),)
-        hi = tuple(upper) if isinstance(upper, (tuple, list)) else (float(upper),)
-        return GroundSpace("box", box=BoxWindow(lo, hi))
-
-
 # ---------------------------------------------------------------------------
 # Discrete measures
 # ---------------------------------------------------------------------------
@@ -247,15 +218,12 @@ class DensityMeasure:
     enables exact sampling of the tilted measure by envelope thinning.
     """
 
-    space: GroundSpace
+    window: BoxWindow
     reference_mass: Callable[[BoxWindow], float]
     reference_sampler: Callable[[BoxWindow, np.random.Generator, int], np.ndarray]
     density: Callable[[tuple], float]
     density_bound: float | None = None
     reference_token: object = None
-
-    def window(self) -> BoxWindow:
-        return self.space.box
 
     def density_at(self, point) -> float:
         val = float(self.density(point))
@@ -288,7 +256,7 @@ def lebesgue_measure(box: BoxWindow, density=None, density_bound=None,
         density = lambda point: 1.0  # noqa: E731
         density_bound = 1.0
     return DensityMeasure(
-        space=GroundSpace("box", box=box),
+        window=box,
         reference_mass=mass,
         reference_sampler=sampler,
         density=density,
@@ -373,7 +341,7 @@ def signed_power_integral(g: Callable, pert: SignedPerturbation, n: int,
     if mc is None:
         raise MeasureMismatchError("non-discrete reference needs an MC plan")
     gen = mc.stream.generator()
-    window = rho.window()
+    window = rho.window
     mass = rho.reference_mass(window)
     pts = rho.reference_sampler(window, gen, mc.samples * n).reshape(mc.samples, n, -1)
     vals = np.empty(mc.samples)
@@ -412,7 +380,7 @@ def hellinger_measures(lam, nu, rho=None, mc=None) -> float:
         if mc is None:
             raise MeasureMismatchError("non-discrete Hellinger needs an MC plan")
         gen = mc.stream.generator()
-        window = lam.window()
+        window = lam.window
         mass = lam.reference_mass(window)
         pts = lam.reference_sampler(window, gen, mc.samples)
         vals = [

@@ -50,7 +50,7 @@ def sample_poisson(m, window=None, rng: RngStream | None = None,
             counts[a] = counts.get(a, 0) + 1
         return PointConfiguration(counts)
     if isinstance(m, DensityMeasure):
-        win = window or m.window()
+        win = window or m.window
         mass = m.reference_mass(win)
         if not math.isfinite(mass):
             raise ValueError("window has infinite reference mass")
@@ -132,7 +132,7 @@ def _couple(lam, nu, window, gen_base, gen_thin, gen_extra) -> CoupledPair:
     if isinstance(lam, DensityMeasure) and isinstance(nu, DensityMeasure):
         if not lam.same_reference(nu):
             raise MeasureMismatchError("coupling needs a common reference")
-        win = window or lam.window()
+        win = window or lam.window
         phi_l = sample_poisson(lam, win, generator=gen_base)
         kept = {}
         for p, mult in phi_l.items():
@@ -152,7 +152,7 @@ def _couple(lam, nu, window, gen_base, gen_thin, gen_extra) -> CoupledPair:
             return max(nu.density_at(point) - lam.density_at(point), 0.0)
 
         extra_measure = DensityMeasure(
-            space=lam.space, reference_mass=lam.reference_mass,
+            window=lam.window, reference_mass=lam.reference_mass,
             reference_sampler=lam.reference_sampler, density=diff_density,
             density_bound=diff_bound, reference_token=lam.reference_token)
         extra = sample_poisson(extra_measure, win, generator=gen_extra)
@@ -216,7 +216,7 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
         rhs = math.fsum(rhs_parts)
         rhs_se = math.sqrt(math.fsum(rhs_vars))
     elif isinstance(m, DensityMeasure):
-        win = window or m.window()
+        win = window or m.window
         mass_ref = m.reference_mass(win)
 
         def rhs_draw(gen):

@@ -1,15 +1,49 @@
-"""The command-line studies: exit codes and the Monte Carlo z-gate."""
+"""The command-line studies: exit codes, the one report format and the
+Monte Carlo z-gate."""
 
 import configparser
+import csv
 import math
 from pathlib import Path
 
 import pytest
 
 from poissonpert.battery import CheckRow, z_gate
-from poissonpert.cli import EXIT_CHECK, main
+from poissonpert.cli import EXIT_CHECK, EXIT_OK, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STUDY_OF_CONFIG = {
+    "deriv_pivotal.ini": "deriv",
+    "hellinger.ini": "hellinger",
+    "levy_deriv_gamma_scale.ini": "levy-deriv",
+    "levy_sim_gamma.ini": "levy-sim",
+    "levy_sup_cp.ini": "levy-sup",
+    "likelihood.ini": "likelihood",
+    "series_void.ini": "series",
+}
+MAX_SAMPLES = 4_000
+# levy-sim keeps its checked-in 20,000 samples (under a second per run): at
+# 4,000 samples and seed 42 its variance estimate lies 3.3 standard errors
+# low, a chance deviation (over 200 seeds at that size the z-scores average
+# 0.06 with spread near 1), and any other size would be picked to pass
+FULL_SIZE = {"levy_sim_gamma.ini"}
+
+
+def small_copy(name: str, tmp_path: Path) -> Path:
+    """The checked-in config with absolute data-file paths and, unless it
+    is in ``FULL_SIZE``, at most ``MAX_SAMPLES`` Monte Carlo samples."""
+    cfg = configparser.ConfigParser()
+    cfg.read(CONFIGS / name)
+    for section in cfg.sections():
+        for key, value in cfg.items(section):
+            if key.endswith("_file"):
+                cfg.set(section, key, str(CONFIGS / value))
+    if cfg.has_option("mc", "samples") and name not in FULL_SIZE:
+        cfg.set("mc", "samples", str(min(cfg.getint("mc", "samples"), MAX_SAMPLES)))
+    path = tmp_path / name
+    with path.open("w") as fh:
+        cfg.write(fh)
+    return path
 
 
 class TestZGate:
@@ -42,3 +76,26 @@ class TestDerivStudy:
         summary = (out / "deriv_summary.txt").read_text()
         assert "pivotal:" in summary and "stderr inf [FAIL]" in summary
         assert "[pass]" not in summary
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])
+def test_study_reports_check_rows_identically_for_any_worker_count(config, tmp_path):
+    if config is None:
+        study, argv = "validate", ["validate", "--seed", "42"]
+    else:
+        study = STUDY_OF_CONFIG[config]
+        argv = [study, "--config", str(small_copy(config, tmp_path))]
+    outs = [tmp_path / f"workers{w}" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert main(argv + ["--workers", str(w), "--out", str(out)]) == EXIT_OK
+    with (outs[0] / f"{study}.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["check", "value", "target", "tol", "mode", "pass"]
+    assert rows
+    passed = sum(r[-1] == "pass" for r in rows)
+    summary = (outs[0] / f"{study}_summary.txt").read_text().splitlines()
+    assert summary[-1] == f"{passed}/{len(rows)} checks passed"
+    files = sorted(f.name for f in outs[0].iterdir())
+    assert files == sorted(f.name for f in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

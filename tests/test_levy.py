@@ -14,7 +14,7 @@ from poissonpert.levy import (CadlagPath, CompoundPoissonJumps, ConditionError,
                               check_direction, check_pair, coupled_supremum_fd,
                               cp_direction, drift_adjust, gamma_scale_direction,
                               gamma_shape_direction, levy_derivative, levy_series,
-                              no_jump_indicator, path_difference, path_shift,
+                              no_jump_indicator, path_difference,
                               perturbed_model, running_supremum, simulate_coupled,
                               simulate_path, stable_direction, supremum_derivative,
                               terminal_value)
@@ -168,21 +168,17 @@ class TestSimulatePath:
             LevyModel(jumps=StableJumps(1.5, 1.0, 1.0), drift=0.0,
                       drift_form="plain", t0=1.0, eps=0.1)
 
-    def test_multivariate_rejected(self):
-        with pytest.raises(ValueError):
-            LevyModel(jumps=CompoundPoissonJumps({1.0: 1.0}), dimension=2)
-
 
 class TestPathShift:
     def test_zero_jump_is_identity(self, rng):
         path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(8))
-        assert path_shift(path, 0.4, 0.0) is path
+        assert path.with_jump(0.4, 0.0) is path
 
     def test_terminal_difference_is_the_jump(self, rng):
         path = simulate_path(cp_model({1.0: 1.0}, drift=0.2), rng=rng.child(9))
         for t in (0.0, 0.3, 1.0):
             for x in (0.5, -1.2):
-                shifted = path_shift(path, t, x)
+                shifted = path.with_jump(t, x)
                 assert shifted.value(1.0) - path.value(1.0) == pytest.approx(x)
 
     def test_monotone_path_supremum_difference(self, rng):
@@ -191,13 +187,13 @@ class TestPathShift:
         for i in range(20):
             path = simulate_path(model, rng=rng.child(10).child(i))
             for t in (0.2, 0.9):
-                shifted = path_shift(path, t, 0.75)
+                shifted = path.with_jump(t, 0.75)
                 assert shifted.supremum() - path.supremum() == pytest.approx(0.75)
 
     def test_time_outside_horizon(self, rng):
         path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(11))
         with pytest.raises(ValueError):
-            path_shift(path, 1.5, 1.0)
+            path.with_jump(1.5, 1.0)
 
     def test_iterated_difference_constant_functional(self, rng):
         path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(12))
