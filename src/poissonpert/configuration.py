@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 DIFFERENCE_ORDER_CAP = 20
 
 
@@ -31,6 +33,10 @@ class FunctionalEvaluationError(RuntimeError):
 
 class DifferenceOrderError(ValueError):
     """Requested difference order exceeds the configured 2^n cost cap."""
+
+
+class CountFormMismatchError(ValueError):
+    """A functional's count-array form disagrees with its ``fn``."""
 
 
 class PointConfiguration:
@@ -140,6 +146,21 @@ class Functional:
     |f(phi)| = O((1 + phi(X))^p), used by the exact engine to widen its count
     caps.  ``increasing``: declares f as the indicator of an increasing event,
     a prerequisite of the pivotal estimator.
+
+    ``counts``: optional count-array form of ``fn`` on a discrete lattice,
+    called as ``counts(cs, atoms)``.  ``atoms`` lists atom identifiers and
+    ``cs[i]`` is an integer array holding the count of ``atoms[i]``; the
+    arrays form an open grid (``np.ix_`` style: axis i varies along
+    dimension i only), so they broadcast against each other and no dense
+    stack of count vectors is ever built.  The result must broadcast to the
+    grid and hold, at every node, ``fn`` of the configuration
+    {atoms[i]: cs[i]} with no other points.  The exact engine evaluates its
+    whole lattice through this form in one call and evaluates ``fn`` on a
+    few fixed nodes of every such table (origin, far corner, three interior
+    nodes); a disagreement there beyond ``exact.SPOT_RTOL`` relative raises
+    ``CountFormMismatchError`` naming the functional, so a copy made with
+    ``dataclasses.replace(f, fn=other)`` cannot silently keep a stale count
+    form.  Without ``counts`` the engine calls ``fn`` node by node.
     """
 
     fn: Callable[[PointConfiguration], float]
@@ -148,6 +169,7 @@ class Functional:
     growth_degree: int | None = None
     increasing: bool = False
     name: str = ""
+    counts: Callable | None = None
 
     def __call__(self, phi: PointConfiguration) -> float:
         val = float(self.fn(phi))
@@ -158,31 +180,49 @@ class Functional:
         return val
 
 
+def _window_count(cs: Sequence, atoms: Sequence, window=None):
+    """phi(W) on a count lattice: the summed counts of the atoms in the window."""
+    total = np.zeros((), dtype=np.int64)
+    for c, a in zip(cs, atoms):
+        if window is None or window.contains(a):
+            total = total + c
+    return total
+
+
 # common functional factories, also the CLI registry building blocks
 
 def count_functional(window=None, name="count") -> Functional:
     return Functional(lambda phi: float(phi.count_in(window)), window=window,
-                      growth_degree=1, name=name)
+                      growth_degree=1, name=name,
+                      counts=lambda cs, atoms: _window_count(cs, atoms, window)
+                      .astype(float))
 
 
 def count_squared(window=None, name="count_sq") -> Functional:
     return Functional(lambda phi: float(phi.count_in(window)) ** 2, window=window,
-                      growth_degree=2, name=name)
+                      growth_degree=2, name=name,
+                      counts=lambda cs, atoms: _window_count(cs, atoms, window)
+                      .astype(float) ** 2)
 
 
 def void_indicator(window=None, name="void") -> Functional:
     return Functional(lambda phi: 1.0 if phi.count_in(window) == 0 else 0.0,
-                      window=window, bound=1.0, name=name)
+                      window=window, bound=1.0, name=name,
+                      counts=lambda cs, atoms: (_window_count(cs, atoms, window) == 0)
+                      .astype(float))
 
 
 def threshold_indicator(k: int, window=None, name=None) -> Functional:
     return Functional(lambda phi: 1.0 if phi.count_in(window) >= k else 0.0,
                       window=window, bound=1.0, increasing=True,
-                      name=name or f"at_least_{k}")
+                      name=name or f"at_least_{k}",
+                      counts=lambda cs, atoms: (_window_count(cs, atoms, window) >= k)
+                      .astype(float))
 
 
 def constant_functional(c: float, name="const") -> Functional:
-    return Functional(lambda phi: c, bound=abs(c), name=name)
+    return Functional(lambda phi: c, bound=abs(c), name=name,
+                      counts=lambda cs, atoms: np.array(float(c)))
 
 
 def difference_n(f: Functional, phi: PointConfiguration, xs: Sequence,

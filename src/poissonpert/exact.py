@@ -1,34 +1,76 @@
 """Exact expectations over Poisson laws on finite discrete spaces.
 
-Everything here enumerates count vectors.  Per-atom counts are truncated at a
-Poisson quantile chosen so the neglected tail mass stays below the plan's
-``tail`` bound, and the enumeration sum is compensated, so results are exact
-to near machine precision at desk scale.  Cost is the product of the per-atom
-cap ranges; the plan refuses more than ``max_atoms`` atoms.
+Every result here comes from one lattice of count vectors.  Per-atom counts
+are truncated at a Poisson quantile chosen so the neglected tail mass stays
+below the plan's ``tail`` bound.  The functional is evaluated once over the
+whole lattice, as array work through its count-array form
+(``Functional.counts``), and the Poisson mixture is contracted afterwards.
+A plain expectation is one compensated sum over the lattice, so results are
+exact to near machine precision at desk scale.  A functional without a
+count form (a plain callable, a hand-written ``Functional``) is evaluated
+node by node instead: the same lattice, one ``fn`` call per node, which is
+the slow fallback.  Cost is the product of the per-atom cap ranges; the
+plan refuses more than ``max_atoms`` atoms.
 
-Beyond plain expectations this module provides the machinery shared by the
-series and derivative engines: tables of shifted expectations
+The lattice is a table of shifted expectations
 
     a(m_1..m_S) = E f(Phi + m_1 delta_{x_1} + ... + m_S delta_{x_S})
 
-and their mixed forward differences, which equal the expected symmetric
-differences E D^k f by the subset-sum identity.  Evaluating one table and
-differencing it is what makes order-30 series terms affordable; the
-definitional subset-sum route stays available as a cross-check.
+and its mixed forward differences equal the expected symmetric differences
+E D^k f by the subset-sum identity.  One table serves every order and every
+atom of the series and derivative engines; a plain expectation is its
+``n_max = 0`` case.  The definitional subset-sum route
+(``exact_expected_difference``) stays available as a cross-check.
+
+Poisson probabilities come from the recurrence p_k = p_{k-1} mass / k and
+tails from a compensated forward sum of the probabilities beyond k, never
+from 1 - cdf.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-from .configuration import Functional, PointConfiguration, difference_n
+from .configuration import (CountFormMismatchError, Functional,
+                            FunctionalEvaluationError, PointConfiguration, difference_n)
 from .measures import DiscreteMeasure
+
+SPOT_RTOL = 1e-12  # count form vs fn on the spot-checked nodes (the built-ins agree exactly)
+_UNDERFLOW_MASS = 700.0  # e^(-mass) stays a normal float below this
+
+
+def poisson_pmf(mass: float, k_max: int) -> np.ndarray:
+    """P(N = k) for k = 0..k_max, N ~ Poisson(mass).
+
+    Forward recurrence p_0 = e^(-mass), p_k = p_{k-1} * mass / k, accurate
+    to about one ulp per step.  Past ``_UNDERFLOW_MASS``, where e^(-mass)
+    underflows, it starts at the mode from lgamma and runs both ways.
+    """
+    probs = [0.0] * (k_max + 1)
+    if mass <= 0.0:
+        probs[0] = 1.0
+        return np.array(probs)
+    k0 = 0 if mass <= _UNDERFLOW_MASS else min(int(mass), k_max)
+    p = math.exp(k0 * math.log(mass) - mass - math.lgamma(k0 + 1))
+    probs[k0] = p
+    for k in range(k0 + 1, k_max + 1):
+        p = p * mass / k
+        probs[k] = p
+    p = probs[k0]
+    for k in range(k0, 0, -1):
+        p = p * k / mass
+        probs[k - 1] = p
+    return np.array(probs)
+
+
+def _tail_reach(mass: float) -> int:
+    """A count past which the Poisson(mass) tail is far below 1e-200."""
+    return int(mass + 40.0 * math.sqrt(mass)) + 100
 
 
 @dataclass(frozen=True)
@@ -36,53 +78,55 @@ class EnumerationPlan:
     """Truncation policy for exact enumeration.
 
     ``tail``: per-atom Poisson tail mass bound.  ``max_atoms``: enumeration
-    refuses wider spaces (cost is the product of cap ranges).
+    refuses wider spaces (cost is the product of cap ranges).  ``floor``:
+    smallest cap of any atom with positive mass (likelihood-weighted
+    integrands concentrate where a tilted measure does, see
+    ``likelihood.plan_for_measures``).
     """
 
     tail: float = 1e-14
     max_atoms: int = 6
+    floor: int = 0
 
     def cap(self, mass: float, growth_degree: int | None = None) -> int:
         """Smallest count cap whose tail (inflated by polynomial growth of the
-        integrand when declared) is below the plan bound."""
+        integrand when declared) is below the plan bound, and at least
+        ``floor``.
+
+        The cap starts one past the tail quantile min{k : P(N > k) <= tail}
+        and grows while P(N > k) (k + 2)^p >= tail.  P(N > k) is the
+        compensated forward sum of the probabilities beyond k; 1 - cdf would
+        lose every digit of so small a tail.
+        """
         if mass <= 0.0:
             return 0
         if mass > 1e6:
             raise ValueError(f"atom mass {mass:g} is far beyond enumeration scale")
-        k = int(stats.poisson.isf(self.tail, mass)) + 1
+        probs = poisson_pmf(mass, _tail_reach(mass)).tolist()
+
+        def sf(j: int) -> float:
+            return math.fsum(probs[j + 1:])
+
+        k = bisect.bisect_left(range(len(probs)), True, key=lambda j: sf(j) <= self.tail) + 1
         p = growth_degree or 0
-        while stats.poisson.sf(k, mass) * (k + 2) ** p >= self.tail:
+        while sf(k) * (k + 2) ** p >= self.tail:
             k += 1
-        return k
-
-
-def _pmf_vector(mass: float, cap: int) -> np.ndarray:
-    return stats.poisson.pmf(np.arange(cap + 1), mass)
+        return max(k, self.floor)
 
 
 def exact_expectation(f: Functional, m: DiscreteMeasure,
                       plan: EnumerationPlan | None = None) -> float:
-    """E f(Phi) under the Poisson law with intensity m, by enumeration."""
-    plan = plan or EnumerationPlan()
-    atoms = m.support()
-    if len(atoms) > plan.max_atoms:
-        raise ValueError(f"{len(atoms)} atoms exceed enumeration limit {plan.max_atoms}")
-    growth = getattr(f, "growth_degree", None)
-    caps = [plan.cap(m.mass(a), growth) for a in atoms]
-    pmfs = [_pmf_vector(m.mass(a), k) for a, k in zip(atoms, caps)]
-    terms = []
-    for counts in product(*(range(k + 1) for k in caps)):
-        w = 1.0
-        for pmf, c in zip(pmfs, counts):
-            w *= pmf[c]
-        cfg = {a: c for a, c in zip(atoms, counts) if c}
-        terms.append(w * f(PointConfiguration._trusted(cfg, sum(counts))))
-    return math.fsum(terms)
+    """E f(Phi) under the Poisson law with intensity m: the ``n_max = 0``
+    case of :func:`expectation_table`, one compensated sum over the lattice."""
+    return float(expectation_table(f, m, [], 0, plan))
 
 
 def exact_expected_difference(f: Functional, m: DiscreteMeasure, xs: Sequence,
                               plan: EnumerationPlan | None = None) -> float:
-    """E D^n f(Phi) at the points xs, via the definitional subset sum."""
+    """E D^n f(Phi) at the points xs, via the definitional subset sum.
+
+    A cross-check of the lattice route: every node runs ``difference_n``.
+    """
     wrapped = Functional(lambda phi: difference_n(f, phi, xs),
                          bound=None, growth_degree=getattr(f, "growth_degree", None),
                          name=f"D^{len(xs)}[{f.name}]")
@@ -90,17 +134,64 @@ def exact_expected_difference(f: Functional, m: DiscreteMeasure, xs: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# Shifted-expectation tables and their forward differences
+# The lattice: shifted-expectation tables and their forward differences
 # ---------------------------------------------------------------------------
+
+
+def _open_grid(shape: tuple) -> list[np.ndarray]:
+    """Per-axis count arrays of the lattice, broadcastable against each other."""
+    return list(np.ix_(*(np.arange(n) for n in shape)))
+
+
+def _spot_nodes(shape: tuple) -> list[tuple]:
+    """Origin, far corner and three interior nodes staggered across axes."""
+    nodes = {tuple(0 for _ in shape), tuple(n - 1 for n in shape)}
+    for j in range(3):
+        nodes.add(tuple(((i + j) % 3 + 1) * (n - 1) // 4 for i, n in enumerate(shape)))
+    return sorted(nodes)
+
+
+def _node_value(f, atoms: Sequence, node: tuple) -> float:
+    cfg = {a: c for a, c in zip(atoms, node) if c}
+    return f(PointConfiguration._trusted(cfg, sum(node)))
+
+
+def _lattice_values(f, atoms: Sequence, shape: tuple) -> np.ndarray:
+    """f at every count vector of the lattice ``shape`` over ``atoms``.
+
+    Through ``f.counts`` when the functional has a count form, checked
+    against ``fn`` on the spot nodes; otherwise node by node.
+    """
+    counts = getattr(f, "counts", None)
+    table = np.empty(shape, dtype=float)
+    if counts is None:
+        for node in np.ndindex(shape):
+            table[node] = _node_value(f, atoms, node)
+        return table
+    name = getattr(f, "name", "") or repr(f)
+    table[...] = counts(_open_grid(shape), atoms)
+    if np.isnan(table).any():
+        node = tuple(int(i) for i in np.argwhere(np.isnan(table))[0])
+        raise FunctionalEvaluationError(
+            f"functional {name} returned NaN at counts {dict(zip(atoms, node))!r}")
+    for node in _spot_nodes(shape):
+        want, got = _node_value(f, atoms, node), float(table[node])
+        if not (got == want or abs(got - want) <= SPOT_RTOL * max(abs(got), abs(want))):
+            raise CountFormMismatchError(
+                f"functional {name}: count form gives {got!r} but fn gives {want!r} "
+                f"at counts {dict(zip(atoms, node))!r}")
+    return table
 
 
 def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
                       n_max: int, plan: EnumerationPlan | None = None) -> np.ndarray:
     """Table of E f(Phi + sum_i m_i delta_{x_i}) over the box 0..n_max per axis.
 
-    Axis order follows ``shift_atoms``.  The functional is evaluated once per
-    total-count lattice node; the Poisson mixture over the base measure is
-    contracted axis by axis afterwards.
+    Axis order follows ``shift_atoms``.  The functional is evaluated once
+    over the total-count lattice (see ``_lattice_values``); the Poisson
+    mixture over the base measure is contracted axis by axis afterwards.
+    Without shifts (``n_max = 0`` or no shift atoms) the result is a 0-d
+    array, the expectation itself, summed with ``math.fsum``.
     """
     plan = plan or EnumerationPlan()
     shift_atoms = list(shift_atoms)
@@ -110,24 +201,25 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
     growth = getattr(f, "growth_degree", None)
 
     union = shift_atoms + [a for a in base_atoms if a not in shift_atoms]
-    caps = [plan.cap(m.mass(a), growth) if m.mass(a) > 0 else 0 for a in union]
+    caps = [plan.cap(m.mass(a), growth) for a in union]
     shifts = [n_max if a in shift_atoms else 0 for a in union]
     shape = tuple(k + s + 1 for k, s in zip(caps, shifts))
+    table = _lattice_values(f, union, shape)
+    pmfs = [poisson_pmf(m.mass(a), k) for a, k in zip(union, caps)]
 
-    table = np.empty(shape, dtype=float)
-    for idx in np.ndindex(shape):
-        cfg = {a: c for a, c in zip(union, idx) if c}
-        table[idx] = f(PointConfiguration._trusted(cfg, sum(idx)))
+    if not any(shifts):
+        weights = np.ones(())
+        for pmf, c in zip(pmfs, _open_grid(shape)):
+            weights = weights * pmf[c]
+        return np.array(math.fsum((weights * table).ravel().tolist()))
 
     # contract the Poisson mixture over base-measure axes
     axis = 0
-    for i, atom in enumerate(union):
-        k, s = caps[i], shifts[i]
+    for pmf, k, s in zip(pmfs, caps, shifts):
         if k == 0:
             if s > 0:
                 axis += 1  # pure shift axis stays
             continue
-        pmf = _pmf_vector(m.mass(atom), k)
         if s == 0:
             table = np.tensordot(table, pmf, axes=([axis], [0]))
         else:
@@ -236,7 +328,9 @@ def fock_identity_check(f: Functional, g: Functional, m: DiscreteMeasure,
     plan = plan or EnumerationPlan()
     both = Functional(lambda phi: f(phi) * g(phi),
                       growth_degree=(f.growth_degree or 0) + (g.growth_degree or 0) or None,
-                      name=f"{f.name}*{g.name}")
+                      name=f"{f.name}*{g.name}",
+                      counts=None if f.counts is None or g.counts is None else
+                      lambda cs, atoms: f.counts(cs, atoms) * g.counts(cs, atoms))
     lhs = exact_expectation(both, m, plan)
 
     atoms = list(m.support())
@@ -265,7 +359,6 @@ def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure,
     for a in sorted(set(lam.atoms) | set(nu.atoms), key=repr):
         ml, mn = lam.mass(a), nu.mass(a)
         cap = max(plan.cap(ml), plan.cap(mn))
-        ks = np.arange(cap + 1)
-        aff = math.fsum(np.sqrt(stats.poisson.pmf(ks, ml) * stats.poisson.pmf(ks, mn)))
+        aff = math.fsum(np.sqrt(poisson_pmf(ml, cap) * poisson_pmf(mn, cap)))
         affinity *= aff
     return 1.0 - affinity

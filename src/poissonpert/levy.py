@@ -43,6 +43,7 @@ from .series import SeriesResult, mc_series
 
 CAP = 1e12
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
+QUAD_EPSABS = 1e-13  # per-panel absolute tolerance, well inside the 1e-9 acceptance bound
 
 
 class QuadratureError(RuntimeError):
@@ -81,7 +82,7 @@ def _panel_quad(fn, lo: float, hi: float) -> float:
     for a, b in panels:
         if not b > a:
             continue
-        v, e = _integrate.quad(fn, a, b, limit=200)
+        v, e = _integrate.quad(fn, a, b, epsabs=QUAD_EPSABS, limit=200)
         total += v
         err += e
     if err > max(1e-9, 1e-7 * abs(total)):

@@ -58,26 +58,58 @@ class LikelihoodRatio:
         return LikelihoodRatio(reference=rho, target=nu, support=support,
                                h=h, log_offset=log_offset, square_gap=square_gap)
 
-    def as_functional(self) -> Functional:
-        return Functional(lambda phi: likelihood_eval(self, phi), name="likelihood")
+    def weighted(self, g: Functional) -> Functional:
+        """The integrand L g of the reweighting identity, with a count form
+        whenever g has one."""
+        return Functional(
+            lambda phi: likelihood_eval(self, phi) * g(phi),
+            growth_degree=g.growth_degree, name=f"L*{g.name}",
+            counts=None if g.counts is None else
+            lambda cs, atoms: likelihood_counts(self, cs, atoms) * g.counts(cs, atoms))
 
 
 def likelihood_eval(L: LikelihoodRatio, phi: PointConfiguration) -> float:
-    """L(phi), computed as exp of a compensated log sum.
+    """L(phi) = exp(log_offset + sum over support points of log h).
 
-    Any point of phi sitting on an atom with h = 0 short-circuits to 0,
-    honoring log 0 = -inf.
+    The log terms are added in the order of ``phi.items()``, which
+    ``likelihood_counts`` repeats on arrays, so both give the same bits.  Any
+    point of phi sitting on an atom with h = 0 short-circuits to 0, honoring
+    log 0 = -inf.
     """
     support = set(L.support)
-    logs = [L.log_offset]
+    log_sum = L.log_offset
     for y, mult in phi.items():
         if y not in support:
             continue
         hy = L.h.get(y, 0.0)
         if hy == 0.0:
             return 0.0
-        logs.append(mult * math.log(hy))
-    return math.exp(math.fsum(logs))
+        log_sum += mult * math.log(hy)
+    return math.exp(log_sum)
+
+
+def likelihood_counts(L: LikelihoodRatio, cs, atoms) -> np.ndarray:
+    """``likelihood_eval`` on a count lattice (the ``Functional.counts`` form).
+
+    Only the axes of support atoms enter the log sum, so it spans those
+    axes alone; ``math.exp`` is applied per entry of that sum to match the
+    scalar route bit for bit.
+    """
+    support = set(L.support)
+    log_sum = L.log_offset
+    alive = True
+    for a, c in sorted(zip(atoms, cs), key=lambda ac: repr(ac[0])):
+        if a not in support:
+            continue
+        hy = L.h.get(a, 0.0)
+        if hy == 0.0:
+            alive = alive & (c == 0)
+        else:
+            log_sum = log_sum + c * math.log(hy)
+    log_sum = np.asarray(log_sum, dtype=float)
+    values = np.fromiter(map(math.exp, log_sum.ravel().tolist()), dtype=float,
+                         count=log_sum.size).reshape(log_sum.shape)
+    return np.where(alive, values, 0.0)
 
 
 def plan_for_measures(measures, tail: float = 1e-14, max_atoms: int = 6) -> EnumerationPlan:
@@ -92,17 +124,7 @@ def plan_for_measures(measures, tail: float = 1e-14, max_atoms: int = 6) -> Enum
     for m in measures:
         for _, mass in m.items():
             floor = max(floor, base.cap(mass))
-    return _FlooredPlan(tail=tail, max_atoms=max_atoms, floor=floor)
-
-
-@dataclass(frozen=True)
-class _FlooredPlan(EnumerationPlan):
-    floor: int = 0
-
-    def cap(self, mass: float, growth_degree=None) -> int:
-        if mass <= 0.0:
-            return 0
-        return max(super().cap(mass, growth_degree), self.floor)
+    return EnumerationPlan(tail=tail, max_atoms=max_atoms, floor=floor)
 
 
 def second_moment_bound(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
@@ -125,8 +147,7 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
     if not math.isfinite(L.square_gap) or L.square_gap >= cap:
         raise AdmissibilityError(
             f"int (h-1)^2 drho = {L.square_gap:g} is not acceptably finite")
-    weighted = Functional(lambda phi: likelihood_eval(L, phi) * g(phi),
-                          growth_degree=g.growth_degree, name=f"L*{g.name}")
+    weighted = L.weighted(g)
     if mode == "exact":
         eff_plan = plan or plan_for_measures([rho, nu])
         return exact_expectation(weighted, rho, eff_plan)
@@ -141,7 +162,8 @@ def second_moment_exact(nu: DiscreteMeasure, rho: DiscreteMeasure,
                         plan: EnumerationPlan | None = None) -> float:
     """Exact E_rho L^2 by enumeration; equals the bound on finite spaces."""
     L = LikelihoodRatio.from_discrete(nu, rho)
-    squared = Functional(lambda phi: likelihood_eval(L, phi) ** 2, name="L^2")
+    squared = Functional(lambda phi: likelihood_eval(L, phi) ** 2, name="L^2",
+                         counts=lambda cs, atoms: likelihood_counts(L, cs, atoms) ** 2)
     if plan is None:
         # L^2 weights counts like a Poisson with atom mass h^2 * rho
         tilted = DiscreteMeasure({a: (L.h[a] ** 2) * rho.mass(a) for a in rho.atoms})

@@ -40,9 +40,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .configuration import Functional, difference_n
-from .exact import (EnumerationPlan, exact_expectation, exact_expected_difference,
-                    expectation_table, expected_difference_orders,
-                    forward_difference_table, order_sums, weight_table)
+from .exact import (EnumerationPlan, exact_expectation, expectation_table,
+                    expected_difference_orders, forward_difference_table, order_sums,
+                    weight_table)
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
                        admissibility_check, lebesgue_decompose)
@@ -250,12 +250,12 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
               ) -> float | EstimateResult:
     """int (E_base D_x f) w(dx) over the given atoms: the series' order-one term.
 
-    Exact mode sums the enumerated first differences; Monte Carlo mode runs
-    the order-one ``atom_draw``.
+    Exact mode reads the order-one sum of one shifted-expectation table that
+    serves every atom; Monte Carlo mode runs the order-one ``atom_draw``.
     """
     if mode == "exact":
-        return math.fsum(exact_expected_difference(f, base, [a], plan) * w
-                         for a, w in zip(atoms, ws) if w != 0.0)
+        terms, _ = expected_difference_orders(f, base, dict(zip(atoms, ws)), 1, plan)
+        return float(terms[1])
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:

@@ -1,0 +1,225 @@
+"""The array-evaluated exact engine.
+
+Count-array forms of functionals against their per-node ``fn``, lattice
+tables against the per-node fallback, the one-table order-one derivative
+against the subset-sum route, the spot check, and the Poisson pmf / tail
+helpers behind the enumeration caps.
+"""
+
+import dataclasses
+import math
+from decimal import Decimal, getcontext
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, PointConfiguration,
+                         constant_functional, count_functional, count_squared, discrete,
+                         exact_expectation, exact_expected_difference, fock_identity_check,
+                         threshold_indicator, void_indicator)
+from poissonpert.configuration import CountFormMismatchError, FunctionalEvaluationError
+from poissonpert.exact import expectation_table, poisson_pmf
+from poissonpert.series import order_one
+
+# one fixed profile for every property here: derandomized, no example database,
+# and no shrinking (a failing example is reported as drawn, which keeps a
+# failure of the subset-sum comparisons from running for minutes)
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=25,
+                   phases=[Phase.explicit, Phase.generate],
+                   suppress_health_check=[HealthCheck.too_slow])
+COARSE = EnumerationPlan(tail=1e-8)  # small lattices keep the per-node routes fast
+
+ATOMS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def builtins(draw, atoms):
+    """A built-in functional over a drawn window (or none) of the atoms."""
+    window = draw(st.one_of(st.none(),
+                            st.sets(st.sampled_from(atoms)).map(AtomWindow)))
+    kind = draw(st.sampled_from(["void", "count", "count_sq", "threshold", "const"]))
+    if kind == "void":
+        return void_indicator(window)
+    if kind == "count":
+        return count_functional(window)
+    if kind == "count_sq":
+        return count_squared(window)
+    if kind == "threshold":
+        return threshold_indicator(draw(st.integers(0, 4)), window)
+    return constant_functional(draw(st.floats(-3.0, 3.0)))
+
+
+masses = st.floats(0.05, 1.2)
+
+
+@st.composite
+def likelihood_weighted(draw, atoms):
+    """L g for a drawn pair (nu, rho) on the atoms, with atoms where h = 0
+    and where h = 1, and a built-in g."""
+    rho = {a: draw(masses) for a in atoms}
+    nu = {a: draw(st.one_of(st.just(0.0), st.just(rho[a]), masses)) for a in atoms}
+    L = LikelihoodRatio.from_discrete(discrete(nu), discrete(rho))
+    return L.weighted(draw(builtins(atoms)))
+
+
+@st.composite
+def lattices(draw):
+    """Atoms (one of them possibly off every measure) and a lattice shape."""
+    n = draw(st.integers(1, 4))
+    atoms = ATOMS[:n]
+    shape = tuple(draw(st.integers(1, 6)) for _ in atoms)
+    return atoms, shape
+
+
+def open_grid(shape):
+    return list(np.ix_(*(np.arange(k) for k in shape)))
+
+
+def fn_on_lattice(f, atoms, shape):
+    out = np.empty(shape)
+    for node in np.ndindex(shape):
+        cfg = {a: c for a, c in zip(atoms, node) if c}
+        out[node] = f(PointConfiguration(cfg))
+    return out
+
+
+class TestCountForms:
+    @PROFILE
+    @given(data=st.data(), lattice=lattices())
+    def test_builtin_counts_equal_fn(self, data, lattice):
+        atoms, shape = lattice
+        f = data.draw(builtins(atoms))
+        got = np.broadcast_to(f.counts(open_grid(shape), atoms), shape)
+        np.testing.assert_array_equal(got, fn_on_lattice(f, atoms, shape))
+
+    @PROFILE
+    @given(data=st.data(), lattice=lattices())
+    def test_likelihood_weighted_counts_equal_fn(self, data, lattice):
+        atoms, shape = lattice
+        f = data.draw(likelihood_weighted(atoms[: max(1, len(atoms) - 1)]))
+        got = np.broadcast_to(f.counts(open_grid(shape), atoms), shape)
+        assert got.tobytes() == fn_on_lattice(f, atoms, shape).tobytes()
+
+    def test_likelihood_counts_equal_fn_bitwise_on_a_wide_lattice(self):
+        # four support atoms and 2,401 nodes: adding the log terms in any
+        # other order than likelihood_eval's changes some node's last bit
+        rho = discrete({"a": 0.37, "b": 1.13, "c": 0.71, "d": 0.29})
+        nu = discrete({"a": 0.83, "b": 0.41, "c": 1.37, "d": 0.53})
+        f = LikelihoodRatio.from_discrete(nu, rho).weighted(constant_functional(1.0))
+        shape = (7, 7, 7, 7)
+        got = np.broadcast_to(f.counts(open_grid(shape), ATOMS), shape)
+        assert got.tobytes() == fn_on_lattice(f, ATOMS, shape).tobytes()
+
+
+class TestLatticeTable:
+    @PROFILE
+    @given(data=st.data(), n=st.integers(1, 3), n_max=st.integers(0, 2))
+    def test_counts_route_equals_per_node_fallback(self, data, n, n_max):
+        atoms = ATOMS[:n]
+        m = discrete({a: data.draw(masses) for a in atoms})
+        f = data.draw(st.one_of(builtins(atoms), likelihood_weighted(atoms)))
+        shift = data.draw(st.lists(st.sampled_from(atoms), unique=True))
+        fast = expectation_table(f, m, shift, n_max, COARSE)
+        slow = expectation_table(dataclasses.replace(f, counts=None), m, shift, n_max, COARSE)
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+
+    @PROFILE
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_order_one_equals_subset_sum_route(self, data, n):
+        atoms = ATOMS[:n]
+        m = discrete({a: data.draw(masses) for a in atoms})
+        f = data.draw(builtins(atoms))
+        ws = [data.draw(st.floats(-1.0, 1.0)) for _ in atoms]
+        parts = [w * exact_expected_difference(f, m, [a], COARSE) for a, w in zip(atoms, ws)]
+        got = order_one(f, m, atoms, ws, "exact", COARSE, None)
+        assert abs(got - math.fsum(parts)) <= 1e-12 * math.fsum(abs(p) for p in parts) + 1e-300
+
+    def test_plain_expectation_is_the_unshifted_table(self):
+        m = discrete({"a": 0.6, "b": 1.1})
+        f = count_squared(AtomWindow({"a"}))
+        table = expectation_table(f, m, [], 0)
+        assert table.shape == ()
+        assert exact_expectation(f, m) == float(table) == pytest.approx(0.6 + 0.36, rel=1e-14)
+
+    def test_fock_product_has_a_count_form(self):
+        m = discrete({"a": 0.7, "b": 0.4})
+        f, g = count_squared(), threshold_indicator(2)
+        fast = fock_identity_check(f, g, m, 6)
+        slow = fock_identity_check(dataclasses.replace(f, counts=None),
+                                   dataclasses.replace(g, counts=None), m, 6)
+        assert fast == slow
+
+
+class TestSpotCheck:
+    @pytest.mark.parametrize("other", [
+        lambda phi: float(phi.total_points()),                       # almost everywhere
+        lambda phi: 0.5 if phi.total_points() == 0 else 0.0,         # at the origin only
+        # past 25 points in all, which among the spot nodes only the far
+        # corner of these lattices (30 and 33 points) reaches
+        lambda phi: 1.0 if phi.total_points() == 0 or phi.total_points() > 25 else 0.0,
+    ])
+    def test_stale_count_form_raises_naming_the_functional(self, other):
+        f = dataclasses.replace(void_indicator(name="stale_void"), fn=other)
+        m = discrete({"a": 0.8, "b": 0.5})
+        with pytest.raises(CountFormMismatchError, match="stale_void"):
+            exact_expectation(f, m)
+        with pytest.raises(CountFormMismatchError, match="stale_void"):
+            expectation_table(f, m, ["a"], 3)
+
+    def test_nan_in_count_form_raises(self):
+        f = dataclasses.replace(count_functional(name="bad"),
+                                counts=lambda cs, atoms: np.where(cs[0] == 2, np.nan, 0.0))
+        with pytest.raises(FunctionalEvaluationError, match="bad"):
+            exact_expectation(f, discrete({"a": 1.0}))
+
+
+def decimal_pmf(mass, k):
+    getcontext().prec = 50
+    m = Decimal(mass)
+    return (m ** k * (-m).exp() / math.factorial(k))
+
+
+class TestPoissonHelpers:
+    def test_pmf_matches_fifty_digit_reference(self):
+        worst = 0.0
+        for mass in np.geomspace(0.01, 5.0, 25):
+            probs = poisson_pmf(float(mass), 34)
+            for k in range(35):
+                ref = decimal_pmf(float(mass), k)
+                worst = max(worst, abs(float((Decimal(probs[k]) - ref) / ref)))
+        assert worst < 4e-15
+
+    def test_sf_matches_fifty_digit_reference_deep_in_the_tail(self):
+        for mass, k in [(0.3, 12), (1.0, 14), (2.7, 20), (5.0, 30)]:
+            ref = sum(decimal_pmf(mass, j) for j in range(k + 1, k + 120))
+            sf = math.fsum(poisson_pmf(mass, k + 120)[k + 1:])  # the caps' tail sum
+            assert abs(float((Decimal(sf) - ref) / ref)) < 1e-13
+
+    def test_pmf_past_underflow_mass(self):
+        probs = poisson_pmf(1000.0, 1300)
+        assert math.fsum(probs) == pytest.approx(1.0, rel=1e-12)
+        for k in (900, 1000, 1100):
+            assert probs[k] == pytest.approx(stats.poisson.pmf(k, 1000.0), rel=1e-11)
+
+    @pytest.mark.parametrize("tail", [1e-14, 1e-10])
+    def test_caps_keep_tail_bound_and_never_undercut_scipy(self, tail):
+        plan = EnumerationPlan(tail=tail)
+        for mass in np.geomspace(0.01, 40.0, 60):
+            mass = float(mass)
+            for p in range(5):
+                k = plan.cap(mass, p or None)
+                assert stats.poisson.sf(k, mass) * (k + 2) ** p < tail
+                ref = int(stats.poisson.isf(tail, mass)) + 1
+                while stats.poisson.sf(ref, mass) * (ref + 2) ** p >= tail:
+                    ref += 1
+                assert k >= ref
+
+    def test_floor_lifts_caps_of_positive_masses_only(self):
+        plan = EnumerationPlan(floor=40)
+        assert plan.cap(0.5) == 40
+        assert plan.cap(0.0) == 0
+        assert EnumerationPlan(floor=2).cap(0.5) == EnumerationPlan().cap(0.5)

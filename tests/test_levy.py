@@ -387,6 +387,19 @@ class TestLevySeries:
         with pytest.raises(QuadratureError, match="^target square gap: "):
             check_pair(model, target)
 
+    def test_two_sided_direction_with_small_negative_weight(self):
+        # a small but valid square-gap integral: each panel's error estimate
+        # must sit far below the 1e-9 acceptance bound of _panel_quad
+        st = StableJumps(1.2, 1.0, 1.0)
+        model = LevyModel(jumps=st, drift=0.1, drift_form="compensated",
+                          t0=1.0, eps=0.05)
+        direction = stable_direction(0.5, 1.1184, 0.0028, st)
+        pert = JumpPerturbation(direction=direction, theta0=0.0, interval=(0.0, 1.0))
+        out = check_pair(model, perturbed_model(model, pert, 0.3668))
+        # oracle: theta^2 (q_pos^2 + q_neg^2) / (alpha - 2 alpha_dir) = 0.84144...
+        oracle = 0.3668 ** 2 * (1.1184 ** 2 + 0.0028 ** 2) / (1.2 - 2 * 0.5)
+        assert out["target_square_gap"] == pytest.approx(oracle, rel=1e-9)
+
     def test_compensated_drift_relation(self):
         st = StableJumps(1.2, 1.0, 1.0)
         model = LevyModel(jumps=st, drift=0.1, drift_form="compensated",
