@@ -190,6 +190,9 @@ def _run_series(cfg, args, out_dir: Path) -> int:
     if mode == "exact":
         rows.append(CheckRow("series_vs_direct_expectation", result.value,
                              exact.exact_expectation(f, nu), 1e-8, "abs"))
+    # converged: exact mode stopped on two consecutive terms below eps_abs; Monte
+    # Carlo mode runs to n_max and converged says its truncation budget,
+    # sup|f| sum_{n > n_max} (2M)^n / n!, is known and at most eps_abs
     notes = [f"value {_fmt(result.value)} after {result.truncation_order} orders "
              f"(converged: {result.converged})"]
     return _report(out_dir, "series", rows, notes, {"series_terms.csv": result.to_csv()})

@@ -274,6 +274,12 @@ class JumpDirection:
 
 
 def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
+    """Direction g on the atoms of a compound-Poisson reference, 0 elsewhere.
+
+    ``g`` matches x to an atom by exact equality: marks and jumps are drawn
+    from ``nu_ref.sizes`` itself, so a value off an atom by rounding is off
+    the support.
+    """
     sizes = nu_ref.sizes
     gvals = np.array([float(g_map.get(float(s), 0.0)) for s in sizes])
     masses = nu_ref.masses
@@ -281,9 +287,8 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(sizes, x)
-        idx = np.clip(idx, 0, sizes.size - 1)
-        out = np.where(np.isclose(sizes[idx], x), gvals[idx], 0.0)
+        idx = np.clip(np.searchsorted(sizes, x), 0, sizes.size - 1)
+        out = np.where(sizes[idx] == x, gvals[idx], 0.0)
         return out if out.shape else float(out)
 
     def abs_mass_above(eps):
@@ -883,9 +888,6 @@ def _direction_eps(direction: JumpDirection, direction_eps: float | None) -> flo
     return direction.min_eps
 
 
-JUMP_GROWTH_CAP = 3  # an order-n path sample costs 2^n path evaluations
-
-
 def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
               eps_d: float, mass: float) -> Callable:
     """The Levy backend's order-n term sampler.
@@ -950,17 +952,16 @@ def path_difference(f: PathFunctional, path: CadlagPath,
 
 def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
                 mc: MCPlan, n_max: int = 6, delta: JumpDirection | None = None,
-                direction_eps: float | None = None, eps_abs: float = 1e-4
-                ) -> SeriesResult:
+                direction_eps: float | None = None) -> SeriesResult:
     """Expansion of E f(X) from the base model toward the target jump density.
 
     Order n integrates the expected n-fold path difference against the
-    tensorized signed density gap (``mc_series`` over ``jump_draw``).
-    Hypotheses (common reference, square gaps, small-jump moments, drift
-    relation) are hard errors.  An order-n sample costs 2^n path
-    evaluations, so the per-order budget growth is capped at 2^3 and the stop
-    rule accepts either two consecutive terms below their own 2 sigma or
-    below the absolute floor ``eps_abs``.
+    tensorized signed density gap: ``mc_series`` over ``jump_draw``, with the
+    absolute mass M = t0 int |g| d nu_ref setting the Poisson(M) budget of
+    each order.  The series always runs to ``n_max``; a path functional
+    declares no bound, so ``truncation_budget`` is None (0 for equal
+    densities).  Hypotheses (common reference, square gaps, small-jump
+    moments, drift relation) are hard errors.
     """
     check_pair(model, target)
     if delta is None:
@@ -973,8 +974,7 @@ def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
         delta = cp_direction(model.jumps, gap)
     eps_d = _direction_eps(delta, direction_eps)
     mass = delta.abs_mass_above(eps_d)
-    return mc_series(jump_draw(f, model, delta, eps_d, mass), mass, n_max, mc,
-                     JUMP_GROWTH_CAP, eps_abs)
+    return mc_series(jump_draw(f, model, delta, eps_d, mass), model.t0 * mass, n_max, mc)
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,25 @@ with the signed powers integrated through densities against any dominating
 measure.  Exact mode evaluates each order from a shifted-expectation table
 and its mixed forward differences (see :mod:`poissonpert.exact`).
 
-Monte Carlo mode is one per-order loop, ``mc_series``, over an order-n term sampler
-``draw(n, gen)`` that returns one sample of the signed order-n term and of
-its absolute companion.  Two backends supply the draw:
+Monte Carlo mode is one stratified estimator, ``mc_series``, over an order-n
+term sampler ``draw(n, gen)`` that returns one sample of the signed order-n
+term and of its absolute companion.  Two backends supply the draw:
 
 * ``atom_draw`` (discrete intensities): n atoms from the normalized absolute
   perturbation, one configuration, the n-th difference D^n f;
 * ``levy.jump_draw`` (Levy jump measures): n marks (t, x) from
   dt tensor the normalized |g| d nu_ref, one path, the n-fold path difference.
 
-The signs are carried as weights, and the per-order budget doubles each
-order up to a backend cap because higher orders are smaller but relatively
-noisier.  Derivatives are the order-one draw of the same samplers.
+The signs are carried as weights.  With M the absolute mass of the
+perturbation, term n is at most sup|f| (2M)^n / n! while one order-n sample
+costs 2^n evaluations, so the budget follows the Poisson(M) weights: order n
+gets about ``mc.samples`` M^n / n! replications while that is at least two,
+and the remaining orders up to n_max share one tail stratum whose draws pick
+their order from Poisson(M) conditioned on the tail (the randomized-order
+estimator of McLeish 2011 and Rhee & Glynn 2015, confined to the tail).  The
+series always runs to n_max; what the orders above n_max can add is reported
+as ``truncation_budget`` where f declares a bound.  Derivatives are the
+order-one draw of the same samplers.
 
 The parametric version follows the one-dimensional family
 lam_theta = (h_lam + (theta - theta0) h) rho and, evaluated at theta = 1 with
@@ -39,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import Functional, difference_n
+from .configuration import DIFFERENCE_ORDER_CAP, Functional, difference_n
 from .exact import (EnumerationPlan, exact_expectation, expectation_table,
                     expected_difference_orders, forward_difference_table, order_sums,
                     weight_table)
@@ -59,6 +66,14 @@ class SeriesResult:
     ``abs_terms`` tracks the fully absolute companion series (integrand and
     weights in absolute value); its plateau is the practical finiteness
     diagnostic for the expansion.
+
+    Monte Carlo runs also report ``samples``, the replications spent on each
+    order, and ``truncation_budget``, a bound on what the orders above
+    ``truncation_order`` add up to (None where f declares no bound).  Orders
+    from ``tail_from`` on form one pooled stratum: their ``samples`` count the
+    tail draws that landed on each order, and the stratum's single stderr
+    sits at ``stderrs[tail_from]`` with 0.0 at the later tail orders, so
+    sqrt(sum stderrs^2) is the stderr of ``value``.
     """
 
     terms: list[float]
@@ -68,6 +83,9 @@ class SeriesResult:
     converged: bool
     stderrs: list[float] | None = None
     admissibility: AdmissibilityReport | None = None
+    samples: list[int] | None = None
+    tail_from: int | None = None
+    truncation_budget: float | None = None
 
     @property
     def value(self) -> float:
@@ -96,16 +114,14 @@ def _truncate_exact(terms: np.ndarray, abs_terms: np.ndarray, eps_abs: float
     return len(terms) - 1, False
 
 
-def _assemble(terms, abs_terms, stop, converged, stderrs=None, admissibility=None):
+def _assemble(terms, abs_terms, stop, converged, **fields) -> SeriesResult:
     terms = [float(t) for t in terms[: stop + 1]]
     abs_terms = [float(t) for t in abs_terms[: stop + 1]]
     partials = []
     for n in range(len(terms)):
         partials.append(math.fsum(terms[: n + 1]))
     return SeriesResult(terms=terms, abs_terms=abs_terms, partial_sums=partials,
-                        truncation_order=stop, converged=converged,
-                        stderrs=None if stderrs is None else [float(s) for s in stderrs[: stop + 1]],
-                        admissibility=admissibility)
+                        truncation_order=stop, converged=converged, **fields)
 
 
 def _admissibility_gate(lam, nu, rho, decomposition, strict) -> AdmissibilityReport:
@@ -142,6 +158,10 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
     continuous part, "monotone" the one-sided criterion.  The numerical terms
     are identical in every case; the choice only governs the gate.  Failing
     the gate warns by default and raises in strict mode.
+
+    ``eps_abs`` is the accepted truncation error: exact mode stops after two
+    consecutive terms below it, Monte Carlo mode runs to ``n_max`` and is
+    ``converged`` when its ``truncation_budget`` is at most ``eps_abs``.
     """
     if rho is None:
         rho = _default_rho(lam, nu, decomposition)
@@ -154,11 +174,7 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
         stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
         return _assemble(terms, abs_terms, stop, converged, admissibility=report)
     if mode == "mc":
-        if mc is None:
-            raise ValueError("mc mode needs an MCPlan")
-        draw, mass_abs = atom_draw(f, lam, *_signed_atoms(weights))
-        return mc_series(draw, mass_abs, n_max, mc, ATOM_GROWTH_CAP, eps_abs,
-                         admissibility=report)
+        return _atom_series(f, lam, weights, n_max, mc, eps_abs, admissibility=report)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -176,40 +192,135 @@ def _default_rho(lam, nu, decomposition):
     raise ValueError(f"unknown decomposition {decomposition!r}")
 
 
-ATOM_GROWTH_CAP = 4  # an order-n atom sample costs 2^n evaluations
+def series_plan(samples: int, mass: float, n_max: int) -> tuple[list[int], int]:
+    """Replications of each order stratum and of the pooled tail stratum.
 
-
-def mc_series(draw: Callable, mass_abs: float, n_max: int, mc: MCPlan,
-              growth_cap: int, eps_abs: float, admissibility=None) -> SeriesResult:
-    """Per-order importance sampling of the series from ``draw(n, gen)``.
-
-    Order n runs ``mc.samples * 2^min(n, growth_cap)`` replications on child
-    stream n: budgets grow with the order (higher orders are relatively
-    noisier) but the growth is capped because each order-n sample already
-    costs 2^n evaluations.  The stop rule is two consecutive terms below
-    their own 2 sigma or below the absolute floor ``eps_abs``; the floor
-    matters because an estimator whose noise shrinks with the term never
-    clears the relative test.  A zero absolute mass stops after order 0.
+    With N ~ Poisson(M) for M = ``mass`` and K = samples e^M, order n gets
+    max(ceil(K P(N = n)), 2) = max(ceil(samples M^n / n!), 2) replications
+    up to n*, the last order n <= n_max with K P(N = n) >= 2, so order 0
+    keeps ``samples``.  The orders n* < n <= n_max share one tail stratum of
+    max(ceil(K P(n* < N <= n_max)), 2) replications, 0 when n* = n_max.
+    Returns the per-order budgets of orders 0..n* and the tail budget.
     """
-    terms: list[float] = []
-    abs_terms: list[float] = []
-    stderrs: list[float] = []
-    for n in range(n_max + 1):
-        if n > 0 and mass_abs == 0.0:
-            terms.append(0.0)
-            abs_terms.append(0.0)
-            stderrs.append(0.0)
-            return _assemble(terms, abs_terms, n, True, stderrs, admissibility)
-        plan = MCPlan(mc.samples * 2 ** min(n, growth_cap), mc.stream.child(n),
-                      mc.chunks, mc.workers)
-        res = mc_mean(partial(draw, n), plan)
+    expected = [float(samples)]
+    for n in range(1, n_max + 1):
+        expected.append(expected[-1] * mass / n)
+    top = max((n for n, e in enumerate(expected) if e >= 2.0), default=0)
+    budgets = [max(math.ceil(e), 2) for e in expected[: top + 1]]
+    tail = max(math.ceil(math.fsum(expected[top + 1:])), 2) if top < n_max else 0
+    return budgets, tail
+
+
+def truncation_budget(bound: float | None, mass: float, n_max: int) -> float | None:
+    """bound * sum_{n > n_max} (2M)^n / n!: the most the orders above n_max
+    can add for |f| <= bound, since |D^n f| <= 2^n bound.  The sum runs
+    forward with ``math.fsum`` (no e^{2M} minus a partial sum).  A zero mass
+    gives 0 whatever f is; an unknown bound gives None."""
+    if mass == 0.0:
+        return 0.0
+    if bound is None:
+        return None
+    x = 2.0 * mass
+    term = 1.0
+    for n in range(1, n_max + 2):
+        term *= x / n
+    terms, n, running = [], n_max + 1, 0.0
+    while term > 0.0 and (n <= x or term > running * 2.0 ** -60):
+        terms.append(term)
+        running += term
+        n += 1
+        term *= x / n
+    return bound * math.fsum(terms)
+
+
+def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
+              bound: float | None = None, admissibility=None) -> SeriesResult:
+    """Poisson-stratified Monte Carlo series from ``draw(n, gen)``.
+
+    ``mass`` is M, the absolute mass of the perturbation; ``draw(n, gen)``
+    returns the signed and absolute order-n term sample, scaled by M^n / n!.
+    Each stratum of ``series_plan(mc.samples, M, n_max)`` is one ``mc_mean``
+    call.  Order n <= n* runs on child stream n.  The tail runs on child
+    stream n* + 1, and each of its replications draws its order N from
+    Poisson(M) conditioned on n* < N <= n_max and returns draw(N) / P(N |
+    tail); adding each tail draw into the term of its own order keeps every
+    term unbiased, and the tail, being one sample, reports one stderr.
+
+    The series always runs to n_max, and ``truncation_budget(bound, M,
+    n_max)`` reports what truncating there can cost; ``converged`` means that
+    budget is 0.  A zero mass stops after order 0: every higher term is
+    exactly 0.
+    """
+    if mass == 0.0:
+        budgets, tail, n_max = [mc.samples], 0, min(n_max, 1)
+    else:
+        budgets, tail = series_plan(mc.samples, mass, n_max)
+    terms, abs_terms, stderrs, samples = [], [], [], []
+    for n, k in enumerate(budgets):
+        res = mc_mean(partial(draw, n), MCPlan(k, mc.stream.child(n), mc.chunks, mc.workers))
         term = res.estimate(0)
         terms.append(term.estimate)
         abs_terms.append(res.estimate(1).estimate)
         stderrs.append(term.stderr)
-        if n >= 1 and all(abs(terms[k]) < max(2 * stderrs[k], eps_abs) for k in (n - 1, n)):
-            return _assemble(terms, abs_terms, n, True, stderrs, admissibility)
-    return _assemble(terms, abs_terms, n_max, False, stderrs, admissibility)
+        samples.append(k)
+    first = len(budgets)
+    if tail:
+        plan = MCPlan(tail, mc.stream.child(first), mc.chunks, mc.workers)
+        tail_terms, tail_abs, tail_se, tail_samples = _tail_stratum(draw, mass, first,
+                                                                    n_max, plan)
+        terms += tail_terms
+        abs_terms += tail_abs
+        stderrs += [tail_se] + [0.0] * (len(tail_terms) - 1)
+        samples += tail_samples
+    for _ in range(len(terms), n_max + 1):  # a zero mass: orders above 0 vanish
+        terms.append(0.0)
+        abs_terms.append(0.0)
+        stderrs.append(0.0)
+        samples.append(0)
+    budget = truncation_budget(bound, mass, n_max)
+    return _assemble(terms, abs_terms, n_max, budget == 0.0,
+                     stderrs=stderrs, admissibility=admissibility,
+                     samples=samples, tail_from=first if tail else None,
+                     truncation_budget=budget)
+
+
+def _tail_stratum(draw: Callable, mass: float, first: int, last: int, plan: MCPlan
+                  ) -> tuple[list[float], list[float], float, list[int]]:
+    """The pooled orders first..last: per-order terms, absolute terms and
+    draw counts, and the one stderr of their sum."""
+    weights = [1.0]
+    for n in range(first + 1, last + 1):
+        weights.append(weights[-1] * mass / n)
+    q = np.array(weights) / math.fsum(weights)
+
+    def tail_draw(gen: np.random.Generator) -> tuple[int, float, float]:
+        j = int(gen.choice(q.size, p=q))
+        signed, absolute = draw(first + j, gen)
+        return j, signed / q[j], absolute / q[j]
+
+    res = mc_mean(tail_draw, plan)
+    picks, signed, absolute = res.values(0), res.values(1), res.values(2)
+    own = [picks == j for j in range(q.size)]
+    return ([float(signed[m].sum()) / plan.samples for m in own],
+            [float(absolute[m].sum()) / plan.samples for m in own],
+            res.estimate(1).stderr, [int(m.sum()) for m in own])
+
+
+def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int,
+                 mc: MCPlan | None, eps_abs: float, admissibility=None) -> SeriesResult:
+    """The discrete backend's Monte Carlo series.
+
+    Orders above ``DIFFERENCE_ORDER_CAP`` are not sampled (an order-n
+    difference costs 2^n evaluations); the truncation budget covers them.
+    ``converged`` means the budget is known and at most ``eps_abs``.
+    """
+    if mc is None:
+        raise ValueError("mc mode needs an MCPlan")
+    draw, mass_abs = atom_draw(f, base, *_signed_atoms(weights))
+    res = mc_series(draw, mass_abs, min(n_max, DIFFERENCE_ORDER_CAP), mc, f.bound,
+                    admissibility)
+    res.converged = res.truncation_budget is not None and res.truncation_budget <= eps_abs
+    return res
 
 
 def _signed_atoms(weights: dict) -> tuple[list, list]:
@@ -290,10 +401,7 @@ def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
         stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
         return _assemble(terms, abs_terms, stop, converged)
     if mode == "mc":
-        if mc is None:
-            raise ValueError("mc mode needs an MCPlan")
-        draw, mass_abs = atom_draw(f, base, *_signed_atoms(weights))
-        return mc_series(draw, mass_abs, n_max, mc, ATOM_GROWTH_CAP, eps_abs)
+        return _atom_series(f, base, weights, n_max, mc, eps_abs)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -256,6 +256,18 @@ class TestDirections:
                      0, 50)
         assert d.square_integral == pytest.approx(sq, rel=1e-8)
 
+    def test_cp_direction_matches_atoms_exactly(self):
+        g_map = {1.0: 0.5, -0.5: -0.25, 2.0: 0.0, 0.3: 1.5}
+        d = cp_direction(CompoundPoissonJumps({s: 1.0 for s in g_map}), g_map)
+        for atom, value in g_map.items():
+            assert d.g(atom) == value
+            assert isinstance(d.g(atom), float)
+            assert d.g(atom * (1.0 + 1e-9)) == 0.0
+        atoms = np.array(sorted(g_map))
+        np.testing.assert_array_equal(d.g(atoms), [g_map[a] for a in atoms])
+        np.testing.assert_array_equal(d.g(atoms * (1.0 + 1e-9)), np.zeros(atoms.size))
+        assert d.g(-3.0) == 0.0 and d.g(5.0) == 0.0  # beyond either end
+
     def test_unnormalizable_direction_needs_truncation(self, rng):
         st = StableJumps(0.5, 1.0, 1.0)
         d = gamma_shape_direction(1.0, st)

@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from poissonpert import (AdmissibilityError, MCPlan, PerturbationFamily,
-                         constant_functional, count_functional, count_squared,
-                         discrete, exact_expectation, frechet_remainder_check,
-                         gateaux_derivative, parametric_series, sample_poisson,
-                         variational_series, void_indicator)
-from poissonpert.series import small_remainder_factor
+from poissonpert import (DIFFERENCE_ORDER_CAP, AdmissibilityError, Functional, MCPlan,
+                         PerturbationFamily, constant_functional, count_functional,
+                         count_squared, discrete, exact_expectation,
+                         frechet_remainder_check, gateaux_derivative, parametric_series,
+                         sample_poisson, variational_series, void_indicator)
+from poissonpert.series import (mc_series, series_plan, small_remainder_factor,
+                                truncation_budget)
 
 
 class TestVariationalSeries:
@@ -105,6 +106,88 @@ class TestVariationalSeries:
         assert rows[0] == ["order", "term", "partial_sum", "abs_term"]
         assert len(rows) == len(res.terms) + 1
         assert float(rows[1][1]) == res.terms[0]
+
+
+class TestMonteCarloSeries:
+    # two-sided pair: weights +0.6 and -0.3, absolute mass M = 0.9
+    LAM = discrete({"a": 1.0, "b": 0.5})
+    NU = discrete({"a": 1.6, "b": 0.2})
+
+    def test_stratum_budgets_follow_the_poisson_rule(self):
+        # K P(N = n) = samples M^n / n!: 100, 100, 50, 16.7, 4.2, then 0.83 < 2
+        assert series_plan(100, 1.0, 8) == ([100, 100, 50, 17, 5], 2)
+        samples, mass = 10, 2.5
+        budgets, tail = series_plan(samples, mass, 12)
+        expected = [samples * mass ** n / math.factorial(n) for n in range(13)]
+        top = max(n for n, e in enumerate(expected) if e >= 2.0)
+        assert budgets == [math.ceil(e) for e in expected[: top + 1]]
+        assert tail == math.ceil(math.fsum(expected[top + 1:]))
+        assert series_plan(100, 1.0, 3) == ([100, 100, 50, 17], 0)  # no tail
+
+    def test_samples_spent_equal_the_plan_and_use_the_tail(self, rng):
+        lam, nu = discrete({"b": 1.0}), discrete({"b": 2.0})
+        res = variational_series(void_indicator(), lam, nu, n_max=8, mode="mc",
+                                 mc=MCPlan(100, rng.child(30)))
+        assert res.truncation_order == 8 and len(res.samples) == 9
+        assert res.samples[:5] == [100, 100, 50, 17, 5]
+        assert res.tail_from == 5 and sum(res.samples[5:]) == 2
+        assert sum(res.samples) == 274
+        assert res.stderrs[6:] == [0.0] * 3  # the tail reports one stderr
+        assert res.value == math.fsum(res.terms)
+
+    def test_tail_stratum_weights_and_stderr(self, rng):
+        # a synthetic order-n term with no noise: signed n w_n, absolute w_n,
+        # w_n = M^n / n!; only the tail's choice of order is random
+        mass, n_max = 1.5, 12
+        w = [mass ** n / math.factorial(n) for n in range(n_max + 1)]
+        res = mc_series(lambda n, gen: (n * w[n], w[n]), mass, n_max,
+                        MCPlan(50, rng.child(35)))
+        tail = res.tail_from
+        assert tail == 6 and res.samples[tail:tail + 2] == [1, 1]
+        # each tail draw returns w_N / P(N | tail) = the tail's whole mass
+        assert math.fsum(res.abs_terms) == pytest.approx(math.fsum(w), rel=1e-12)
+        assert res.stderrs[:tail] == [0.0] * tail
+        picks = [n * math.fsum(w[tail:]) for n in range(tail, n_max + 1)
+                 for _ in range(res.samples[n])]
+        expected = float(np.std(picks, ddof=1)) / math.sqrt(len(picks))
+        assert expected > 0.0
+        assert res.stderrs[tail] == pytest.approx(expected, rel=1e-12)
+
+    def test_two_sided_pair_matches_exact_mode(self, rng):
+        exact = variational_series(void_indicator(), self.LAM, self.NU, n_max=30)
+        res = variational_series(void_indicator(), self.LAM, self.NU, n_max=30,
+                                 mode="mc", mc=MCPlan(2_000, rng.child(31)))
+        assert res.truncation_order == min(30, DIFFERENCE_ORDER_CAP)
+        assert res.truncation_budget == pytest.approx(
+            truncation_budget(1.0, 0.9, res.truncation_order), rel=1e-12)
+        assert res.converged  # budget ~1e-15 is below the default eps_abs
+        se = math.sqrt(math.fsum(s * s for s in res.stderrs))
+        assert 0.0 < se < 0.05
+        assert abs(res.value - exact.value) <= 3 * se + res.truncation_budget
+
+    def test_cost_follows_poisson_weights_not_two_to_the_order(self, rng):
+        calls = [0]
+
+        def void(phi):
+            calls[0] += 1
+            return 1.0 if phi.total_points() == 0 else 0.0
+
+        samples, mass = 500, 0.9
+        variational_series(Functional(void, bound=1.0), self.LAM, self.NU, n_max=30,
+                           mode="mc", mc=MCPlan(samples, rng.child(32)))
+        k = samples * math.exp(mass)
+        # mean cost is samples e^{2M}, about 3000; order 20 alone would cost 2^20
+        assert calls[0] <= 10 * k * math.exp(mass)
+
+    def test_truncation_budget_is_the_bounded_tail(self, rng):
+        # bound * sum_{n > 3} 1^n / n! = bound (e - 1 - 1 - 1/2 - 1/6)
+        assert truncation_budget(2.0, 0.5, 3) == pytest.approx(
+            2.0 * (math.e - 8.0 / 3.0), rel=1e-12)
+        assert truncation_budget(None, 0.5, 3) is None
+        assert truncation_budget(None, 0.0, 3) == 0.0
+        res = variational_series(count_functional(), self.LAM, self.NU, n_max=4,
+                                 mode="mc", mc=MCPlan(50, rng.child(33)))
+        assert res.truncation_budget is None and not res.converged
 
 
 class TestParametricSeries:
