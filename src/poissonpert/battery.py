@@ -24,7 +24,7 @@ from .configuration import (PointConfiguration, constant_functional, count_squar
 from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
                           pivotal_derivative, richardson_fd, scaled_derivative)
 from .measures import AtomWindow, PerturbationFamily, discrete
-from .rng import RngStream
+from .rng import RngStream, mc_mean
 from .sampler import MCPlan
 
 
@@ -270,11 +270,10 @@ def run_battery(seed: int, workers: int = 1) -> list[CheckRow]:
     # --- levy -----------------------------------------------------------------
     cp = levy.CompoundPoissonJumps({1.0: 1.0})
     model = levy.LevyModel(jumps=cp, drift=0.0, drift_form="plain", t0=1.0, eps=0.0)
-    gen = rng.child(13).generator()
-    vals = np.array([levy.simulate_path(model, generator=gen).value(1.0)
-                     for _ in range(20_000)])
-    add(CheckRow("levy_cp_terminal_mean", float(np.mean(vals)), model.moments()["mean"],
-                 float(np.std(vals) / math.sqrt(vals.size)), "z"))
+    terminal = mc_mean(lambda gen, n: levy.simulate_paths(model, n, gen).values(1.0)[None],
+                       MCPlan(20_000, rng.child(13), workers=workers)).estimate()
+    add(CheckRow("levy_cp_terminal_mean", terminal.estimate, model.moments()["mean"],
+                 terminal.stderr, "z"))
 
     st = levy.StableJumps(0.5, 1.0, 1.0)
     add(CheckRow("levy_drift_adjust_closed_form",

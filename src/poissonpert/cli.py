@@ -332,9 +332,9 @@ def _run_levy_sim(cfg, args, out_dir: Path) -> int:
     mom = model.moments()
     budget = model.small_jump_budget()
 
-    def draw(gen):
-        x = levy.simulate_path(model, generator=gen).value(model.t0)
-        return x, (x - mom["mean"]) ** 2
+    def draw(gen, n):
+        x = levy.simulate_paths(model, n, gen).values(model.t0)
+        return np.stack([x, (x - mom["mean"]) ** 2])
 
     res = mc_mean(draw, mc)
     mean, var = res.estimate(0), res.estimate(1)

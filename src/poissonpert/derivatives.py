@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from .configuration import Functional
 from .exact import EnumerationPlan
 from .measures import DiscreteMeasure, PerturbationFamily
-from .rng import EstimateResult, MCPlan, mc_mean
+from .rng import EstimateResult, MCPlan, each, mc_mean
 from .sampler import _couple, sample_poisson
 from .series import SeriesResult, _signed_atoms, order_one, parametric_series
 
@@ -142,8 +142,8 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
             total += mult * term * w
         return total / theta
 
-    lead = (partial(draw, probe=True), SPOT_CHECKS if atoms else 0)
-    return mc_mean(draw, mc, lead=lead).estimate()
+    lead = (each(partial(draw, probe=True)), SPOT_CHECKS if atoms else 0)
+    return mc_mean(each(draw), mc, lead=lead).estimate()
 
 
 def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -159,7 +159,7 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
         pair = _couple(hi, lo, None, gen, gen, gen)
         return (f(pair.phi_lambda) - f(pair.phi_nu)) / (2.0 * delta)
 
-    return mc_mean(draw, mc).estimate()
+    return mc_mean(each(draw), mc).estimate()
 
 
 def richardson_fd(values: Callable[[float], float], theta: float,

@@ -26,12 +26,32 @@ as weights and the inner difference evaluated on a common path.  The running
 supremum admits a closed difference kernel (x - Y_t)^+ - (Y_t)^- with
 Y_t the gap between past and future suprema, which the supremum estimator
 exploits and cross-checks path by path.
+
+A path is one ``CadlagPath``; the Monte Carlo estimators draw one
+``PathBatch`` of n paths per chunk instead (``simulate_paths``,
+``simulate_coupled_paths``).  Its layout is ragged: flat jump times and sizes
+sorted by (path, time) with per-path offsets, plus an ``(n, grid_n + 1)``
+Wiener grid when sigma^2 > 0.  Values, suprema over per-path intervals and
+jump insertion act on every path at once and reproduce ``CadlagPath``'s
+floating-point operations; the built-in path functionals have array forms,
+any other functional is evaluated path by path.  The identity checks run
+where they did per path:
+
+* ``supremum_derivative`` compares the kernel with the re-evaluated path
+  difference, and the difference with the 2|x| envelope, on every sample;
+* ``supremum_derivative``, ``coupled_supremum_fd`` and ``levy_derivative``
+  re-evaluate their first ``SPOT_CHECKS`` paths of chunk 0 through
+  ``CadlagPath`` (both suprema and the supremum after the jump; f on both
+  paths; the path difference), and a gap above ``SPOT_TOL`` raises
+  ``BatchMismatchError``.  ``levy_series`` draws through the same
+  ``jump_draw`` as ``levy_derivative`` and runs no check of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +63,8 @@ from .series import SeriesResult, mc_series
 
 CAP = 1e12
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
+SPOT_CHECKS = 8  # paths of the first chunk re-evaluated through ``CadlagPath``
+SPOT_TOL = 1e-12  # largest accepted gap between a batch value and ``CadlagPath``
 QUAD_EPSABS = 1e-13  # per-panel absolute tolerance, well inside the 1e-9 acceptance bound
 
 
@@ -111,6 +133,15 @@ class _ReferenceMeasure:
         return hash((type(self).__name__, self._params()))
 
 
+def _choose(values: np.ndarray, p: np.ndarray, n: int, gen: np.random.Generator
+            ) -> np.ndarray:
+    """n i.i.d. draws from ``values`` with probabilities p: the draws of
+    ``gen.choice(values.size, size=n, p=p)``, without its per-call checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return values[cdf.searchsorted(gen.random(n), side="right")]
+
+
 class CompoundPoissonJumps(_ReferenceMeasure):
     """Finite jump measure: a discrete law of jump sizes times a total rate."""
 
@@ -143,8 +174,7 @@ class CompoundPoissonJumps(_ReferenceMeasure):
         sizes, masses = self.sizes[keep], self.masses[keep]
         if n == 0 or sizes.size == 0:
             return np.empty(0)
-        idx = gen.choice(sizes.size, size=n, p=masses / masses.sum())
-        return sizes[idx]
+        return _choose(sizes, masses / masses.sum(), n, gen)
 
     def integrate(self, fn, lo: float, hi: float) -> float:
         keep = (np.abs(self.sizes) > lo) & (np.abs(self.sizes) <= hi)
@@ -299,7 +329,7 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
         s, w = sizes[keep], absw[keep]
         if n == 0 or s.size == 0 or w.sum() == 0:
             return np.empty(0)
-        return s[gen.choice(s.size, size=n, p=w / w.sum())]
+        return _choose(s, w / w.sum(), n, gen)
 
     def x_abs_below(eps):
         keep = np.abs(sizes) <= eps
@@ -583,7 +613,7 @@ class CadlagPath:
         self.slope = float(slope)
         jump_t = np.asarray(jump_t, dtype=float)
         jump_x = np.asarray(jump_x, dtype=float)
-        if jump_t.size and np.any(np.diff(jump_t) < 0):
+        if jump_t.size > 1 and (jump_t[1:] < jump_t[:-1]).any():
             order = np.argsort(jump_t, kind="stable")
             jump_t, jump_x = jump_t[order], jump_x[order]
         self.jump_t = jump_t
@@ -644,6 +674,162 @@ class CadlagPath:
         return CadlagPath(self.t0, self.slope, new_t, new_x, self.grid_t, self.grid_w)
 
 
+class BatchMismatchError(RuntimeError):
+    """A path batch disagrees with the same path evaluated as a ``CadlagPath``."""
+
+
+class PathBatch:
+    """n paths of one model in one ragged layout: the batch form of
+    ``CadlagPath``.
+
+    Path i owns the jumps ``jump_t[offsets[i]:offsets[i + 1]]``, sorted by
+    time, and the matching sizes in ``jump_x``; ``grid_w`` is the
+    ``(n, grid_n + 1)`` Wiener skeleton on the shared nodes ``grid_t``, or
+    None.  Per-path arguments (times, interval ends, marks) are arrays with
+    one entry per path, or scalars shared by all.  The kernels read a padded
+    ``(n, width)`` copy of the jumps, width the largest jump count, with +inf
+    times and zero sizes after each path's own jumps, so a per-path search is
+    a row comparison and a segmented maximum a row maximum.  Every value is
+    formed by the same floating-point operations as in ``CadlagPath`` (row
+    cumsums, ``np.interp``'s formula), so ``path(i)`` reproduces it exactly.
+    """
+
+    __slots__ = ("t0", "slope", "jump_t", "jump_x", "offsets", "grid_t", "grid_w",
+                 "_own", "_times", "_cum", "_tops", "_nodes")
+
+    def __init__(self, t0, slope, jump_t, jump_x, offsets, grid_t=None, grid_w=None):
+        self.t0 = float(t0)
+        self.slope = float(slope)
+        self.jump_t = np.asarray(jump_t, dtype=float)
+        self.jump_x = np.asarray(jump_x, dtype=float)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.grid_t = grid_t
+        self.grid_w = grid_w
+        counts = self.counts
+        # slot j of row i holds path i's j-th jump
+        self._own = np.arange(counts.max(initial=0)) < counts[:, None]
+        self._times = np.full(self._own.shape, np.inf)
+        self._times[self._own] = self.jump_t
+        self._cum = np.zeros((self.n, self._own.shape[1] + 1))
+        sizes = self._cum[:, 1:]
+        sizes[self._own] = self.jump_x
+        np.cumsum(sizes, axis=1, out=sizes)
+        self._tops = self._nodes = None
+
+    @property
+    def n(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def path(self, i: int) -> CadlagPath:
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return CadlagPath(self.t0, self.slope, self.jump_t[a:b], self.jump_x[a:b],
+                          self.grid_t, None if self.grid_w is None else self.grid_w[i])
+
+    def _per_path(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return ts if ts.ndim else np.full(self.n, ts)
+
+    def _skeleton(self, ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """slope t plus path ``rows``' Wiener grid at ts, interpolated as
+        ``np.interp`` does (a node returns its own value)."""
+        base = self.slope * ts
+        if self.grid_w is None:
+            return base
+        gt, w = self.grid_t, self.grid_w.reshape(-1)
+        hit = np.searchsorted(gt, ts, side="right") - 1
+        j = np.minimum(hit, gt.size - 2)
+        at = rows * gt.size + j
+        slope = (w[at + 1] - w[at]) / (gt[j + 1] - gt[j])
+        return base + np.where(gt[hit] == ts, w[at + (hit - j)], slope * (ts - gt[j]) + w[at])
+
+    def _at(self, ts, before: bool) -> np.ndarray:
+        """X_t (or X_{t-}) of every path at its own times ts, of shape (n,)
+        or (n, m)."""
+        ts = self._per_path(ts)
+        rows = np.arange(self.n).reshape((-1,) + (1,) * (ts.ndim - 1))
+        t = ts[..., None]
+        times = self._times.reshape((self.n,) + (1,) * (ts.ndim - 1) + (-1,))
+        k = (times < t if before else times <= t).sum(axis=-1)
+        return self._skeleton(ts, rows) + self._cum[rows, k]
+
+    def values(self, ts) -> np.ndarray:
+        """X_t of every path, the jumps at t included."""
+        return self._at(ts, before=False)
+
+    def left_values(self, ts) -> np.ndarray:
+        """X_{t-} of every path."""
+        return self._at(ts, before=True)
+
+    def _jump_tops(self) -> np.ndarray:
+        """max(X_t, X_{t-}) at every jump time, padded with -inf.  Jumps at
+        one time form a tie group: X_t counts the whole group, X_{t-} none
+        of it, as ``searchsorted`` does in ``CadlagPath``."""
+        if self._tops is None:
+            t, width = self._times, self._times.shape[1]
+            cols = np.arange(width)
+            start = np.ones(t.shape, dtype=bool)
+            start[:, 1:] = t[:, 1:] != t[:, :-1]
+            end = np.ones(t.shape, dtype=bool)
+            end[:, :-1] = start[:, 1:]
+            first = np.maximum.accumulate(np.where(start, cols, 0), axis=1)
+            last = np.minimum.accumulate(np.where(end, cols, width)[:, ::-1], axis=1)[:, ::-1]
+            rows = np.arange(self.n)[:, None]
+            skel = self._skeleton(np.where(self._own, t, 0.0), rows)
+            tops = np.maximum(skel + self._cum[rows, last + 1], skel + self._cum[rows, first])
+            self._tops = np.where(self._own, tops, -np.inf)
+        return self._tops
+
+    def _node_values(self) -> np.ndarray:
+        """X at every Wiener grid node of every path."""
+        if self._nodes is None:
+            g = self.grid_t.size
+            rows = np.arange(self.n)[:, None]
+            node = np.searchsorted(self.grid_t, self._times, side="left")  # first node at or after
+            hist = np.bincount((rows * (g + 1) + node).ravel(), minlength=self.n * (g + 1))
+            k = np.cumsum(hist.reshape(self.n, g + 1)[:, :g], axis=1)
+            self._nodes = self.slope * self.grid_t + self.grid_w + self._cum[rows, k]
+        return self._nodes
+
+    def sup_over(self, a, b) -> np.ndarray:
+        """Supremum of every path over its own [a, b]: the ends, the interior
+        grid nodes, and X_t and X_{t-} at the jumps in (a, b], each reduced
+        by a masked row maximum."""
+        ends = np.stack([self._per_path(a), self._per_path(b)], axis=1)
+        a, b = ends[:, :1], ends[:, 1:]
+        best = self.values(ends).max(axis=1)
+        if self.grid_w is not None:
+            inner = (self.grid_t > a) & (self.grid_t < b)
+            best = np.maximum(best, np.where(inner, self._node_values(), -np.inf).max(axis=1))
+        if self._times.shape[1]:
+            inside = (self._times > a) & (self._times <= b)
+            best = np.maximum(best, np.where(inside, self._jump_tops(), -np.inf).max(axis=1))
+        return best
+
+    def supremum(self) -> np.ndarray:
+        return self.sup_over(0.0, self.t0)
+
+    def with_jumps(self, t, x) -> "PathBatch":
+        """Insert the jump (t[i], x[i]) into path i; a zero jump leaves its
+        path as it is."""
+        t, x = self._per_path(t), self._per_path(x)
+        if np.any((t < 0.0) | (t > self.t0)):
+            raise ValueError(f"jump times outside horizon [0, {self.t0}]")
+        add = x != 0.0
+        at = (self.offsets[:-1] + (self._times <= t[:, None]).sum(axis=1))[add]
+        new = np.zeros(self.jump_t.size + at.size, dtype=bool)
+        new[at + np.arange(at.size)] = True  # the inserted jumps' places
+        jump_t, jump_x = np.empty(new.size), np.empty(new.size)
+        jump_t[new], jump_x[new] = t[add], x[add]
+        jump_t[~new], jump_x[~new] = self.jump_t, self.jump_x
+        offsets = self.offsets + np.concatenate(([0], np.cumsum(add)))
+        return PathBatch(self.t0, self.slope, jump_t, jump_x, offsets, self.grid_t,
+                         self.grid_w)
+
+
 @dataclass(frozen=True)
 class PathFunctional:
     fn: Callable[[CadlagPath], float]
@@ -655,11 +841,60 @@ class PathFunctional:
             raise ValueError(f"path functional {self.name!r} returned NaN")
         return val
 
+    def on_batch(self, batch: PathBatch) -> np.ndarray:
+        """f on every path of a batch: a built-in's array form, otherwise
+        ``fn`` on each ``batch.path(i)``."""
+        form = _BATCH_FORMS.get(self.fn)
+        if form is None:
+            return np.array([self(batch.path(i)) for i in range(batch.n)], dtype=float)
+        vals = form(batch)
+        if np.isnan(vals).any():
+            raise ValueError(f"path functional {self.name!r} returned NaN")
+        return vals
+
 
 running_supremum = PathFunctional(lambda w: w.supremum(), name="running_supremum")
 terminal_value = PathFunctional(lambda w: w.value(w.t0), name="terminal_value")
 no_jump_indicator = PathFunctional(lambda w: 1.0 if w.n_jumps == 0 else 0.0,
                                    name="no_jumps")
+
+# The built-ins' array forms, keyed by their ``fn``: a functional around any
+# other fn (one ``replace``d from a built-in too) falls back to fn per path,
+# so a form can never go stale.
+_BATCH_FORMS = {
+    running_supremum.fn: PathBatch.supremum,
+    terminal_value.fn: lambda b: b.values(b.t0),
+    no_jump_indicator.fn: lambda b: (b.counts == 0).astype(float),
+}
+
+
+@lru_cache(maxsize=16)
+def _grid_nodes(t0: float, grid_n: int) -> np.ndarray:
+    """The Wiener grid nodes, built once per (t0, grid_n) and shared
+    read-only by every path."""
+    nodes = np.linspace(0.0, t0, grid_n + 1)
+    nodes.setflags(write=False)
+    return nodes
+
+
+def _wiener_grids(model: LevyModel, gen: np.random.Generator, n: int | None = None):
+    """The shared grid nodes and the Wiener skeleton on them: one
+    (grid_n + 1,) array, or (n, grid_n + 1) for a batch of n paths;
+    (None, None) without a Wiener part."""
+    if model.sigma2 <= 0:
+        return None, None
+    shape = (model.grid_n,) if n is None else (n, model.grid_n)
+    dw = gen.normal(0.0, math.sqrt(model.sigma2 * model.t0 / model.grid_n), shape)
+    grid_w = np.zeros(shape[:-1] + (model.grid_n + 1,))
+    np.cumsum(dw, axis=-1, out=grid_w[..., 1:])
+    return _grid_nodes(model.t0, model.grid_n), grid_w
+
+
+def _bounded(g: np.ndarray, bound: float) -> np.ndarray:
+    """The thinning density's values g, checked against its declared bound."""
+    if np.any(g > bound * (1.0 + 1e-9)):
+        raise ValueError("jump density exceeds its declared bound")
+    return g
 
 
 def simulate_path(model: LevyModel, rng: RngStream | None = None,
@@ -673,55 +908,75 @@ def simulate_path(model: LevyModel, rng: RngStream | None = None,
     times = generator.uniform(0.0, model.t0, n)
     sizes = model.jumps.sample_above(model.eps, n, generator)
     if model.density is not None and n > 0:
-        gv = np.asarray(model.density(sizes), dtype=float)
-        if np.any(gv > model.density_bound * (1.0 + 1e-9)):
-            raise ValueError("jump density exceeds its declared bound")
+        gv = _bounded(np.asarray(model.density(sizes), dtype=float), model.density_bound)
         keep = generator.random(n) * model.density_bound < gv
         times, sizes = times[keep], sizes[keep]
     order = np.argsort(times, kind="stable")
     times, sizes = times[order], sizes[order]
-    grid_t = grid_w = None
-    if model.sigma2 > 0:
-        grid_t = np.linspace(0.0, model.t0, model.grid_n + 1)
-        dw = generator.normal(0.0, math.sqrt(model.sigma2 * model.t0 / model.grid_n),
-                              model.grid_n)
-        grid_w = np.concatenate(([0.0], np.cumsum(dw)))
-    return CadlagPath(model.t0, model.slope, times, sizes, grid_t, grid_w)
+    return CadlagPath(model.t0, model.slope, times, sizes, *_wiener_grids(model, generator))
 
 
-def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
-                     generator: np.random.Generator) -> tuple[CadlagPath, CadlagPath]:
-    """Common-random-numbers pair: shared jump proposals thinned to each
-    density with one uniform per jump, shared Wiener skeleton."""
+def _check_couplable(model_lo: LevyModel, model_hi: LevyModel) -> None:
     for attr in ("t0", "eps", "sigma2", "grid_n"):
         if getattr(model_lo, attr) != getattr(model_hi, attr):
             raise ValueError(f"coupled models must agree on {attr}")
     if model_lo.jumps != model_hi.jumps:
         raise ValueError("coupled models must share the reference jump measure")
+
+
+def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
+                     generator: np.random.Generator) -> tuple[CadlagPath, CadlagPath]:
+    """Common-random-numbers pair: shared jump proposals thinned to each
+    density with one uniform per jump, shared Wiener skeleton. One pair of
+    ``simulate_coupled_paths``, which consumes the generator the same way."""
+    lo, hi = simulate_coupled_paths(model_lo, model_hi, 1, generator)
+    return lo.path(0), hi.path(0)
+
+
+def _batch(model: LevyModel, counts, times, sizes, keep, grid_t, grid_w) -> PathBatch:
+    """The batch of the proposals (``counts`` per path, in path order) that
+    ``keep`` retains, sorted by (path, time)."""
+    row = np.repeat(np.arange(counts.size), counts)
+    if keep is not None:
+        row, times, sizes = row[keep], times[keep], sizes[keep]
+    order = np.lexsort((times, row))
+    offsets = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=counts.size), out=offsets[1:])
+    return PathBatch(model.t0, model.slope, times[order], sizes[order], offsets,
+                     grid_t, grid_w)
+
+
+def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator) -> PathBatch:
+    """n paths on one generator, the batch form of ``simulate_path``: every
+    path's jump count, then all proposal times, sizes and thinning uniforms,
+    then every Wiener skeleton."""
+    counts = gen.poisson(model.jump_rate(), n)
+    total = int(counts.sum())
+    times = gen.uniform(0.0, model.t0, total)
+    sizes = model.jumps.sample_above(model.eps, total, gen)
+    keep = None
+    if model.density is not None and total > 0:
+        gv = _bounded(np.asarray(model.density(sizes), dtype=float), model.density_bound)
+        keep = gen.random(total) * model.density_bound < gv
+    return _batch(model, counts, times, sizes, keep, *_wiener_grids(model, gen, n))
+
+
+def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
+                           gen: np.random.Generator) -> tuple[PathBatch, PathBatch]:
+    """n common-random-numbers pairs: shared jump proposals, one thinning
+    uniform per proposal, shared Wiener skeletons."""
+    _check_couplable(model_lo, model_hi)
     bound = max(model_lo.density_bound, model_hi.density_bound)
-    rate = model_lo.t0 * bound * model_lo.jumps.mass_above(model_lo.eps)
-    n = int(generator.poisson(rate))
-    times = generator.uniform(0.0, model_lo.t0, n)
-    sizes = model_lo.jumps.sample_above(model_lo.eps, n, generator)
-    u = generator.random(n)
-    g_lo = np.asarray(model_lo.g(sizes), dtype=float) if n else np.empty(0)
-    g_hi = np.asarray(model_hi.g(sizes), dtype=float) if n else np.empty(0)
-    keep_lo = u * bound < g_lo
-    keep_hi = u * bound < g_hi
-    order = np.argsort(times, kind="stable")
-    times, sizes = times[order], sizes[order]
-    keep_lo, keep_hi = keep_lo[order], keep_hi[order]
-    grid_t = grid_w = None
-    if model_lo.sigma2 > 0:
-        grid_t = np.linspace(0.0, model_lo.t0, model_lo.grid_n + 1)
-        dw = generator.normal(0.0, math.sqrt(model_lo.sigma2 * model_lo.t0 / model_lo.grid_n),
-                              model_lo.grid_n)
-        grid_w = np.concatenate(([0.0], np.cumsum(dw)))
-    path_lo = CadlagPath(model_lo.t0, model_lo.slope, times[keep_lo], sizes[keep_lo],
-                         grid_t, grid_w)
-    path_hi = CadlagPath(model_hi.t0, model_hi.slope, times[keep_hi], sizes[keep_hi],
-                         grid_t, grid_w)
-    return path_lo, path_hi
+    counts = gen.poisson(model_lo.t0 * bound * model_lo.jumps.mass_above(model_lo.eps), n)
+    total = int(counts.sum())
+    times = gen.uniform(0.0, model_lo.t0, total)
+    sizes = model_lo.jumps.sample_above(model_lo.eps, total, gen)
+    u = gen.random(total) * bound
+    keep = [u < _bounded(np.asarray(m.g(sizes), dtype=float), bound)
+            for m in (model_lo, model_hi)]
+    grids = _wiener_grids(model_lo, gen, n)
+    return (_batch(model_lo, counts, times, sizes, keep[0], *grids),
+            _batch(model_hi, counts, times, sizes, keep[1], *grids))
 
 
 # ---------------------------------------------------------------------------
@@ -890,27 +1145,33 @@ def _direction_eps(direction: JumpDirection, direction_eps: float | None) -> flo
 
 def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
               eps_d: float, mass: float) -> Callable:
-    """The Levy backend's order-n term sampler.
+    """The Levy backend's order-n term sampler, in the chunk form of
+    ``mc_series``.
 
-    Order n draws n marks (t, x), t uniform on [0, t0] and x from the
-    normalized |g| d nu_ref above eps_d, then one path, and returns the
-    signed and absolute (t0 mass)^n / n! times the n-fold path difference.
-    Order 0 returns f(X).
+    ``draw(n, gen, k)`` draws n marks (t, x) for each of k replications, t
+    uniform on [0, t0] and x from the normalized |g| d nu_ref above eps_d,
+    then one batch of k paths, and returns the signed and absolute
+    (t0 mass)^n / n! times each path's n-fold path difference as a (2, k)
+    array; order 0 gives f(X).  With ``check`` every path's difference is
+    recomputed through ``CadlagPath`` (``path_difference``) and a gap above
+    ``SPOT_TOL`` raises ``BatchMismatchError``.
     """
     t0 = model.t0
 
-    def draw(n: int, gen: np.random.Generator) -> tuple[float, float]:
-        pairs = []
-        sgn = 1.0
-        for _ in range(n):
-            t = gen.uniform(0.0, t0)
-            x = float(direction.sample_above(eps_d, 1, gen)[0])
-            if float(np.asarray(direction.g(x))) < 0:
-                sgn = -sgn
-            pairs.append((t, x))
-        dval = path_difference(f, simulate_path(model, generator=gen), pairs)
+    def draw(n: int, gen: np.random.Generator, k: int, check: bool = False) -> np.ndarray:
+        ts = gen.uniform(0.0, t0, (n, k))
+        xs = direction.sample_above(eps_d, n * k, gen).reshape(n, k)
+        sgn = np.ones(k)
+        if n:
+            sgn = np.where(np.asarray(direction.g(xs)) < 0, -1.0, 1.0).prod(axis=0)
+        batch = simulate_paths(model, k, gen)
+        dval = _batch_difference(f, batch, ts, xs)
+        if check:
+            for i in range(k):
+                _agree(f"{f.name} path difference", dval[i],
+                       path_difference(f, batch.path(i), list(zip(ts[:, i], xs[:, i]))))
         scale = (t0 * mass) ** n / math.factorial(n)
-        return scale * sgn * dval, scale * abs(dval)
+        return np.stack([scale * sgn * dval, scale * np.abs(dval)])
 
     return draw
 
@@ -921,7 +1182,8 @@ def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
 
     The order-one draw of ``jump_draw``: one mark (t, x) from uniform time
     tensor the normalized absolute direction, and the one-jump difference on
-    a common path.
+    a common path.  The first ``SPOT_CHECKS`` paths of chunk 0 are checked
+    against ``CadlagPath``.
     """
     d = pert.direction
     check_direction(d)
@@ -932,7 +1194,25 @@ def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
     if mass == 0.0:
         return EstimateResult(0.0, 0.0)
     draw = jump_draw(f, model, d, eps_d, mass)
-    return mc_mean(lambda gen: draw(1, gen)[0], mc).estimate()
+    lead = (lambda gen, k: draw(1, gen, k, check=True)[:1], SPOT_CHECKS)
+    return mc_mean(lambda gen, k: draw(1, gen, k)[:1], mc, lead=lead).estimate()
+
+
+def _agree(name: str, batch_value: float, path_value: float) -> None:
+    """The spot cross-check of a batch value against ``CadlagPath``."""
+    if not abs(batch_value - path_value) <= SPOT_TOL:
+        raise BatchMismatchError(f"{name}: the path batch gives {batch_value!r}, "
+                                 f"CadlagPath {path_value!r}")
+
+
+def _batch_difference(f: PathFunctional, batch: PathBatch, ts: np.ndarray,
+                      xs: np.ndarray) -> np.ndarray:
+    """``path_difference`` on every path of a batch, path i taking the marks
+    (ts[j, i], xs[j, i]); the same recursion, one batch per subset."""
+    if not len(ts):
+        return f.on_batch(batch)
+    return (_batch_difference(f, batch.with_jumps(ts[0], xs[0]), ts[1:], xs[1:])
+            - _batch_difference(f, batch, ts[1:], xs[1:]))
 
 
 def path_difference(f: PathFunctional, path: CadlagPath,
@@ -1005,11 +1285,14 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
 
     Per replication: simulate a path, draw t uniform, form the past/future
     supremum gap Y_t, draw a jump size from the normalized absolute
-    direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  The
-    kernel is cross-checked against the re-evaluated path difference and the
-    |difference| <= 2|x| envelope on every sample.  Y_t is summarized in
-    ``Q_BINS`` bins over +-(4 scale + 1), with scale the terminal mean and
-    standard deviation plus the drift over [0, t0].
+    direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  Each
+    chunk does this for a whole ``PathBatch``.  The kernel is cross-checked
+    against the re-evaluated path difference and the |difference| <= 2|x|
+    envelope on every sample; the first ``SPOT_CHECKS`` paths of chunk 0 are
+    re-evaluated through ``CadlagPath`` (both suprema and the supremum after
+    the jump), and a gap above ``SPOT_TOL`` raises ``BatchMismatchError``.
+    Y_t is summarized in ``Q_BINS`` bins over +-(4 scale + 1), with scale
+    the terminal mean and standard deviation plus the drift over [0, t0].
     """
     if not model.jumps.mom5_ok:
         raise ConditionError("the upper-tail second moment of the reference "
@@ -1023,20 +1306,30 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
     scale = abs(mom["mean"]) + math.sqrt(max(mom["var"], 0.0)) + abs(model.slope) * t0
     edges = np.linspace(-4.0 * scale - 1.0, 4.0 * scale + 1.0, Q_BINS + 1)
 
-    def draw(gen):
-        path = simulate_path(model, generator=gen)
-        t = gen.uniform(0.0, t0)
-        y = path.sup_over(0.0, t) - path.sup_over(t, t0)
+    def draw(gen, n, check=False):
+        batch = simulate_paths(model, n, gen)
+        t = gen.uniform(0.0, t0, n)
+        past, future = batch.sup_over(0.0, t), batch.sup_over(t, t0)
+        checked = range(n) if check else range(0)
+        for i in checked:
+            path = batch.path(i)
+            _agree("sup_over(0, t)", past[i], path.sup_over(0.0, t[i]))
+            _agree("sup_over(t, t0)", future[i], path.sup_over(t[i], t0))
+        y = past - future
         if mass == 0:
-            return 0.0, y, 0.0, 0.0
-        x = float(d.sample_above(eps_d, 1, gen)[0])
-        kernel = max(x - y, 0.0) - max(-y, 0.0)
-        delta = path.with_jump(t, x).supremum() - path.supremum()
-        sgn = 1.0 if float(np.asarray(d.g(x))) >= 0 else -1.0
-        return (t0 * mass * sgn * kernel, y, abs(delta - kernel),
-                float(abs(delta) > 2.0 * abs(x) + 1e-12))
+            return np.stack([np.zeros(n), y, np.zeros(n), np.zeros(n)])
+        x = d.sample_above(eps_d, n, gen)
+        kernel = np.maximum(x - y, 0.0) - np.maximum(-y, 0.0)
+        moved = batch.with_jumps(t, x).supremum()
+        for i in checked:
+            _agree("with_jump(t, x).supremum()", moved[i],
+                   batch.path(i).with_jump(t[i], x[i]).supremum())
+        delta = moved - batch.supremum()
+        sgn = np.where(np.asarray(d.g(x)) >= 0, 1.0, -1.0)
+        return np.stack([t0 * mass * sgn * kernel, y, np.abs(delta - kernel),
+                         np.abs(delta) > 2.0 * np.abs(x) + 1e-12])
 
-    res = mc_mean(draw, mc)
+    res = mc_mean(draw, mc, lead=(partial(draw, check=True), SPOT_CHECKS))
     bins = np.searchsorted(edges, res.values(1), side="right") - 1
     counts = np.bincount(bins[(bins >= 0) & (bins < Q_BINS)], minlength=Q_BINS)
     return SupremumDerivativeResult(
@@ -1049,12 +1342,18 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
                         mc: MCPlan, f: PathFunctional = running_supremum
                         ) -> EstimateResult:
     """Central finite difference of theta -> E f(X) at theta0 with coupled
-    paths (shared jump proposals and Wiener skeleton)."""
+    paths (shared jump proposals and Wiener skeleton), one coupled batch per
+    chunk; f on the first ``SPOT_CHECKS`` pairs of chunk 0 is checked
+    against ``CadlagPath``."""
     lo = perturbed_model(model, pert, pert.theta0 - delta)
     hi = perturbed_model(model, pert, pert.theta0 + delta)
 
-    def draw(gen):
-        p_lo, p_hi = simulate_coupled(lo, hi, gen)
-        return (f(p_hi) - f(p_lo)) / (2.0 * delta)
+    def draw(gen, n, check=False):
+        pair = simulate_coupled_paths(lo, hi, n, gen)
+        f_lo, f_hi = (f.on_batch(b) for b in pair)
+        for i in range(n) if check else range(0):
+            _agree(f"{f.name} (theta0 - delta)", f_lo[i], f(pair[0].path(i)))
+            _agree(f"{f.name} (theta0 + delta)", f_hi[i], f(pair[1].path(i)))
+        return ((f_hi - f_lo) / (2.0 * delta))[None]
 
-    return mc_mean(draw, mc).estimate()
+    return mc_mean(draw, mc, lead=(partial(draw, check=True), SPOT_CHECKS)).estimate()

@@ -7,12 +7,16 @@ a child stream and chunk results are reduced in chunk order, so the output
 is byte-identical for any worker count.
 
 Every Monte Carlo estimator in the package is one call of ``mc_mean``.  Its
-contract: the estimator supplies ``draw(gen)``, which returns the values of
-one replication (a float or a tuple of floats, the fields) drawn from
-``gen``.  ``mc_mean`` splits the plan's budget into chunks, builds each
-chunk's generator from its own child stream, calls ``draw`` once per
-replication on that generator, and reduces every field to its pooled mean
-and batch-means standard error over the chunk means, taken in chunk order.
+contract: the estimator supplies a chunk draw ``draw(gen, n)``, which draws n
+replications from ``gen`` and returns their values as one ``(fields, n)``
+array (row j holds field j of every replication, in replication order).
+``mc_mean`` splits the plan's budget into chunks, builds each chunk's
+generator from its own child stream, calls ``draw`` once per chunk on that
+generator, and reduces every field to its pooled mean and batch-means
+standard error over the chunk means, taken in chunk order.  An estimator
+whose replications are naturally one at a time wraps its per-replication
+draw ``draw(gen) -> float | tuple`` in ``each``, which loops it n times on
+the chunk's generator; its draws are then the same as a hand-written loop.
 """
 
 from __future__ import annotations
@@ -152,19 +156,40 @@ class ChunkedDraws:
         return np.concatenate([c[field] for c in self.chunks])
 
 
-def mc_mean(draw: Callable[[np.random.Generator], object], plan: MCPlan,
-            lead: tuple[Callable[[np.random.Generator], object], int] | None = None
-            ) -> ChunkedDraws:
-    """Run ``draw(gen)`` once per replication of ``plan`` on its chunk's generator.
+def each(draw: Callable[[np.random.Generator], object]
+         ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """The chunk draw that runs the per-replication ``draw(gen)`` n times in a
+    row on the chunk's generator and stacks the fields."""
+    def chunk_draw(gen: np.random.Generator, n: int) -> np.ndarray:
+        rows = [draw(gen) for _ in range(n)]
+        return np.array(rows, dtype=float).reshape(n, -1).T
+    return chunk_draw
 
-    ``lead = (draw_0, k)`` replaces the draw by ``draw_0`` for the first k
-    replications of chunk 0 (spot checks that should run once per estimate).
+
+def _block(draw: Callable, gen: np.random.Generator, n: int) -> np.ndarray:
+    out = np.asarray(draw(gen, n), dtype=float)
+    if out.ndim != 2 or out.shape[1] != n:
+        raise ValueError(f"a chunk draw of {n} replications returned shape {out.shape}, "
+                         f"not (fields, {n})")
+    return out
+
+
+def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], plan: MCPlan,
+            lead: tuple[Callable[[np.random.Generator, int], np.ndarray], int] | None = None
+            ) -> ChunkedDraws:
+    """Run the chunk draw ``draw(gen, n)`` once per chunk of ``plan``.
+
+    ``lead = (draw_0, k)`` replaces the draw by ``draw_0(gen, k)`` for the
+    first k replications of chunk 0 (spot checks that should run once per
+    estimate); the rest of that chunk follows on the same generator.  A draw
+    that does not return a ``(fields, n)`` array raises ``ValueError``.
     """
     def chunk(index: int, n: int, stream: RngStream) -> np.ndarray:
         gen = stream.generator()
         k = min(lead[1], n) if lead is not None and index == 0 else 0
-        rows = [lead[0](gen) for _ in range(k)] + [draw(gen) for _ in range(n - k)]
-        return np.ascontiguousarray(np.array(rows, dtype=float).reshape(n, -1).T)
+        blocks = ([_block(lead[0], gen, k)] if k else []) + (
+            [_block(draw, gen, n - k)] if n > k else [])
+        return np.ascontiguousarray(np.concatenate(blocks, axis=1))
 
     chunks = run_chunked(chunk, plan.samples, plan.stream, plan.chunks, plan.workers)
     return ChunkedDraws([c.shape[1] for c in chunks], chunks)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .configuration import PointConfiguration
 from .measures import DensityMeasure, DiscreteMeasure, MeasureMismatchError
-from .rng import EstimateResult, MCPlan, RngStream, mc_mean
+from .rng import EstimateResult, MCPlan, RngStream, each, mc_mean
 
 
 def sample_poisson(m, window=None, rng: RngStream | None = None,
@@ -165,7 +165,8 @@ def mc_expectation(f, m, window=None, plan: MCPlan | None = None) -> EstimateRes
     """Monte Carlo E f(Phi) with batch-means standard error."""
     if plan is None:
         raise ValueError("an MCPlan is required")
-    return mc_mean(lambda gen: f(sample_poisson(m, window, generator=gen)), plan).estimate()
+    return mc_mean(each(lambda gen: f(sample_poisson(m, window, generator=gen))),
+                   plan).estimate()
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
             total += mult * f(x, phi.remove_one(x))
         return total
 
-    lhs, lhs_se = mc_mean(lhs_draw, plan.split(0)).estimate()
+    lhs, lhs_se = mc_mean(each(lhs_draw), plan.split(0)).estimate()
 
     rhs_plan = plan.split(1)
     if isinstance(m, DiscreteMeasure):
@@ -209,7 +210,7 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
         rhs_parts, rhs_vars = [], []
         for j, atom in enumerate(mr.support()):
             mean_a, se_a = mc_mean(
-                lambda gen, _a=atom: f(_a, sample_poisson(mr, None, generator=gen)),
+                each(lambda gen, _a=atom: f(_a, sample_poisson(mr, None, generator=gen))),
                 rhs_plan.split(j)).estimate()
             rhs_parts.append(mr.mass(atom) * mean_a)
             rhs_vars.append((mr.mass(atom) * se_a) ** 2)
@@ -225,7 +226,7 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
             phi = sample_poisson(m, win, generator=gen)
             return m.density_at(p) * f(p, phi)
 
-        mean_r, se_r = mc_mean(rhs_draw, rhs_plan).estimate()
+        mean_r, se_r = mc_mean(each(rhs_draw), rhs_plan).estimate()
         rhs = mass_ref * mean_r
         rhs_se = mass_ref * se_r
     else:

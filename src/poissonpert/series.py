@@ -9,13 +9,16 @@ measure.  Exact mode evaluates each order from a shifted-expectation table
 and its mixed forward differences (see :mod:`poissonpert.exact`).
 
 Monte Carlo mode is one stratified estimator, ``mc_series``, over an order-n
-term sampler ``draw(n, gen)`` that returns one sample of the signed order-n
-term and of its absolute companion.  Two backends supply the draw:
+term sampler ``draw(n, gen, k)`` that returns k samples of the signed
+order-n term and of its absolute companion as a ``(2, k)`` array (the chunk
+contract of ``rng.mc_mean``).  Two backends supply the draw:
 
-* ``atom_draw`` (discrete intensities): n atoms from the normalized absolute
-  perturbation, one configuration, the n-th difference D^n f;
-* ``levy.jump_draw`` (Levy jump measures): n marks (t, x) from
-  dt tensor the normalized |g| d nu_ref, one path, the n-fold path difference.
+* ``atom_draw`` (discrete intensities): per replication, n atoms from the
+  normalized absolute perturbation, one configuration, the n-th difference
+  D^n f;
+* ``levy.jump_draw`` (Levy jump measures): k batches of n marks (t, x) from
+  dt tensor the normalized |g| d nu_ref, one batch of k paths, the n-fold
+  path difference over the batch.
 
 The signs are carried as weights.  With M the absolute mass of the
 perturbation, term n is at most sup|f| (2M)^n / n! while one order-n sample
@@ -53,7 +56,7 @@ from .exact import (EnumerationPlan, exact_expectation, expectation_table,
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
                        admissibility_check, lebesgue_decompose)
-from .rng import EstimateResult, MCPlan, mc_mean
+from .rng import EstimateResult, MCPlan, each, mc_mean
 from .sampler import sample_poisson
 
 EPS_ABS = 1e-10
@@ -235,16 +238,18 @@ def truncation_budget(bound: float | None, mass: float, n_max: int) -> float | N
 
 def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
               bound: float | None = None, admissibility=None) -> SeriesResult:
-    """Poisson-stratified Monte Carlo series from ``draw(n, gen)``.
+    """Poisson-stratified Monte Carlo series from ``draw(n, gen, k)``.
 
-    ``mass`` is M, the absolute mass of the perturbation; ``draw(n, gen)``
-    returns the signed and absolute order-n term sample, scaled by M^n / n!.
-    Each stratum of ``series_plan(mc.samples, M, n_max)`` is one ``mc_mean``
-    call.  Order n <= n* runs on child stream n.  The tail runs on child
-    stream n* + 1, and each of its replications draws its order N from
-    Poisson(M) conditioned on n* < N <= n_max and returns draw(N) / P(N |
-    tail); adding each tail draw into the term of its own order keeps every
-    term unbiased, and the tail, being one sample, reports one stderr.
+    ``mass`` is M, the absolute mass of the perturbation; ``draw(n, gen, k)``
+    returns k signed and absolute order-n term samples, scaled by M^n / n!,
+    as a ``(2, k)`` array.  Each stratum of ``series_plan(mc.samples, M,
+    n_max)`` is one ``mc_mean`` call.  Order n <= n* runs on child stream n.
+    The tail runs on child stream n* + 1: each of its chunks first draws the
+    order N of every replication from Poisson(M) conditioned on n* < N <=
+    n_max, then calls ``draw`` once per distinct order, and each replication
+    returns its draw(N) / P(N | tail) in its own place; adding each tail draw
+    into the term of its own order keeps every term unbiased, and the tail,
+    being one sample, reports one stderr.
 
     The series always runs to n_max, and ``truncation_budget(bound, M,
     n_max)`` reports what truncating there can cost; ``converged`` means that
@@ -293,10 +298,14 @@ def _tail_stratum(draw: Callable, mass: float, first: int, last: int, plan: MCPl
         weights.append(weights[-1] * mass / n)
     q = np.array(weights) / math.fsum(weights)
 
-    def tail_draw(gen: np.random.Generator) -> tuple[int, float, float]:
-        j = int(gen.choice(q.size, p=q))
-        signed, absolute = draw(first + j, gen)
-        return j, signed / q[j], absolute / q[j]
+    def tail_draw(gen: np.random.Generator, k: int) -> np.ndarray:
+        picks = gen.choice(q.size, size=k, p=q)
+        out = np.empty((3, k))
+        out[0] = picks
+        for j in np.unique(picks):
+            own = picks == j
+            out[1:, own] = draw(first + int(j), gen, int(own.sum())) / q[j]
+        return out
 
     res = mc_mean(tail_draw, plan)
     picks, signed, absolute = res.values(0), res.values(1), res.values(2)
@@ -333,16 +342,17 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
               ) -> tuple[Callable, float]:
     """The discrete backend's order-n term sampler and its absolute mass.
 
-    Order n draws n atoms i.i.d. from |w| / sum |w| (in the given atom
-    order), then Phi ~ Poisson(base), and returns the signed and absolute
-    (sum |w|)^n / n! D^n f(Phi).  Order 0 returns f(Phi).
+    Each replication of order n draws n atoms i.i.d. from |w| / sum |w| (in
+    the given atom order), then Phi ~ Poisson(base), and gives the signed and
+    absolute (sum |w|)^n / n! D^n f(Phi); order 0 gives f(Phi).  The chunk
+    draw ``draw(n, gen, k)`` runs k replications in a row (``rng.each``).
     """
     ws = np.array(ws, dtype=float)
     mass_abs = float(np.abs(ws).sum())
     probs = np.abs(ws) / mass_abs if mass_abs else None
     signs = np.sign(ws)
 
-    def draw(n: int, gen: np.random.Generator) -> tuple[float, float]:
+    def one(n: int, gen: np.random.Generator) -> tuple[float, float]:
         if n == 0:
             v = f(sample_poisson(base, None, generator=gen))
             return v, abs(v)
@@ -352,6 +362,9 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
         d = difference_n(f, sample_poisson(base, None, generator=gen), xs)
         scale = mass_abs ** n / math.factorial(n)
         return scale * sgn * d, scale * abs(d)
+
+    def draw(n: int, gen: np.random.Generator, k: int) -> np.ndarray:
+        return each(partial(one, n))(gen, k)
 
     return draw, mass_abs
 
@@ -374,7 +387,7 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     if not atoms:
         return EstimateResult(0.0, 0.0)
     draw, _ = atom_draw(f, base, atoms, ws)
-    return mc_mean(lambda gen: draw(1, gen)[0], mc).estimate()
+    return mc_mean(lambda gen, k: draw(1, gen, k)[:1], mc).estimate()
 
 
 def parametric_series(f: Functional, family: PerturbationFamily, theta: float,

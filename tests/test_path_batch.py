@@ -1,0 +1,230 @@
+"""Chunk-batched Levy paths.
+
+``PathBatch`` against the same paths as ``CadlagPath`` on generated ragged
+jump sets, the batch simulators, and the spot cross-check that the
+estimators run on the first paths of their first chunk.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_exact_arrays import PROFILE
+
+from poissonpert import MCPlan
+from poissonpert import levy
+from poissonpert.levy import (BatchMismatchError, CadlagPath, CompoundPoissonJumps,
+                              JumpPerturbation, LevyModel, PathBatch, cp_direction,
+                              no_jump_indicator, running_supremum, simulate_coupled_paths,
+                              simulate_paths, terminal_value)
+
+TOL = 1e-12
+BUILTINS = [running_supremum, terminal_value, no_jump_indicator]
+
+
+@st.composite
+def ragged_paths(draw):
+    """Per-path sorted jump lists (some empty, ties likely: times come from
+    a few values), a slope and, or not, a Wiener grid."""
+    t0 = draw(st.sampled_from([1.0, 2.5]))
+    n = draw(st.integers(1, 5))
+    spots = draw(st.lists(st.floats(0.0, t0), min_size=1, max_size=4)) + [t0]
+    paths = []
+    for _ in range(n):
+        k = draw(st.integers(0, 5))
+        times = sorted(draw(st.lists(st.sampled_from(spots), min_size=k, max_size=k)))
+        sizes = draw(st.lists(st.floats(-2.0, 2.0).filter(bool), min_size=k, max_size=k))
+        paths.append((np.array(times, dtype=float), np.array(sizes, dtype=float)))
+    if draw(st.booleans()):
+        paths[draw(st.integers(0, n - 1))] = (np.empty(0), np.empty(0))
+    slope = draw(st.floats(-1.0, 1.0))
+    grid_t = grid_w = None
+    if draw(st.booleans()):
+        grid_n = draw(st.sampled_from([1, 4, 16]))
+        grid_t = np.linspace(0.0, t0, grid_n + 1)
+        steps = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * grid_n,
+                              max_size=n * grid_n))
+        grid_w = np.zeros((n, grid_n + 1))
+        grid_w[:, 1:] = np.cumsum(np.reshape(steps, (n, grid_n)), axis=1)
+    return t0, slope, paths, grid_t, grid_w
+
+
+def as_batch(t0, slope, paths, grid_t, grid_w):
+    offsets = np.concatenate(([0], np.cumsum([t.size for t, _ in paths])))
+    return PathBatch(t0, slope, np.concatenate([t for t, _ in paths]),
+                     np.concatenate([x for _, x in paths]), offsets, grid_t, grid_w)
+
+
+def as_paths(t0, slope, paths, grid_t, grid_w):
+    return [CadlagPath(t0, slope, t, x, grid_t, None if grid_w is None else grid_w[i])
+            for i, (t, x) in enumerate(paths)]
+
+
+def per_path_times(draw, t0, paths):
+    """One time per path: a jump time of the path when it has one and the
+    draw says so, else any time in [0, t0]."""
+    out = []
+    for t, _ in paths:
+        if t.size and draw(st.booleans()):
+            out.append(float(t[draw(st.integers(0, t.size - 1))]))
+        else:
+            out.append(draw(st.floats(0.0, t0)))
+    return np.array(out)
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)
+
+
+class TestBatchAgainstCadlagPath:
+    @PROFILE
+    @given(data=st.data(), spec=ragged_paths())
+    def test_values_and_suprema(self, data, spec):
+        batch, paths = as_batch(*spec), as_paths(*spec)
+        t0 = spec[0]
+        ts = per_path_times(data.draw, t0, spec[2])
+        assert_close(batch.values(ts), [p.values(np.array([t]))[0] for p, t in zip(paths, ts)])
+        assert_close(batch.left_values(ts),
+                     [p.left_values(np.array([t]))[0] for p, t in zip(paths, ts)])
+        other = per_path_times(data.draw, t0, spec[2])
+        a, b = np.minimum(ts, other), np.maximum(ts, other)
+        assert_close(batch.sup_over(a, b), [p.sup_over(lo, hi) for p, lo, hi in zip(paths, a, b)])
+        assert_close(batch.sup_over(0.0, ts), [p.sup_over(0.0, t) for p, t in zip(paths, ts)])
+        assert_close(batch.sup_over(ts, t0), [p.sup_over(t, t0) for p, t in zip(paths, ts)])
+        for f in BUILTINS:
+            assert_close(f.on_batch(batch), [f(p) for p in paths])
+
+    @PROFILE
+    @given(data=st.data(), spec=ragged_paths())
+    def test_with_jumps(self, data, spec):
+        batch, paths = as_batch(*spec), as_paths(*spec)
+        ts = per_path_times(data.draw, spec[0], spec[2])
+        xs = np.array([data.draw(st.sampled_from([0.0, -0.7, 1.3])) for _ in paths])
+        moved = batch.with_jumps(ts, xs)
+        want = [p.with_jump(t, x) for p, t, x in zip(paths, ts, xs)]
+        for i, w in enumerate(want):
+            np.testing.assert_array_equal(moved.path(i).jump_t, w.jump_t)
+            np.testing.assert_array_equal(moved.path(i).jump_x, w.jump_x)
+        for f in BUILTINS:
+            assert_close(f.on_batch(moved), [f(w) for w in want])
+
+    @PROFILE
+    @given(spec=ragged_paths())
+    def test_path_round_trip(self, spec):
+        batch = as_batch(*spec)
+        for i, w in enumerate(as_paths(*spec)):
+            p = batch.path(i)
+            np.testing.assert_array_equal(p.jump_t, w.jump_t)
+            np.testing.assert_array_equal(p.jump_x, w.jump_x)
+
+    def test_other_functionals_fall_back_to_fn(self):
+        spec = (1.0, 0.2, [(np.array([0.3, 0.6]), np.array([1.0, -2.0])),
+                           (np.empty(0), np.empty(0))], None, None)
+        batch = as_batch(*spec)
+        n_jumps = levy.PathFunctional(lambda w: float(w.n_jumps), name="n_jumps")
+        np.testing.assert_array_equal(n_jumps.on_batch(batch), [2.0, 0.0])
+        # a built-in with its fn replaced uses the new fn, not the old array form
+        moved = levy.PathFunctional(lambda w: w.value(0.5), name=terminal_value.name)
+        assert_close(moved.on_batch(batch), [1.1, 0.1])
+
+    def test_jump_outside_horizon_rejected(self):
+        batch = as_batch(1.0, 0.0, [(np.empty(0), np.empty(0))], None, None)
+        with pytest.raises(ValueError, match="horizon"):
+            batch.with_jumps(1.5, 1.0)
+
+
+CP = CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5})
+DIRECTION = cp_direction(CP, {1.0: 0.8, -0.6: -0.5})
+PERT = JumpPerturbation(direction=DIRECTION, theta0=0.0, interval=(-0.8, 1.0))
+
+
+def cp_model(sigma2=0.0):
+    return LevyModel(jumps=CP, drift=0.3, drift_form="plain", t0=1.0, eps=0.0,
+                     sigma2=sigma2, grid_n=32)
+
+
+class TestSimulators:
+    @pytest.mark.parametrize("sigma2", [0.0, 0.5])
+    def test_terminal_moments(self, rng, sigma2):
+        model = cp_model(sigma2)
+        x = simulate_paths(model, 40_000, rng.child(1).generator()).values(1.0)
+        mom = model.moments()
+        assert abs(x.mean() - mom["mean"]) <= 3 * x.std() / math.sqrt(x.size)
+        sq = (x - mom["mean"]) ** 2
+        assert abs(sq.mean() - mom["var"]) <= 3 * sq.std() / math.sqrt(x.size)
+
+    def test_atom_draws_are_generator_choice_draws(self, rng):
+        # the per-path simulators keep their draws: sample_above takes the
+        # inverse-CDF step of gen.choice itself
+        a, b = rng.child(10).generator(), rng.child(10).generator()
+        p = CP.masses / CP.masses.sum()
+        np.testing.assert_array_equal(CP.sample_above(0.0, 500, a),
+                                      CP.sizes[b.choice(CP.sizes.size, size=500, p=p)])
+        assert a.random() == b.random()
+
+    def test_jumps_sorted_within_each_path(self, rng):
+        batch = simulate_paths(cp_model(), 200, rng.child(2).generator())
+        assert batch.n == 200 and batch.offsets[-1] == batch.jump_t.size
+        for i in range(batch.n):
+            assert np.all(np.diff(batch.path(i).jump_t) >= 0)
+
+    def test_thinned_density_bound_checked(self, rng):
+        model = LevyModel(jumps=CP, density=lambda x: 2.0 * np.ones_like(np.asarray(x)),
+                          density_bound=1.5, t0=1.0)
+        with pytest.raises(ValueError, match="declared bound"):
+            simulate_paths(model, 50, rng.child(3).generator())
+
+    def test_coupled_batches_share_proposals_and_grid(self, rng):
+        model = cp_model(0.5)
+        lo = levy.perturbed_model(model, PERT, -0.1)
+        hi = levy.perturbed_model(model, PERT, 0.1)
+        b_lo, b_hi = simulate_coupled_paths(lo, hi, 300, rng.child(4).generator())
+        assert b_lo.grid_w is b_hi.grid_w
+        # g_hi >= g_lo on the atom 1.0 and g_hi <= g_lo on -0.6: one uniform
+        # per proposal keeps the larger density's jumps a superset
+        for i in range(300):
+            p_lo, p_hi = b_lo.path(i), b_hi.path(i)
+            up_lo, up_hi = p_lo.jump_t[p_lo.jump_x > 0], p_hi.jump_t[p_hi.jump_x > 0]
+            down_lo, down_hi = p_lo.jump_t[p_lo.jump_x < 0], p_hi.jump_t[p_hi.jump_x < 0]
+            assert set(up_lo) <= set(up_hi) and set(down_hi) <= set(down_lo)
+
+    def test_equal_models_couple_identically(self, rng):
+        model = cp_model()
+        b_lo, b_hi = simulate_coupled_paths(model, model, 100, rng.child(5).generator())
+        np.testing.assert_array_equal(b_lo.jump_t, b_hi.jump_t)
+        np.testing.assert_array_equal(b_lo.offsets, b_hi.offsets)
+
+
+class TestSpotCheck:
+    def test_runs_on_the_first_paths_of_chunk_zero(self, rng, monkeypatch):
+        calls = []
+        original = CadlagPath.sup_over
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return original(self, a, b)
+
+        monkeypatch.setattr(CadlagPath, "sup_over", counted)
+        levy.supremum_derivative(cp_model(), PERT, MCPlan(240, rng.child(6), chunks=8))
+        # per checked path: sup over [0, t] and [t, t0], and the supremum after the jump
+        assert len(calls) == 3 * levy.SPOT_CHECKS
+
+    def test_corrupted_supremum_raises(self, rng, monkeypatch):
+        # a constant shift of every batch supremum leaves Y_t and the path
+        # difference unchanged, so only the cross-check against CadlagPath sees it
+        original = PathBatch.sup_over
+        monkeypatch.setattr(PathBatch, "sup_over", lambda self, a, b: original(self, a, b) + 1e-9)
+        with pytest.raises(BatchMismatchError, match="sup_over"):
+            levy.supremum_derivative(cp_model(0.5), PERT, MCPlan(240, rng.child(7), chunks=8))
+        with pytest.raises(BatchMismatchError, match="running_supremum"):
+            levy.coupled_supremum_fd(cp_model(), PERT, 0.1, MCPlan(240, rng.child(8), chunks=8))
+
+    def test_corrupted_values_raise(self, rng, monkeypatch):
+        original = PathBatch.values
+        monkeypatch.setattr(PathBatch, "values",
+                            lambda self, ts: original(self, ts) * (1.0 + 1e-9))
+        with pytest.raises(BatchMismatchError, match="terminal_value"):
+            levy.levy_derivative(terminal_value, cp_model(), PERT,
+                                 MCPlan(240, rng.child(9), chunks=8))
