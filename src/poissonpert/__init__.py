@@ -7,9 +7,9 @@ Monte Carlo estimators against closed forms and coupled finite differences.
 """
 
 from .configuration import (DIFFERENCE_ORDER_CAP, Functional, PointConfiguration,
-                            add_points, constant_functional, count_functional,
-                            count_squared, difference_n, difference_n_recursive,
-                            threshold_indicator, void_indicator)
+                            constant_functional, count_functional, count_squared,
+                            difference_n, difference_n_recursive, threshold_indicator,
+                            void_indicator)
 from .derivatives import (NonIncreasingEventError, coupled_scale_fd, linear_derivative,
                           nonlinear_derivative, pivotal_derivative, richardson_fd,
                           scaled_derivative, scaled_taylor_report)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exact, levy, likelihood, measures, sampler, series
 from .configuration import (PointConfiguration, constant_functional, count_squared,
                             difference_n, difference_n_recursive, threshold_indicator,
@@ -24,7 +22,7 @@ from .configuration import (PointConfiguration, constant_functional, count_squar
 from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
                           pivotal_derivative, richardson_fd, scaled_derivative)
 from .measures import AtomWindow, PerturbationFamily, discrete
-from .rng import RngStream, mc_mean
+from .rng import RngStream, each, mc_mean
 from .sampler import MCPlan
 
 
@@ -239,23 +237,20 @@ def run_battery(seed: int, workers: int = 1) -> list[CheckRow]:
                  cfd.stderr, "z"))
 
     # --- sampler -------------------------------------------------------------
-    counts = sampler.sample_counts(lam1, None, rng.child(7), 50_000)
-    p0 = float(np.mean(counts[:, 0] == 0))
-    se = math.sqrt(p0 * (1 - p0) / counts.shape[0])
-    add(CheckRow("sampler_void_probability", p0, math.exp(-1.0), se, "z"))
+    void = mc_mean(lambda gen, n: (sampler._draw_counts(lam1, None, gen, n)[:, 0] == 0)[None],
+                   MCPlan(50_000, rng.child(7), workers=workers)).estimate()
+    add(CheckRow("sampler_void_probability", void.estimate, math.exp(-1.0), void.stderr, "z"))
 
     two = discrete({"x": 1.0, "y": 2.0})
-    counts = sampler.sample_counts(two, None, rng.child(8), 50_000)
-    mean_y = float(np.mean(counts[:, 1]))
-    se_y = float(np.std(counts[:, 1]) / math.sqrt(counts.shape[0]))
-    add(CheckRow("sampler_mean_counts", mean_y, 2.0, se_y, "z"))
+    count_y = mc_mean(lambda gen, n: sampler._draw_counts(two, None, gen, n)[:, 1][None],
+                      MCPlan(50_000, rng.child(8), workers=workers)).estimate()
+    add(CheckRow("sampler_mean_counts", count_y.estimate, 2.0, count_y.stderr, "z"))
 
-    gen = rng.child(9)
-    pairs = [sampler.thin_superpose_couple(discrete({"x": 2.0}), discrete({"x": 1.0}),
-                                           rng=gen.child(i)) for i in range(20_000)]
-    nus = np.array([p.phi_nu.total_points() for p in pairs], dtype=float)
-    add(CheckRow("coupling_marginal_mean", float(np.mean(nus)), 1.0,
-                 float(np.std(nus) / math.sqrt(nus.size)), "z"))
+    lam2 = discrete({"x": 2.0})
+    thinned = mc_mean(
+        each(lambda gen: sampler._couple(lam2, lam1, None, gen).phi_nu.total_points()),
+        MCPlan(20_000, rng.child(9), workers=workers)).estimate()
+    add(CheckRow("coupling_marginal_mean", thinned.estimate, 1.0, thinned.stderr, "z"))
     pair_same = sampler.thin_superpose_couple(lam1, lam1, rng=rng.child(10))
     add(CheckRow("coupling_identity_at_equal_measures",
                  float(pair_same.phi_lambda == pair_same.phi_nu), 1.0, 0.0, "bool"))

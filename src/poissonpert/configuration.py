@@ -131,11 +131,6 @@ class PointConfiguration:
         return f"PointConfiguration({{{inner}}})"
 
 
-def add_points(phi: PointConfiguration, xs: Iterable) -> PointConfiguration:
-    """Multiset union of a configuration with a list of points."""
-    return phi.add(xs)
-
-
 @dataclass(frozen=True)
 class Functional:
     """A real functional of point configurations.

@@ -67,8 +67,6 @@ def nonlinear_derivative(f: Functional, family: PerturbationFamily,
     at theta0.  The value itself never sees the remainder.
     """
     rho = family.reference
-    if not isinstance(rho, DiscreteMeasure):
-        raise ValueError("exact-regime family required (discrete reference)")
     if family.remainder is not None and family.envelope is None:
         # the nu << lam special case drops the envelope requirement: the
         # remainder must then vanish in square mean, sampled the same way
@@ -156,7 +154,7 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
     lo = lam.scaled(theta - delta)
 
     def draw(gen):
-        pair = _couple(hi, lo, None, gen, gen, gen)
+        pair = _couple(hi, lo, None, gen)
         return (f(pair.phi_lambda) - f(pair.phi_nu)) / (2.0 * delta)
 
     return mc_mean(each(draw), mc).estimate()

@@ -1,10 +1,15 @@
 """Intensity measures, signed perturbations, and admissibility diagnostics.
 
-Two regimes are supported.  On a finite discrete ground space a measure is an
-explicit table of atom masses; every integral is a finite sum and every
-diagnostic is exact.  On a box in R^d a measure is given by a density against
-a reference measure that knows its own total mass and how to sample itself,
-and quantities are estimated by Monte Carlo.
+Perturbations live on a finite discrete ground space: a measure is an
+explicit table of atom masses, every integral is a finite sum and every
+diagnostic is exact.  Signed perturbations, Hellinger distances, couplings and
+parametric families take discrete measures only.
+
+A measure on a box in R^d (``DensityMeasure``: a density against a reference
+measure that knows its own total mass and how to sample itself) is a sampling
+intensity and nothing more.  ``sampler.sample_poisson`` draws its
+configurations by envelope thinning and ``sampler.mecke_check`` estimates both
+sides of the Mecke identity on it.
 
 Conventions
 -----------
@@ -205,13 +210,13 @@ def discrete(masses: Mapping) -> DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Density measures on boxes (the Monte Carlo regime)
+# Density measures on boxes (sampling intensities)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DensityMeasure:
-    """A measure ``density * reference`` on a box.
+    """A measure ``density * reference`` on a box, used as a sampling intensity.
 
     The reference knows its total mass on a window and how to draw points
     from its normalization.  ``density_bound`` (a sup bound over the window)
@@ -223,7 +228,6 @@ class DensityMeasure:
     reference_sampler: Callable[[BoxWindow, np.random.Generator, int], np.ndarray]
     density: Callable[[tuple], float]
     density_bound: float | None = None
-    reference_token: object = None
 
     def density_at(self, point) -> float:
         val = float(self.density(point))
@@ -231,17 +235,8 @@ class DensityMeasure:
             raise ValueError(f"density must be finite and >= 0, got {val} at {point}")
         return val
 
-    def same_reference(self, other: "DensityMeasure") -> bool:
-        if self.reference_token is not None or other.reference_token is not None:
-            return self.reference_token == other.reference_token
-        return (
-            self.reference_mass is other.reference_mass
-            and self.reference_sampler is other.reference_sampler
-        )
 
-
-def lebesgue_measure(box: BoxWindow, density=None, density_bound=None,
-                     token="lebesgue") -> DensityMeasure:
+def lebesgue_measure(box: BoxWindow, density=None, density_bound=None) -> DensityMeasure:
     """Density measure against Lebesgue measure restricted to ``box``."""
 
     def mass(window: BoxWindow) -> float:
@@ -261,7 +256,6 @@ def lebesgue_measure(box: BoxWindow, density=None, density_bound=None,
         reference_sampler=sampler,
         density=density,
         density_bound=density_bound,
-        reference_token=(token, box),
     )
 
 
@@ -281,7 +275,7 @@ def _as_density(d) -> Callable:
 class SignedPerturbation:
     """The signed difference of two measures, held as densities against rho."""
 
-    reference: DiscreteMeasure | DensityMeasure
+    reference: DiscreteMeasure
     density_low: Callable
     density_high: Callable
 
@@ -296,62 +290,34 @@ class SignedPerturbation:
             density_high=_as_density(nu.density_against(rho)),
         )
 
-    @staticmethod
-    def from_densities(low: DensityMeasure, high: DensityMeasure) -> "SignedPerturbation":
-        if not low.same_reference(high):
-            raise MeasureMismatchError("signed perturbation requires a shared reference")
-        return SignedPerturbation(
-            reference=low,
-            density_low=low.density,
-            density_high=high.density,
-        )
-
     def signed_density(self, point) -> float:
         return float(self.density_high(point)) - float(self.density_low(point))
 
 
-def signed_power_integral(g: Callable, pert: SignedPerturbation, n: int,
-                          mc=None) -> float:
+def signed_power_integral(g: Callable, pert: SignedPerturbation, n: int) -> float:
     """``int g d(nu - lam)^n`` through the tensorized signed density.
 
-    Exact on discrete references.  On a density reference an ``mc`` plan
-    (``sampler.MCPlan``) drives a plain Monte Carlo estimate over the
-    reference measure.  The order ``n = 0`` constant term is the caller's
-    business and is rejected here.
+    An exact finite sum over the reference's support.  The order ``n = 0``
+    constant term is the caller's business and is rejected here.
     """
     if n < 1:
         raise ValueError("order must be a positive integer; handle the n=0 term yourself")
     rho = pert.reference
-    if isinstance(rho, DiscreteMeasure):
-        weights = []
-        for atom in rho.support():
-            w = pert.signed_density(atom) * rho.mass(atom)
-            if w != 0.0:
-                weights.append((atom, w))
-        if not weights:
-            return 0.0
-        terms = []
-        for combo in product(weights, repeat=n):
-            xs = tuple(a for a, _ in combo)
-            w = 1.0
-            for _, wi in combo:
-                w *= wi
-            terms.append(g(*xs) * w)
-        return math.fsum(terms)
-    if mc is None:
-        raise MeasureMismatchError("non-discrete reference needs an MC plan")
-    gen = mc.stream.generator()
-    window = rho.window
-    mass = rho.reference_mass(window)
-    pts = rho.reference_sampler(window, gen, mc.samples * n).reshape(mc.samples, n, -1)
-    vals = np.empty(mc.samples)
-    for i in range(mc.samples):
-        xs = [tuple(pts[i, j]) for j in range(n)]
+    weights = []
+    for atom in rho.support():
+        w = pert.signed_density(atom) * rho.mass(atom)
+        if w != 0.0:
+            weights.append((atom, w))
+    if not weights:
+        return 0.0
+    terms = []
+    for combo in product(weights, repeat=n):
+        xs = tuple(a for a, _ in combo)
         w = 1.0
-        for x in xs:
-            w *= pert.signed_density(x)
-        vals[i] = g(*xs) * w
-    return float(np.mean(vals) * mass**n)
+        for _, wi in combo:
+            w *= wi
+        terms.append(g(*xs) * w)
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -359,36 +325,21 @@ def signed_power_integral(g: Callable, pert: SignedPerturbation, n: int,
 # ---------------------------------------------------------------------------
 
 
-def hellinger_measures(lam, nu, rho=None, mc=None) -> float:
+def hellinger_measures(lam: DiscreteMeasure, nu: DiscreteMeasure,
+                       rho: DiscreteMeasure | None = None) -> float:
     """Squared Hellinger distance between two intensity measures.
 
-    Independent of the dominating measure; for a discrete pair the default
-    dominating measure is lam + nu.
+    Independent of the dominating measure; the default dominating measure is
+    lam + nu.
     """
-    if isinstance(lam, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        if rho is None:
-            rho = lam.plus(nu)
-        h_lam = lam.density_against(rho)
-        h_nu = nu.density_against(rho)
-        return 0.5 * math.fsum(
-            (math.sqrt(h_lam[a]) - math.sqrt(h_nu[a])) ** 2 * rho.mass(a)
-            for a in rho.atoms
-        )
-    if isinstance(lam, DensityMeasure) and isinstance(nu, DensityMeasure):
-        if not lam.same_reference(nu):
-            raise MeasureMismatchError("supply a common dominating reference")
-        if mc is None:
-            raise MeasureMismatchError("non-discrete Hellinger needs an MC plan")
-        gen = mc.stream.generator()
-        window = lam.window
-        mass = lam.reference_mass(window)
-        pts = lam.reference_sampler(window, gen, mc.samples)
-        vals = [
-            (math.sqrt(lam.density_at(tuple(p))) - math.sqrt(nu.density_at(tuple(p)))) ** 2
-            for p in pts
-        ]
-        return 0.5 * mass * float(np.mean(vals))
-    raise MeasureMismatchError("mixed or unsupported measure types")
+    if rho is None:
+        rho = lam.plus(nu)
+    h_lam = lam.density_against(rho)
+    h_nu = nu.density_against(rho)
+    return 0.5 * math.fsum(
+        (math.sqrt(h_lam[a]) - math.sqrt(h_nu[a])) ** 2 * rho.mass(a)
+        for a in rho.atoms
+    )
 
 
 def hellinger_decomposed(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -406,14 +357,15 @@ def hellinger_decomposed(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return 0.5 * (math.fsum(acc) + nu2.total())
 
 
-def hellinger_poisson(lam, nu, rho=None, mc=None, cap: float = DEFAULT_CAP) -> float:
+def hellinger_poisson(lam: DiscreteMeasure, nu: DiscreteMeasure,
+                      rho: DiscreteMeasure | None = None, cap: float = DEFAULT_CAP) -> float:
     """Squared Hellinger distance between the two Poisson process laws.
 
     Computed through the identity ``1 - exp(-H(lam, nu))``; the measure-level
     distance is capped first, so a divergent input maps to 1 within cap
     tolerance.
     """
-    h = min(hellinger_measures(lam, nu, rho=rho, mc=mc), cap)
+    h = min(hellinger_measures(lam, nu, rho=rho), cap)
     return -math.expm1(-h)
 
 
@@ -560,16 +512,22 @@ class PerturbationFamily:
 
     ``remainder`` is the possibly non-linear part; it must vanish at theta0
     and stay under the square-integrable ``envelope``.  A linear family has
-    ``remainder=None``.
+    ``remainder=None``.  The reference must be a ``DiscreteMeasure``.
     """
 
-    reference: DiscreteMeasure | DensityMeasure
+    reference: DiscreteMeasure
     base_density: Callable = field(default=lambda x: 1.0)
     direction: Callable = field(default=lambda x: 0.0)
     theta0: float = 0.0
     interval: tuple[float, float] = (0.0, 1.0)
     remainder: Callable | None = None
     envelope: Callable | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.reference, DiscreteMeasure):
+            raise MeasureMismatchError(
+                f"a perturbation family needs a discrete reference, "
+                f"got {type(self.reference).__name__}")
 
     @staticmethod
     def linear(rho, base_density, direction, theta0=0.0, interval=(0.0, 1.0)):
@@ -599,12 +557,9 @@ class PerturbationFamily:
     def measure_at(self, theta: float) -> DiscreteMeasure:
         if not self.contains(theta):
             raise ValueError(f"theta={theta} outside declared interval {self.interval}")
-        rho = self.reference
-        if not isinstance(rho, DiscreteMeasure):
-            raise MeasureMismatchError("measure_at is exact-regime only (discrete reference)")
         dens = self.density_at(theta)
         masses = {}
-        for a, m in rho.items():
+        for a, m in self.reference.items():
             val = dens(a)
             if val < -1e-12:
                 raise ValueError(f"family density negative ({val:g}) at atom {a!r}, theta={theta}")

@@ -3,11 +3,12 @@ the Mecke-identity test harness.
 
 Sampling follows the mixed-sample construction: on a window of finite mass M
 draw N ~ Poisson(M) and then N points i.i.d. from the normalized measure.
-For a density measure h * ref the same law is realized by envelope thinning
-(sample from bound * ref, retain with probability h/bound), which never needs
-the tilted total mass.
+``sample_poisson`` and ``mecke_check`` also accept a density measure h * ref
+on a box, whose configurations are drawn by envelope thinning (sample from
+bound * ref, retain with probability h/bound), which never needs the tilted
+total mass.  Everything else here takes discrete measures.
 
-Finite-difference oracles elsewhere couple two intensities with
+Finite-difference oracles elsewhere couple two discrete intensities with
 ``thin_superpose_couple``: points of the lower envelope are shared, which is
 what makes coupled differences low variance.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import PointConfiguration
-from .measures import DensityMeasure, DiscreteMeasure, MeasureMismatchError
+from .measures import DensityMeasure, DiscreteMeasure
 from .rng import EstimateResult, MCPlan, RngStream, each, mc_mean
 
 
@@ -73,9 +74,14 @@ def sample_counts(m: DiscreteMeasure, window, rng: RngStream, size: int) -> np.n
     Same law as ``sample_poisson`` on a discrete measure (independent counts
     per atom), drawn in a layout suited to big replication batteries.
     """
+    return _draw_counts(m, window, rng.generator(), size)
+
+
+def _draw_counts(m: DiscreteMeasure, window, gen: np.random.Generator,
+                 size: int) -> np.ndarray:
+    """``sample_counts`` drawn from an explicit generator."""
     mr = m.restrict(window)
     masses = np.array([mr.mass(a) for a in mr.support()])
-    gen = rng.generator()
     if masses.size == 0:
         return np.zeros((size, 0), dtype=np.int64)
     return gen.poisson(masses, size=(size, masses.size))
@@ -90,7 +96,8 @@ class CoupledPair:
     shared: PointConfiguration
 
 
-def thin_superpose_couple(lam, nu, window=None, rng: RngStream | None = None) -> CoupledPair:
+def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None,
+                          rng: RngStream | None = None) -> CoupledPair:
     """Couple Poisson(lam) and Poisson(nu) by independent thinning plus an
     independent superposed remainder.
 
@@ -101,64 +108,32 @@ def thin_superpose_couple(lam, nu, window=None, rng: RngStream | None = None) ->
     """
     if rng is None:
         raise ValueError("an RngStream is required")
-    return _couple(lam, nu, window, rng.child(0).generator(), rng.child(1).generator(),
-                   rng.child(2).generator())
+    return _couple(lam, nu, window, rng.generator())
 
 
-def _couple(lam, nu, window, gen_base, gen_thin, gen_extra) -> CoupledPair:
-    """The coupling drawn from explicit generators: the base configuration,
-    the thinning coins and the superposed remainder may share one."""
-    if isinstance(lam, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        lam_r, nu_r = lam.restrict(window), nu.restrict(window)
-        phi_l = sample_poisson(lam_r, None, generator=gen_base)
-        kept: dict = {}
-        for a, mult in phi_l.items():
-            hl, hn = lam_r.mass(a), nu_r.mass(a)
-            if hl > hn:
-                p = hn / hl  # hl > hn >= 0, no division hazard
-                k = int(gen_thin.binomial(mult, p))
-            else:
-                k = mult
-            if k:
-                kept[a] = k
-        shared = PointConfiguration(kept)
-        extra_masses = {a: nu_r.mass(a) - lam_r.mass(a)
-                        for a in set(lam_r.atoms) | set(nu_r.atoms)
-                        if nu_r.mass(a) > lam_r.mass(a)}
-        extra = sample_poisson(DiscreteMeasure(extra_masses), None, generator=gen_extra)
-        phi_n = shared.add(extra.points())
-        return CoupledPair(phi_l, phi_n, shared)
-
-    if isinstance(lam, DensityMeasure) and isinstance(nu, DensityMeasure):
-        if not lam.same_reference(nu):
-            raise MeasureMismatchError("coupling needs a common reference")
-        win = window or lam.window
-        phi_l = sample_poisson(lam, win, generator=gen_base)
-        kept = {}
-        for p, mult in phi_l.items():
-            hl, hn = lam.density_at(p), nu.density_at(p)
-            if hl > hn:
-                k = int(gen_thin.binomial(mult, hn / hl))
-            else:
-                k = mult
-            if k:
-                kept[p] = k
-        shared = PointConfiguration(kept)
-        if lam.density_bound is None or nu.density_bound is None:
-            raise ValueError("density bounds required for the superposed part")
-        diff_bound = nu.density_bound + lam.density_bound
-
-        def diff_density(point):
-            return max(nu.density_at(point) - lam.density_at(point), 0.0)
-
-        extra_measure = DensityMeasure(
-            window=lam.window, reference_mass=lam.reference_mass,
-            reference_sampler=lam.reference_sampler, density=diff_density,
-            density_bound=diff_bound, reference_token=lam.reference_token)
-        extra = sample_poisson(extra_measure, win, generator=gen_extra)
-        phi_n = shared.add(extra.points())
-        return CoupledPair(phi_l, phi_n, shared)
-    raise TypeError("coupling requires two measures of the same regime")
+def _couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window,
+            gen: np.random.Generator) -> CoupledPair:
+    """The coupling drawn from one generator: the base configuration, then
+    the thinning coins, then the superposed remainder."""
+    lam_r, nu_r = lam.restrict(window), nu.restrict(window)
+    phi_l = sample_poisson(lam_r, None, generator=gen)
+    kept: dict = {}
+    for a, mult in phi_l.items():
+        hl, hn = lam_r.mass(a), nu_r.mass(a)
+        if hl > hn:
+            p = hn / hl  # hl > hn >= 0, no division hazard
+            k = int(gen.binomial(mult, p))
+        else:
+            k = mult
+        if k:
+            kept[a] = k
+    shared = PointConfiguration(kept)
+    extra_masses = {a: nu_r.mass(a) - lam_r.mass(a)
+                    for a in set(lam_r.atoms) | set(nu_r.atoms)
+                    if nu_r.mass(a) > lam_r.mass(a)}
+    extra = sample_poisson(DiscreteMeasure(extra_masses), None, generator=gen)
+    phi_n = shared.add(extra.points())
+    return CoupledPair(phi_l, phi_n, shared)
 
 
 def mc_expectation(f, m, window=None, plan: MCPlan | None = None) -> EstimateResult:

@@ -404,8 +404,6 @@ def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
     if not family.contains(theta):
         raise ValueError(f"theta={theta} outside declared interval {family.interval}")
     rho = family.reference
-    if not isinstance(rho, DiscreteMeasure):
-        raise ValueError("exact parametric series is discrete-regime only")
     base = family.base_measure()
     dt = theta - family.theta0
     weights = {a: dt * family.direction(a) * rho.mass(a) for a in rho.atoms}

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from poissonpert import battery
 from poissonpert.battery import CheckRow, z_gate
 from poissonpert.cli import EXIT_CHECK, EXIT_OK, main
+from poissonpert.rng import RngStream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STUDY_OF_CONFIG = {
@@ -58,6 +60,22 @@ class TestZGate:
     def test_unusable_stderr_fails(self, se):
         assert not z_gate(0.0, se)
         assert not CheckRow("z", 1.0, 1.0, se, "z").passed
+
+
+class TestBattery:
+    def test_no_generator_per_replication(self, monkeypatch):
+        # mc_mean builds one generator per chunk; a row that builds one per
+        # replication (the battery's rows run 8,000-50,000) exceeds the limit
+        built = []
+        generator = RngStream.generator
+
+        def counted(stream):
+            built.append(stream)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+        battery.run_battery(42)
+        assert len(built) < 1_000
 
 
 class TestDerivStudy:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from poissonpert import (AtomWindow, Functional, PointConfiguration, add_points,
+from poissonpert import (AtomWindow, Functional, PointConfiguration,
                          count_functional, count_squared, difference_n,
                          difference_n_recursive, void_indicator)
 from poissonpert.configuration import (DifferenceOrderError,
@@ -13,15 +13,15 @@ from poissonpert.configuration import (DifferenceOrderError,
 
 class TestPointConfiguration:
     def test_add_to_empty(self):
-        assert add_points(PointConfiguration.empty(), ["x"]) == PointConfiguration({"x": 1})
+        assert PointConfiguration.empty().add(["x"]) == PointConfiguration({"x": 1})
 
     def test_multiplicity_accumulates(self):
         phi = PointConfiguration({"x": 1})
-        assert add_points(phi, ["x"]) == PointConfiguration({"x": 2})
+        assert phi.add(["x"]) == PointConfiguration({"x": 2})
 
     def test_mixed_additions(self):
         phi = PointConfiguration({"x": 1})
-        assert add_points(phi, ["y", "y"]) == PointConfiguration({"x": 1, "y": 2})
+        assert phi.add(["y", "y"]) == PointConfiguration({"x": 1, "y": 2})
 
     def test_remove_one(self):
         phi = PointConfiguration({"x": 2})

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poissonpert import (AtomWindow, BoxWindow, DiscreteMeasure, MCPlan,
+from poissonpert import (AtomWindow, BoxWindow, DiscreteMeasure,
                          MeasureMismatchError, PerturbationFamily, RngStream,
                          SignedPerturbation, admissibility_check, discrete,
                          hellinger_decomposed, hellinger_measures, hellinger_poisson,
@@ -71,13 +71,6 @@ class TestSignedPowerIntegral:
         with pytest.raises(ValueError):
             signed_power_integral(lambda: 1.0, pert, 0)
 
-    def test_mismatched_references_rejected(self):
-        box = BoxWindow((0.0,), (1.0,))
-        a = lebesgue_measure(box, lambda p: 1.0, 1.0, token="a")
-        b = lebesgue_measure(box, lambda p: 2.0, 2.0, token="b")
-        with pytest.raises(MeasureMismatchError):
-            SignedPerturbation.from_densities(a, b)
-
     def test_product_form_factorizes(self, rng):
         gen = rng.child(0).generator()
         for _ in range(10):
@@ -92,18 +85,6 @@ class TestSignedPowerIntegral:
             for g in gs:
                 split *= signed_power_integral(lambda x, _g=g: _g[x], pert, 1)
             assert tensor == pytest.approx(split, abs=1e-12)
-
-    def test_monte_carlo_route_on_box(self, rng):
-        # lam = Lebesgue on [0,1], nu = 2x dx: int (h_nu - h_lam) drho = 0 exactly,
-        # order-2 with g = 1 gives (int (2x - 1) dx)^2 = 0; use g(x,y) = x + y
-        box = BoxWindow((0.0,), (1.0,))
-        lam = lebesgue_measure(box)
-        nu = lebesgue_measure(box, lambda p: 2.0 * p[0], 2.0)
-        pert = SignedPerturbation.from_densities(lam, nu)
-        plan = MCPlan(40_000, rng.child(1))
-        est = signed_power_integral(lambda x: x[0], pert, 1, mc=plan)
-        # oracle: int x (2x - 1) dx = 2/3 - 1/2 = 1/6
-        assert est == pytest.approx(1.0 / 6.0, abs=0.01)
 
 
 class TestHellinger:
@@ -236,6 +217,11 @@ class TestLebesgueDecompose:
 
 
 class TestPerturbationFamily:
+    def test_box_reference_rejected_at_construction(self):
+        box = lebesgue_measure(BoxWindow((0.0,), (1.0,)))
+        with pytest.raises(MeasureMismatchError):
+            PerturbationFamily.linear(box, lambda p: 1.0, lambda p: 0.5)
+
     def test_negative_density_detected(self):
         fam = PerturbationFamily.linear(discrete({"x": 1.0}), lambda a: 0.5,
                                         lambda a: -1.0, theta0=0.0, interval=(0.0, 1.0))
