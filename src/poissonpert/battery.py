@@ -22,7 +22,7 @@ from .configuration import (PointConfiguration, constant_functional, count_squar
 from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
                           pivotal_derivative, richardson_fd, scaled_derivative)
 from .measures import AtomWindow, PerturbationFamily, discrete
-from .rng import RngStream, each, mc_mean
+from .rng import RngStream, mc_mean
 from .sampler import MCPlan
 
 
@@ -237,18 +237,19 @@ def run_battery(seed: int, workers: int = 1) -> list[CheckRow]:
                  cfd.stderr, "z"))
 
     # --- sampler -------------------------------------------------------------
-    void = mc_mean(lambda gen, n: (sampler._draw_counts(lam1, None, gen, n)[:, 0] == 0)[None],
-                   MCPlan(50_000, rng.child(7), workers=workers)).estimate()
+    void = mc_mean(
+        lambda gen, n: (sampler.sample_counts(lam1, size=n, generator=gen)[:, 0] == 0)[None],
+        MCPlan(50_000, rng.child(7), workers=workers)).estimate()
     add(CheckRow("sampler_void_probability", void.estimate, math.exp(-1.0), void.stderr, "z"))
 
     two = discrete({"x": 1.0, "y": 2.0})
-    count_y = mc_mean(lambda gen, n: sampler._draw_counts(two, None, gen, n)[:, 1][None],
+    count_y = mc_mean(lambda gen, n: sampler.sample_counts(two, size=n, generator=gen)[:, 1][None],
                       MCPlan(50_000, rng.child(8), workers=workers)).estimate()
     add(CheckRow("sampler_mean_counts", count_y.estimate, 2.0, count_y.stderr, "z"))
 
     lam2 = discrete({"x": 2.0})
     thinned = mc_mean(
-        each(lambda gen: sampler._couple(lam2, lam1, None, gen).phi_nu.total_points()),
+        lambda gen, n: sampler.couple_counts(lam2, lam1, gen, n)[2].sum(axis=1)[None],
         MCPlan(20_000, rng.child(9), workers=workers)).estimate()
     add(CheckRow("coupling_marginal_mean", thinned.estimate, 1.0, thinned.stderr, "z"))
     pair_same = sampler.thin_superpose_couple(lam1, lam1, rng=rng.child(10))

@@ -11,20 +11,29 @@ subset sum
 
     sum over J subset of {1..n} of (-1)^(n-|J|) * f(phi + sum_{j in J} delta_{x_j})
 
-which is symmetric in the points.  ``difference_n`` evaluates it by a
-Gray-code walk over subsets; ``difference_n_recursive`` follows the one-point
-recursion and exists only as a cross-check.
+which is symmetric in the points.  ``difference_n`` sums it over subsets;
+``difference_n_recursive`` follows the one-point recursion and exists only
+as a cross-check.
+
+On a discrete space a configuration is a vector of per-atom counts:
+``count_values`` evaluates f on whole count arrays (exact lattices, Monte
+Carlo chunks) and ``difference_counts`` differences every row of a chunk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 DIFFERENCE_ORDER_CAP = 20
+NODE_SLICE = 1 << 16  # most count nodes of a Monte Carlo chunk evaluated in one array
+SPOT_RTOL = 1e-12  # count form vs fn on the spot-checked nodes (the built-ins agree exactly)
+SPOT_NODES = 8  # leading nodes of a checked Monte Carlo chunk compared against fn
 
 
 class FunctionalEvaluationError(RuntimeError):
@@ -67,6 +76,12 @@ class PointConfiguration:
     @staticmethod
     def empty() -> "PointConfiguration":
         return PointConfiguration()
+
+    @staticmethod
+    def from_counts(atoms: Sequence, counts: Sequence[int]) -> "PointConfiguration":
+        """counts[i] copies of atoms[i]; a zero count leaves the atom out."""
+        return PointConfiguration._trusted({a: int(c) for a, c in zip(atoms, counts) if c},
+                                           int(sum(counts)))
 
     @staticmethod
     def from_points(points: Iterable) -> "PointConfiguration":
@@ -142,20 +157,20 @@ class Functional:
     caps.  ``increasing``: declares f as the indicator of an increasing event,
     a prerequisite of the pivotal estimator.
 
-    ``counts``: optional count-array form of ``fn`` on a discrete lattice,
-    called as ``counts(cs, atoms)``.  ``atoms`` lists atom identifiers and
-    ``cs[i]`` is an integer array holding the count of ``atoms[i]``; the
-    arrays form an open grid (``np.ix_`` style: axis i varies along
-    dimension i only), so they broadcast against each other and no dense
-    stack of count vectors is ever built.  The result must broadcast to the
-    grid and hold, at every node, ``fn`` of the configuration
-    {atoms[i]: cs[i]} with no other points.  The exact engine evaluates its
-    whole lattice through this form in one call and evaluates ``fn`` on a
-    few fixed nodes of every such table (origin, far corner, three interior
-    nodes); a disagreement there beyond ``exact.SPOT_RTOL`` relative raises
+    ``counts``: optional count-array form of ``fn``, called as
+    ``counts(cs, atoms)``.  ``atoms`` lists atom identifiers and ``cs[i]``
+    is an integer array holding the count of ``atoms[i]``; the arrays need
+    only broadcast together (the exact tables pass an open grid, ``np.ix_``
+    style, so no dense stack of count vectors is built; Monte Carlo passes
+    one replication axis).  The result must broadcast to their shape and
+    hold, at every node, ``fn`` of the configuration {atoms[i]: cs[i]} with
+    no other points.  ``count_values`` evaluates it and compares it with
+    ``fn`` on a few spot nodes (a table's origin, far corner and three
+    interior nodes; the empty configuration and the first nodes of a Monte
+    Carlo estimate); a disagreement beyond ``SPOT_RTOL`` relative raises
     ``CountFormMismatchError`` naming the functional, so a copy made with
     ``dataclasses.replace(f, fn=other)`` cannot silently keep a stale count
-    form.  Without ``counts`` the engine calls ``fn`` node by node.
+    form.  Without ``counts``, ``fn`` runs node by node.
     """
 
     fn: Callable[[PointConfiguration], float]
@@ -220,46 +235,98 @@ def constant_functional(c: float, name="const") -> Functional:
                       counts=lambda cs, atoms: np.array(float(c)))
 
 
+def count_values(f, cs: Sequence, atoms: Sequence, spot: Iterable = ()) -> np.ndarray:
+    """f at every node of the per-atom count arrays ``cs``, broadcast together.
+
+    Through ``f.counts`` in one call when the functional has a count form: a
+    NaN raises ``FunctionalEvaluationError``, and at each node index in
+    ``spot`` the value is checked against ``fn``.  Otherwise (a plain
+    callable, a hand-written ``Functional``) ``fn`` runs node by node.
+    """
+    values = np.empty(np.broadcast(*cs).shape)
+    counts = getattr(f, "counts", None)
+    if counts is None:
+        spot = np.ndindex(values.shape)
+    else:
+        values[...] = counts(cs, atoms)
+        if np.isnan(values).any():
+            spot = [tuple(np.argwhere(np.isnan(values))[0])]
+    name, full = getattr(f, "name", "") or repr(f), ()
+    for node in spot:
+        full = full or np.broadcast_arrays(*cs)
+        at = [int(c[node]) for c in full]
+        want, got = f(PointConfiguration.from_counts(atoms, at)), float(values[node])
+        if counts is None:
+            values[node] = want
+        elif got != got:
+            raise FunctionalEvaluationError(
+                f"functional {name} returned NaN at counts {dict(zip(atoms, at))!r}")
+        elif not (got == want or abs(got - want) <= SPOT_RTOL * max(abs(got), abs(want))):
+            raise CountFormMismatchError(
+                f"functional {name}: count form gives {got!r} but fn gives {want!r} "
+                f"at counts {dict(zip(atoms, at))!r}")
+    return values
+
+
+def chunk_values(f, cs: Sequence, atoms: Sequence, check: bool = False) -> np.ndarray:
+    """``count_values`` on a Monte Carlo chunk; ``check`` spot-checks the
+    empty configuration and the first ``SPOT_NODES`` nodes."""
+    if not check:
+        return count_values(f, cs, atoms)
+    count_values(f, [np.zeros((), dtype=np.int64)] * len(atoms), atoms, [()])
+    return count_values(f, cs, atoms, itertools.islice(np.ndindex(np.broadcast(*cs).shape),
+                                                       SPOT_NODES))
+
+
+@lru_cache(maxsize=32)
+def _subsets(n: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Subsets start..start+size-1 of n points as 0/1 columns (row j: point
+    j added) and their signs (-1)^(n - |J|)."""
+    bits = (np.arange(start, start + size) >> np.arange(n)[:, None]) & 1
+    signs = np.where((n - bits.sum(axis=0)) % 2, -1.0, 1.0)
+    bits.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return bits, signs
+
+
+def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
+                      check: bool = False) -> np.ndarray:
+    """``difference_n`` on every row of a Monte Carlo chunk.
+
+    Row r is the configuration ``counts[r]`` over ``atoms`` with the points
+    ``atoms[picks[r, j]]``, j < n.  Its 2^n subset configurations form one
+    count array, evaluated by ``chunk_values`` (``check`` on the first slice)
+    at most ``NODE_SLICE`` nodes at a time; the signed values of a row are
+    added with ``math.fsum``, as in ``difference_n``.
+    """
+    rows, n = picks.shape
+    hot = picks == np.arange(len(atoms))[:, None, None]  # (atoms, rows, n)
+    step = min(1 << n, NODE_SLICE)
+    per = NODE_SLICE // step
+    out = np.empty(rows)
+    for r in range(0, rows, per):
+        signed = []
+        for start in range(0, 1 << n, step):
+            bits, signs = _subsets(n, start, step)
+            cs = list(counts[r:r + per].T[:, :, None] + hot[:, r:r + per] @ bits)
+            signed.append(chunk_values(f, cs, atoms, check and start == r == 0) * signs)
+        signed = np.concatenate(signed, axis=-1)
+        out[r:r + per] = signed[..., 0] if n == 0 else list(map(math.fsum, signed.tolist()))
+    return out
+
+
 def difference_n(f: Functional, phi: PointConfiguration, xs: Sequence,
                  cap: int = DIFFERENCE_ORDER_CAP) -> float:
     """n-th difference of f at phi via the symmetric subset sum.
 
-    Subsets are walked in Gray-code order so successive evaluations differ by
-    a single added or removed point, and the terms are combined with exact
-    compensated summation, making the value invariant under permutations of
+    The 2^n signed values are combined with exact compensated summation
+    (``math.fsum``), which makes the value invariant under permutations of
     xs at full precision.
     """
     n = len(xs)
-    if n == 0:
-        return f(phi)
     if n > cap:
         raise DifferenceOrderError(f"difference order {n} above cap {cap} (cost is 2^n)")
-    work = {p: m for p, m in phi.items()}
-    total = phi.total_points()
-    terms = [(-1.0 if n % 2 else 1.0) * f(phi)]
-    size = 0
-    prev_gray = 0
-    for j in range(1, 1 << n):
-        gray = j ^ (j >> 1)
-        bit = gray ^ prev_gray
-        idx = bit.bit_length() - 1
-        x = xs[idx]
-        if gray & bit:
-            work[x] = work.get(x, 0) + 1
-            total += 1
-            size += 1
-        else:
-            m = work[x]
-            if m == 1:
-                del work[x]
-            else:
-                work[x] = m - 1
-            total -= 1
-            size -= 1
-        prev_gray = gray
-        sign = -1.0 if (n - size) % 2 else 1.0
-        terms.append(sign * f(PointConfiguration._trusted(dict(work), total)))
-    return math.fsum(terms)
+    return math.fsum((-1.0) ** (n - k) * f(phi.add(sub))
+                     for k in range(n + 1) for sub in itertools.combinations(xs, k))
 
 
 def difference_n_recursive(f: Functional, phi: PointConfiguration, xs: Sequence,

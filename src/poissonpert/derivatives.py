@@ -16,8 +16,8 @@ All four estimators target d/dtheta E f(Phi) along a family of intensities:
   (optionally weighted) number of pivotal points of an increasing event.
 
 Finite-difference oracles couple their two measures through the sampler's
-thinning construction (common random numbers), which is what makes the
-3-sigma comparisons meaningful at desk scale.
+count-array thinning construction (common random numbers), which is what
+makes the 3-sigma comparisons meaningful at desk scale.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Sequence
 
-from .configuration import Functional
+import numpy as np
+
+from .configuration import SPOT_NODES, Functional, chunk_values
 from .exact import EnumerationPlan
 from .measures import DiscreteMeasure, PerturbationFamily
-from .rng import EstimateResult, MCPlan, each, mc_mean
-from .sampler import _couple, sample_poisson
+from .rng import EstimateResult, MCPlan, mc_mean
+from .sampler import couple_counts, sample_counts
 from .series import SeriesResult, _signed_atoms, order_one, parametric_series
 
 SPOT_CHECKS = 64  # replications of the first chunk that probe the increasing event
@@ -120,28 +122,32 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
     if not f.increasing:
         raise NonIncreasingEventError("functional not declared increasing")
     scaled = lam.scaled(theta)
-    atoms = lam.support()
+    atoms = scaled.support()
+    if not atoms:
+        return EstimateResult(0.0, 0.0)
+    w = np.array([1.0 if weight is None else weight(x) for x in atoms])
+    eye = np.eye(len(atoms), dtype=np.int64)
 
-    def draw(gen, probe=False):
-        phi = sample_poisson(scaled, None, generator=gen)
-        base_val = f(phi)
+    def draw(gen, n, probe=False):
+        c = sample_counts(scaled, size=n, generator=gen)[:, None]
+        # node 0 is Phi, node 1 + i is Phi - delta_{atoms[i]} (Phi if it holds
+        # none there, a zero term), and a probe adds one random atom at the end
+        nodes = [c, np.maximum(c - eye, 0)]
         if probe:
-            x = atoms[int(gen.integers(len(atoms)))]
-            if f(phi.add([x])) < base_val - 1e-12:
-                raise NonIncreasingEventError(
-                    f"adding a point decreased the functional at {x!r}")
-        total = 0.0
-        for x, mult in phi.items():
-            term = base_val - f(phi.remove_one(x))
-            if term < -1e-12:
-                raise NonIncreasingEventError(
-                    f"negative pivotal term at {x!r}; event is not increasing")
-            w = 1.0 if weight is None else weight(x)
-            total += mult * term * w
-        return total / theta
+            xs = gen.integers(len(atoms), size=n)
+            nodes.append(c + eye[xs][:, None])
+        values = chunk_values(f, list(np.concatenate(nodes, axis=1).T), atoms, probe).T
+        if probe and (values[:, -1] < values[:, 0] - 1e-12).any():
+            x = atoms[xs[np.argmax(values[:, -1] < values[:, 0] - 1e-12)]]
+            raise NonIncreasingEventError(f"adding a point decreased the functional at {x!r}")
+        terms = values[:, :1] - values[:, 1:len(atoms) + 1]
+        if (terms < -1e-12).any():
+            x = atoms[np.argwhere(terms < -1e-12)[0, 1]]
+            raise NonIncreasingEventError(f"negative pivotal term at {x!r}; "
+                                          "event is not increasing")
+        return ((c[:, 0] * terms) @ w / theta)[None]
 
-    lead = (each(partial(draw, probe=True)), SPOT_CHECKS if atoms else 0)
-    return mc_mean(each(draw), mc, lead=lead).estimate()
+    return mc_mean(draw, mc, lead=(partial(draw, probe=True), SPOT_CHECKS)).estimate()
 
 
 def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -152,12 +158,16 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
         raise ValueError("theta - delta must stay positive")
     hi = lam.scaled(theta + delta)
     lo = lam.scaled(theta - delta)
+    if not lam.support():
+        return EstimateResult(0.0, 0.0)
 
-    def draw(gen):
-        pair = _couple(hi, lo, None, gen)
-        return (f(pair.phi_lambda) - f(pair.phi_nu)) / (2.0 * delta)
+    def draw(gen, n, check=False):
+        atoms, phi_hi, phi_lo, _ = couple_counts(hi, lo, gen, n)
+        cs = [np.stack([a, b], axis=1) for a, b in zip(phi_hi.T, phi_lo.T)]
+        values = chunk_values(f, cs, atoms, check)
+        return ((values[:, 0] - values[:, 1]) / (2.0 * delta))[None]
 
-    return mc_mean(each(draw), mc).estimate()
+    return mc_mean(draw, mc, lead=(partial(draw, check=True), SPOT_NODES)).estimate()
 
 
 def richardson_fd(values: Callable[[float], float], theta: float,

@@ -36,11 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .configuration import (CountFormMismatchError, Functional,
-                            FunctionalEvaluationError, PointConfiguration, difference_n)
+from .configuration import Functional, count_values, difference_n
 from .measures import DiscreteMeasure
 
-SPOT_RTOL = 1e-12  # count form vs fn on the spot-checked nodes (the built-ins agree exactly)
 _UNDERFLOW_MASS = 700.0  # e^(-mass) stays a normal float below this
 
 
@@ -151,44 +149,13 @@ def _spot_nodes(shape: tuple) -> list[tuple]:
     return sorted(nodes)
 
 
-def _node_value(f, atoms: Sequence, node: tuple) -> float:
-    cfg = {a: c for a, c in zip(atoms, node) if c}
-    return f(PointConfiguration._trusted(cfg, sum(node)))
-
-
-def _lattice_values(f, atoms: Sequence, shape: tuple) -> np.ndarray:
-    """f at every count vector of the lattice ``shape`` over ``atoms``.
-
-    Through ``f.counts`` when the functional has a count form, checked
-    against ``fn`` on the spot nodes; otherwise node by node.
-    """
-    counts = getattr(f, "counts", None)
-    table = np.empty(shape, dtype=float)
-    if counts is None:
-        for node in np.ndindex(shape):
-            table[node] = _node_value(f, atoms, node)
-        return table
-    name = getattr(f, "name", "") or repr(f)
-    table[...] = counts(_open_grid(shape), atoms)
-    if np.isnan(table).any():
-        node = tuple(int(i) for i in np.argwhere(np.isnan(table))[0])
-        raise FunctionalEvaluationError(
-            f"functional {name} returned NaN at counts {dict(zip(atoms, node))!r}")
-    for node in _spot_nodes(shape):
-        want, got = _node_value(f, atoms, node), float(table[node])
-        if not (got == want or abs(got - want) <= SPOT_RTOL * max(abs(got), abs(want))):
-            raise CountFormMismatchError(
-                f"functional {name}: count form gives {got!r} but fn gives {want!r} "
-                f"at counts {dict(zip(atoms, node))!r}")
-    return table
-
-
 def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
                       n_max: int, plan: EnumerationPlan | None = None) -> np.ndarray:
     """Table of E f(Phi + sum_i m_i delta_{x_i}) over the box 0..n_max per axis.
 
     Axis order follows ``shift_atoms``.  The functional is evaluated once
-    over the total-count lattice (see ``_lattice_values``); the Poisson
+    over the total-count lattice by ``configuration.count_values``, with
+    the count form spot-checked on ``_spot_nodes``; the Poisson
     mixture over the base measure is contracted axis by axis afterwards.
     Without shifts (``n_max = 0`` or no shift atoms) the result is a 0-d
     array, the expectation itself, summed with ``math.fsum``.
@@ -204,7 +171,7 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
     caps = [plan.cap(m.mass(a), growth) for a in union]
     shifts = [n_max if a in shift_atoms else 0 for a in union]
     shape = tuple(k + s + 1 for k, s in zip(caps, shifts))
-    table = _lattice_values(f, union, shape)
+    table = count_values(f, _open_grid(shape), union, _spot_nodes(shape))
     pmfs = [poisson_pmf(m.mass(a), k) for a, k in zip(union, caps)]
 
     if not any(shifts):

@@ -13,10 +13,11 @@ array (row j holds field j of every replication, in replication order).
 ``mc_mean`` splits the plan's budget into chunks, builds each chunk's
 generator from its own child stream, calls ``draw`` once per chunk on that
 generator, and reduces every field to its pooled mean and batch-means
-standard error over the chunk means, taken in chunk order.  An estimator
-whose replications are naturally one at a time wraps its per-replication
-draw ``draw(gen) -> float | tuple`` in ``each``, which loops it n times on
-the chunk's generator; its draws are then the same as a hand-written loop.
+standard error over the chunk means, taken in chunk order.  Discrete draws
+are one Poisson count array per chunk, Levy draws one path batch.  ``each``
+remains only for draws that are truly one replication at a time (box-density
+configurations): it loops a per-replication draw ``draw(gen) -> float |
+tuple`` n times on the chunk's generator, like a hand-written loop.
 """
 
 from __future__ import annotations

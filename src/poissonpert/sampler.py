@@ -1,26 +1,29 @@
 """Poisson configuration sampling, the thinning/superposition coupling, and
 the Mecke-identity test harness.
 
-Sampling follows the mixed-sample construction: on a window of finite mass M
-draw N ~ Poisson(M) and then N points i.i.d. from the normalized measure.
-``sample_poisson`` and ``mecke_check`` also accept a density measure h * ref
-on a box, whose configurations are drawn by envelope thinning (sample from
-bound * ref, retain with probability h/bound), which never needs the tilted
-total mass.  Everything else here takes discrete measures.
+On a discrete measure a configuration is a vector of independent per-atom
+Poisson counts: ``sample_counts`` draws a ``(size, atoms)`` array of them,
+the Monte Carlo estimators one array per chunk, and ``sample_poisson`` is one
+row of it.  ``sample_poisson`` and ``mecke_check`` also accept a density
+measure h * ref on a box, whose configurations are drawn one at a time by
+envelope thinning (sample from bound * ref, retain with probability
+h/bound), which never needs the tilted total mass.  Everything else here
+takes discrete measures.
 
-Finite-difference oracles elsewhere couple two discrete intensities with
-``thin_superpose_couple``: points of the lower envelope are shared, which is
-what makes coupled differences low variance.
+Finite-difference oracles couple two discrete intensities with
+``couple_counts``: points of the lower envelope are shared, which is what
+makes coupled differences low variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .configuration import PointConfiguration
+from .configuration import SPOT_NODES, PointConfiguration, difference_counts
 from .measures import DensityMeasure, DiscreteMeasure
 from .rng import EstimateResult, MCPlan, RngStream, each, mc_mean
 
@@ -34,22 +37,8 @@ def sample_poisson(m, window=None, rng: RngStream | None = None,
         generator = rng.generator()
     if isinstance(m, DiscreteMeasure):
         mr = m.restrict(window)
-        atoms = mr.support()
-        total = mr.total()
-        if total == 0.0:
-            return PointConfiguration.empty()
-        n = int(generator.poisson(total))
-        if n == 0:
-            return PointConfiguration.empty()
-        if len(atoms) == 1:
-            return PointConfiguration._trusted({atoms[0]: n}, n)
-        probs = np.array([mr.mass(a) for a in atoms]) / total
-        draws = generator.choice(len(atoms), size=n, p=probs)
-        counts: dict = {}
-        for i in draws:
-            a = atoms[int(i)]
-            counts[a] = counts.get(a, 0) + 1
-        return PointConfiguration(counts)
+        return PointConfiguration.from_counts(
+            mr.support(), sample_counts(mr, generator=generator)[0].tolist())
     if isinstance(m, DensityMeasure):
         win = window or m.window
         mass = m.reference_mass(win)
@@ -68,23 +57,16 @@ def sample_poisson(m, window=None, rng: RngStream | None = None,
     raise TypeError(f"unsupported measure type {type(m)!r}")
 
 
-def sample_counts(m: DiscreteMeasure, window, rng: RngStream, size: int) -> np.ndarray:
-    """Vectorized per-atom Poisson counts, shape (size, n_atoms).
-
-    Same law as ``sample_poisson`` on a discrete measure (independent counts
-    per atom), drawn in a layout suited to big replication batteries.
-    """
-    return _draw_counts(m, window, rng.generator(), size)
-
-
-def _draw_counts(m: DiscreteMeasure, window, gen: np.random.Generator,
-                 size: int) -> np.ndarray:
-    """``sample_counts`` drawn from an explicit generator."""
-    mr = m.restrict(window)
-    masses = np.array([mr.mass(a) for a in mr.support()])
-    if masses.size == 0:
-        return np.zeros((size, 0), dtype=np.int64)
-    return gen.poisson(masses, size=(size, masses.size))
+def sample_counts(m: DiscreteMeasure, window=None, rng: RngStream | None = None,
+                  size: int = 1, generator: np.random.Generator | None = None
+                  ) -> np.ndarray:
+    """Independent per-atom Poisson counts of ``size`` configurations, shape
+    (size, atoms) over ``m.restrict(window).support()``, drawn from
+    ``generator`` or else from a fresh generator of ``rng``."""
+    if generator is None and rng is None:
+        raise ValueError("pass an RngStream or an explicit generator")
+    masses = np.array([x for _, x in m.restrict(window).items() if x > 0.0])
+    return (generator or rng.generator()).poisson(masses, size=(size, masses.size))
 
 
 @dataclass(frozen=True)
@@ -96,52 +78,47 @@ class CoupledPair:
     shared: PointConfiguration
 
 
-def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None,
-                          rng: RngStream | None = None) -> CoupledPair:
+def couple_counts(lam: DiscreteMeasure, nu: DiscreteMeasure, gen: np.random.Generator,
+                  size: int, window=None) -> tuple:
     """Couple Poisson(lam) and Poisson(nu) by independent thinning plus an
-    independent superposed remainder.
+    independent superposed remainder; returns the atoms and the (size, atoms)
+    counts of the lam- and nu-configurations and of their shared points.
 
     On A = {h_lam > h_nu} each point of the lam-configuration survives with
-    probability h_nu/h_lam; elsewhere it always survives.  An independent
-    Poisson configuration with intensity (h_nu - h_lam)^+ drho is added.  The
-    marginals are exactly the two Poisson laws.
+    probability h_nu/h_lam, elsewhere always, and an independent Poisson
+    configuration of intensity (h_nu - h_lam)^+ drho is added: the marginals
+    are exactly the two Poisson laws.
     """
+    lam_r, nu_r = lam.restrict(window), nu.restrict(window)
+    atoms = tuple(sorted(set(lam_r.support()) | set(nu_r.support()), key=repr))
+    hl, hn = (np.array([m.mass(a) for a in atoms]) for m in (lam_r, nu_r))
+    phi_l = gen.poisson(hl, size=(size, len(atoms)))
+    shared = gen.binomial(phi_l, np.divide(hn, hl, out=np.ones_like(hl), where=hl > hn))
+    return atoms, phi_l, shared + gen.poisson(np.maximum(hn - hl, 0.0), phi_l.shape), shared
+
+
+def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None,
+                          rng: RngStream | None = None) -> CoupledPair:
+    """One pair of ``couple_counts`` from a fresh generator of ``rng``."""
     if rng is None:
         raise ValueError("an RngStream is required")
-    return _couple(lam, nu, window, rng.generator())
+    atoms, *counts = couple_counts(lam, nu, rng.generator(), 1, window)
+    return CoupledPair(*(PointConfiguration.from_counts(atoms, c[0].tolist()) for c in counts))
 
 
-def _couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window,
-            gen: np.random.Generator) -> CoupledPair:
-    """The coupling drawn from one generator: the base configuration, then
-    the thinning coins, then the superposed remainder."""
-    lam_r, nu_r = lam.restrict(window), nu.restrict(window)
-    phi_l = sample_poisson(lam_r, None, generator=gen)
-    kept: dict = {}
-    for a, mult in phi_l.items():
-        hl, hn = lam_r.mass(a), nu_r.mass(a)
-        if hl > hn:
-            p = hn / hl  # hl > hn >= 0, no division hazard
-            k = int(gen.binomial(mult, p))
-        else:
-            k = mult
-        if k:
-            kept[a] = k
-    shared = PointConfiguration(kept)
-    extra_masses = {a: nu_r.mass(a) - lam_r.mass(a)
-                    for a in set(lam_r.atoms) | set(nu_r.atoms)
-                    if nu_r.mass(a) > lam_r.mass(a)}
-    extra = sample_poisson(DiscreteMeasure(extra_masses), None, generator=gen)
-    phi_n = shared.add(extra.points())
-    return CoupledPair(phi_l, phi_n, shared)
-
-
-def mc_expectation(f, m, window=None, plan: MCPlan | None = None) -> EstimateResult:
-    """Monte Carlo E f(Phi) with batch-means standard error."""
+def mc_expectation(f, m: DiscreteMeasure, window=None,
+                   plan: MCPlan | None = None) -> EstimateResult:
+    """Monte Carlo E f(Phi) with batch-means standard error: one count array
+    per chunk, f on all of it (``difference_counts`` at order 0)."""
     if plan is None:
         raise ValueError("an MCPlan is required")
-    return mc_mean(each(lambda gen: f(sample_poisson(m, window, generator=gen))),
-                   plan).estimate()
+    atoms = m.restrict(window).support()
+
+    def draw(gen, n, check=False):
+        counts = sample_counts(m, window, size=n, generator=gen)
+        return difference_counts(f, counts, atoms, np.zeros((n, 0), dtype=np.int64), check)[None]
+
+    return mc_mean(draw, plan, lead=(partial(draw, check=True), SPOT_NODES)).estimate()
 
 
 @dataclass(frozen=True)
@@ -169,23 +146,29 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
     """
     if plan is None:
         raise ValueError("an MCPlan is required")
+    if isinstance(m, DiscreteMeasure):
+        mr = m.restrict(window)
+        atoms = mr.support()
 
-    def lhs_draw(gen):
-        phi = sample_poisson(m, window, generator=gen)
-        total = 0.0
-        for x, mult in phi.items():
-            total += mult * f(x, phi.remove_one(x))
-        return total
+        def configurations(gen, n):
+            return [PointConfiguration.from_counts(atoms, row)
+                    for row in sample_counts(mr, size=n, generator=gen).tolist()]
+    else:
+        def configurations(gen, n):
+            return [sample_poisson(m, window, generator=gen) for _ in range(n)]
 
-    lhs, lhs_se = mc_mean(each(lhs_draw), plan.split(0)).estimate()
+    def lhs_draw(gen, n):
+        return np.array([[sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
+                          for phi in configurations(gen, n)]], dtype=float)
+
+    lhs, lhs_se = mc_mean(lhs_draw, plan.split(0)).estimate()
 
     rhs_plan = plan.split(1)
     if isinstance(m, DiscreteMeasure):
-        mr = m.restrict(window)
         rhs_parts, rhs_vars = [], []
-        for j, atom in enumerate(mr.support()):
+        for j, atom in enumerate(atoms):
             mean_a, se_a = mc_mean(
-                each(lambda gen, _a=atom: f(_a, sample_poisson(mr, None, generator=gen))),
+                lambda gen, n, _a=atom: np.array([[f(_a, phi) for phi in configurations(gen, n)]]),
                 rhs_plan.split(j)).estimate()
             rhs_parts.append(mr.mass(atom) * mean_a)
             rhs_vars.append((mr.mass(atom) * se_a) ** 2)

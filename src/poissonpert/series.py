@@ -13,9 +13,9 @@ term sampler ``draw(n, gen, k)`` that returns k samples of the signed
 order-n term and of its absolute companion as a ``(2, k)`` array (the chunk
 contract of ``rng.mc_mean``).  Two backends supply the draw:
 
-* ``atom_draw`` (discrete intensities): per replication, n atoms from the
-  normalized absolute perturbation, one configuration, the n-th difference
-  D^n f;
+* ``atom_draw`` (discrete intensities): n atoms per replication from the
+  normalized absolute perturbation, one count array of k configurations,
+  and the n-th differences D^n f of all k rows evaluated on count arrays;
 * ``levy.jump_draw`` (Levy jump measures): k batches of n marks (t, x) from
   dt tensor the normalized |g| d nu_ref, one batch of k paths, the n-fold
   path difference over the batch.
@@ -49,15 +49,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import DIFFERENCE_ORDER_CAP, Functional, difference_n
+from .configuration import (DIFFERENCE_ORDER_CAP, SPOT_NODES, Functional, count_values,
+                            difference_counts)
 from .exact import (EnumerationPlan, exact_expectation, expectation_table,
                     expected_difference_orders, forward_difference_table, order_sums,
                     weight_table)
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
                        admissibility_check, lebesgue_decompose)
-from .rng import EstimateResult, MCPlan, each, mc_mean
-from .sampler import sample_poisson
+from .rng import EstimateResult, MCPlan, mc_mean
+from .sampler import sample_counts
 
 EPS_ABS = 1e-10
 
@@ -345,26 +346,30 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     Each replication of order n draws n atoms i.i.d. from |w| / sum |w| (in
     the given atom order), then Phi ~ Poisson(base), and gives the signed and
     absolute (sum |w|)^n / n! D^n f(Phi); order 0 gives f(Phi).  The chunk
-    draw ``draw(n, gen, k)`` runs k replications in a row (``rng.each``).
+    draw ``draw(n, gen, k, check=False)`` draws all k replications' picks,
+    then one count array, and differences every row with
+    ``difference_counts``; f's count form is checked on the empty
+    configuration here.
     """
     ws = np.array(ws, dtype=float)
     mass_abs = float(np.abs(ws).sum())
-    probs = np.abs(ws) / mass_abs if mass_abs else None
+    cdf = np.cumsum(np.abs(ws))
+    cdf /= cdf[-1] if mass_abs else 1.0
     signs = np.sign(ws)
+    support = list(base.support())
+    axes = support + [a for a in atoms if a not in support]
+    axis_of = np.array([axes.index(a) for a in atoms], dtype=np.int64)
+    count_values(f, [np.zeros((), dtype=np.int64)] * len(axes), axes, [()])
 
-    def one(n: int, gen: np.random.Generator) -> tuple[float, float]:
-        if n == 0:
-            v = f(sample_poisson(base, None, generator=gen))
-            return v, abs(v)
-        picks = gen.choice(len(atoms), size=n, p=probs)
-        xs = [atoms[int(j)] for j in picks]
-        sgn = float(np.prod(signs[picks]))
-        d = difference_n(f, sample_poisson(base, None, generator=gen), xs)
-        scale = mass_abs ** n / math.factorial(n)
-        return scale * sgn * d, scale * abs(d)
-
-    def draw(n: int, gen: np.random.Generator, k: int) -> np.ndarray:
-        return each(partial(one, n))(gen, k)
+    def draw(n: int, gen: np.random.Generator, k: int, check: bool = False) -> np.ndarray:
+        picks = cdf.searchsorted(gen.random((k, n)), side="right")  # gen.choice(p=|w|/M)
+        counts = np.zeros((k, len(axes)), dtype=np.int64)
+        counts[:, :len(support)] = sample_counts(base, size=k, generator=gen)
+        d = difference_counts(f, counts, axes, axis_of[picks], check)
+        out = np.empty((2, k))
+        out[0] = np.prod(signs[picks], axis=1) * d
+        out[1] = np.abs(d)
+        return out * (mass_abs ** n / math.factorial(n))
 
     return draw, mass_abs
 
@@ -387,7 +392,8 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     if not atoms:
         return EstimateResult(0.0, 0.0)
     draw, _ = atom_draw(f, base, atoms, ws)
-    return mc_mean(lambda gen, k: draw(1, gen, k)[:1], mc).estimate()
+    lead = (lambda gen, k: draw(1, gen, k, check=True)[:1], SPOT_NODES)
+    return mc_mean(lambda gen, k: draw(1, gen, k)[:1], mc, lead=lead).estimate()
 
 
 def parametric_series(f: Functional, family: PerturbationFamily, theta: float,

@@ -16,10 +16,11 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, PointConfiguration,
-                         constant_functional, count_functional, count_squared, discrete,
-                         exact_expectation, exact_expected_difference, fock_identity_check,
-                         threshold_indicator, void_indicator)
+from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, MCPlan,
+                         PointConfiguration, RngStream, constant_functional, count_functional,
+                         count_squared, discrete, exact_expectation, exact_expected_difference,
+                         fock_identity_check, mc_expectation, threshold_indicator,
+                         void_indicator)
 from poissonpert.configuration import CountFormMismatchError, FunctionalEvaluationError
 from poissonpert.exact import expectation_table, poisson_pmf
 from poissonpert.series import order_one
@@ -169,12 +170,21 @@ class TestSpotCheck:
             exact_expectation(f, m)
         with pytest.raises(CountFormMismatchError, match="stale_void"):
             expectation_table(f, m, ["a"], 3)
+        # Monte Carlo checks the empty configuration and the first replications,
+        # which reach the cases that differ at the origin
+        if other(PointConfiguration.empty()) != 1.0:
+            with pytest.raises(CountFormMismatchError, match="stale_void"):
+                mc_expectation(f, m, plan=MCPlan(200, RngStream(0)))
+            with pytest.raises(CountFormMismatchError, match="stale_void"):
+                order_one(f, m, ["a"], [1.0], "mc", None, MCPlan(200, RngStream(0)))
 
     def test_nan_in_count_form_raises(self):
         f = dataclasses.replace(count_functional(name="bad"),
                                 counts=lambda cs, atoms: np.where(cs[0] == 2, np.nan, 0.0))
         with pytest.raises(FunctionalEvaluationError, match="bad"):
             exact_expectation(f, discrete({"a": 1.0}))
+        with pytest.raises(FunctionalEvaluationError, match="bad"):
+            mc_expectation(f, discrete({"a": 1.0}), plan=MCPlan(200, RngStream(0)))
 
 
 def decimal_pmf(mass, k):
