@@ -365,9 +365,9 @@ def _run_levy_deriv(cfg, args, out_dir: Path) -> int:
 
 
 def _integral_x_exp(beta0: float) -> float:
-    from scipy.integrate import quad
-    val, _ = quad(lambda x: x * math.exp(-beta0 * x), 0.0, np.inf)
-    return val
+    """int_0^inf x e^(-beta0 x) dx by the package's quadrature: the second
+    moment of the unit gamma jump measure x^(-1) e^(-beta0 x) dx."""
+    return levy.GammaJumps(1.0, beta0).integrate(lambda x: x * x, 0.0, np.inf)
 
 
 def _run_levy_sup(cfg, args, out_dir: Path) -> int:

@@ -45,6 +45,24 @@ where they did per path:
   paths; the path difference), and a gap above ``SPOT_TOL`` raises
   ``BatchMismatchError``.  ``levy_series`` draws through the same
   ``jump_draw`` as ``levy_derivative`` and runs no check of its own.
+
+Integrals against the power-tail and gamma references (``integrate``) run on
+the module's own quadrature, ``_panel_quad``, over numpy arrays:
+
+* the rule is G7/K15 Gauss-Kronrod, evaluated on every panel in one call of
+  the integrand; panel edges are powers of two, geometric toward 0 and
+  toward infinity;
+* a panel is bisected while |K - G| exceeds its equal share of the tolerance
+  max(1e-12, 1e-10 |total|), all such panels in one call per pass;
+* an endpoint singularity x^(-s) at 0 (s < 1) and a power tail at infinity
+  are summed as the geometric series of the last panels' ratio, with the
+  change of that ratio between panels as the series' error;
+* a plain-callable density's gap g - 1 is a subtraction, so ``check_pair``
+  adds the integral of its rounding, eps |g| (2 |g - 1| + eps) for the
+  square gap, to the error; where g rounds to 1 against an infinite measure
+  that integral diverges and the check raises.
+
+An error estimate above max(1e-9, 1e-7 |total|) raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -55,8 +73,6 @@ from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import special as _special
 
 from .rng import EstimateResult, MCPlan, RngStream, mc_mean
 from .series import SeriesResult, mc_series
@@ -65,7 +81,35 @@ CAP = 1e12
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
 SPOT_CHECKS = 8  # paths of the first chunk re-evaluated through ``CadlagPath``
 SPOT_TOL = 1e-12  # largest accepted gap between a batch value and ``CadlagPath``
-QUAD_EPSABS = 1e-13  # per-panel absolute tolerance, well inside the 1e-9 acceptance bound
+EPS = float(np.finfo(float).eps)
+EULER_GAMMA = 0.57721566490153286061
+_E1_SERIES = tuple((-1.0) ** k / (k * math.factorial(k)) for k in range(20, 0, -1))
+# _panel_quad: refinement target (1e-3 of the acceptance bound), bisection
+# passes, panel cap, and the depth of the geometric panels at 0 and infinity
+QUAD_TOL_ABS = 1e-12
+QUAD_TOL_REL = 1e-10
+QUAD_PASSES = 60
+QUAD_MAX_PANELS = 20_000
+QUAD_DEPTH_ZERO = 200
+QUAD_DEPTH_INF = 64
+# G7/K15 on [-1, 1], from the outermost node to the centre: node, Kronrod
+# weight, Gauss weight (0 where only the Kronrod rule has a node); the rule
+# is symmetric, so the other half mirrors these rows
+_GK_HALF = np.array([
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+])
+_GK_NODES = np.concatenate((-_GK_HALF[:, 0], _GK_HALF[-2::-1, 0]))
+_GK_KRONROD, _GK_GAUSS = (np.concatenate((w, w[-2::-1])) for w in _GK_HALF[:, 1:].T)
 
 
 class QuadratureError(RuntimeError):
@@ -76,40 +120,170 @@ class ConditionError(RuntimeError):
     """A hypothesis of the requested expansion or derivative fails."""
 
 
-def _panel_quad(fn, lo: float, hi: float) -> float:
-    """Integrate fn over (lo, hi] with geometric panels toward 0 and a tail
-    panel to infinity; raises when the accumulated error estimate is poor."""
-    panels = []
-    if lo <= 0.0:
-        anchor = min(1.0, hi if math.isfinite(hi) else 1.0)
-        edges = [anchor * 2.0 ** (-k) for k in range(45, -1, -1)]
-        edges = [e for e in edges if e < (hi if math.isfinite(hi) else math.inf)]
-        prev = 0.0
-        for e in edges:
-            panels.append((prev, e))
-            prev = e
-        lo = prev
-    if math.isfinite(hi):
-        if hi > lo:
-            panels.append((lo, hi))
-    else:
-        step = max(lo, 1.0)
-        cur = lo
-        for _ in range(6):
-            panels.append((cur, cur + 10 * step))
-            cur += 10 * step
-            step *= 10
-        panels.append((cur, np.inf))
-    total, err = 0.0, 0.0
-    for a, b in panels:
-        if not b > a:
-            continue
-        v, e = _integrate.quad(fn, a, b, epsabs=QUAD_EPSABS, limit=200)
-        total += v
-        err += e
-    if err > max(1e-9, 1e-7 * abs(total)):
-        raise QuadratureError(f"quadrature error estimate {err:g} too large")
-    return total
+def _panel_quad(fn, lo: float, hi: float, rounding=None) -> tuple[float, float]:
+    """Integrate fn over (lo, hi]; return the value and its error estimate.
+
+    The panels' edges are powers of two (of min(1, hi) toward 0, of
+    max(1, lo) toward infinity), geometric with ratio 2 down to
+    2^-QUAD_DEPTH_ZERO of the anchor when lo <= 0 and up to 2^QUAD_DEPTH_INF
+    when hi = inf, plus lo and hi themselves.  One call of fn evaluates the
+    G7/K15 Gauss-Kronrod rule on every panel; a panel's error is
+    max(|K - G|, 50 eps int |f|).  While the summed error exceeds
+    max(QUAD_TOL_ABS, QUAD_TOL_REL |total|), each panel above its equal share
+    of that tolerance (and above its rounding floor) is bisected, all of them
+    in one further call per pass.
+
+    Beyond an open end the panel integrals of f ~ C x^(-s) near 0 (s < 1) or
+    ~ C x^(-1-s) at infinity (s > 0) form a geometric series, so the
+    remainder is the series of the last panel's ratio to the one before; its
+    error is the gap to the series of the ratio one panel further in.  A
+    ratio outside [0, 1) (a divergent or sign-changing end) makes the error
+    infinite.
+
+    ``rounding``, when given, is a nonnegative integrand bounding the
+    rounding error of fn's values (fn formed by cancellation); its integral,
+    on the same panels and remainders, is added to the error.  An error
+    above max(1e-9, 1e-7 |total|) raises ``QuadratureError``.
+    """
+    edges, lo_open, hi_open = _panel_edges(lo, hi)
+    if edges.size < 2:
+        return 0.0, 0.0
+    a, b = edges[:-1], edges[1:]
+    root = np.arange(a.size)  # the initial panel each panel was bisected from
+    val, gap, floor = _kronrod(fn, a, b)
+    for _ in range(QUAD_PASSES):
+        err = _panel_errors(gap, floor)
+        tol = max(QUAD_TOL_ABS, QUAD_TOL_REL * abs(val.sum()))
+        if err.sum() <= tol:
+            break
+        # a panel at its rounding floor gains nothing from bisection
+        split = (err > tol / val.size) & ~(gap <= floor)
+        if not split.any() or val.size + split.sum() > QUAD_MAX_PANELS:
+            break
+        mid = 0.5 * (a[split] + b[split])
+        keep = ~split
+        new_a = np.concatenate((a[split], mid))
+        new_b = np.concatenate((mid, b[split]))
+        new = _kronrod(fn, new_a, new_b)
+        a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
+        root = np.concatenate((root[keep], root[split], root[split]))
+        val, gap, floor = (np.concatenate((old[keep], part)) for old, part in
+                           zip((val, gap, floor), new))
+    n_roots = edges.size - 1
+    total = val.sum()
+    error = _panel_errors(gap, floor).sum()
+    for part, part_err in _open_ends(np.bincount(root, val, n_roots), lo_open, hi_open):
+        total += part
+        error += part_err
+    if rounding is not None:
+        bound = _kronrod(rounding, a, b)[0]
+        error += bound.sum() + sum(part + part_err for part, part_err in
+                                   _open_ends(np.bincount(root, bound, n_roots),
+                                              lo_open, hi_open))
+    if not (math.isfinite(total) and error <= max(1e-9, 1e-7 * abs(total))):
+        raise QuadratureError(f"quadrature error estimate {error:g} too large")
+    return float(total), float(error)
+
+
+def _panel_edges(lo: float, hi: float) -> tuple[np.ndarray, bool, bool]:
+    """Panel edges of (lo, hi] for ``_panel_quad``, and whether the ends at 0
+    and at infinity are open (left to the remainder series)."""
+    lo_open, hi_open = lo <= 0.0, math.isinf(hi)
+    if not hi > max(lo, 0.0):
+        return np.empty(0), False, False
+    left = min(1.0, hi) if lo_open else lo
+    right = max(1.0, left) if hi_open else hi
+    powers = np.ldexp(1.0, np.arange(math.floor(math.log2(left)),
+                                     math.ceil(math.log2(right)) + 1))
+    parts = [[left], powers[(powers > left) & (powers < right)]]
+    if right > left:
+        parts.append([right])
+    if lo_open:
+        parts.insert(0, left * np.ldexp(1.0, np.arange(-QUAD_DEPTH_ZERO, 0)))
+    if hi_open:
+        parts.append(right * np.ldexp(1.0, np.arange(1, QUAD_DEPTH_INF + 1)))
+    return np.concatenate(parts), lo_open, hi_open
+
+
+def _kronrod(fn, a: np.ndarray, b: np.ndarray):
+    """K15 value, |K15 - G7| and the rounding floor 50 eps int |f| of every
+    panel (a, b), from one call of fn on all their nodes."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    f = np.broadcast_to(np.asarray(fn(x.ravel()), dtype=float), (x.size,)).reshape(x.shape)
+    kronrod = half * (f @ _GK_KRONROD)
+    gauss = half * (f @ _GK_GAUSS)
+    return kronrod, np.abs(kronrod - gauss), 50.0 * EPS * half * (np.abs(f) @ _GK_KRONROD)
+
+
+def _panel_errors(gap, floor) -> np.ndarray:
+    """max(|K - G|, rounding floor) per panel; infinite where f is not finite."""
+    return np.where(np.isfinite(gap), np.maximum(gap, floor), np.inf)
+
+
+def _open_ends(sums: np.ndarray, lo_open: bool, hi_open: bool):
+    """(remainder, error) beyond each open end, from the integrals of the
+    initial panels in order."""
+    if lo_open:
+        yield _geometric_remainder(sums[2], sums[1], sums[0])
+    if hi_open:
+        yield _geometric_remainder(sums[-3], sums[-2], sums[-1])
+
+
+def _geometric_remainder(far: float, mid: float, last: float) -> tuple[float, float]:
+    """The integral beyond three panels that shrink by 2 (or grow by 2)
+    toward an open end, last the outermost: the geometric series
+    last rho/(1 - rho) of rho = last/mid, with its gap to the series of
+    mid/far as the error."""
+    if last == 0.0:
+        return 0.0, 0.0
+    if mid == 0.0 or far == 0.0:
+        return 0.0, math.inf
+    series = []
+    for rho in (last / mid, mid / far):
+        if not 0.0 <= rho < 1.0:
+            return 0.0, math.inf
+        series.append(last * rho / (1.0 - rho))
+    return series[0], abs(series[0] - series[1])
+
+
+def _exp1(x):
+    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0: on a
+    scalar in float arithmetic, without array overhead (every simulated
+    gamma path calls it through ``mass_above``), or elementwise on an
+    array."""
+    if not isinstance(x, np.ndarray):
+        x = float(x)
+        return float(_exp1_series(x) if x <= 1.0 else _exp1_fraction(x))
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    small = x <= 1.0
+    out[small] = _exp1_series(x[small])
+    out[~small] = _exp1_fraction(x[~small])
+    return out
+
+
+def _exp1_series(x):
+    """E1 for 0 < x <= 1: -gamma - ln x - sum_{k>=1} (-x)^k/(k k!), the sum
+    to k = 20 (1/(20 * 20!) < 1e-19) by Horner's rule."""
+    total = 0.0
+    for c in _E1_SERIES:
+        total = total * x + c
+    return -EULER_GAMMA - np.log(x) - total * x
+
+
+def _exp1_fraction(x):
+    """E1 for x > 1: its continued fraction, by the modified Lentz method."""
+    b = x + 1.0
+    c = 1e300
+    d = h = 1.0 / b
+    for i in range(1, 101):  # within 1 ulp after 90 steps for every x > 1
+        an = -float(i * i)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * (c * d)
+    return h * np.exp(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +350,9 @@ class CompoundPoissonJumps(_ReferenceMeasure):
             return np.empty(0)
         return _choose(sizes, masses / masses.sum(), n, gen)
 
-    def integrate(self, fn, lo: float, hi: float) -> float:
+    def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
+        """int_{lo<|x|<=hi} fn d nu: a finite sum, so ``rounding`` (see
+        ``_panel_quad``) has no quadrature error to join and is unused."""
         keep = (np.abs(self.sizes) > lo) & (np.abs(self.sizes) <= hi)
         if not np.any(keep):
             return 0.0
@@ -217,14 +393,18 @@ class StableJumps(_ReferenceMeasure):
         signs = np.where(gen.random(n) < self.c_pos / (self.c_pos + self.c_neg), 1.0, -1.0)
         return r * signs
 
-    def integrate(self, fn, lo: float, hi: float) -> float:
+    def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
+        """int_{lo<|x|<=hi} fn d nu, one ``_panel_quad`` per side; fn (and
+        the ``rounding`` bound of its error, if any) take arrays."""
+
+        def weighted(h, sign):
+            return None if h is None else (lambda r: h(sign * r) * r ** (-self.alpha - 1.0))
+
         total = 0.0
-        if self.c_pos > 0:
-            total += self.c_pos * _panel_quad(
-                lambda r: fn(r) * r ** (-self.alpha - 1.0), lo, hi)
-        if self.c_neg > 0:
-            total += self.c_neg * _panel_quad(
-                lambda r: fn(-r) * r ** (-self.alpha - 1.0), lo, hi)
+        for c, sign in ((self.c_pos, 1.0), (self.c_neg, -1.0)):
+            if c > 0:
+                total += c * _panel_quad(weighted(fn, sign), lo, hi,
+                                         weighted(rounding, sign))[0]
         return total
 
 
@@ -252,14 +432,14 @@ class GammaJumps(_ReferenceMeasure):
     def mass_above(self, eps: float) -> float:
         if eps <= 0:
             raise ValueError("gamma jumps have infinite activity; eps must be positive")
-        return self.theta * float(_special.exp1(self.beta * eps))
+        return self.theta * float(_exp1(self.beta * eps))
 
     def _inverse_cdf(self, eps: float):
         key = float(eps)
         if key not in self._cdf_cache:
             x_max = eps + 60.0 / self.beta
             xs = np.geomspace(eps, x_max, self.grid_points)
-            tail = _special.exp1(self.beta * xs) / _special.exp1(self.beta * eps)
+            tail = _exp1(self.beta * xs) / _exp1(self.beta * eps)
             cdf = np.clip(1.0 - tail, 0.0, 1.0)
             cdf[0], cdf[-1] = 0.0, 1.0
             self._cdf_cache[key] = (cdf, xs)
@@ -271,9 +451,14 @@ class GammaJumps(_ReferenceMeasure):
         cdf, xs = self._inverse_cdf(eps)
         return np.interp(gen.random(n), cdf, xs)
 
-    def integrate(self, fn, lo: float, hi: float) -> float:
-        return self.theta * _panel_quad(
-            lambda r: fn(r) * math.exp(-self.beta * r) / r, lo, hi)
+    def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
+        """int_{lo<x<=hi} fn d nu by ``_panel_quad``; fn (and the
+        ``rounding`` bound of its error, if any) take arrays."""
+
+        def weighted(h):
+            return None if h is None else (lambda r: h(r) * np.exp(-self.beta * r) / r)
+
+        return self.theta * _panel_quad(weighted(fn), lo, hi, weighted(rounding))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +554,7 @@ def gamma_scale_direction(theta: float, beta0: float, nu_ref: StableJumps) -> Ju
 
     return JumpDirection(
         g=g,
-        square_integral=theta ** 2 * c * _special.gamma(alpha + 2.0) / (2 * beta0) ** (alpha + 2.0),
+        square_integral=theta ** 2 * c * math.gamma(alpha + 2.0) / (2 * beta0) ** (alpha + 2.0),
         x_wedge_integral=theta * c * (int01 + math.exp(-beta0) / beta0),
         drift_moment=-theta * c * int01,
         g_bound=theta * ((alpha + 1.0) / beta0) ** (alpha + 1.0) * math.exp(-(alpha + 1.0)),
@@ -398,11 +583,11 @@ def gamma_shape_direction(beta: float, nu_ref: StableJumps) -> JumpDirection:
 
     return JumpDirection(
         g=g,
-        square_integral=_special.gamma(alpha) / (c * (2 * beta) ** alpha),
-        x_wedge_integral=(1.0 - math.exp(-beta)) / beta + float(_special.exp1(beta)),
+        square_integral=math.gamma(alpha) / (c * (2 * beta) ** alpha),
+        x_wedge_integral=(1.0 - math.exp(-beta)) / beta + float(_exp1(beta)),
         drift_moment=(1.0 - math.exp(-beta)) / beta,
         g_bound=(alpha / beta) ** alpha * math.exp(-alpha) / c,
-        abs_mass_above=lambda eps: float(_special.exp1(beta * eps)),
+        abs_mass_above=lambda eps: float(_exp1(beta * eps)),
         sample_above=lambda eps, n, gen: sampler.sample_above(eps, n, gen),
         x_abs_below=lambda eps: (1.0 - math.exp(-beta * eps)) / beta,
         min_eps=None,
@@ -565,6 +750,15 @@ class LevyModel:
         if isinstance(self.density, JumpDensity):
             return self.density.gap(x)
         return np.asarray(self.g(x)) - 1.0
+
+    @property
+    def gap_error(self):
+        """None where ``gap`` is exact (the reference itself, a
+        ``JumpDensity``); for a plain callable g, whose gap is the
+        subtraction g - 1, the bound x -> eps |g(x)| on its rounding."""
+        if self.density is None or isinstance(self.density, JumpDensity):
+            return None
+        return lambda x: EPS * np.abs(np.asarray(self.density(x), dtype=float))
 
     def nu_integral(self, fn, lo: float, hi: float) -> float:
         """int_{lo<|x|<=hi} fn(x) nu(dx) with nu = g_nu * nu_ref."""
@@ -1018,22 +1212,32 @@ def check_pair(model: LevyModel, target: LevyModel, cap: float = CAP,
     The reference measures must be equal; they compare by value, so two
     separately built equal builders qualify.  Every integrand is formed from
     the density gaps g - 1 (``LevyModel.gap``), never by subtracting values
-    of g, and a quadrature failure names the integral it happened in.
+    of g, and a quadrature failure names the integral it happened in.  A
+    plain-callable density only yields its gap by that subtraction, off by
+    up to eps |g|; its integrals carry that rounding in their error estimate
+    (eps |g| (2 |g - 1| + eps) for the square gap).  Against a reference of
+    infinite mass near 0 that bound diverges, so there a plain callable
+    raises ``QuadratureError`` and the density must be a ``JumpDensity``.
     """
     if model.jumps != target.jumps:
         raise ConditionError("models must share the reference jump measure")
 
-    def integral(name, fn, lo, hi):
+    def integral(name, fn, lo, hi, rounding=None):
         try:
-            return model.jumps.integrate(fn, lo, hi)
+            return model.jumps.integrate(fn, lo, hi, rounding=rounding)
         except QuadratureError as err:
             raise QuadratureError(f"{name}: {err}") from err
 
     out = {}
     for tag, m in (("base", model), ("target", target)):
-        gap = integral(f"{tag} square gap", lambda x: m.gap(x) ** 2, 0.0, np.inf)
+        gap_err = m.gap_error
+        gap = integral(f"{tag} square gap", lambda x: m.gap(x) ** 2, 0.0, np.inf,
+                       None if gap_err is None else
+                       lambda x: gap_err(x) * (2.0 * np.abs(m.gap(x)) + EPS))
         wedge = integral(f"{tag} small-jump x gap",
-                         lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0)
+                         lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0,
+                         None if gap_err is None else
+                         lambda x: np.minimum(np.abs(x), 1.0) * gap_err(x))
         out[f"{tag}_square_gap"] = gap
         out[f"{tag}_x_gap"] = wedge
         if not math.isfinite(gap) or gap >= cap:
@@ -1046,9 +1250,11 @@ def check_pair(model: LevyModel, target: LevyModel, cap: float = CAP,
         if abs(model.drift - target.drift) > drift_tol:
             raise ConditionError("plain-form models must share the drift")
     else:
+        errs = [e for e in (model.gap_error, target.gap_error) if e is not None]
         move = integral(
             "compensation move",
-            lambda x: np.asarray(x) * (target.gap(x) - model.gap(x)), 0.0, 1.0)
+            lambda x: np.asarray(x) * (target.gap(x) - model.gap(x)), 0.0, 1.0,
+            (lambda x: np.abs(x) * sum(e(x) for e in errs)) if errs else None)
         if abs((target.drift - model.drift) - move) > max(drift_tol, 1e-7 * abs(move)):
             raise ConditionError("drifts do not satisfy the compensation relation")
     return out
