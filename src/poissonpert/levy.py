@@ -44,7 +44,7 @@ where they did per path:
   ``CadlagPath`` (both suprema and the supremum after the jump; f on both
   paths; the path difference), and a gap above ``SPOT_TOL`` raises
   ``BatchMismatchError``.  ``levy_series`` draws through the same
-  ``jump_draw`` as ``levy_derivative`` and runs no check of its own.
+  ``jump_draw`` and checks the first paths of every order the same way.
 
 Integrals against the power-tail and gamma references (``integrate``) run on
 the module's own quadrature, ``_panel_quad``, over numpy arrays:
@@ -720,6 +720,7 @@ class LevyModel:
     eps: float = 0.0
     grid_n: int = 256
     slope: float = field(init=False, default=0.0)
+    jump_rate: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.t0 <= 0:
@@ -737,6 +738,9 @@ class LevyModel:
         else:
             slope = self.drift - self.nu_integral(lambda x: x, self.eps, 1.0)
         object.__setattr__(self, "slope", slope)
+        # the envelope Poisson rate of jumps above eps over the horizon
+        object.__setattr__(self, "jump_rate",
+                           self.t0 * self.density_bound * self.jumps.mass_above(self.eps))
 
     def g(self, x):
         if self.density is None:
@@ -766,10 +770,6 @@ class LevyModel:
             return self.jumps.integrate(fn, lo, hi)
         return self.jumps.integrate(lambda x: np.asarray(fn(x)) * np.asarray(self.density(x)),
                                     lo, hi)
-
-    def jump_rate(self) -> float:
-        """Envelope Poisson rate for jumps above eps over the horizon."""
-        return self.t0 * self.density_bound * self.jumps.mass_above(self.eps)
 
     def moments(self) -> dict:
         """Triplet mean and variance of X_{t0} for the simulated process."""
@@ -1098,7 +1098,7 @@ def simulate_path(model: LevyModel, rng: RngStream | None = None,
         if rng is None:
             raise ValueError("pass an RngStream or an explicit generator")
         generator = rng.generator()
-    n = int(generator.poisson(model.jump_rate()))
+    n = int(generator.poisson(model.jump_rate))
     times = generator.uniform(0.0, model.t0, n)
     sizes = model.jumps.sample_above(model.eps, n, generator)
     if model.density is not None and n > 0:
@@ -1144,7 +1144,7 @@ def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator) -> PathBa
     """n paths on one generator, the batch form of ``simulate_path``: every
     path's jump count, then all proposal times, sizes and thinning uniforms,
     then every Wiener skeleton."""
-    counts = gen.poisson(model.jump_rate(), n)
+    counts = gen.poisson(model.jump_rate, n)
     total = int(counts.sum())
     times = gen.uniform(0.0, model.t0, total)
     sizes = model.jumps.sample_above(model.eps, total, gen)
@@ -1161,7 +1161,8 @@ def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
     uniform per proposal, shared Wiener skeletons."""
     _check_couplable(model_lo, model_hi)
     bound = max(model_lo.density_bound, model_hi.density_bound)
-    counts = gen.poisson(model_lo.t0 * bound * model_lo.jumps.mass_above(model_lo.eps), n)
+    # both rates are t0 * density_bound * mass_above(eps): the larger uses the bound
+    counts = gen.poisson(max(model_lo.jump_rate, model_hi.jump_rate), n)
     total = int(counts.sum())
     times = gen.uniform(0.0, model_lo.t0, total)
     sizes = model_lo.jumps.sample_above(model_lo.eps, total, gen)
@@ -1354,9 +1355,9 @@ def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
     """The Levy backend's order-n term sampler, in the chunk form of
     ``mc_series``.
 
-    ``draw(n, gen, k)`` draws n marks (t, x) for each of k replications, t
-    uniform on [0, t0] and x from the normalized |g| d nu_ref above eps_d,
-    then one batch of k paths, and returns the signed and absolute
+    ``draw(n, gen, k, check)`` draws n marks (t, x) for each of k
+    replications, t uniform on [0, t0] and x from the normalized |g| d nu_ref
+    above eps_d, then one batch of k paths, and returns the signed and absolute
     (t0 mass)^n / n! times each path's n-fold path difference as a (2, k)
     array; order 0 gives f(X).  With ``check`` every path's difference is
     recomputed through ``CadlagPath`` (``path_difference``) and a gap above

@@ -9,15 +9,17 @@ is byte-identical for any worker count.
 Every Monte Carlo estimator in the package is one call of ``mc_mean``.  Its
 contract: the estimator supplies a chunk draw ``draw(gen, n)``, which draws n
 replications from ``gen`` and returns their values as one ``(fields, n)``
-array (row j holds field j of every replication, in replication order).
-``mc_mean`` splits the plan's budget into chunks, builds each chunk's
-generator from its own child stream, calls ``draw`` once per chunk on that
-generator, and reduces every field to its pooled mean and batch-means
-standard error over the chunk means, taken in chunk order.  Discrete draws
-are one Poisson count array per chunk, Levy draws one path batch.  ``each``
-remains only for draws that are truly one replication at a time (box-density
-configurations): it loops a per-replication draw ``draw(gen) -> float |
-tuple`` n times on the chunk's generator, like a hand-written loop.
+array (row j holds field j of every replication, in replication order), or
+strata ``(draw_s, K_s)`` of one estimand (a series' orders, Mecke's atoms).
+``mc_mean`` splits the budget into chunks, builds each chunk's generator
+from its own child stream, calls every draw once per chunk on that
+generator, and reduces every field of every stratum to its pooled mean and
+batch-means standard error over the chunk means, taken in chunk order.
+Discrete draws are one Poisson count array per chunk, Levy draws one path
+batch.  ``each`` remains only for draws that are truly one replication at a
+time (box-density configurations): it loops a per-replication draw
+``draw(gen) -> float | tuple`` n times on the chunk's generator, like a
+hand-written loop.
 """
 
 from __future__ import annotations
@@ -175,22 +177,40 @@ def _block(draw: Callable, gen: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def mc_mean(draw: Callable[[np.random.Generator, int], np.ndarray], plan: MCPlan,
-            lead: tuple[Callable[[np.random.Generator, int], np.ndarray], int] | None = None
-            ) -> ChunkedDraws:
+def mc_mean(draw: Callable | Sequence[tuple[Callable, int]], plan: MCPlan,
+            lead: tuple | None = None) -> ChunkedDraws | list[ChunkedDraws]:
     """Run the chunk draw ``draw(gen, n)`` once per chunk of ``plan``.
 
     ``lead = (draw_0, k)`` replaces the draw by ``draw_0(gen, k)`` for the
     first k replications of chunk 0 (spot checks that should run once per
     estimate); the rest of that chunk follows on the same generator.  A draw
     that does not return a ``(fields, n)`` array raises ``ValueError``.
-    """
-    def chunk(index: int, n: int, stream: RngStream) -> np.ndarray:
-        gen = stream.generator()
-        k = min(lead[1], n) if lead is not None and index == 0 else 0
-        blocks = ([_block(lead[0], gen, k)] if k else []) + (
-            [_block(draw, gen, n - k)] if n > k else [])
-        return np.ascontiguousarray(np.concatenate(blocks, axis=1))
 
-    chunks = run_chunked(chunk, plan.samples, plan.stream, plan.chunks, plan.workers)
-    return ChunkedDraws([c.shape[1] for c in chunks], chunks)
+    Strata ``[(draw_s, K_s), ...]`` in place of ``draw``, with one lead draw
+    per stratum in ``lead``, run in one pass over C = min(plan.chunks, max
+    K_s) chunks: chunk c draws ``chunk_sizes(K_s, C)[c]`` replications of
+    every stratum s (none once c >= K_s) in stratum order on its generator.
+    Each stratum gets its own ``ChunkedDraws``, as from a call of its own.
+    """
+    single = callable(draw)
+    strata = [(draw, plan.samples)] if single else draw
+    firsts, spot = ([None] * len(strata), 0) if lead is None else (
+        [lead[0]] if single else lead[0], lead[1])
+    total = max(k for _, k in strata)
+    shares = [chunk_sizes(k, min(plan.chunks, total)) for _, k in strata]
+
+    def chunk(index: int, _: int, stream: RngStream) -> list:
+        gen = stream.generator()
+        out = []
+        for (fn, _), first, sizes in zip(strata, firsts, shares):
+            n = sizes[index] if index < len(sizes) else 0
+            k = min(spot, n) if index == 0 else 0
+            blocks = ([_block(first, gen, k)] if k else []) + (
+                [_block(fn, gen, n - k)] if n > k else [])
+            out.append(np.ascontiguousarray(np.concatenate(blocks, axis=1)) if n else None)
+        return out
+
+    chunks = run_chunked(chunk, total, plan.stream, plan.chunks, plan.workers)
+    results = [ChunkedDraws(sizes, [c[s] for c in chunks[:len(sizes)]])
+               for s, sizes in enumerate(shares)]
+    return results[0] if single else results

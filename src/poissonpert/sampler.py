@@ -143,6 +143,9 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
 
     f is a callable (point, configuration) -> real.  The two sides use
     independent streams, so the combined standard error is the quadrature sum.
+    On a discrete measure the right side is one stratified ``mc_mean`` pass
+    with one stratum per atom a, estimating E f(a, Phi) on configurations of
+    its own; the atoms' masses weight the strata's means and stderrs.
     """
     if plan is None:
         raise ValueError("an MCPlan is required")
@@ -165,15 +168,13 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
 
     rhs_plan = plan.split(1)
     if isinstance(m, DiscreteMeasure):
-        rhs_parts, rhs_vars = [], []
-        for j, atom in enumerate(atoms):
-            mean_a, se_a = mc_mean(
-                lambda gen, n, _a=atom: np.array([[f(_a, phi) for phi in configurations(gen, n)]]),
-                rhs_plan.split(j)).estimate()
-            rhs_parts.append(mr.mass(atom) * mean_a)
-            rhs_vars.append((mr.mass(atom) * se_a) ** 2)
-        rhs = math.fsum(rhs_parts)
-        rhs_se = math.sqrt(math.fsum(rhs_vars))
+        def side_draw(atom):
+            return lambda gen, n: np.array([[f(atom, phi) for phi in configurations(gen, n)]])
+
+        strata = [(side_draw(a), rhs_plan.samples) for a in atoms]
+        sides = [r.estimate() for r in mc_mean(strata, rhs_plan)] if atoms else []
+        rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
+        rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2 for a, s in zip(atoms, sides)))
     elif isinstance(m, DensityMeasure):
         win = window or m.window
         mass_ref = m.reference_mass(win)

@@ -9,9 +9,13 @@ measure.  Exact mode evaluates each order from a shifted-expectation table
 and its mixed forward differences (see :mod:`poissonpert.exact`).
 
 Monte Carlo mode is one stratified estimator, ``mc_series``, over an order-n
-term sampler ``draw(n, gen, k)`` that returns k samples of the signed
+term sampler ``draw(n, gen, k, check)`` that returns k samples of the signed
 order-n term and of its absolute companion as a ``(2, k)`` array (the chunk
-contract of ``rng.mc_mean``).  Two backends supply the draw:
+contract of ``rng.mc_mean``); ``check`` cross-checks the backend's fast
+evaluation on the replications it draws.  Every order and the tail are
+strata of one ``mc_mean`` pass: a chunk builds one generator and draws its
+share of every order on it, and the first replications of every stratum run
+with ``check``.  Two backends supply the draw:
 
 * ``atom_draw`` (discrete intensities): n atoms per replication from the
   normalized absolute perturbation, one count array of k configurations,
@@ -49,8 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import (DIFFERENCE_ORDER_CAP, SPOT_NODES, Functional, count_values,
-                            difference_counts)
+from .configuration import DIFFERENCE_ORDER_CAP, SPOT_NODES, Functional, difference_counts
 from .exact import (EnumerationPlan, exact_expectation, expectation_table,
                     expected_difference_orders, forward_difference_table, order_sums,
                     weight_table)
@@ -128,25 +131,16 @@ def _assemble(terms, abs_terms, stop, converged, **fields) -> SeriesResult:
                         truncation_order=stop, converged=converged, **fields)
 
 
-def _admissibility_gate(lam, nu, rho, decomposition, strict) -> AdmissibilityReport:
-    report = admissibility_check(lam, nu, rho=rho)
-    if decomposition == "direct":
-        ok = report.l2_ok
-    elif decomposition == "lebesgue-nu":
-        ok = report.lebesgue_nu_ok
-    elif decomposition == "lebesgue-lambda":
-        ok = report.lebesgue_lam_ok
-    elif decomposition == "monotone":
-        ok = report.monotone_ok if report.monotone_ok is not None else report.l2_ok
-    else:
-        raise ValueError(f"unknown decomposition {decomposition!r}")
-    if not ok:
-        msg = (f"admissibility gaps capped for decomposition {decomposition!r}: "
-               f"low={report.l2_gap_low:g} high={report.l2_gap_high:g}")
-        if strict:
-            raise AdmissibilityError(msg)
-        warnings.warn(msg, RuntimeWarning)
-    return report
+# decomposition -> (its default rho from lam and nu, its verdict in the report)
+_DECOMPOSITIONS = {
+    "direct": (lambda lam, nu: lam.plus(nu), lambda r: r.l2_ok),
+    "lebesgue-nu": (lambda lam, nu: lam.plus(lebesgue_decompose(nu, lam)[1]),
+                    lambda r: r.lebesgue_nu_ok),
+    "lebesgue-lambda": (lambda lam, nu: nu.plus(lebesgue_decompose(lam, nu)[1]),
+                        lambda r: r.lebesgue_lam_ok),
+    "monotone": (lambda lam, nu: lam.plus(nu),
+                 lambda r: r.l2_ok if r.monotone_ok is None else r.monotone_ok),
+}
 
 
 def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
@@ -167,9 +161,16 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
     consecutive terms below it, Monte Carlo mode runs to ``n_max`` and is
     ``converged`` when its ``truncation_budget`` is at most ``eps_abs``.
     """
-    if rho is None:
-        rho = _default_rho(lam, nu, decomposition)
-    report = _admissibility_gate(lam, nu, rho, decomposition, strict)
+    if decomposition not in _DECOMPOSITIONS:
+        raise ValueError(f"unknown decomposition {decomposition!r}")
+    default_rho, verdict = _DECOMPOSITIONS[decomposition]
+    report = admissibility_check(lam, nu, rho=default_rho(lam, nu) if rho is None else rho)
+    if not verdict(report):
+        msg = (f"admissibility gaps capped for decomposition {decomposition!r}: "
+               f"low={report.l2_gap_low:g} high={report.l2_gap_high:g}")
+        if strict:
+            raise AdmissibilityError(msg)
+        warnings.warn(msg, RuntimeWarning)
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
     weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
@@ -180,20 +181,6 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
     if mode == "mc":
         return _atom_series(f, lam, weights, n_max, mc, eps_abs, admissibility=report)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _default_rho(lam, nu, decomposition):
-    if decomposition == "direct":
-        return lam.plus(nu)
-    if decomposition == "lebesgue-nu":
-        _, nu2 = lebesgue_decompose(nu, lam)
-        return lam.plus(nu2)
-    if decomposition == "lebesgue-lambda":
-        _, lam2 = lebesgue_decompose(lam, nu)
-        return nu.plus(lam2)
-    if decomposition == "monotone":
-        return lam.plus(nu)
-    raise ValueError(f"unknown decomposition {decomposition!r}")
 
 
 def series_plan(samples: int, mass: float, n_max: int) -> tuple[list[int], int]:
@@ -239,18 +226,20 @@ def truncation_budget(bound: float | None, mass: float, n_max: int) -> float | N
 
 def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
               bound: float | None = None, admissibility=None) -> SeriesResult:
-    """Poisson-stratified Monte Carlo series from ``draw(n, gen, k)``.
+    """Poisson-stratified Monte Carlo series from ``draw(n, gen, k, check)``.
 
-    ``mass`` is M, the absolute mass of the perturbation; ``draw(n, gen, k)``
-    returns k signed and absolute order-n term samples, scaled by M^n / n!,
-    as a ``(2, k)`` array.  Each stratum of ``series_plan(mc.samples, M,
-    n_max)`` is one ``mc_mean`` call.  Order n <= n* runs on child stream n.
-    The tail runs on child stream n* + 1: each of its chunks first draws the
-    order N of every replication from Poisson(M) conditioned on n* < N <=
-    n_max, then calls ``draw`` once per distinct order, and each replication
-    returns its draw(N) / P(N | tail) in its own place; adding each tail draw
-    into the term of its own order keeps every term unbiased, and the tail,
-    being one sample, reports one stderr.
+    ``mass`` is M, the absolute mass of the perturbation; ``draw(n, gen, k,
+    check)`` returns k signed and absolute order-n term samples, scaled by
+    M^n / n!, as a ``(2, k)`` array, and with ``check`` also cross-checks
+    them (f's count form, the path batch).  The whole series is one stratified
+    ``mc_mean`` pass on ``mc``: each order n <= n* of ``series_plan(mc.samples,
+    M, n_max)`` is a stratum of its own, and the tail is one more, whose
+    draws first pick their order N from Poisson(M) conditioned on n* < N <=
+    n_max, then call ``draw`` once per distinct order, each replication
+    returning its draw(N) / P(N | tail) in its own place; adding each tail
+    draw into the term of its own order keeps every term unbiased, and the
+    tail, being one sample, reports one stderr.  The first ``SPOT_NODES``
+    replications of every stratum in chunk 0 run with ``check``.
 
     The series always runs to n_max, and ``truncation_budget(bound, M,
     n_max)`` reports what truncating there can cost; ``converged`` means that
@@ -261,59 +250,43 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
         budgets, tail, n_max = [mc.samples], 0, min(n_max, 1)
     else:
         budgets, tail = series_plan(mc.samples, mass, n_max)
-    terms, abs_terms, stderrs, samples = [], [], [], []
-    for n, k in enumerate(budgets):
-        res = mc_mean(partial(draw, n), MCPlan(k, mc.stream.child(n), mc.chunks, mc.workers))
-        term = res.estimate(0)
-        terms.append(term.estimate)
-        abs_terms.append(res.estimate(1).estimate)
-        stderrs.append(term.stderr)
-        samples.append(k)
     first = len(budgets)
-    if tail:
-        plan = MCPlan(tail, mc.stream.child(first), mc.chunks, mc.workers)
-        tail_terms, tail_abs, tail_se, tail_samples = _tail_stratum(draw, mass, first,
-                                                                    n_max, plan)
-        terms += tail_terms
-        abs_terms += tail_abs
-        stderrs += [tail_se] + [0.0] * (len(tail_terms) - 1)
-        samples += tail_samples
-    for _ in range(len(terms), n_max + 1):  # a zero mass: orders above 0 vanish
-        terms.append(0.0)
-        abs_terms.append(0.0)
-        stderrs.append(0.0)
-        samples.append(0)
-    budget = truncation_budget(bound, mass, n_max)
-    return _assemble(terms, abs_terms, n_max, budget == 0.0,
-                     stderrs=stderrs, admissibility=admissibility,
-                     samples=samples, tail_from=first if tail else None,
-                     truncation_budget=budget)
-
-
-def _tail_stratum(draw: Callable, mass: float, first: int, last: int, plan: MCPlan
-                  ) -> tuple[list[float], list[float], float, list[int]]:
-    """The pooled orders first..last: per-order terms, absolute terms and
-    draw counts, and the one stderr of their sum."""
     weights = [1.0]
-    for n in range(first + 1, last + 1):
+    for n in range(first + 1, n_max + 1):
         weights.append(weights[-1] * mass / n)
     q = np.array(weights) / math.fsum(weights)
 
-    def tail_draw(gen: np.random.Generator, k: int) -> np.ndarray:
+    def tail_draw(gen: np.random.Generator, k: int, check: bool = False) -> np.ndarray:
         picks = gen.choice(q.size, size=k, p=q)
         out = np.empty((3, k))
         out[0] = picks
         for j in np.unique(picks):
             own = picks == j
-            out[1:, own] = draw(first + int(j), gen, int(own.sum())) / q[j]
+            out[1:, own] = draw(first + int(j), gen, int(own.sum()), check) / q[j]
         return out
 
-    res = mc_mean(tail_draw, plan)
-    picks, signed, absolute = res.values(0), res.values(1), res.values(2)
-    own = [picks == j for j in range(q.size)]
-    return ([float(signed[m].sum()) / plan.samples for m in own],
-            [float(absolute[m].sum()) / plan.samples for m in own],
-            res.estimate(1).stderr, [int(m.sum()) for m in own])
+    strata = [(partial(draw, n), k) for n, k in enumerate(budgets)]
+    leads = [partial(draw, n, check=True) for n in range(first)]
+    if tail:
+        strata.append((tail_draw, tail))
+        leads.append(partial(tail_draw, check=True))
+    res = mc_mean(strata, mc, lead=(leads, SPOT_NODES))
+    orders = [r.estimate(0) for r in res[:first]]
+    terms, stderrs = [t.estimate for t in orders], [t.stderr for t in orders]
+    abs_terms, samples = [r.estimate(1).estimate for r in res[:first]], list(budgets)
+    if tail:
+        picks, signed, absolute = (res[first].values(i) for i in range(3))
+        own = [picks == j for j in range(q.size)]
+        terms += [float(signed[m].sum()) / tail for m in own]
+        abs_terms += [float(absolute[m].sum()) / tail for m in own]
+        stderrs += [res[first].estimate(1).stderr] + [0.0] * (q.size - 1)
+        samples += [int(m.sum()) for m in own]
+    zeros = [0.0] * (n_max + 1 - len(terms))  # a zero mass: orders above 0 vanish
+    budget = truncation_budget(bound, mass, n_max)
+    return _assemble(terms + zeros, abs_terms + zeros, n_max, budget == 0.0,
+                     stderrs=stderrs + zeros, admissibility=admissibility,
+                     samples=samples + [0] * len(zeros), tail_from=first if tail else None,
+                     truncation_budget=budget)
 
 
 def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int,
@@ -348,8 +321,8 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     absolute (sum |w|)^n / n! D^n f(Phi); order 0 gives f(Phi).  The chunk
     draw ``draw(n, gen, k, check=False)`` draws all k replications' picks,
     then one count array, and differences every row with
-    ``difference_counts``; f's count form is checked on the empty
-    configuration here.
+    ``difference_counts``, which with ``check`` spot-checks f's count form
+    on the empty configuration and the first rows.
     """
     ws = np.array(ws, dtype=float)
     mass_abs = float(np.abs(ws).sum())
@@ -359,7 +332,6 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     support = list(base.support())
     axes = support + [a for a in atoms if a not in support]
     axis_of = np.array([axes.index(a) for a in atoms], dtype=np.int64)
-    count_values(f, [np.zeros((), dtype=np.int64)] * len(axes), axes, [()])
 
     def draw(n: int, gen: np.random.Generator, k: int, check: bool = False) -> np.ndarray:
         picks = cdf.searchsorted(gen.random((k, n)), side="right")  # gen.choice(p=|w|/M)

@@ -1,0 +1,75 @@
+"""The names and signatures that ``bench/tracing.py`` wraps.
+
+The tracer patches public functions and methods by name; a rename in the
+package would make ``bench/run.py --trace 1`` fail at install time.  This
+reads the tracer's tables and checks that every name still resolves.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from poissonpert import rng
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wrapped_functions_resolve(tracing):
+    for span, attr in tracing.FUNCTIONS:
+        home = importlib.import_module(f"poissonpert.{span.split('.')[0]}")
+        assert callable(getattr(home, attr)), span
+
+
+def test_wrapped_methods_resolve(tracing):
+    for span, owner, method in tracing.METHODS:
+        module, cls = owner.split(".")
+        assert callable(getattr(getattr(importlib.import_module(f"poissonpert.{module}"),
+                                        cls), method)), span
+
+
+def test_direction_builders_resolve(tracing):
+    levy = importlib.import_module("poissonpert.levy")
+    for builder in tracing.DIRECTION_BUILDERS:
+        assert callable(getattr(levy, builder)), builder
+
+
+def test_run_chunked_keeps_its_signature():
+    # the tracer's replacement is run_chunked(fn, total, stream, chunks=32, workers=1)
+    params = inspect.signature(rng.run_chunked).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("fn", inspect.Parameter.empty), ("total", inspect.Parameter.empty),
+        ("stream", inspect.Parameter.empty), ("chunks", 32), ("workers", 1)]
+    seen = []
+    out = rng.run_chunked(lambda c, n, s: seen.append((c, n, s)) or c, 10,
+                          rng.RngStream(3), chunks=4)
+    stream = rng.RngStream(3)
+    assert out == [0, 1, 2, 3]
+    assert seen == [(c, n, stream.child(c)) for c, n in enumerate(rng.chunk_sizes(10, 4))]
+
+
+def test_tracer_installs_and_counts_one_generator_per_chunk(tracing):
+    import poissonpert as pp
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = pp.variational_series(pp.void_indicator(), pp.discrete({"a": 1.0}),
+                                    pp.discrete({"a": 1.5}), n_max=6, mode="mc",
+                                    mc=pp.MCPlan(60, pp.RngStream(1), chunks=16))
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert metrics["rng.generators_built"] == min(16, max(res.samples))
+    assert metrics["rng.run_chunked.calls"] == 1
+    assert pp.rng.run_chunked is rng.run_chunked and not hasattr(rng.run_chunked,
+                                                                 "__wrapped__")

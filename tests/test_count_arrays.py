@@ -117,6 +117,18 @@ class TestChunkSpotCheck:
             pp.variational_series(f, m, pp.discrete({"a": 41.0}), n_max=2, mode="mc",
                                   mc=pp.MCPlan(200, pp.RngStream(0)))
 
+    def test_every_series_stratum_is_checked(self):
+        # the count form doubles fn: right on the empty configuration only,
+        # so an unchecked series returns 2.9 for the true E_nu N = 1.5
+        f = pp.Functional(lambda phi: float(phi.total_points()), name="stale_count",
+                          counts=lambda cs, atoms: 2.0 * sum(cs))
+        lam, nu = pp.discrete({"a": 1.0}), pp.discrete({"a": 1.5})
+        with pytest.raises(CountFormMismatchError, match="stale_count"):
+            pp.gateaux_derivative(f, lam, {"a": 0.5})
+        with pytest.raises(CountFormMismatchError, match="stale_count"):
+            pp.variational_series(f, lam, nu, n_max=4, mode="mc",
+                                  mc=pp.MCPlan(200, pp.RngStream(0)))
+
     def test_first_replications_are_checked(self):
         # right on the empty configuration, stale on every other one
         f = dataclasses.replace(pp.void_indicator(name="stale_void"),

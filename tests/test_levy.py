@@ -140,12 +140,28 @@ class TestSimulatePath:
         st = StableJumps(0.5, 1.0, 1.0)
         model = LevyModel(jumps=st, drift=0.0, drift_form="compensated",
                           t0=1.0, eps=0.25)
-        rate = model.jump_rate()
+        rate = model.jump_rate
         gen = rng.child(6).generator()
         counts = np.array([simulate_path(model, generator=gen).n_jumps
                            for _ in range(20_000)])
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - rate) <= 3 * se
+
+    def test_jump_rate_is_computed_once_per_model(self, rng, monkeypatch):
+        from poissonpert.levy import simulate_coupled_paths, simulate_paths
+        gj = GammaJumps(2.0, 1.0)
+        model = LevyModel(jumps=gj, density=lambda x: np.full(np.shape(x), 0.5),
+                          density_bound=1.5, t0=2.0, eps=0.01)
+        other = LevyModel(jumps=GammaJumps(2.0, 1.0), t0=2.0, eps=0.01)
+        assert model.jump_rate == 2.0 * 1.5 * gj.mass_above(0.01)
+        calls = []
+        monkeypatch.setattr(GammaJumps, "mass_above", lambda self, eps: calls.append(eps))
+        gen = rng.child(9).generator()
+        simulate_path(model, generator=gen)
+        simulate_paths(model, 20, gen)
+        simulate_coupled(model, other, gen)
+        simulate_coupled_paths(other, model, 20, gen)
+        assert calls == []
 
     def test_wiener_part_variance(self, rng):
         model = LevyModel(jumps=CompoundPoissonJumps({}), drift=0.0,

@@ -228,3 +228,13 @@ class TestSpotCheck:
         with pytest.raises(BatchMismatchError, match="terminal_value"):
             levy.levy_derivative(terminal_value, cp_model(), PERT,
                                  MCPlan(240, rng.child(9), chunks=8))
+
+    def test_corrupted_series_values_raise(self, rng, monkeypatch):
+        # every series stratum checks its first paths, not only order one
+        original = PathBatch.values
+        monkeypatch.setattr(PathBatch, "values",
+                            lambda self, ts: original(self, ts) * (1.0 + 1e-9))
+        target = levy.perturbed_model(cp_model(), PERT, 0.5)
+        with pytest.raises(BatchMismatchError, match="terminal_value"):
+            levy.levy_series(terminal_value, cp_model(), target,
+                             MCPlan(240, rng.child(10), chunks=8), n_max=3)

@@ -1,0 +1,169 @@
+"""Stratified ``rng.mc_mean``: one chunk pass over several (draw, K) strata,
+and the series and Mecke estimators that run on it."""
+
+import math
+
+import numpy as np
+import pytest
+from test_path_batch import PERT, cp_model
+
+import poissonpert as pp
+from poissonpert import levy
+from poissonpert import rng as rng_module
+from poissonpert.rng import MCPlan, RngStream, chunk_sizes, each, mc_mean
+from poissonpert.configuration import SPOT_NODES
+from poissonpert.series import mc_series, series_plan
+
+
+def one(gen):
+    u = gen.random()
+    return u, float(gen.poisson(3.0 * u))
+
+
+def two(gen):
+    return float(gen.integers(10)), gen.standard_normal()
+
+
+def mark(gen):
+    return gen.standard_exponential(), -1.0
+
+
+# three strata: more, fewer and far fewer replications than chunks
+DRAWS = [one, two, one]
+STRATA = [(each(one), 103), (each(two), 9), (each(one), 2)]
+
+
+class TestStratifiedPass:
+    def test_equals_hand_written_chunk_draws(self, rng):
+        plan = MCPlan(0, rng.child(1), chunks=7, workers=2)  # samples: unused by strata
+        res = mc_mean(STRATA, plan, lead=([each(mark) for _ in STRATA], 4))
+        shares = [chunk_sizes(k, 7) for _, k in STRATA]
+        assert [r.sizes for r in res] == shares == [chunk_sizes(103, 7), [2] * 2 + [1] * 5,
+                                                     [1, 1]]
+        for c in range(7):
+            gen = plan.stream.child(c).generator()
+            for draw, r, sizes in zip(DRAWS, res, shares):
+                n = sizes[c] if c < len(sizes) else 0
+                lead = min(4, n) if c == 0 else 0
+                rows = [mark(gen) for _ in range(lead)] + [draw(gen) for _ in range(n - lead)]
+                if n:
+                    assert r.chunks[c].flags.c_contiguous
+                    assert np.array_equal(r.chunks[c], np.array(rows).T)
+
+    def test_one_stratum_is_the_plain_call(self, rng):
+        plan = MCPlan(57, rng.child(2), chunks=6)
+        lead = (each(one), 3)
+        plain = mc_mean(each(one), plan, lead=lead)
+        (strat,) = mc_mean([(each(one), 57)], plan, lead=([each(one)], 3))
+        assert strat.sizes == plain.sizes
+        assert all(np.array_equal(a, b) for a, b in zip(strat.chunks, plain.chunks))
+        assert strat.estimate(1) == plain.estimate(1)
+
+    def test_each_stratum_keeps_its_own_estimator(self, rng):
+        # a stratum's chunk means and stderr are those of a call of its own
+        res = mc_mean(STRATA, MCPlan(0, rng.child(3), chunks=7))
+        for (_, k), r in zip(STRATA, res):
+            assert sum(r.sizes) == k and len(r.sizes) == min(7, k)
+            means = [float(np.mean(c[0])) for c in r.chunks]
+            assert tuple(r.estimate(0)) == pp.rng.combine_batch_means(means, r.sizes)
+
+    def test_chunk_evaluation_order_does_not_matter(self, rng, monkeypatch):
+        # chunks run last to first still reduce in chunk order, as a pool may
+        def backwards(fn, total, stream, chunks=32, workers=1):
+            tasks = [(c, n, stream.child(c)) for c, n in enumerate(chunk_sizes(total, chunks))]
+            done = {t[0]: fn(*t) for t in reversed(tasks)}
+            return [done[c] for c in range(len(tasks))]
+
+        lam, nu = pp.discrete({"a": 1.0, "b": 0.5}), pp.discrete({"a": 1.6, "b": 0.2})
+        runs = {
+            "series": lambda: pp.variational_series(
+                pp.void_indicator(), lam, nu, n_max=8, mode="mc",
+                mc=MCPlan(80, rng.child(4), chunks=5)),
+            "mecke": lambda: tuple(pp.mecke_check(
+                lambda x, phi: float(phi.total_points()), lam,
+                plan=MCPlan(60, rng.child(5), chunks=4))),
+            "strata": lambda: [tuple(r.estimate(1)) for r in
+                               mc_mean(STRATA, MCPlan(0, rng.child(6), chunks=7))],
+        }
+        forward = {k: run() for k, run in runs.items()}
+        monkeypatch.setattr(rng_module, "run_chunked", backwards)
+        for k, run in runs.items():
+            again = run()
+            if k == "series":
+                assert again.terms == forward[k].terms and again.stderrs == forward[k].stderrs
+            else:
+                assert again == forward[k]
+
+
+def counted(monkeypatch):
+    """Count generators built and ``run_chunked`` calls."""
+    counts = {"generators": 0, "passes": 0}
+    generator, run_chunked = RngStream.generator, rng_module.run_chunked
+
+    def gen(self):
+        counts["generators"] += 1
+        return generator(self)
+
+    def run(*args, **kwargs):
+        counts["passes"] += 1
+        return run_chunked(*args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "generator", gen)
+    monkeypatch.setattr(rng_module, "run_chunked", run)
+    return counts
+
+
+class TestSeriesPass:
+    # weights +0.5 and -0.25: the absolute mass 0.75 is exact in binary
+    LAM = pp.discrete({"a": 1.0, "b": 0.5})
+    NU = pp.discrete({"a": 1.5, "b": 0.25})
+
+    @pytest.mark.parametrize("samples, chunks", [(60, 64), (100, 32), (7, 32)])
+    def test_one_pass_builds_one_generator_per_chunk(self, rng, monkeypatch, samples, chunks):
+        counts = counted(monkeypatch)
+        res = pp.variational_series(pp.void_indicator(), self.LAM, self.NU, n_max=12,
+                                    mode="mc", mc=MCPlan(samples, rng.child(7), chunks=chunks))
+        assert counts == {"generators": min(chunks, max(res.samples)), "passes": 1}
+
+    @pytest.mark.parametrize("samples, n_max", [(60, 12), (100, 8), (5, 3), (2_000, 30)])
+    def test_samples_and_tail_follow_the_plan(self, rng, samples, n_max):
+        res = pp.variational_series(pp.void_indicator(), self.LAM, self.NU, n_max=n_max,
+                                    mode="mc", mc=MCPlan(samples, rng.child(8)))
+        budgets, tail = series_plan(samples, 0.75, min(n_max, pp.DIFFERENCE_ORDER_CAP))
+        assert res.samples[:len(budgets)] == budgets
+        assert sum(res.samples[len(budgets):]) == tail
+        assert res.tail_from == (len(budgets) if tail else None)
+
+    def test_every_stratum_leads_with_a_check(self, rng):
+        calls = []
+
+        def draw(n, gen, k, check=False):
+            calls.append((n, k, check))
+            return np.ones((2, k))
+
+        res = mc_series(draw, 1.5, 12, MCPlan(50, rng.child(11), chunks=8))
+        checked = [(n, k) for n, k, check in calls if check]
+        first = res.tail_from
+        # orders 0..n*: the first SPOT_NODES of each chunk-0 share; the tail's
+        # chunk-0 share holds one replication
+        assert checked[:first] == [(n, min(SPOT_NODES, chunk_sizes(k, 8)[0]))
+                                   for n, k in enumerate(res.samples[:first])]
+        assert len(checked) == first + 1 and checked[-1][0] >= first
+
+    def test_mecke_right_side_is_one_pass(self, rng, monkeypatch):
+        counts = counted(monkeypatch)
+        m = pp.discrete({"a": 1.0, "b": 0.5, "c": 0.25})
+        res = pp.mecke_check(lambda x, phi: float(phi.total_points()), m,
+                             plan=MCPlan(300, rng.child(9), chunks=16))
+        assert counts == {"generators": 2 * 16, "passes": 2}  # the left side and the right
+        # E sum_x N(Phi - delta_x) = E N(N - 1) = mu^2 = int E N(Phi) m(dx)
+        assert abs(res.lhs - res.rhs) <= 4 * res.stderr and math.isfinite(res.rhs_stderr)
+
+
+class TestLevySeriesPass:
+    def test_one_pass_builds_one_generator_per_chunk(self, rng, monkeypatch):
+        target = levy.perturbed_model(cp_model(), PERT, 0.5)
+        counts = counted(monkeypatch)
+        res = levy.levy_series(levy.terminal_value, cp_model(), target,
+                               MCPlan(100, rng.child(10), chunks=64), n_max=6)
+        assert counts == {"generators": min(64, max(res.samples)), "passes": 1}
