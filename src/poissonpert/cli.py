@@ -1,10 +1,11 @@
 """Batch experiment runner.
 
 Every study is a subcommand driven by a flat key-value config file with
-section headers (INI).  Discrete measures live in plain-text files with one
-``atom-id mass`` pair per line.  Each study checks one identity of the paper
-on its inputs and reports every check as a ``battery.CheckRow``, the row the
-``validate`` battery uses, through one writer:
+section headers (INI).  Discrete measures and densities live in plain-text
+files of ``atom value`` lines, read by ``measures.atom_values``.  Each study
+checks one identity of the paper on its inputs and reports every check as a
+``battery.CheckRow``, the row the ``validate`` battery uses, through one
+writer:
 
 * ``<study>.csv`` with columns check, value, target, tol, mode, pass (the tol
   of a ``z`` row is the standard error of its Monte Carlo estimate);
@@ -102,14 +103,7 @@ def _density_table(cfg, section, key, base: Path) -> dict:
     path = base / cfg.get(section, key)
     if not path.exists():
         raise ConfigError(f"density file {path} does not exist")
-    table = {}
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        atom, val = line.split()
-        table[atom] = float(val)
-    return table
+    return measures.atom_values(path.read_text())
 
 
 def _mc_plan(cfg, args, default_samples=100_000) -> MCPlan:

@@ -22,7 +22,6 @@ makes the 3-sigma comparisons meaningful at desk scale.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,16 +127,16 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
     w = np.array([1.0 if weight is None else weight(x) for x in atoms])
     eye = np.eye(len(atoms), dtype=np.int64)
 
-    def draw(gen, n, probe=False):
+    def draw(gen, n, check=False):
         c = sample_counts(scaled, size=n, generator=gen)[:, None]
         # node 0 is Phi, node 1 + i is Phi - delta_{atoms[i]} (Phi if it holds
-        # none there, a zero term), and a probe adds one random atom at the end
+        # none there, a zero term), and a check adds one random atom at the end
         nodes = [c, np.maximum(c - eye, 0)]
-        if probe:
+        if check:
             xs = gen.integers(len(atoms), size=n)
             nodes.append(c + eye[xs][:, None])
-        values = chunk_values(f, list(np.concatenate(nodes, axis=1).T), atoms, probe).T
-        if probe and (values[:, -1] < values[:, 0] - 1e-12).any():
+        values = chunk_values(f, list(np.concatenate(nodes, axis=1).T), atoms, check).T
+        if check and (values[:, -1] < values[:, 0] - 1e-12).any():
             x = atoms[xs[np.argmax(values[:, -1] < values[:, 0] - 1e-12)]]
             raise NonIncreasingEventError(f"adding a point decreased the functional at {x!r}")
         terms = values[:, :1] - values[:, 1:len(atoms) + 1]
@@ -147,7 +146,7 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
                                           "event is not increasing")
         return ((c[:, 0] * terms) @ w / theta)[None]
 
-    return mc_mean(draw, mc, lead=(partial(draw, probe=True), SPOT_CHECKS)).estimate()
+    return mc_mean(draw, mc, spot=SPOT_CHECKS).estimate()
 
 
 def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -167,7 +166,7 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
         values = chunk_values(f, cs, atoms, check)
         return ((values[:, 0] - values[:, 1]) / (2.0 * delta))[None]
 
-    return mc_mean(draw, mc, lead=(partial(draw, check=True), SPOT_NODES)).estimate()
+    return mc_mean(draw, mc, spot=SPOT_NODES).estimate()
 
 
 def richardson_fd(values: Callable[[float], float], theta: float,

@@ -39,12 +39,16 @@ where they did per path:
 
 * ``supremum_derivative`` compares the kernel with the re-evaluated path
   difference, and the difference with the 2|x| envelope, on every sample;
-* ``supremum_derivative``, ``coupled_supremum_fd`` and ``levy_derivative``
-  re-evaluate their first ``SPOT_CHECKS`` paths of chunk 0 through
-  ``CadlagPath`` (both suprema and the supremum after the jump; f on both
-  paths; the path difference), and a gap above ``SPOT_TOL`` raises
-  ``BatchMismatchError``.  ``levy_series`` draws through the same
-  ``jump_draw`` and checks the first paths of every order the same way.
+* every estimator passes ``spot`` to ``rng.mc_mean``: the first
+  ``SPOT_CHECKS`` paths of chunk 0 (``SPOT_NODES`` of every order in
+  ``levy_series``) are re-evaluated through ``CadlagPath`` (the suprema of
+  ``supremum_derivative``, f on both paths of ``coupled_supremum_fd``, the
+  path difference of ``jump_draw``), and a gap above ``SPOT_TOL`` raises
+  ``BatchMismatchError``.
+
+``jump_draw`` returns the Levy backend ``(draw, M)`` of ``series``, with
+M = t0 int |g| d nu_ref above the truncation: ``levy_derivative`` is its
+order-one ``series.mc_term``, ``levy_series`` its ``series.mc_series``.
 
 Integrals against the power-tail and gamma references (``integrate``) run on
 the module's own quadrature, ``_panel_quad``, over numpy arrays:
@@ -69,15 +73,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .rng import EstimateResult, MCPlan, RngStream, mc_mean
-from .series import SeriesResult, mc_series
+from .series import SeriesResult, mc_series, mc_term
 
-CAP = 1e12
+CAP = 1e12  # the largest hypothesis integral accepted as finite
+DRIFT_TOL = 1e-9  # ``check_pair``: absolute tolerance of the drift relation
+GAMMA_GRID_POINTS = 4097  # nodes of the gamma jump sampler's inverse-CDF grid
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
 SPOT_CHECKS = 8  # paths of the first chunk re-evaluated through ``CadlagPath``
 SPOT_TOL = 1e-12  # largest accepted gap between a batch value and ``CadlagPath``
@@ -411,19 +417,17 @@ class StableJumps(_ReferenceMeasure):
 class GammaJumps(_ReferenceMeasure):
     """Gamma-process jump measure theta x^(-1) exp(-beta x) dx on x > 0."""
 
-    def __init__(self, theta: float, beta: float, grid_points: int = 4097):
+    def __init__(self, theta: float, beta: float):
         if theta <= 0 or beta <= 0:
             raise ValueError("theta and beta must be positive")
         self.theta = theta
         self.beta = beta
-        self.grid_points = grid_points
         self.min_eps = None
         self.finite_variation = True
         self._cdf_cache: dict = {}
 
     def _params(self) -> tuple:
-        # the grid is part of the sampler, so it is part of the measure's identity
-        return self.theta, self.beta, self.grid_points
+        return self.theta, self.beta
 
     @property
     def mom5_ok(self) -> bool:
@@ -438,7 +442,7 @@ class GammaJumps(_ReferenceMeasure):
         key = float(eps)
         if key not in self._cdf_cache:
             x_max = eps + 60.0 / self.beta
-            xs = np.geomspace(eps, x_max, self.grid_points)
+            xs = np.geomspace(eps, x_max, GAMMA_GRID_POINTS)
             tail = _exp1(self.beta * xs) / _exp1(self.beta * eps)
             cdf = np.clip(1.0 - tail, 0.0, 1.0)
             cdf[0], cdf[-1] = 0.0, 1.0
@@ -658,14 +662,11 @@ def stable_direction(alpha_dir: float, q_pos: float, q_neg: float,
 
 @dataclass(frozen=True)
 class JumpPerturbation:
-    """theta-family of jump densities g_nu + (theta - theta0)(g + R_theta)."""
+    """theta-family of jump densities g_nu + (theta - theta0) g."""
 
     direction: JumpDirection
     theta0: float = 0.0
     interval: tuple[float, float] = (0.0, 1.0)
-    remainder: Callable | None = None       # (theta, x array) -> array
-    envelope: Callable | None = None        # dominating |R_theta| <= envelope
-    envelope_bound: float = 0.0             # sup of the envelope
 
     def contains(self, theta: float) -> bool:
         lo, hi = self.interval
@@ -1195,18 +1196,17 @@ def drift_adjust(b: float, direction: JumpDirection, theta_delta: float,
     return b + theta_delta * moment
 
 
-def check_direction(direction: JumpDirection, cap: float = CAP) -> dict:
+def check_direction(direction: JumpDirection) -> dict:
     """Square-integrability and small-jump moment conditions on a direction."""
     vals = {"square_integral": direction.square_integral,
             "x_wedge_integral": direction.x_wedge_integral}
     for name, v in vals.items():
-        if not math.isfinite(v) or v >= cap:
+        if not math.isfinite(v) or v >= CAP:
             raise ConditionError(f"direction fails {name}: {v:g}")
     return vals
 
 
-def check_pair(model: LevyModel, target: LevyModel, cap: float = CAP,
-               drift_tol: float = 1e-9) -> dict:
+def check_pair(model: LevyModel, target: LevyModel) -> dict:
     """Hypotheses tying two models to a common reference: square gaps of both
     densities, small-jump first-moment gaps, and the drift relation.
 
@@ -1241,14 +1241,14 @@ def check_pair(model: LevyModel, target: LevyModel, cap: float = CAP,
                          lambda x: np.minimum(np.abs(x), 1.0) * gap_err(x))
         out[f"{tag}_square_gap"] = gap
         out[f"{tag}_x_gap"] = wedge
-        if not math.isfinite(gap) or gap >= cap:
+        if not math.isfinite(gap) or gap >= CAP:
             raise ConditionError(f"{tag} density fails the square-gap condition: {gap:g}")
-        if not math.isfinite(wedge) or wedge >= cap:
+        if not math.isfinite(wedge) or wedge >= CAP:
             raise ConditionError(f"{tag} density fails the small-jump moment condition")
     if model.drift_form != target.drift_form:
         raise ConditionError("models must use the same drift parameterization")
     if model.drift_form == "plain":
-        if abs(model.drift - target.drift) > drift_tol:
+        if abs(model.drift - target.drift) > DRIFT_TOL:
             raise ConditionError("plain-form models must share the drift")
     else:
         errs = [e for e in (model.gap_error, target.gap_error) if e is not None]
@@ -1256,7 +1256,7 @@ def check_pair(model: LevyModel, target: LevyModel, cap: float = CAP,
             "compensation move",
             lambda x: np.asarray(x) * (target.gap(x) - model.gap(x)), 0.0, 1.0,
             (lambda x: np.abs(x) * sum(e(x) for e in errs)) if errs else None)
-        if abs((target.drift - model.drift) - move) > max(drift_tol, 1e-7 * abs(move)):
+        if abs((target.drift - model.drift) - move) > max(DRIFT_TOL, 1e-7 * abs(move)):
             raise ConditionError("drifts do not satisfy the compensation relation")
     return out
 
@@ -1267,13 +1267,6 @@ def perturbed_model(model: LevyModel, pert: JumpPerturbation, theta: float) -> L
         raise ValueError(f"theta={theta} outside declared interval {pert.interval}")
     dt = theta - pert.theta0
     d = pert.direction
-    rem = pert.remainder
-
-    def extra(x):
-        out = np.asarray(d.g(x), dtype=float)
-        if rem is not None:
-            out = out + np.asarray(rem(theta, x), dtype=float)
-        return out
 
     def clipped(out, floor):
         if np.any(out < floor - 1e-9):
@@ -1284,20 +1277,17 @@ def perturbed_model(model: LevyModel, pert: JumpPerturbation, theta: float) -> L
     # gap keeps its digits where g rounds to 1
     def g_theta(x):
         x = np.asarray(x, dtype=float)
-        return clipped(np.asarray(model.g(x)) + dt * extra(x), 0.0)
+        return clipped(np.asarray(model.g(x)) + dt * np.asarray(d.g(x), dtype=float), 0.0)
 
     def gap_theta(x):
         x = np.asarray(x, dtype=float)
-        return clipped(np.asarray(model.gap(x)) + dt * extra(x), -1.0)
+        return clipped(np.asarray(model.gap(x)) + dt * np.asarray(d.g(x), dtype=float), -1.0)
 
-    bound = model.density_bound + abs(dt) * (d.g_bound + pert.envelope_bound)
+    bound = model.density_bound + abs(dt) * d.g_bound
     if model.drift_form == "plain":
         drift = model.drift
     else:
         drift = drift_adjust(model.drift, d, dt, model.jumps)
-        if rem is not None:
-            drift += dt * model.jumps.integrate(
-                lambda x: np.asarray(x) * np.asarray(rem(theta, x)), 0.0, 1.0)
     return replace(model, density=JumpDensity(g_theta, gap_theta), density_bound=bound,
                    drift=drift)
 
@@ -1338,32 +1328,39 @@ def gamma_overlay_model(theta: float, beta0: float, alpha: float, t0: float,
 # ---------------------------------------------------------------------------
 
 
-def _direction_eps(direction: JumpDirection, direction_eps: float | None) -> float:
-    if direction_eps is not None:
-        if direction.min_eps is None and direction_eps <= 0:
-            raise ConditionError("|g| d nu_ref is not normalizable at 0; "
-                                 "a positive truncation is required")
-        return direction_eps
-    if direction.min_eps is None:
+def _direction_mass(direction: JumpDirection, direction_eps: float | None,
+                    t0: float) -> tuple[float, float]:
+    """The truncation eps_d of the direction (``direction_eps``, else its
+    ``min_eps``) and its mass M = t0 int_{|x| > eps_d} |g| d nu_ref.
+
+    A direction whose |g| d nu_ref is not normalizable at 0 needs
+    ``direction_eps > 0``; a non-finite M raises ``ConditionError``.
+    """
+    eps_d = direction.min_eps if direction_eps is None else direction_eps
+    if direction.min_eps is None and (eps_d is None or eps_d <= 0):
         raise ConditionError("|g| d nu_ref is not normalizable at 0; "
                              "pass direction_eps > 0")
-    return direction.min_eps
+    mass = t0 * direction.abs_mass_above(eps_d)
+    if not math.isfinite(mass):
+        raise ConditionError("absolute direction mass is not finite")
+    return eps_d, mass
 
 
 def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
-              eps_d: float, mass: float) -> Callable:
-    """The Levy backend's order-n term sampler, in the chunk form of
-    ``mc_series``.
+              direction_eps: float | None = None) -> tuple[Callable, float]:
+    """The Levy backend of ``series``: the order-n term sampler and the
+    direction mass M = t0 int_{|x| > eps_d} |g| d nu_ref (``_direction_mass``).
 
-    ``draw(n, gen, k, check)`` draws n marks (t, x) for each of k
+    ``draw(n, gen, k, check=False)`` draws n marks (t, x) for each of k
     replications, t uniform on [0, t0] and x from the normalized |g| d nu_ref
     above eps_d, then one batch of k paths, and returns the signed and absolute
-    (t0 mass)^n / n! times each path's n-fold path difference as a (2, k)
-    array; order 0 gives f(X).  With ``check`` every path's difference is
-    recomputed through ``CadlagPath`` (``path_difference``) and a gap above
-    ``SPOT_TOL`` raises ``BatchMismatchError``.
+    M^n / n! times each path's n-fold path difference as a (2, k) array;
+    order 0 gives f(X).  With ``check`` every path's difference is recomputed
+    through ``CadlagPath`` (``path_difference``) and a gap above ``SPOT_TOL``
+    raises ``BatchMismatchError``.
     """
     t0 = model.t0
+    eps_d, mass = _direction_mass(direction, direction_eps, t0)
 
     def draw(n: int, gen: np.random.Generator, k: int, check: bool = False) -> np.ndarray:
         ts = gen.uniform(0.0, t0, (n, k))
@@ -1377,32 +1374,23 @@ def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
             for i in range(k):
                 _agree(f"{f.name} path difference", dval[i],
                        path_difference(f, batch.path(i), list(zip(ts[:, i], xs[:, i]))))
-        scale = (t0 * mass) ** n / math.factorial(n)
+        scale = mass ** n / math.factorial(n)
         return np.stack([scale * sgn * dval, scale * np.abs(dval)])
 
-    return draw
+    return draw, mass
 
 
 def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
                     mc: MCPlan, direction_eps: float | None = None) -> EstimateResult:
     """First-order sensitivity of E f(X) to the jump density along g.
 
-    The order-one draw of ``jump_draw``: one mark (t, x) from uniform time
-    tensor the normalized absolute direction, and the one-jump difference on
-    a common path.  The first ``SPOT_CHECKS`` paths of chunk 0 are checked
-    against ``CadlagPath``.
+    The order-one ``series.mc_term`` of ``jump_draw``: one mark (t, x) from
+    uniform time tensor the normalized absolute direction, and the one-jump
+    difference on a common path.  The first ``SPOT_CHECKS`` paths of chunk 0
+    are checked against ``CadlagPath``.
     """
-    d = pert.direction
-    check_direction(d)
-    eps_d = _direction_eps(d, direction_eps)
-    mass = d.abs_mass_above(eps_d)
-    if not math.isfinite(mass):
-        raise ConditionError("absolute direction mass is not finite")
-    if mass == 0.0:
-        return EstimateResult(0.0, 0.0)
-    draw = jump_draw(f, model, d, eps_d, mass)
-    lead = (lambda gen, k: draw(1, gen, k, check=True)[:1], SPOT_CHECKS)
-    return mc_mean(lambda gen, k: draw(1, gen, k)[:1], mc, lead=lead).estimate()
+    check_direction(pert.direction)
+    return mc_term(*jump_draw(f, model, pert.direction, direction_eps), 1, mc, SPOT_CHECKS)
 
 
 def _agree(name: str, batch_value: float, path_value: float) -> None:
@@ -1459,9 +1447,7 @@ def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
         gap = {float(s): float(np.asarray(target.g(s)) - np.asarray(model.g(s)))
                for s in sizes}
         delta = cp_direction(model.jumps, gap)
-    eps_d = _direction_eps(delta, direction_eps)
-    mass = delta.abs_mass_above(eps_d)
-    return mc_series(jump_draw(f, model, delta, eps_d, mass), model.t0 * mass, n_max, mc)
+    return mc_series(*jump_draw(f, model, delta, direction_eps), n_max, mc)
 
 
 @dataclass(frozen=True)
@@ -1506,9 +1492,8 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
                              "diverges; the supremum is not square-integrable")
     d = pert.direction
     check_direction(d)
-    eps_d = _direction_eps(d, direction_eps)
-    mass = d.abs_mass_above(eps_d)
     t0 = model.t0
+    eps_d, mass = _direction_mass(d, direction_eps, t0)
     mom = model.moments()
     scale = abs(mom["mean"]) + math.sqrt(max(mom["var"], 0.0)) + abs(model.slope) * t0
     edges = np.linspace(-4.0 * scale - 1.0, 4.0 * scale + 1.0, Q_BINS + 1)
@@ -1533,10 +1518,10 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
                    batch.path(i).with_jump(t[i], x[i]).supremum())
         delta = moved - batch.supremum()
         sgn = np.where(np.asarray(d.g(x)) >= 0, 1.0, -1.0)
-        return np.stack([t0 * mass * sgn * kernel, y, np.abs(delta - kernel),
+        return np.stack([mass * sgn * kernel, y, np.abs(delta - kernel),
                          np.abs(delta) > 2.0 * np.abs(x) + 1e-12])
 
-    res = mc_mean(draw, mc, lead=(partial(draw, check=True), SPOT_CHECKS))
+    res = mc_mean(draw, mc, spot=SPOT_CHECKS)
     bins = np.searchsorted(edges, res.values(1), side="right") - 1
     counts = np.bincount(bins[(bins >= 0) & (bins < Q_BINS)], minlength=Q_BINS)
     return SupremumDerivativeResult(
@@ -1563,4 +1548,4 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
             _agree(f"{f.name} (theta0 + delta)", f_hi[i], f(pair[1].path(i)))
         return ((f_hi - f_lo) / (2.0 * delta))[None]
 
-    return mc_mean(draw, mc, lead=(partial(draw, check=True), SPOT_CHECKS)).estimate()
+    return mc_mean(draw, mc, spot=SPOT_CHECKS).estimate()

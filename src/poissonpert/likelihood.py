@@ -49,10 +49,9 @@ class LikelihoodRatio:
     square_gap: float      # int (h-1)^2 drho
 
     @staticmethod
-    def from_discrete(nu: DiscreteMeasure, rho: DiscreteMeasure,
-                      cutoff: float = 0.0) -> "LikelihoodRatio":
+    def from_discrete(nu: DiscreteMeasure, rho: DiscreteMeasure) -> "LikelihoodRatio":
         h = nu.density_against(rho)
-        support = tuple(a for a in rho.atoms if abs(h[a] - 1.0) > cutoff)
+        support = tuple(a for a in rho.atoms if h[a] != 1.0)
         log_offset = math.fsum(rho.mass(a) - nu.mass(a) for a in support)
         square_gap = math.fsum((h[a] - 1.0) ** 2 * rho.mass(a) for a in rho.atoms)
         return LikelihoodRatio(reference=rho, target=nu, support=support,
@@ -136,15 +135,14 @@ def second_moment_bound(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
 def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeasure,
                            mode: str = "exact",
                            plan: EnumerationPlan | None = None,
-                           mc: MCPlan | None = None,
-                           cap: float = DEFAULT_CAP):
+                           mc: MCPlan | None = None):
     """E_rho[L(Phi) g(Phi)], which equals E_nu g(Phi).
 
     The square-integrability hypothesis is hard here: a capped gap raises
     instead of warning, because the identity itself assumes it.
     """
     L = LikelihoodRatio.from_discrete(nu, rho)
-    if not math.isfinite(L.square_gap) or L.square_gap >= cap:
+    if not math.isfinite(L.square_gap) or L.square_gap >= DEFAULT_CAP:
         raise AdmissibilityError(
             f"int (h-1)^2 drho = {L.square_gap:g} is not acceptably finite")
     weighted = L.weighted(g)

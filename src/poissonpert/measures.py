@@ -189,19 +189,26 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_text(text: str) -> "DiscreteMeasure":
-        masses = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {ln}: expected 'atom-id mass', got {raw!r}")
-            atom, mass = parts
-            if atom in masses:
-                raise ValueError(f"line {ln}: duplicate atom {atom!r}")
-            masses[atom] = float(mass)
-        return DiscreteMeasure(masses)
+        return DiscreteMeasure(atom_values(text))
+
+
+def atom_values(text: str) -> dict:
+    """The ``atom value`` lines of a text as {atom id: float}, skipping blank
+    lines and ``#`` comments.  Values may be signed (densities); a line that is
+    not one pair or repeats an atom raises ``ValueError`` naming the line."""
+    values = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {ln}: expected 'atom value', got {raw!r}")
+        atom, value = parts
+        if atom in values:
+            raise ValueError(f"line {ln}: duplicate atom {atom!r}")
+        values[atom] = float(value)
+    return values
 
 
 def discrete(masses: Mapping) -> DiscreteMeasure:

@@ -15,6 +15,10 @@ strata ``(draw_s, K_s)`` of one estimand (a series' orders, Mecke's atoms).
 from its own child stream, calls every draw once per chunk on that
 generator, and reduces every field of every stratum to its pooled mean and
 batch-means standard error over the chunk means, taken in chunk order.
+With ``spot = k`` the first min(k, n) replications of chunk 0 of every
+stratum are drawn first, as ``draw(gen, k, True)`` on the same generator:
+the draw cross-checks its fast evaluation on them (f's count form, the path
+batch against ``CadlagPath``), once per estimate whatever the plan.
 Discrete draws are one Poisson count array per chunk, Levy draws one path
 batch.  ``each`` remains only for draws that are truly one replication at a
 time (box-density configurations): it loops a per-replication draw
@@ -169,8 +173,8 @@ def each(draw: Callable[[np.random.Generator], object]
     return chunk_draw
 
 
-def _block(draw: Callable, gen: np.random.Generator, n: int) -> np.ndarray:
-    out = np.asarray(draw(gen, n), dtype=float)
+def _block(draw: Callable, gen: np.random.Generator, n: int, *check) -> np.ndarray:
+    out = np.asarray(draw(gen, n, *check), dtype=float)
     if out.ndim != 2 or out.shape[1] != n:
         raise ValueError(f"a chunk draw of {n} replications returned shape {out.shape}, "
                          f"not (fields, {n})")
@@ -178,34 +182,32 @@ def _block(draw: Callable, gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def mc_mean(draw: Callable | Sequence[tuple[Callable, int]], plan: MCPlan,
-            lead: tuple | None = None) -> ChunkedDraws | list[ChunkedDraws]:
+            spot: int = 0) -> ChunkedDraws | list[ChunkedDraws]:
     """Run the chunk draw ``draw(gen, n)`` once per chunk of ``plan``.
 
-    ``lead = (draw_0, k)`` replaces the draw by ``draw_0(gen, k)`` for the
-    first k replications of chunk 0 (spot checks that should run once per
-    estimate); the rest of that chunk follows on the same generator.  A draw
-    that does not return a ``(fields, n)`` array raises ``ValueError``.
+    The first k = min(spot, n) replications of chunk 0 are drawn as
+    ``draw(gen, k, True)``, the checked lead; the rest of that chunk follows
+    as ``draw(gen, n - k)`` on the same generator.  A draw that does not
+    return a ``(fields, n)`` array raises ``ValueError``.
 
-    Strata ``[(draw_s, K_s), ...]`` in place of ``draw``, with one lead draw
-    per stratum in ``lead``, run in one pass over C = min(plan.chunks, max
-    K_s) chunks: chunk c draws ``chunk_sizes(K_s, C)[c]`` replications of
-    every stratum s (none once c >= K_s) in stratum order on its generator.
-    Each stratum gets its own ``ChunkedDraws``, as from a call of its own.
+    Strata ``[(draw_s, K_s), ...]`` in place of ``draw`` run in one pass over
+    C = min(plan.chunks, max K_s) chunks: chunk c draws ``chunk_sizes(K_s,
+    C)[c]`` replications of every stratum s (none once c >= K_s) in stratum
+    order on its generator, each stratum with its own checked lead in chunk
+    0.  Each stratum gets its own ``ChunkedDraws``, as from a call of its own.
     """
     single = callable(draw)
     strata = [(draw, plan.samples)] if single else draw
-    firsts, spot = ([None] * len(strata), 0) if lead is None else (
-        [lead[0]] if single else lead[0], lead[1])
     total = max(k for _, k in strata)
     shares = [chunk_sizes(k, min(plan.chunks, total)) for _, k in strata]
 
     def chunk(index: int, _: int, stream: RngStream) -> list:
         gen = stream.generator()
         out = []
-        for (fn, _), first, sizes in zip(strata, firsts, shares):
+        for (fn, _), sizes in zip(strata, shares):
             n = sizes[index] if index < len(sizes) else 0
             k = min(spot, n) if index == 0 else 0
-            blocks = ([_block(first, gen, k)] if k else []) + (
+            blocks = ([_block(fn, gen, k, True)] if k else []) + (
                 [_block(fn, gen, n - k)] if n > k else [])
             out.append(np.ascontiguousarray(np.concatenate(blocks, axis=1)) if n else None)
         return out

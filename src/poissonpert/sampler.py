@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def mc_expectation(f, m: DiscreteMeasure, window=None,
         counts = sample_counts(m, window, size=n, generator=gen)
         return difference_counts(f, counts, atoms, np.zeros((n, 0), dtype=np.int64), check)[None]
 
-    return mc_mean(draw, plan, lead=(partial(draw, check=True), SPOT_NODES)).estimate()
+    return mc_mean(draw, plan, spot=SPOT_NODES).estimate()
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,13 @@ with the signed powers integrated through densities against any dominating
 measure.  Exact mode evaluates each order from a shifted-expectation table
 and its mixed forward differences (see :mod:`poissonpert.exact`).
 
-Monte Carlo mode is one stratified estimator, ``mc_series``, over an order-n
-term sampler ``draw(n, gen, k, check)`` that returns k samples of the signed
-order-n term and of its absolute companion as a ``(2, k)`` array (the chunk
-contract of ``rng.mc_mean``); ``check`` cross-checks the backend's fast
-evaluation on the replications it draws.  Every order and the tail are
-strata of one ``mc_mean`` pass: a chunk builds one generator and draws its
-share of every order on it, and the first replications of every stratum run
-with ``check``.  Two backends supply the draw:
+Monte Carlo mode runs over one backend protocol: a backend is a pair
+``(draw, M)`` of an order-n term sampler and the absolute mass M of the
+perturbation.  ``draw(n, gen, k, check=False)`` returns k samples of the
+signed order-n term and of its absolute companion, scaled by M^n / n!, as a
+``(2, k)`` array (the chunk contract of ``rng.mc_mean``); ``check``
+cross-checks the backend's fast evaluation on the replications it draws.
+Two backends meet it:
 
 * ``atom_draw`` (discrete intensities): n atoms per replication from the
   normalized absolute perturbation, one count array of k configurations,
@@ -23,6 +22,11 @@ with ``check``.  Two backends supply the draw:
 * ``levy.jump_draw`` (Levy jump measures): k batches of n marks (t, x) from
   dt tensor the normalized |g| d nu_ref, one batch of k paths, the n-fold
   path difference over the batch.
+
+Two drivers run a backend: ``mc_series`` is the whole series as one
+stratified ``mc_mean`` pass (a chunk builds one generator and draws its
+share of every order on it, and the first replications of every stratum run
+with ``check``), and ``mc_term`` is the order-n term alone.
 
 The signs are carried as weights.  With M the absolute mass of the
 perturbation, term n is at most sup|f| (2M)^n / n! while one order-n sample
@@ -33,7 +37,7 @@ their order from Poisson(M) conditioned on the tail (the randomized-order
 estimator of McLeish 2011 and Rhee & Glynn 2015, confined to the tail).  The
 series always runs to n_max; what the orders above n_max can add is reported
 as ``truncation_budget`` where f declares a bound.  Derivatives are the
-order-one draw of the same samplers.
+order-one ``mc_term`` of the same backends.
 
 The parametric version follows the one-dimensional family
 lam_theta = (h_lam + (theta - theta0) h) rho and, evaluated at theta = 1 with
@@ -174,13 +178,7 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
     weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
-    if mode == "exact":
-        terms, abs_terms = expected_difference_orders(f, lam, weights, n_max, plan)
-        stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
-        return _assemble(terms, abs_terms, stop, converged, admissibility=report)
-    if mode == "mc":
-        return _atom_series(f, lam, weights, n_max, mc, eps_abs, admissibility=report)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _atom_series(f, lam, weights, n_max, mode, plan, mc, eps_abs, report)
 
 
 def series_plan(samples: int, mass: float, n_max: int) -> tuple[list[int], int]:
@@ -266,11 +264,9 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
         return out
 
     strata = [(partial(draw, n), k) for n, k in enumerate(budgets)]
-    leads = [partial(draw, n, check=True) for n in range(first)]
     if tail:
         strata.append((tail_draw, tail))
-        leads.append(partial(tail_draw, check=True))
-    res = mc_mean(strata, mc, lead=(leads, SPOT_NODES))
+    res = mc_mean(strata, mc, spot=SPOT_NODES)
     orders = [r.estimate(0) for r in res[:first]]
     terms, stderrs = [t.estimate for t in orders], [t.stderr for t in orders]
     abs_terms, samples = [r.estimate(1).estimate for r in res[:first]], list(budgets)
@@ -290,18 +286,26 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
 
 
 def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int,
-                 mc: MCPlan | None, eps_abs: float, admissibility=None) -> SeriesResult:
-    """The discrete backend's Monte Carlo series.
+                 mode: str, plan: EnumerationPlan | None, mc: MCPlan | None,
+                 eps_abs: float, admissibility=None) -> SeriesResult:
+    """The series of the discrete perturbation ``weights`` around ``base``.
 
-    Orders above ``DIFFERENCE_ORDER_CAP`` are not sampled (an order-n
-    difference costs 2^n evaluations); the truncation budget covers them.
-    ``converged`` means the budget is known and at most ``eps_abs``.
+    Exact mode stops after two consecutive terms below ``eps_abs``.  Monte
+    Carlo mode is ``mc_series`` over ``atom_draw``; orders above
+    ``DIFFERENCE_ORDER_CAP`` are not sampled (an order-n difference costs 2^n
+    evaluations) and the truncation budget covers them, so ``converged``
+    means the budget is known and at most ``eps_abs``.
     """
+    if mode == "exact":
+        terms, abs_terms = expected_difference_orders(f, base, weights, n_max, plan)
+        stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
+        return _assemble(terms, abs_terms, stop, converged, admissibility=admissibility)
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("mc mode needs an MCPlan")
-    draw, mass_abs = atom_draw(f, base, *_signed_atoms(weights))
-    res = mc_series(draw, mass_abs, min(n_max, DIFFERENCE_ORDER_CAP), mc, f.bound,
-                    admissibility)
+    res = mc_series(*atom_draw(f, base, *_signed_atoms(weights)),
+                    min(n_max, DIFFERENCE_ORDER_CAP), mc, f.bound, admissibility)
     res.converged = res.truncation_budget is not None and res.truncation_budget <= eps_abs
     return res
 
@@ -352,7 +356,8 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     """int (E_base D_x f) w(dx) over the given atoms: the series' order-one term.
 
     Exact mode reads the order-one sum of one shifted-expectation table that
-    serves every atom; Monte Carlo mode runs the order-one ``atom_draw``.
+    serves every atom; Monte Carlo mode is the order-one ``mc_term`` of
+    ``atom_draw``.
     """
     if mode == "exact":
         terms, _ = expected_difference_orders(f, base, dict(zip(atoms, ws)), 1, plan)
@@ -361,11 +366,17 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("mc mode needs an MCPlan")
-    if not atoms:
+    return mc_term(*atom_draw(f, base, atoms, ws), 1, mc, SPOT_NODES)
+
+
+def mc_term(draw: Callable, mass: float, n: int, mc: MCPlan, spot: int) -> EstimateResult:
+    """The order-n term alone from a backend ``(draw, mass)``: the signed field
+    of ``draw(n, gen, k, check)`` through ``mc_mean``, with the first ``spot``
+    replications of chunk 0 checked.  A zero mass gives exactly 0."""
+    if mass == 0.0:
         return EstimateResult(0.0, 0.0)
-    draw, _ = atom_draw(f, base, atoms, ws)
-    lead = (lambda gen, k: draw(1, gen, k, check=True)[:1], SPOT_NODES)
-    return mc_mean(lambda gen, k: draw(1, gen, k)[:1], mc, lead=lead).estimate()
+    return mc_mean(lambda gen, k, check=False: draw(n, gen, k, check)[:1], mc,
+                   spot=spot).estimate()
 
 
 def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
@@ -385,13 +396,7 @@ def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
     base = family.base_measure()
     dt = theta - family.theta0
     weights = {a: dt * family.direction(a) * rho.mass(a) for a in rho.atoms}
-    if mode == "exact":
-        terms, abs_terms = expected_difference_orders(f, base, weights, n_max, plan)
-        stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
-        return _assemble(terms, abs_terms, stop, converged)
-    if mode == "mc":
-        return _atom_series(f, base, weights, n_max, mc, eps_abs)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _atom_series(f, base, weights, n_max, mode, plan, mc, eps_abs)
 
 
 def gateaux_derivative(f: Functional, lam: DiscreteMeasure, h,

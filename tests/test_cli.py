@@ -10,7 +10,7 @@ import pytest
 
 from poissonpert import battery
 from poissonpert.battery import CheckRow, z_gate
-from poissonpert.cli import EXIT_CHECK, EXIT_OK, main
+from poissonpert.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from poissonpert.rng import RngStream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -94,6 +94,24 @@ class TestDerivStudy:
         summary = (out / "deriv_summary.txt").read_text()
         assert "pivotal:" in summary and "stderr inf [FAIL]" in summary
         assert "[pass]" not in summary
+
+    @pytest.mark.parametrize("direction, code", [
+        ("a 0.5\nb -0.25\n", EXIT_OK),
+        ("a 0.5\nb -0.25\na 0.3\n", EXIT_CONFIG),  # a density file lists atom a twice
+    ])
+    def test_density_file_parsed_like_a_measure_file(self, tmp_path, capsys, direction, code):
+        files = {"rho.txt": "a 1.0\nb 0.5\n", "base.txt": "a 1.0\nb 1.0\n",
+                 "direction.txt": direction}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "deriv.ini").write_text(
+            "[deriv]\nestimator = linear\nfunctional = void\nrho_file = rho.txt\n"
+            "base_file = base.txt\ndirection_file = direction.txt\ntheta = 0.2\n"
+            "interval = -0.5 0.5\n\n[mc]\nseed = 42\n")
+        out = tmp_path / "out"
+        assert main(["deriv", "--config", str(tmp_path / "deriv.ini"), "--out", str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert "line 3: duplicate atom 'a'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])

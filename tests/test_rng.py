@@ -1,5 +1,6 @@
 """The chunk contract of ``rng.mc_mean``: one ``draw(gen, n)`` per chunk,
-the per-replication adapter ``each``, the lead, and the shape check."""
+the per-replication adapter ``each``, the checked lead of ``spot``
+replications, and the shape check."""
 
 import numpy as np
 import pytest
@@ -41,15 +42,11 @@ class TestChunkContract:
     def test_lead_runs_k_replications_on_chunk_zero(self, rng, samples, k):
         calls = []
 
-        def lead(gen, n):
-            calls.append(("lead", n))
-            return np.ones((1, n))
+        def draw(gen, n, check=False):
+            calls.append(("lead" if check else "draw", n))
+            return np.full((1, n), float(check))
 
-        def draw(gen, n):
-            calls.append(("draw", n))
-            return np.zeros((1, n))
-
-        res = mc_mean(draw, MCPlan(samples, rng.child(3), chunks=4), lead=(lead, k))
+        res = mc_mean(draw, MCPlan(samples, rng.child(3), chunks=4), spot=k)
         first = chunk_sizes(samples, 4)[0]
         lead_n = min(k, first)
         assert calls[0] == ("lead", lead_n)
@@ -61,7 +58,7 @@ class TestChunkContract:
     def test_lead_continues_the_chunk_generator(self, rng):
         # the lead and the rest of chunk 0 share one generator, as one loop would
         plan = MCPlan(30, rng.child(4), chunks=3)
-        led = mc_mean(each(one), plan, lead=(each(one), 4))
+        led = mc_mean(lambda gen, n, check=False: each(one)(gen, n), plan, spot=4)
         assert np.array_equal(led.chunks[0], mc_mean(each(one), plan).chunks[0])
 
     @pytest.mark.parametrize("bad", [

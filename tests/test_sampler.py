@@ -11,6 +11,7 @@ from poissonpert import (BoxWindow, MCPlan, PointConfiguration, discrete,
                          lebesgue_measure, mecke_check, sample_counts,
                          sample_poisson, thin_superpose_couple)
 from poissonpert import levy
+from poissonpert import rng as rng_module
 
 THREE_SIGMA_P = 0.0027  # two-sided normal tail at 3 sigma
 
@@ -207,3 +208,20 @@ class TestDeterminism:
         one = run(MCPlan(240, rng.child(15), chunks=8, workers=1))
         four = run(MCPlan(240, rng.child(15), chunks=8, workers=4))
         assert one == four
+
+
+class TestSpotChecks:
+    # mecke_check takes no spot: its sides evaluate f directly, with no fast
+    # form to cross-check
+    @pytest.mark.parametrize("name", sorted(set(ESTIMATORS) - {"mecke_check"}))
+    def test_every_estimator_draws_a_checked_block(self, rng, monkeypatch, name):
+        checked = []
+        block = rng_module._block
+
+        def spy(draw, gen, n, *check):
+            checked.append(check == (True,))
+            return block(draw, gen, n, *check)
+
+        monkeypatch.setattr(rng_module, "_block", spy)
+        ESTIMATORS[name](MCPlan(240, rng.child(15), chunks=8))
+        assert any(checked)

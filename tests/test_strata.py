@@ -28,6 +28,11 @@ def mark(gen):
     return gen.standard_exponential(), -1.0
 
 
+def marked(draw):
+    """The chunk draw of ``draw`` whose checked replications are ``mark``s."""
+    return lambda gen, n, check=False: each(mark if check else draw)(gen, n)
+
+
 # three strata: more, fewer and far fewer replications than chunks
 DRAWS = [one, two, one]
 STRATA = [(each(one), 103), (each(two), 9), (each(one), 2)]
@@ -36,7 +41,7 @@ STRATA = [(each(one), 103), (each(two), 9), (each(one), 2)]
 class TestStratifiedPass:
     def test_equals_hand_written_chunk_draws(self, rng):
         plan = MCPlan(0, rng.child(1), chunks=7, workers=2)  # samples: unused by strata
-        res = mc_mean(STRATA, plan, lead=([each(mark) for _ in STRATA], 4))
+        res = mc_mean([(marked(d), k) for d, (_, k) in zip(DRAWS, STRATA)], plan, spot=4)
         shares = [chunk_sizes(k, 7) for _, k in STRATA]
         assert [r.sizes for r in res] == shares == [chunk_sizes(103, 7), [2] * 2 + [1] * 5,
                                                      [1, 1]]
@@ -52,9 +57,8 @@ class TestStratifiedPass:
 
     def test_one_stratum_is_the_plain_call(self, rng):
         plan = MCPlan(57, rng.child(2), chunks=6)
-        lead = (each(one), 3)
-        plain = mc_mean(each(one), plan, lead=lead)
-        (strat,) = mc_mean([(each(one), 57)], plan, lead=([each(one)], 3))
+        plain = mc_mean(marked(one), plan, spot=3)
+        (strat,) = mc_mean([(marked(one), 57)], plan, spot=3)
         assert strat.sizes == plain.sizes
         assert all(np.array_equal(a, b) for a, b in zip(strat.chunks, plain.chunks))
         assert strat.estimate(1) == plain.estimate(1)
