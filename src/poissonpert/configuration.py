@@ -30,10 +30,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .rng import SPOT_CHECKS
+
 DIFFERENCE_ORDER_CAP = 20
 NODE_SLICE = 1 << 16  # most count nodes of a Monte Carlo chunk evaluated in one array
 SPOT_RTOL = 1e-12  # count form vs fn on the spot-checked nodes (the built-ins agree exactly)
-SPOT_NODES = 8  # leading nodes of a checked Monte Carlo chunk compared against fn
 
 
 class FunctionalEvaluationError(RuntimeError):
@@ -270,12 +271,12 @@ def count_values(f, cs: Sequence, atoms: Sequence, spot: Iterable = ()) -> np.nd
 
 def chunk_values(f, cs: Sequence, atoms: Sequence, check: bool = False) -> np.ndarray:
     """``count_values`` on a Monte Carlo chunk; ``check`` spot-checks the
-    empty configuration and the first ``SPOT_NODES`` nodes."""
+    empty configuration and the first ``rng.SPOT_CHECKS`` nodes."""
     if not check:
         return count_values(f, cs, atoms)
     count_values(f, [np.zeros((), dtype=np.int64)] * len(atoms), atoms, [()])
     return count_values(f, cs, atoms, itertools.islice(np.ndindex(np.broadcast(*cs).shape),
-                                                       SPOT_NODES))
+                                                       SPOT_CHECKS))
 
 
 @lru_cache(maxsize=32)

@@ -26,14 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import SPOT_NODES, Functional, chunk_values
+from .configuration import Functional, chunk_values
 from .exact import EnumerationPlan
 from .measures import DiscreteMeasure, PerturbationFamily
-from .rng import EstimateResult, MCPlan, mc_mean
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import couple_counts, sample_counts
 from .series import SeriesResult, _signed_atoms, order_one, parametric_series
 
-SPOT_CHECKS = 64  # replications of the first chunk that probe the increasing event
+PIVOTAL_PROBES = 64  # replications of the first chunk that probe the increasing event
 
 
 class NonIncreasingEventError(RuntimeError):
@@ -113,7 +113,7 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
     Estimates theta^{-1} E_{theta lam} sum over points x of Phi of
     (f(Phi) - f(Phi - delta_x)) * weight(x).  f must be declared as the
     indicator of an increasing event; the declaration is spot-verified by
-    adding a random atom on the first ``SPOT_CHECKS`` replications, and any
+    adding a random atom on the first ``PIVOTAL_PROBES`` replications, and any
     negative sampled pivotal term aborts.
     """
     if theta <= 0:
@@ -146,7 +146,7 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
                                           "event is not increasing")
         return ((c[:, 0] * terms) @ w / theta)[None]
 
-    return mc_mean(draw, mc, spot=SPOT_CHECKS).estimate()
+    return mc_mean(draw, mc, spot=PIVOTAL_PROBES).estimate()
 
 
 def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
@@ -166,7 +166,7 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
         values = chunk_values(f, cs, atoms, check)
         return ((values[:, 0] - values[:, 1]) / (2.0 * delta))[None]
 
-    return mc_mean(draw, mc, spot=SPOT_NODES).estimate()
+    return mc_mean(draw, mc, spot=SPOT_CHECKS).estimate()
 
 
 def richardson_fd(values: Callable[[float], float], theta: float,

@@ -40,8 +40,8 @@ where they did per path:
 * ``supremum_derivative`` compares the kernel with the re-evaluated path
   difference, and the difference with the 2|x| envelope, on every sample;
 * every estimator passes ``spot`` to ``rng.mc_mean``: the first
-  ``SPOT_CHECKS`` paths of chunk 0 (``SPOT_NODES`` of every order in
-  ``levy_series``) are re-evaluated through ``CadlagPath`` (the suprema of
+  ``rng.SPOT_CHECKS`` paths of chunk 0 (of every order in ``levy_series``)
+  are re-evaluated through ``CadlagPath`` (the suprema of
   ``supremum_derivative``, f on both paths of ``coupled_supremum_fd``, the
   path difference of ``jump_draw``), and a gap above ``SPOT_TOL`` raises
   ``BatchMismatchError``.
@@ -78,14 +78,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .rng import EstimateResult, MCPlan, RngStream, mc_mean
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, mc_mean
 from .series import SeriesResult, mc_series, mc_term
 
 CAP = 1e12  # the largest hypothesis integral accepted as finite
 DRIFT_TOL = 1e-9  # ``check_pair``: absolute tolerance of the drift relation
 GAMMA_GRID_POINTS = 4097  # nodes of the gamma jump sampler's inverse-CDF grid
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
-SPOT_CHECKS = 8  # paths of the first chunk re-evaluated through ``CadlagPath``
 SPOT_TOL = 1e-12  # largest accepted gap between a batch value and ``CadlagPath``
 EPS = float(np.finfo(float).eps)
 EULER_GAMMA = 0.57721566490153286061

@@ -6,6 +6,15 @@ generators.  Estimators never share a stream between chunks; each chunk owns
 a child stream and chunk results are reduced in chunk order, so the output
 is byte-identical for any worker count.
 
+Threads pay only for long chunks.  A chunk is a short run of numpy calls
+that hold the GIL between them, and on Python 3.11 a thread that released
+the GIL inside numpy waits up to one ``sys.getswitchinterval()`` (5 ms) to
+take it back while another thread runs Python.  So ``run_chunked`` runs
+chunks 0 and 1 in the calling thread, times chunk 1 (chunk 0 carries the
+spot checks), and hands the rest to at most min(workers, CPUs) pool threads
+only when chunk 1 took at least one switch interval; shorter chunks all run
+inline.  ``workers`` is an upper bound on threads, never a promise.
+
 Every Monte Carlo estimator in the package is one call of ``mc_mean``.  Its
 contract: the estimator supplies a chunk draw ``draw(gen, n)``, which draws n
 replications from ``gen`` and returns their values as one ``(fields, n)``
@@ -29,12 +38,19 @@ hand-written loop.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+# the checked lead: replications of chunk 0 that ``mc_mean(..., spot=SPOT_CHECKS)``
+# draws as ``draw(gen, k, True)``, and the count nodes of a checked chunk
+# compared against ``fn``
+SPOT_CHECKS = 8
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -88,6 +104,10 @@ class MCPlan:
     chunks: int = 32
     workers: int = 1
 
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
     def split(self, index: int) -> "MCPlan":
         return MCPlan(self.samples, self.stream.child(index), self.chunks, self.workers)
 
@@ -112,15 +132,26 @@ def run_chunked(
     """Run ``fn(chunk_index, n_chunk, chunk_stream)`` over deterministic chunks.
 
     Results come back ordered by chunk index regardless of scheduling, which
-    is what makes downstream reductions worker-count independent.
+    is what makes downstream reductions worker-count independent.  Chunks 0
+    and 1 run in the calling thread, in order.  The rest go to a pool of
+    min(workers, os.cpu_count()) threads only if that is more than one and
+    chunk 1 took at least ``sys.getswitchinterval()`` seconds: a shorter
+    chunk loses more to waiting for the GIL than a second thread gains, so
+    the rest then run inline as well.
     """
     sizes = chunk_sizes(total, chunks)
     tasks = [(c, n, stream.child(c)) for c, n in enumerate(sizes)]
-    if workers <= 1 or len(tasks) == 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]
+    out = [fn(*tasks[0])]
+    start = time.perf_counter()
+    out += [fn(*t) for t in tasks[1:2]]
+    long_chunks = (workers > 1 and len(tasks) > 2
+                   and time.perf_counter() - start >= sys.getswitchinterval())
+    threads = min(workers, os.cpu_count() or 1) if long_chunks else 1
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(fn, *t) for t in tasks[2:]]
+            return out + [f.result() for f in futures]
+    return out + [fn(*t) for t in tasks[2:]]
 
 
 def combine_batch_means(means: Sequence[float], sizes: Sequence[int]) -> tuple[float, float]:

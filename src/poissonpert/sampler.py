@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import SPOT_NODES, PointConfiguration, difference_counts
+from .configuration import PointConfiguration, difference_counts
 from .measures import DensityMeasure, DiscreteMeasure
-from .rng import EstimateResult, MCPlan, RngStream, each, mc_mean
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, each, mc_mean
 
 
 def sample_poisson(m, window=None, rng: RngStream | None = None,
@@ -117,7 +117,7 @@ def mc_expectation(f, m: DiscreteMeasure, window=None,
         counts = sample_counts(m, window, size=n, generator=gen)
         return difference_counts(f, counts, atoms, np.zeros((n, 0), dtype=np.int64), check)[None]
 
-    return mc_mean(draw, plan, spot=SPOT_NODES).estimate()
+    return mc_mean(draw, plan, spot=SPOT_CHECKS).estimate()
 
 
 @dataclass(frozen=True)

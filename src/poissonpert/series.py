@@ -57,14 +57,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import DIFFERENCE_ORDER_CAP, SPOT_NODES, Functional, difference_counts
+from .configuration import DIFFERENCE_ORDER_CAP, Functional, difference_counts
 from .exact import (EnumerationPlan, exact_expectation, expectation_table,
                     expected_difference_orders, forward_difference_table, order_sums,
                     weight_table)
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
                        admissibility_check, lebesgue_decompose)
-from .rng import EstimateResult, MCPlan, mc_mean
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import sample_counts
 
 EPS_ABS = 1e-10
@@ -236,7 +236,7 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
     n_max, then call ``draw`` once per distinct order, each replication
     returning its draw(N) / P(N | tail) in its own place; adding each tail
     draw into the term of its own order keeps every term unbiased, and the
-    tail, being one sample, reports one stderr.  The first ``SPOT_NODES``
+    tail, being one sample, reports one stderr.  The first ``SPOT_CHECKS``
     replications of every stratum in chunk 0 run with ``check``.
 
     The series always runs to n_max, and ``truncation_budget(bound, M,
@@ -266,7 +266,7 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
     strata = [(partial(draw, n), k) for n, k in enumerate(budgets)]
     if tail:
         strata.append((tail_draw, tail))
-    res = mc_mean(strata, mc, spot=SPOT_NODES)
+    res = mc_mean(strata, mc, spot=SPOT_CHECKS)
     orders = [r.estimate(0) for r in res[:first]]
     terms, stderrs = [t.estimate for t in orders], [t.stderr for t in orders]
     abs_terms, samples = [r.estimate(1).estimate for r in res[:first]], list(budgets)
@@ -366,7 +366,7 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("mc mode needs an MCPlan")
-    return mc_term(*atom_draw(f, base, atoms, ws), 1, mc, SPOT_NODES)
+    return mc_term(*atom_draw(f, base, atoms, ws), 1, mc, SPOT_CHECKS)
 
 
 def mc_term(draw: Callable, mass: float, n: int, mc: MCPlan, spot: int) -> EstimateResult:

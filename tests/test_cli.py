@@ -114,6 +114,13 @@ class TestDerivStudy:
             assert "line 3: duplicate atom 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_count_below_one_is_a_config_error(workers, tmp_path, capsys):
+    argv = ["levy-sim", "--config", str(small_copy("levy_sim_gamma.ini", tmp_path))]
+    assert main(argv + ["--workers", workers, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])
 def test_study_reports_check_rows_identically_for_any_worker_count(config, tmp_path):
     if config is None:

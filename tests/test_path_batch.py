@@ -19,6 +19,7 @@ from poissonpert.levy import (BatchMismatchError, CadlagPath, CompoundPoissonJum
                               JumpPerturbation, LevyModel, PathBatch, cp_direction,
                               no_jump_indicator, running_supremum, simulate_coupled_paths,
                               simulate_paths, terminal_value)
+from poissonpert.rng import SPOT_CHECKS
 
 TOL = 1e-12
 BUILTINS = [running_supremum, terminal_value, no_jump_indicator]
@@ -209,7 +210,7 @@ class TestSpotCheck:
         monkeypatch.setattr(CadlagPath, "sup_over", counted)
         levy.supremum_derivative(cp_model(), PERT, MCPlan(240, rng.child(6), chunks=8))
         # per checked path: sup over [0, t] and [t, t0], and the supremum after the jump
-        assert len(calls) == 3 * levy.SPOT_CHECKS
+        assert len(calls) == 3 * SPOT_CHECKS
 
     def test_corrupted_supremum_raises(self, rng, monkeypatch):
         # a constant shift of every batch supremum leaves Y_t and the path

@@ -1,11 +1,18 @@
 """The chunk contract of ``rng.mc_mean``: one ``draw(gen, n)`` per chunk,
 the per-replication adapter ``each``, the checked lead of ``spot``
-replications, and the shape check."""
+replications, the shape check, and which thread runs each chunk."""
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from poissonpert.rng import MCPlan, chunk_sizes, each, mc_mean
+
+SWITCH = sys.getswitchinterval()
 
 
 def one(gen):
@@ -28,15 +35,34 @@ class TestChunkContract:
             assert block.shape == (2, n) and block.flags.c_contiguous
             assert np.array_equal(block, want)
 
-    def test_one_draw_per_chunk(self, rng):
+    @pytest.mark.parametrize("workers, pause", [
+        (1, 0.0),
+        (2, 0.0),      # chunks far under a switch interval: all on the calling thread
+        (2, SWITCH),   # chunk 1 takes a switch interval: chunks 2.. on pool threads
+        (64, SWITCH),  # ... on no more threads than CPUs
+    ], ids=["one-worker", "short-chunks", "long-chunks", "long-chunks-64-workers"])
+    def test_one_draw_per_chunk(self, rng, workers, pause):
         calls = []
 
         def draw(gen, n):
-            calls.append(n)
+            time.sleep(pause)
+            calls.append((n, threading.get_ident()))
             return gen.random(n)[None]
 
-        res = mc_mean(draw, MCPlan(50, rng.child(2), chunks=4))
-        assert calls == chunk_sizes(50, 4) and res.sizes == calls
+        plan = MCPlan(50, rng.child(2), chunks=8, workers=workers)
+        res = mc_mean(draw, plan)
+        sizes = chunk_sizes(50, 8)
+        here = threading.get_ident()
+        assert res.sizes == sizes and calls[:2] == [(n, here) for n in sizes[:2]]
+        threads = min(workers, os.cpu_count() or 1)
+        if pause and threads > 1:
+            pool = {t for _, t in calls[2:]}
+            assert here not in pool and len(pool) <= threads
+            assert sorted(n for n, _ in calls[2:]) == sorted(sizes[2:])
+        else:
+            assert calls == [(n, here) for n in sizes]
+        serial = mc_mean(lambda gen, n: gen.random(n)[None], MCPlan(50, rng.child(2), chunks=8))
+        assert all(np.array_equal(a, b) for a, b in zip(res.chunks, serial.chunks))
 
     @pytest.mark.parametrize("samples, k", [(40, 3), (40, 10), (40, 25)])
     def test_lead_runs_k_replications_on_chunk_zero(self, rng, samples, k):

@@ -10,8 +10,7 @@ from test_path_batch import PERT, cp_model
 import poissonpert as pp
 from poissonpert import levy
 from poissonpert import rng as rng_module
-from poissonpert.rng import MCPlan, RngStream, chunk_sizes, each, mc_mean
-from poissonpert.configuration import SPOT_NODES
+from poissonpert.rng import SPOT_CHECKS, MCPlan, RngStream, chunk_sizes, each, mc_mean
 from poissonpert.series import mc_series, series_plan
 
 
@@ -148,9 +147,9 @@ class TestSeriesPass:
         res = mc_series(draw, 1.5, 12, MCPlan(50, rng.child(11), chunks=8))
         checked = [(n, k) for n, k, check in calls if check]
         first = res.tail_from
-        # orders 0..n*: the first SPOT_NODES of each chunk-0 share; the tail's
+        # orders 0..n*: the first SPOT_CHECKS of each chunk-0 share; the tail's
         # chunk-0 share holds one replication
-        assert checked[:first] == [(n, min(SPOT_NODES, chunk_sizes(k, 8)[0]))
+        assert checked[:first] == [(n, min(SPOT_CHECKS, chunk_sizes(k, 8)[0]))
                                    for n, k in enumerate(res.samples[:first])]
         assert len(checked) == first + 1 and checked[-1][0] >= first
 
