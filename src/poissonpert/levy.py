@@ -78,6 +78,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .measures import within_bound
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, mc_mean
 from .series import SeriesResult, mc_series, mc_term
 
@@ -1084,13 +1085,6 @@ def _wiener_grids(model: LevyModel, gen: np.random.Generator, n: int | None = No
     return _grid_nodes(model.t0, model.grid_n), grid_w
 
 
-def _bounded(g: np.ndarray, bound: float) -> np.ndarray:
-    """The thinning density's values g, checked against its declared bound."""
-    if np.any(g > bound * (1.0 + 1e-9)):
-        raise ValueError("jump density exceeds its declared bound")
-    return g
-
-
 def simulate_path(model: LevyModel, rng: RngStream | None = None,
                   generator: np.random.Generator | None = None) -> CadlagPath:
     """Sample one path: Wiener skeleton on the grid, jumps above eps exactly."""
@@ -1102,7 +1096,8 @@ def simulate_path(model: LevyModel, rng: RngStream | None = None,
     times = generator.uniform(0.0, model.t0, n)
     sizes = model.jumps.sample_above(model.eps, n, generator)
     if model.density is not None and n > 0:
-        gv = _bounded(np.asarray(model.density(sizes), dtype=float), model.density_bound)
+        gv = within_bound(np.asarray(model.density(sizes), dtype=float), model.density_bound,
+                          "jump density")
         keep = generator.random(n) * model.density_bound < gv
         times, sizes = times[keep], sizes[keep]
     order = np.argsort(times, kind="stable")
@@ -1150,7 +1145,8 @@ def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator) -> PathBa
     sizes = model.jumps.sample_above(model.eps, total, gen)
     keep = None
     if model.density is not None and total > 0:
-        gv = _bounded(np.asarray(model.density(sizes), dtype=float), model.density_bound)
+        gv = within_bound(np.asarray(model.density(sizes), dtype=float), model.density_bound,
+                          "jump density")
         keep = gen.random(total) * model.density_bound < gv
     return _batch(model, counts, times, sizes, keep, *_wiener_grids(model, gen, n))
 
@@ -1167,7 +1163,7 @@ def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
     times = gen.uniform(0.0, model_lo.t0, total)
     sizes = model_lo.jumps.sample_above(model_lo.eps, total, gen)
     u = gen.random(total) * bound
-    keep = [u < _bounded(np.asarray(m.g(sizes), dtype=float), bound)
+    keep = [u < within_bound(np.asarray(m.g(sizes), dtype=float), bound, "jump density")
             for m in (model_lo, model_hi)]
     grids = _wiener_grids(model_lo, gen, n)
     return (_batch(model_lo, counts, times, sizes, keep[0], *grids),

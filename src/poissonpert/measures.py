@@ -243,6 +243,15 @@ class DensityMeasure:
         return val
 
 
+def within_bound(values, bound: float, what: str):
+    """``values`` (a float or an array) of a thinning density, checked against
+    its declared sup bound up to 1e-9 relative rounding.  Thinning past the
+    bound would silently sample a smaller intensity."""
+    if np.any(np.asarray(values) > bound * (1.0 + 1e-9)):
+        raise ValueError(f"{what} exceeds its declared bound")
+    return values
+
+
 def lebesgue_measure(box: BoxWindow, density=None, density_bound=None) -> DensityMeasure:
     """Density measure against Lebesgue measure restricted to ``box``."""
 

@@ -6,6 +6,16 @@ generators.  Estimators never share a stream between chunks; each chunk owns
 a child stream and chunk results are reduced in chunk order, so the output
 is byte-identical for any worker count.
 
+A stream's generator is Philox with the 128-bit key [seed, stream] (two
+uint64 words) and counter 0, the counter-based generator of Salmon et al.
+(2011).  ``Philox(key=...)`` would also seed a ``SeedSequence`` from OS
+entropy that it never uses, which costs more than the rest of the
+construction.  So the key is passed as the seed sequence itself (see
+``_key_sequence``), which answers Philox's one request, 2 uint64 words,
+with the key and raises on any other: the state is exactly that of
+``Philox(key=...)`` given the same uint64 key array, and a numpy that asked
+differently would fail loudly instead of changing the stream.
+
 Threads pay only for long chunks.  A chunk is a short run of numpy calls
 that hold the GIL between them, and on Python 3.11 a thread that released
 the GIL inside numpy waits up to one ``sys.getswitchinterval()`` (5 ms) to
@@ -43,6 +53,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +73,28 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+@cache
+def _key_sequence() -> type:
+    """The seed sequence of a keyed Philox, which hands over its 2-word uint64
+    key as is.  The class is made on first use: ``numpy.random`` is not
+    imported until then, so importing the package stays as cheap as before."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is 2 uint64 words, "
+                                 f"not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return Key
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream identified by (seed, stream id).
@@ -76,7 +109,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
     def child(self, index: int) -> "RngStream":
         """Independent sub-stream ``index`` (collisions are ~2^-64 events)."""

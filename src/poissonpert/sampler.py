@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .configuration import PointConfiguration, difference_counts
-from .measures import DensityMeasure, DiscreteMeasure
+from .measures import DensityMeasure, DiscreteMeasure, within_bound
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, each, mc_mean
 
 
@@ -50,8 +51,8 @@ def sample_poisson(m, window=None, rng: RngStream | None = None,
             return PointConfiguration.empty()
         pts = m.reference_sampler(win, generator, n)
         u = generator.random(n)
-        kept = [tuple(p) for p, ui in zip(pts, u)
-                if ui * m.density_bound < m.density_at(tuple(p))]
+        h = within_bound([m.density_at(tuple(p)) for p in pts], m.density_bound, "density")
+        kept = [tuple(p) for p, ui, hi in zip(pts, u, h) if ui * m.density_bound < hi]
         return PointConfiguration.from_points(kept)
     raise TypeError(f"unsupported measure type {type(m)!r}")
 
@@ -140,11 +141,18 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
     lhs: E sum over points x of Phi of f(x, Phi - delta_x).
     rhs: int E f(x, Phi) m(dx).
 
-    f is a callable (point, configuration) -> real.  The two sides use
-    independent streams, so the combined standard error is the quadrature sum.
-    On a discrete measure the right side is one stratified ``mc_mean`` pass
-    with one stratum per atom a, estimating E f(a, Phi) on configurations of
-    its own; the atoms' masses weight the strata's means and stderrs.
+    f must be a function of (point, configuration) alone, returning a real.
+    The two sides use independent streams, so the combined standard error is
+    the quadrature sum.  On a discrete measure the right side is one
+    stratified ``mc_mean`` pass with one stratum per atom a, estimating
+    E f(a, Phi) on configurations of its own; the atoms' masses weight the
+    strata's means and stderrs.  Both sides draw count rows, and one memo per
+    call, keyed by the row, holds each row's left-side sum and f at each
+    (point, row) on first use: f is evaluated once per distinct (point,
+    configuration) pair of the call, and the values and their summation
+    order are those of evaluating every replication afresh.  The memo pays
+    where rows repeat, as they do at small masses; where they rarely do
+    (masses in the tens) its bookkeeping makes the call about 1.5x slower.
     """
     if plan is None:
         raise ValueError("an MCPlan is required")
@@ -152,23 +160,34 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
         mr = m.restrict(window)
         atoms = mr.support()
 
-        def configurations(gen, n):
-            return [PointConfiguration.from_counts(atoms, row)
-                    for row in sample_counts(mr, size=n, generator=gen).tolist()]
-    else:
-        def configurations(gen, n):
-            return [sample_poisson(m, window, generator=gen) for _ in range(n)]
+        @cache
+        def f_at(x, row):
+            return f(x, PointConfiguration.from_counts(atoms, row))
 
-    def lhs_draw(gen, n):
-        return np.array([[sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
-                          for phi in configurations(gen, n)]], dtype=float)
+        @cache
+        def lhs_sum(row):
+            # the atoms run in repr order, as Phi.items() does, and
+            # f(x, Phi - delta_x) is f at the row one below at x
+            return sum(c * f_at(x, row[:i] + (c - 1,) + row[i + 1:])
+                       for i, (x, c) in enumerate(zip(atoms, row)) if c)
+
+        def rows(gen, n):
+            return map(tuple, sample_counts(mr, size=n, generator=gen).tolist())
+
+        def lhs_draw(gen, n):
+            return np.array([[lhs_sum(row) for row in rows(gen, n)]], dtype=float)
+    else:
+        def lhs_draw(gen, n):
+            phis = [sample_poisson(m, window, generator=gen) for _ in range(n)]
+            return np.array([[sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
+                              for phi in phis]], dtype=float)
 
     lhs, lhs_se = mc_mean(lhs_draw, plan.split(0)).estimate()
 
     rhs_plan = plan.split(1)
     if isinstance(m, DiscreteMeasure):
         def side_draw(atom):
-            return lambda gen, n: np.array([[f(atom, phi) for phi in configurations(gen, n)]])
+            return lambda gen, n: np.array([[f_at(atom, row) for row in rows(gen, n)]])
 
         strata = [(side_draw(a), rhs_plan.samples) for a in atoms]
         sides = [r.estimate() for r in mc_mean(strata, rhs_plan)] if atoms else []

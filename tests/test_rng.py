@@ -10,9 +10,42 @@ import time
 import numpy as np
 import pytest
 
-from poissonpert.rng import MCPlan, chunk_sizes, each, mc_mean
+from poissonpert.rng import MCPlan, RngStream, chunk_sizes, each, mc_mean
 
 SWITCH = sys.getswitchinterval()
+
+
+class TestKeyedGenerator:
+    @pytest.mark.parametrize("seed, stream", [
+        (0, 0), (20240811, 15), (7, 2**63 + 5), (-1, 2**64 - 1),
+        (20240811, RngStream(20240811).child(3).stream)])
+    def test_stream_is_the_keyed_philox(self, seed, stream):
+        got = RngStream(seed, stream).generator()
+        # the key as a uint64 array: numpy converts a plain list holding a
+        # word >= 2^63 through float64 and loses its low bits
+        key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        masses = np.array([0.05, 1.3, 40.0])
+        assert np.array_equal(got.random(17), want.random(17))
+        assert np.array_equal(got.poisson(masses, size=(9, 3)), want.poisson(masses, size=(9, 3)))
+        assert np.array_equal(got.normal(0.5, 2.0, 13), want.normal(0.5, 2.0, 13))
+        assert np.array_equal(got.random(3), want.random(3))
+
+    def test_every_call_is_a_fresh_generator(self):
+        stream = RngStream(3, 4)
+        a, b = stream.generator(), stream.generator()
+        assert a is not b and np.array_equal(a.random(5), b.random(5))
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint64), (2, np.uint32), (1, np.uint64), (4, np.uint32)])
+    def test_seed_sequence_answers_only_the_key_request(self, n_words, dtype):
+        seq = RngStream(3, 4).generator().bit_generator.seed_seq
+        assert seq.generate_state(2, np.uint64).tolist() == [3, 4]
+        with pytest.raises(ValueError, match="Philox key"):
+            seq.generate_state(n_words, dtype)
+        # a bit generator that seeds itself differently fails loudly
+        with pytest.raises(ValueError, match="Philox key"):
+            np.random.PCG64(seq)
 
 
 def one(gen):

@@ -1,14 +1,19 @@
 """Sampling, the thinning/superposition coupling, and the Mecke harness."""
 
 import math
+import os
+import sys
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
 import poissonpert as pp
-from poissonpert import (BoxWindow, MCPlan, PointConfiguration, discrete,
-                         lebesgue_measure, mecke_check, sample_counts,
+from poissonpert import (AtomWindow, BoxWindow, MCPlan, MeckeResult, PointConfiguration,
+                         discrete, lebesgue_measure, mecke_check, sample_counts,
                          sample_poisson, thin_superpose_couple)
 from poissonpert import levy
 from poissonpert import rng as rng_module
@@ -60,6 +65,17 @@ class TestSamplePoisson:
         p0 = hits / 50_000
         se = math.sqrt(p0 * (1 - p0) / 50_000)
         assert abs(p0 - math.exp(-2.0)) <= 3 * se
+
+    def test_box_density_above_its_bound_raises(self, rng):
+        # thinning h = 2 against a bound of 1 would sample mean 1, not 2
+        box = BoxWindow((0.0,), (1.0,))
+        gen = rng.child(16).generator()
+        with pytest.raises(ValueError, match="density exceeds its declared bound"):
+            for _ in range(50):
+                sample_poisson(lebesgue_measure(box, lambda p: 2.0, 1.0), generator=gen)
+        # a density at its bound up to rounding samples
+        at_bound = lebesgue_measure(box, lambda p: 1.0 + 1e-12, 1.0)
+        assert sum(sample_poisson(at_bound, generator=gen).total_points() for _ in range(50))
 
 
 class TestCoupling:
@@ -140,6 +156,85 @@ class TestMecke:
         assert abs(res.lhs - math.exp(-1.0)) <= 3 * res.lhs_stderr
         assert abs(res.lhs - res.rhs) <= 3 * res.stderr
 
+    def test_memo_reproduces_per_replication_evaluation(self, rng, monkeypatch):
+        # every replication's f evaluated afresh, on the same count rows in
+        # the same chunks and strata: the memo must not move a bit of any
+        # replication's value, nor of the result
+        blocks = []
+        block = rng_module._block
+
+        def spy(draw, gen, n, *check):
+            blocks.append(block(draw, gen, n, *check))
+            return blocks[-1]
+
+        monkeypatch.setattr(rng_module, "_block", spy)
+        # atoms given out of order, and 10 sorts before 9 by repr
+        m = discrete({"c": 0.4, 10: 1.7, "a": 0.9, 9: 1.1})
+        window = AtomWindow({"a", 10, "c"})
+        weight = {"a": 0.31, 10: 1.7, "c": -0.45}
+
+        def f(x, phi):
+            return weight[x] * math.sqrt(1.0 + phi.count(10)) / (1.3 + phi.total_points())
+
+        def reference(plan):
+            mr = m.restrict(window)
+            atoms = mr.support()
+
+            def phis(gen, n):
+                return [PointConfiguration.from_counts(atoms, row)
+                        for row in sample_counts(mr, size=n, generator=gen).tolist()]
+
+            lhs, lhs_se = rng_module.mc_mean(lambda gen, n: np.array([[
+                sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
+                for phi in phis(gen, n)]]), plan.split(0)).estimate()
+            rhs_plan = plan.split(1)
+            sides = [r.estimate() for r in rng_module.mc_mean(
+                [(lambda gen, n, a=a: np.array([[f(a, phi) for phi in phis(gen, n)]]),
+                  rhs_plan.samples) for a in atoms], rhs_plan)]
+            rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
+            rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2
+                                         for a, s in zip(atoms, sides)))
+            return MeckeResult(lhs, rhs, math.sqrt(lhs_se**2 + rhs_se**2), lhs_se, rhs_se)
+
+        for plan in (MCPlan(3000, rng.child(17), chunks=16),
+                     MCPlan(97, rng.child(18), chunks=5)):
+            blocks.clear()
+            got = mecke_check(f, m, window, plan)
+            got_blocks = blocks[:]
+            blocks.clear()
+            assert got == reference(plan)
+            assert len(got_blocks) == len(blocks)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got_blocks, blocks))
+
+    def test_f_runs_once_per_point_and_configuration(self, rng):
+        calls = Counter()
+
+        def f(x, phi):
+            calls[x, tuple(phi.items())] += 1
+            return float(phi.total_points())
+
+        m = discrete({"a": 0.9, "b": 1.7, "c": 0.4})
+        mecke_check(f, m, AtomWindow({"a", "b"}), MCPlan(4000, rng.child(19), chunks=16))
+        assert set(calls.values()) == {1}
+        assert {x for x, _ in calls} == {"a", "b"}
+
+    def test_memo_shared_by_pool_threads(self, rng):
+        # chunks 2.. share one memo across pool threads: a racing first use
+        # may evaluate f twice for one pair, but no value may change
+        def f(x, phi):
+            time.sleep(0)  # hand the GIL over inside an evaluation
+            return (1.0 + phi.count(x)) / (0.7 + phi.total_points())
+
+        m = discrete({"a": 0.9, "b": 1.7, "c": 0.4})
+        serial = mecke_check(f, m, plan=MCPlan(2000, rng.child(20), chunks=32))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # every chunk is long enough for the pool
+        try:
+            pooled = mecke_check(f, m, plan=MCPlan(2000, rng.child(20), chunks=32, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
     def test_box_measure_route(self, rng):
         box = BoxWindow((0.0,), (1.0,))
         dens = lebesgue_measure(box, lambda p: 1.0, 1.0)
@@ -203,11 +298,24 @@ ESTIMATORS = {
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-    def test_worker_count_does_not_change_results(self, rng, name):
+    def test_worker_count_does_not_change_results(self, rng, monkeypatch, name):
         run = ESTIMATORS[name]
         one = run(MCPlan(240, rng.child(15), chunks=8, workers=1))
+        # every chunk counts as long enough for the pool, so chunks 2.. run on
+        # pool threads, sharing whatever the estimator shares between chunks
+        monkeypatch.setattr(rng_module.sys, "getswitchinterval", lambda: 0.0)
+        threads = set()
+        generator = rng_module.RngStream.generator
+
+        def spy(stream):
+            threads.add(threading.get_ident())
+            return generator(stream)
+
+        monkeypatch.setattr(rng_module.RngStream, "generator", spy)
         four = run(MCPlan(240, rng.child(15), chunks=8, workers=4))
         assert one == four
+        if (os.cpu_count() or 1) >= 2:
+            assert threads - {threading.get_ident()}
 
 
 class TestSpotChecks:
