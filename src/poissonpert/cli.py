@@ -146,7 +146,7 @@ def _row_line(r: CheckRow, good: bool) -> str:
 def _report(out_dir: Path, study: str, rows: list[CheckRow], notes: list[str],
             data: dict[str, str] | None = None) -> int:
     """Write ``<study>.csv``, ``<study>_summary.txt`` and the study's data
-    files; EXIT_CHECK unless every row passes."""
+    files; EXIT_CHECK when a row fails or there is no row to pass."""
     verdicts = [r.passed for r in rows]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -161,7 +161,7 @@ def _report(out_dir: Path, study: str, rows: list[CheckRow], notes: list[str],
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out_dir / name).write_text(text)
-    return EXIT_OK if all(verdicts) else EXIT_CHECK
+    return EXIT_OK if verdicts and all(verdicts) else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +180,23 @@ def _run_series(cfg, args, out_dir: Path) -> int:
     mc = _mc_plan(cfg, args, default_samples=20_000) if mode == "mc" else None
     result = series.variational_series(f, lam, nu, n_max=n_max, mode=mode, mc=mc,
                                        decomposition=decomposition, strict=args.strict)
-    rows = []
-    if mode == "exact":
-        rows.append(CheckRow("series_vs_direct_expectation", result.value,
-                             exact.exact_expectation(f, nu), 1e-8, "abs"))
+    direct = exact.exact_expectation(f, nu)
     # converged: exact mode stopped on two consecutive terms below eps_abs; Monte
     # Carlo mode runs to n_max and converged says its truncation budget,
     # sup|f| sum_{n > n_max} (2M)^n / n!, is known and at most eps_abs
     notes = [f"value {_fmt(result.value)} after {result.truncation_order} orders "
              f"(converged: {result.converged})"]
-    return _report(out_dir, "series", rows, notes, {"series_terms.csv": result.to_csv()})
+    if mode == "exact":
+        row = CheckRow("series_vs_direct_expectation", result.value, direct, 1e-8, "abs")
+    else:
+        # sqrt(sum stderrs^2) is the stderr of the value (see ``SeriesResult``)
+        se = math.sqrt(math.fsum(s * s for s in result.stderrs))
+        if result.truncation_budget is None:
+            notes.append("truncation budget unknown (the functional declares no bound); "
+                         "the z row allows no bias")
+        row = CheckRow("series_vs_direct_expectation", result.value, direct, se, "z",
+                       result.truncation_budget or 0.0)
+    return _report(out_dir, "series", [row], notes, {"series_terms.csv": result.to_csv()})
 
 
 def _run_deriv(cfg, args, out_dir: Path) -> int:
@@ -207,7 +214,11 @@ def _run_deriv(cfg, args, out_dir: Path) -> int:
             est = pivotal_derivative(f, lam, theta, mc)
             rows.append(CheckRow("pivotal", est.estimate, exact_value, est.stderr, "z"))
         else:
-            rows.append(CheckRow("scaled", exact_value, exact_value, EXACT_TOL, "abs"))
+            # steps that keep theta - step >= 0, as lam.scaled requires
+            steps = (min(1e-2, theta / 2), min(1e-3, theta / 20))
+            richardson = richardson_fd(lambda t: exact.exact_expectation(f, lam.scaled(t)),
+                                       theta, steps)
+            rows.append(CheckRow("scaled", exact_value, richardson, EXACT_TOL, "abs"))
         delta = cfg.getfloat("deriv", "fd_delta", fallback=min(0.1, theta / 2))
         fd = coupled_scale_fd(f, lam, theta, delta, mc.split(1))
         rows.append(CheckRow("coupled_fd", fd.estimate, exact_value, fd.stderr, "z"))

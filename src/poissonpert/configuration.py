@@ -151,8 +151,7 @@ class PointConfiguration:
 class Functional:
     """A real functional of point configurations.
 
-    ``window``: optional region outside which the functional ignores points
-    (spot-tested, not enforced).  ``bound``: optional sup-norm bound.
+    ``bound``: optional sup-norm bound.
     ``growth_degree``: optional polynomial-growth declaration
     |f(phi)| = O((1 + phi(X))^p), used by the exact engine to widen its count
     caps.  ``increasing``: declares f as the indicator of an increasing event,
@@ -175,7 +174,6 @@ class Functional:
     """
 
     fn: Callable[[PointConfiguration], float]
-    window: object = None
     bound: float | None = None
     growth_degree: int | None = None
     increasing: bool = False
@@ -203,29 +201,27 @@ def _window_count(cs: Sequence, atoms: Sequence, window=None):
 # common functional factories, also the CLI registry building blocks
 
 def count_functional(window=None, name="count") -> Functional:
-    return Functional(lambda phi: float(phi.count_in(window)), window=window,
-                      growth_degree=1, name=name,
+    return Functional(lambda phi: float(phi.count_in(window)), growth_degree=1, name=name,
                       counts=lambda cs, atoms: _window_count(cs, atoms, window)
                       .astype(float))
 
 
 def count_squared(window=None, name="count_sq") -> Functional:
-    return Functional(lambda phi: float(phi.count_in(window)) ** 2, window=window,
-                      growth_degree=2, name=name,
+    return Functional(lambda phi: float(phi.count_in(window)) ** 2, growth_degree=2, name=name,
                       counts=lambda cs, atoms: _window_count(cs, atoms, window)
                       .astype(float) ** 2)
 
 
 def void_indicator(window=None, name="void") -> Functional:
     return Functional(lambda phi: 1.0 if phi.count_in(window) == 0 else 0.0,
-                      window=window, bound=1.0, name=name,
+                      bound=1.0, name=name,
                       counts=lambda cs, atoms: (_window_count(cs, atoms, window) == 0)
                       .astype(float))
 
 
 def threshold_indicator(k: int, window=None, name=None) -> Functional:
     return Functional(lambda phi: 1.0 if phi.count_in(window) >= k else 0.0,
-                      window=window, bound=1.0, increasing=True,
+                      bound=1.0, increasing=True,
                       name=name or f"at_least_{k}",
                       counts=lambda cs, atoms: (_window_count(cs, atoms, window) >= k)
                       .astype(float))
@@ -315,29 +311,28 @@ def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
     return out
 
 
-def difference_n(f: Functional, phi: PointConfiguration, xs: Sequence,
-                 cap: int = DIFFERENCE_ORDER_CAP) -> float:
+def difference_n(f: Functional, phi: PointConfiguration, xs: Sequence) -> float:
     """n-th difference of f at phi via the symmetric subset sum.
 
     The 2^n signed values are combined with exact compensated summation
     (``math.fsum``), which makes the value invariant under permutations of
-    xs at full precision.
+    xs at full precision.  Orders above ``DIFFERENCE_ORDER_CAP`` raise.
     """
     n = len(xs)
-    if n > cap:
-        raise DifferenceOrderError(f"difference order {n} above cap {cap} (cost is 2^n)")
+    if n > DIFFERENCE_ORDER_CAP:
+        raise DifferenceOrderError(
+            f"difference order {n} above cap {DIFFERENCE_ORDER_CAP} (cost is 2^n)")
     return math.fsum((-1.0) ** (n - k) * f(phi.add(sub))
                      for k in range(n + 1) for sub in itertools.combinations(xs, k))
 
 
-def difference_n_recursive(f: Functional, phi: PointConfiguration, xs: Sequence,
-                           cap: int = DIFFERENCE_ORDER_CAP) -> float:
+def difference_n_recursive(f: Functional, phi: PointConfiguration, xs: Sequence) -> float:
     """Same operator through the recursion D^n = D o D^(n-1); cross-check only."""
     n = len(xs)
-    if n > cap:
-        raise DifferenceOrderError(f"difference order {n} above cap {cap}")
+    if n > DIFFERENCE_ORDER_CAP:
+        raise DifferenceOrderError(f"difference order {n} above cap {DIFFERENCE_ORDER_CAP}")
     if n == 0:
         return f(phi)
     rest = xs[1:]
-    return (difference_n_recursive(f, phi.add([xs[0]]), rest, cap)
-            - difference_n_recursive(f, phi, rest, cap))
+    return (difference_n_recursive(f, phi.add([xs[0]]), rest)
+            - difference_n_recursive(f, phi, rest))

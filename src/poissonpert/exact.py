@@ -9,8 +9,8 @@ A plain expectation is one compensated sum over the lattice, so results are
 exact to near machine precision at desk scale.  A functional without a
 count form (a plain callable, a hand-written ``Functional``) is evaluated
 node by node instead: the same lattice, one ``fn`` call per node, which is
-the slow fallback.  Cost is the product of the per-atom cap ranges; the
-plan refuses more than ``max_atoms`` atoms.
+the slow fallback.  Cost is the product of the per-atom cap ranges, so
+enumeration refuses more than ``MAX_ATOMS`` atoms.
 
 The lattice is a table of shifted expectations
 
@@ -40,6 +40,7 @@ from .configuration import Functional, count_values, difference_n
 from .measures import DiscreteMeasure
 
 _UNDERFLOW_MASS = 700.0  # e^(-mass) stays a normal float below this
+MAX_ATOMS = 6  # widest space enumerated (cost is the product of the cap ranges)
 
 
 def poisson_pmf(mass: float, k_max: int) -> np.ndarray:
@@ -75,15 +76,12 @@ def _tail_reach(mass: float) -> int:
 class EnumerationPlan:
     """Truncation policy for exact enumeration.
 
-    ``tail``: per-atom Poisson tail mass bound.  ``max_atoms``: enumeration
-    refuses wider spaces (cost is the product of cap ranges).  ``floor``:
-    smallest cap of any atom with positive mass (likelihood-weighted
-    integrands concentrate where a tilted measure does, see
-    ``likelihood.plan_for_measures``).
+    ``tail``: per-atom Poisson tail mass bound.  ``floor``: smallest cap of
+    any atom with positive mass (likelihood-weighted integrands concentrate
+    where a tilted measure does, see ``likelihood.plan_for_measures``).
     """
 
     tail: float = 1e-14
-    max_atoms: int = 6
     floor: int = 0
 
     def cap(self, mass: float, growth_degree: int | None = None) -> int:
@@ -163,8 +161,8 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
     plan = plan or EnumerationPlan()
     shift_atoms = list(shift_atoms)
     base_atoms = [a for a in m.support()]
-    if len(base_atoms) > plan.max_atoms:
-        raise ValueError(f"{len(base_atoms)} atoms exceed enumeration limit {plan.max_atoms}")
+    if len(base_atoms) > MAX_ATOMS:
+        raise ValueError(f"{len(base_atoms)} atoms exceed enumeration limit {MAX_ATOMS}")
     growth = getattr(f, "growth_degree", None)
 
     union = shift_atoms + [a for a in base_atoms if a not in shift_atoms]

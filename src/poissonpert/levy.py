@@ -79,7 +79,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import within_bound
-from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, mc_mean
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .series import SeriesResult, mc_series, mc_term
 
 CAP = 1e12  # the largest hypothesis integral accepted as finite
@@ -254,19 +254,14 @@ def _geometric_remainder(far: float, mid: float, last: float) -> tuple[float, fl
 
 
 def _exp1(x):
-    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0: on a
-    scalar in float arithmetic, without array overhead (every simulated
-    gamma path calls it through ``mass_above``), or elementwise on an
-    array."""
-    if not isinstance(x, np.ndarray):
-        x = float(x)
-        return float(_exp1_series(x) if x <= 1.0 else _exp1_fraction(x))
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    small = x <= 1.0
-    out[small] = _exp1_series(x[small])
-    out[~small] = _exp1_fraction(x[~small])
-    return out
+    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0,
+    elementwise on an array; a float for a scalar x."""
+    arr = np.asarray(x, dtype=float)
+    out = np.empty(arr.shape)
+    small = arr <= 1.0
+    out[small] = _exp1_series(arr[small])
+    out[~small] = _exp1_fraction(arr[~small])
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _exp1_series(x):
@@ -350,9 +345,10 @@ class CompoundPoissonJumps(_ReferenceMeasure):
         return float(self.masses[np.abs(self.sizes) > eps].sum())
 
     def sample_above(self, eps, n, gen) -> np.ndarray:
+        """n draws of the normalized measure above eps; none if it has no mass."""
         keep = np.abs(self.sizes) > eps
         sizes, masses = self.sizes[keep], self.masses[keep]
-        if n == 0 or sizes.size == 0:
+        if n == 0 or not masses.any():
             return np.empty(0)
         return _choose(sizes, masses / masses.sum(), n, gen)
 
@@ -477,8 +473,6 @@ class JumpDirection:
     ``abs_mass_above(eps)`` and ``sample_above`` drive the outer importance
     sampling from |g| d nu_ref; ``min_eps`` is None when |g| d nu_ref is not
     normalizable at the origin and a positive truncation is mandatory.
-    ``x_abs_below(eps)`` bounds the truncation bias through
-    2 t0 int_{|x|<=eps} |x| |g| d nu_ref.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -488,7 +482,6 @@ class JumpDirection:
     g_bound: float
     abs_mass_above: Callable[[float], float]
     sample_above: Callable[[float, int, np.random.Generator], np.ndarray]
-    x_abs_below: Callable[[float], float]
     min_eps: float | None = 0.0
 
 
@@ -497,12 +490,14 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
 
     ``g`` matches x to an atom by exact equality: marks and jumps are drawn
     from ``nu_ref.sizes`` itself, so a value off an atom by rounding is off
-    the support.
+    the support.  |g| d nu_ref is sampled as the ``CompoundPoissonJumps`` of
+    masses |g| m, so an atom where g = 0 is never drawn.
     """
     sizes = nu_ref.sizes
     gvals = np.array([float(g_map.get(float(s), 0.0)) for s in sizes])
     masses = nu_ref.masses
     absw = np.abs(gvals) * masses
+    abs_jumps = CompoundPoissonJumps(dict(zip(sizes.tolist(), absw.tolist())))
 
     def g(x):
         x = np.asarray(x, dtype=float)
@@ -510,29 +505,14 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
         out = np.where(sizes[idx] == x, gvals[idx], 0.0)
         return out if out.shape else float(out)
 
-    def abs_mass_above(eps):
-        return float(absw[np.abs(sizes) > eps].sum())
-
-    def sample_above(eps, n, gen):
-        keep = np.abs(sizes) > eps
-        s, w = sizes[keep], absw[keep]
-        if n == 0 or s.size == 0 or w.sum() == 0:
-            return np.empty(0)
-        return _choose(s, w / w.sum(), n, gen)
-
-    def x_abs_below(eps):
-        keep = np.abs(sizes) <= eps
-        return float((np.abs(sizes[keep]) * absw[keep]).sum())
-
     return JumpDirection(
         g=g,
         square_integral=float((gvals ** 2 * masses).sum()),
         x_wedge_integral=float((np.minimum(np.abs(sizes), 1.0) * absw).sum()),
         drift_moment=float((sizes * gvals * masses)[np.abs(sizes) <= 1.0].sum()),
         g_bound=float(np.max(np.abs(gvals))) if gvals.size else 0.0,
-        abs_mass_above=abs_mass_above,
-        sample_above=sample_above,
-        x_abs_below=x_abs_below,
+        abs_mass_above=abs_jumps.mass_above,
+        sample_above=abs_jumps.sample_above,
         min_eps=0.0,
     )
 
@@ -564,8 +544,6 @@ def gamma_scale_direction(theta: float, beta0: float, nu_ref: StableJumps) -> Ju
         g_bound=theta * ((alpha + 1.0) / beta0) ** (alpha + 1.0) * math.exp(-(alpha + 1.0)),
         abs_mass_above=lambda eps: theta * c * math.exp(-beta0 * eps) / beta0,
         sample_above=lambda eps, n, gen: eps + gen.exponential(1.0 / beta0, n),
-        x_abs_below=lambda eps: theta * c
-        * (1.0 - (1.0 + beta0 * eps) * math.exp(-beta0 * eps)) / beta0 ** 2,
         min_eps=0.0,
     )
 
@@ -573,11 +551,12 @@ def gamma_scale_direction(theta: float, beta0: float, nu_ref: StableJumps) -> Ju
 def gamma_shape_direction(beta: float, nu_ref: StableJumps) -> JumpDirection:
     """Direction adding a gamma jump component per unit shape:
     g(x) = x^alpha exp(-beta x)/c_pos on x > 0, so |g| d nu_ref is the gamma
-    jump measure itself (log-divergent at 0: truncation is mandatory)."""
+    jump measure ``GammaJumps(1, beta)`` itself (log-divergent at 0:
+    truncation is mandatory)."""
     if nu_ref.c_pos <= 0:
         raise ValueError("reference needs a positive tail")
     alpha, c = nu_ref.alpha, nu_ref.c_pos
-    sampler = GammaJumps(1.0, beta)
+    abs_jumps = GammaJumps(1.0, beta)
 
     def g(x):
         x = np.asarray(x, dtype=float)
@@ -591,9 +570,8 @@ def gamma_shape_direction(beta: float, nu_ref: StableJumps) -> JumpDirection:
         x_wedge_integral=(1.0 - math.exp(-beta)) / beta + float(_exp1(beta)),
         drift_moment=(1.0 - math.exp(-beta)) / beta,
         g_bound=(alpha / beta) ** alpha * math.exp(-alpha) / c,
-        abs_mass_above=lambda eps: float(_exp1(beta * eps)),
-        sample_above=lambda eps, n, gen: sampler.sample_above(eps, n, gen),
-        x_abs_below=lambda eps: (1.0 - math.exp(-beta * eps)) / beta,
+        abs_mass_above=abs_jumps.mass_above,
+        sample_above=abs_jumps.sample_above,
         min_eps=None,
     )
 
@@ -655,7 +633,6 @@ def stable_direction(alpha_dir: float, q_pos: float, q_neg: float,
                     q_neg / nu_ref.c_neg if nu_ref.c_neg else 0.0),
         abs_mass_above=abs_mass_above,
         sample_above=sample_above,
-        x_abs_below=lambda eps: qsum * min(eps, 1.0) ** (1.0 - alpha_dir) / (1.0 - alpha_dir),
         min_eps=None,
     )
 
@@ -1085,13 +1062,8 @@ def _wiener_grids(model: LevyModel, gen: np.random.Generator, n: int | None = No
     return _grid_nodes(model.t0, model.grid_n), grid_w
 
 
-def simulate_path(model: LevyModel, rng: RngStream | None = None,
-                  generator: np.random.Generator | None = None) -> CadlagPath:
-    """Sample one path: Wiener skeleton on the grid, jumps above eps exactly."""
-    if generator is None:
-        if rng is None:
-            raise ValueError("pass an RngStream or an explicit generator")
-        generator = rng.generator()
+def simulate_path(model: LevyModel, *, generator: np.random.Generator) -> CadlagPath:
+    """One path from ``generator``: Wiener skeleton on the grid, jumps above eps exactly."""
     n = int(generator.poisson(model.jump_rate))
     times = generator.uniform(0.0, model.t0, n)
     sizes = model.jumps.sample_above(model.eps, n, generator)
@@ -1421,28 +1393,26 @@ def path_difference(f: PathFunctional, path: CadlagPath,
 
 
 def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
-                mc: MCPlan, n_max: int = 6, delta: JumpDirection | None = None,
-                direction_eps: float | None = None) -> SeriesResult:
-    """Expansion of E f(X) from the base model toward the target jump density.
+                mc: MCPlan, n_max: int = 6) -> SeriesResult:
+    """Expansion of E f(X) from the base model toward the target jump density
+    on a compound-Poisson reference (any other raises ``ConditionError``).
 
     Order n integrates the expected n-fold path difference against the
-    tensorized signed density gap: ``mc_series`` over ``jump_draw``, with the
-    absolute mass M = t0 int |g| d nu_ref setting the Poisson(M) budget of
-    each order.  The series always runs to ``n_max``; a path functional
-    declares no bound, so ``truncation_budget`` is None (0 for equal
-    densities).  Hypotheses (common reference, square gaps, small-jump
-    moments, drift relation) are hard errors.
+    tensorized density gap g_target - g_base on the reference's atoms:
+    ``mc_series`` over ``jump_draw``, with the absolute mass M = t0 int |g| d
+    nu_ref setting the Poisson(M) budget of each order.  The series always
+    runs to ``n_max``; a path functional declares no bound, so
+    ``truncation_budget`` is None (0 for equal densities).  Hypotheses
+    (common reference, square gaps, small-jump moments, drift relation) are
+    hard errors.
     """
+    if not isinstance(model.jumps, CompoundPoissonJumps):
+        raise ConditionError("the Levy series needs a compound-Poisson reference, "
+                             f"not {type(model.jumps).__name__}")
     check_pair(model, target)
-    if delta is None:
-        if not isinstance(model.jumps, CompoundPoissonJumps):
-            raise ConditionError("pass a direction for the density gap on "
-                                 "non-atomic references")
-        sizes = model.jumps.sizes
-        gap = {float(s): float(np.asarray(target.g(s)) - np.asarray(model.g(s)))
-               for s in sizes}
-        delta = cp_direction(model.jumps, gap)
-    return mc_series(*jump_draw(f, model, delta, direction_eps), n_max, mc)
+    gap = {float(s): float(np.asarray(target.g(s)) - np.asarray(model.g(s)))
+           for s in model.jumps.sizes}
+    return mc_series(*jump_draw(f, model, cp_direction(model.jumps, gap)), n_max, mc)
 
 
 @dataclass(frozen=True)
@@ -1526,12 +1496,12 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
 
 
 def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
-                        mc: MCPlan, f: PathFunctional = running_supremum
-                        ) -> EstimateResult:
-    """Central finite difference of theta -> E f(X) at theta0 with coupled
+                        mc: MCPlan) -> EstimateResult:
+    """Central finite difference of theta -> E sup X at theta0 with coupled
     paths (shared jump proposals and Wiener skeleton), one coupled batch per
-    chunk; f on the first ``SPOT_CHECKS`` pairs of chunk 0 is checked
-    against ``CadlagPath``."""
+    chunk; the suprema of the first ``SPOT_CHECKS`` pairs of chunk 0 are
+    checked against ``CadlagPath``."""
+    f = running_supremum
     lo = perturbed_model(model, pert, pert.theta0 - delta)
     hi = perturbed_model(model, pert, pert.theta0 + delta)
 

@@ -111,19 +111,19 @@ def likelihood_counts(L: LikelihoodRatio, cs, atoms) -> np.ndarray:
     return np.where(alive, values, 0.0)
 
 
-def plan_for_measures(measures, tail: float = 1e-14, max_atoms: int = 6) -> EnumerationPlan:
+def plan_for_measures(measures) -> EnumerationPlan:
     """Enumeration plan wide enough for likelihood-weighted integrands.
 
     Count caps must cover wherever the sampling measure or any tilted measure
     puts mass (the weighted integrand concentrates where the tilted measure
     does), so the caps are floored at the worst cap over all given measures.
     """
-    base = EnumerationPlan(tail=tail, max_atoms=max_atoms)
+    base = EnumerationPlan()
     floor = 0
     for m in measures:
         for _, mass in m.items():
             floor = max(floor, base.cap(mass))
-    return EnumerationPlan(tail=tail, max_atoms=max_atoms, floor=floor)
+    return EnumerationPlan(floor=floor)
 
 
 def second_moment_bound(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:

@@ -18,8 +18,9 @@ Conventions
 * The default dominating measure for a discrete pair (lam, nu) is lam + nu,
   which is always valid; every reported quantity is invariant under the
   choice of dominating measure.
-* Diagnostics never raise on divergence.  Values above a configurable cap
-  are clamped and flagged, so a report can always be produced.
+* Diagnostics never raise on divergence.  Values at or above ``DEFAULT_CAP``
+  (1e12) are clamped and flagged, so a report can always be produced;
+  ``hellinger_poisson`` alone takes its cap as an argument.
 
 The squared Hellinger distance used throughout is
 ``H(lam, nu) = 1/2 * int (sqrt(h_lam) - sqrt(h_nu))^2 drho`` and the law-level
@@ -390,9 +391,9 @@ class AdmissibilityReport:
     """Square-integrability and Hellinger diagnostics for a measure pair.
 
     ``l2_ok`` is the verdict used by the series engine: both mean-one density
-    gaps ``int (1-h)^2 drho`` below the cap.  ``hellinger_ok`` tracks the
-    weaker necessary condition ``H(lam, nu) < inf``; it is reported but never
-    drives the verdict on its own.
+    gaps ``int (1-h)^2 drho`` below ``DEFAULT_CAP``.  ``hellinger_ok`` tracks
+    the weaker necessary condition ``H(lam, nu) < inf``; it is reported but
+    never drives the verdict on its own.
     """
 
     l2_gap_low: float
@@ -408,12 +409,11 @@ class AdmissibilityReport:
     monotone_down: float | None = None
     monotone_ok: bool | None = None
     capped: bool = False
-    cap: float = DEFAULT_CAP
 
     def rows(self) -> list[tuple[str, float, bool]]:
         out = [
-            ("l2_gap_low", self.l2_gap_low, self.l2_gap_low < self.cap),
-            ("l2_gap_high", self.l2_gap_high, self.l2_gap_high < self.cap),
+            ("l2_gap_low", self.l2_gap_low, self.l2_gap_low < DEFAULT_CAP),
+            ("l2_gap_high", self.l2_gap_high, self.l2_gap_high < DEFAULT_CAP),
             ("hellinger", self.hellinger, self.hellinger_ok),
             ("lebesgue_gap_nu", self.lebesgue_gap_nu, self.lebesgue_nu_ok),
             ("lebesgue_gap_lam", self.lebesgue_gap_lam, self.lebesgue_lam_ok),
@@ -426,20 +426,19 @@ class AdmissibilityReport:
         return out
 
 
-def _capped(value: float, cap: float) -> tuple[float, bool]:
-    if not math.isfinite(value) or value >= cap:
-        return cap, True
+def _capped(value: float) -> tuple[float, bool]:
+    if not math.isfinite(value) or value >= DEFAULT_CAP:
+        return DEFAULT_CAP, True
     return value, False
 
 
 def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
-                        rho: DiscreteMeasure | None = None,
-                        cap: float = DEFAULT_CAP) -> AdmissibilityReport:
+                        rho: DiscreteMeasure | None = None) -> AdmissibilityReport:
     """Report every admissibility diagnostic for the pair (lam, nu).
 
-    Nothing is thrown: divergent or capped quantities are clamped at ``cap``
-    and flagged.  Monotone-direction checks are included whenever nu >= lam
-    or nu <= lam atom-wise.
+    Nothing is thrown: divergent or capped quantities are clamped at
+    ``DEFAULT_CAP`` and flagged.  Monotone-direction checks are included
+    whenever nu >= lam or nu <= lam atom-wise.
     """
     if rho is None:
         rho = lam.plus(nu)
@@ -448,10 +447,10 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
 
     gap_low = math.fsum((1.0 - h_lam[a]) ** 2 * rho.mass(a) for a in rho.atoms)
     gap_high = math.fsum((1.0 - h_nu[a]) ** 2 * rho.mass(a) for a in rho.atoms)
-    gap_low, cap1 = _capped(gap_low, cap)
-    gap_high, cap2 = _capped(gap_high, cap)
+    gap_low, cap1 = _capped(gap_low)
+    gap_high, cap2 = _capped(gap_high)
 
-    hell, cap3 = _capped(hellinger_measures(lam, nu, rho=rho), cap)
+    hell, cap3 = _capped(hellinger_measures(lam, nu, rho=rho))
 
     nu1, nu2 = lebesgue_decompose(nu, lam)
     leb_nu = math.fsum(
@@ -461,8 +460,8 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
     leb_lam = math.fsum(
         (1.0 - lam1.mass(a) / m) ** 2 * m for a, m in nu.items() if m > 0.0
     ) + lam2.total()
-    leb_nu, cap4 = _capped(leb_nu, cap)
-    leb_lam, cap5 = _capped(leb_lam, cap)
+    leb_nu, cap4 = _capped(leb_nu)
+    leb_lam, cap5 = _capped(leb_lam)
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
     up = all(nu.mass(a) >= lam.mass(a) for a in atoms)
@@ -478,14 +477,14 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
         mu_side = math.fsum((1.0 - h[a]) * mu.mass(a) for a in lam_plus_mu.atoms)
         l2_side = math.fsum((1.0 - h[a]) ** 2 * lam_plus_mu.mass(a) for a in lam_plus_mu.atoms)
         monotone_up = (mu_side, l2_side)
-        monotone_ok = l2_side < cap
+        monotone_ok = l2_side < DEFAULT_CAP
     elif down and not up:
         # nu = lam - mu: square-integrability of dmu/dlam decides the verdict
         mu = DiscreteMeasure({a: lam.mass(a) - nu.mass(a) for a in atoms})
         h_mu = mu.density_against(lam)
         monotone_down = math.fsum(h_mu[a] ** 2 * lam.mass(a) for a in lam.atoms)
-        monotone_down, capm = _capped(monotone_down, cap)
-        monotone_ok = not capm and monotone_down < cap
+        monotone_down, capm = _capped(monotone_down)
+        monotone_ok = not capm
 
     return AdmissibilityReport(
         l2_gap_low=gap_low,
@@ -501,7 +500,6 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
         monotone_down=monotone_down,
         monotone_ok=monotone_ok,
         capped=cap1 or cap2 or cap3 or cap4 or cap5,
-        cap=cap,
     )
 
 

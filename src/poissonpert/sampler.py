@@ -28,13 +28,8 @@ from .measures import DensityMeasure, DiscreteMeasure, within_bound
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, each, mc_mean
 
 
-def sample_poisson(m, window=None, rng: RngStream | None = None,
-                   generator: np.random.Generator | None = None) -> PointConfiguration:
-    """One Poisson configuration with intensity m restricted to the window."""
-    if generator is None:
-        if rng is None:
-            raise ValueError("pass an RngStream or an explicit generator")
-        generator = rng.generator()
+def sample_poisson(m, window=None, *, generator: np.random.Generator) -> PointConfiguration:
+    """One Poisson configuration with intensity m on the window, from ``generator``."""
     if isinstance(m, DiscreteMeasure):
         mr = m.restrict(window)
         return PointConfiguration.from_counts(
@@ -57,16 +52,12 @@ def sample_poisson(m, window=None, rng: RngStream | None = None,
     raise TypeError(f"unsupported measure type {type(m)!r}")
 
 
-def sample_counts(m: DiscreteMeasure, window=None, rng: RngStream | None = None,
-                  size: int = 1, generator: np.random.Generator | None = None
-                  ) -> np.ndarray:
+def sample_counts(m: DiscreteMeasure, size: int = 1, *,
+                  generator: np.random.Generator) -> np.ndarray:
     """Independent per-atom Poisson counts of ``size`` configurations, shape
-    (size, atoms) over ``m.restrict(window).support()``, drawn from
-    ``generator`` or else from a fresh generator of ``rng``."""
-    if generator is None and rng is None:
-        raise ValueError("pass an RngStream or an explicit generator")
-    masses = np.array([x for _, x in m.restrict(window).items() if x > 0.0])
-    return (generator or rng.generator()).poisson(masses, size=(size, masses.size))
+    (size, atoms) over ``m.support()``, drawn from ``generator``."""
+    masses = np.array([x for _, x in m.items() if x > 0.0])
+    return generator.poisson(masses, size=(size, masses.size))
 
 
 @dataclass(frozen=True)
@@ -106,16 +97,13 @@ def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None
     return CoupledPair(*(PointConfiguration.from_counts(atoms, c[0].tolist()) for c in counts))
 
 
-def mc_expectation(f, m: DiscreteMeasure, window=None,
-                   plan: MCPlan | None = None) -> EstimateResult:
+def mc_expectation(f, m: DiscreteMeasure, plan: MCPlan) -> EstimateResult:
     """Monte Carlo E f(Phi) with batch-means standard error: one count array
     per chunk, f on all of it (``difference_counts`` at order 0)."""
-    if plan is None:
-        raise ValueError("an MCPlan is required")
-    atoms = m.restrict(window).support()
+    atoms = m.support()
 
     def draw(gen, n, check=False):
-        counts = sample_counts(m, window, size=n, generator=gen)
+        counts = sample_counts(m, size=n, generator=gen)
         return difference_counts(f, counts, atoms, np.zeros((n, 0), dtype=np.int64), check)[None]
 
     return mc_mean(draw, plan, spot=SPOT_CHECKS).estimate()

@@ -63,7 +63,7 @@ from .exact import (EnumerationPlan, exact_expectation, expectation_table,
                     weight_table)
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
-                       admissibility_check, lebesgue_decompose)
+                       _as_density, admissibility_check, lebesgue_decompose)
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import sample_counts
 
@@ -102,17 +102,14 @@ class SeriesResult:
     def value(self) -> float:
         return self.partial_sums[-1] if self.partial_sums else 0.0
 
-    def to_csv(self, target=None) -> str | None:
-        """Write columns order, term, partial_sum, abs_term."""
-        own = target is None
-        buf = io.StringIO() if own else target
+    def to_csv(self) -> str:
+        """The columns order, term, partial_sum, abs_term as CSV text."""
+        buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["order", "term", "partial_sum", "abs_term"])
         for n, (t, p, a) in enumerate(zip(self.terms, self.partial_sums, self.abs_terms)):
             writer.writerow([n, format(t, ".17g"), format(p, ".17g"), format(a, ".17g")])
-        if own:
-            return buf.getvalue()
-        return None
+        return buf.getvalue()
 
 
 def _truncate_exact(terms: np.ndarray, abs_terms: np.ndarray, eps_abs: float
@@ -409,7 +406,7 @@ def gateaux_derivative(f: Functional, lam: DiscreteMeasure, h,
     """
     if rho is None:
         rho = lam
-    hfun = h if callable(h) else (lambda x, _t=dict(h): _t.get(x, 0.0))
+    hfun = _as_density(h)
     atoms = [a for a in rho.support() if hfun(a) != 0.0]
     res = order_one(f, lam, atoms, [hfun(a) * rho.mass(a) for a in atoms], mode, plan, mc)
     return res.estimate if mode == "mc" else res
@@ -447,7 +444,7 @@ def frechet_remainder_check(f: Functional, lam: DiscreteMeasure,
     base_value = exact_expectation(f, lam, plan)
     rows = []
     for h in h_list:
-        hfun = h if callable(h) else (lambda x, _t=dict(h): _t.get(x, 0.0))
+        hfun = _as_density(h)
         for a in atoms:
             if 1.0 + hfun(a) < -1e-12:
                 raise ValueError(f"direction violates 1 + h >= 0 at atom {a!r}")

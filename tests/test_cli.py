@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonpert import battery
+from poissonpert import battery, cli
 from poissonpert.battery import CheckRow, z_gate
 from poissonpert.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from poissonpert.rng import RngStream
@@ -31,9 +31,10 @@ MAX_SAMPLES = 4_000
 FULL_SIZE = {"levy_sim_gamma.ini"}
 
 
-def small_copy(name: str, tmp_path: Path) -> Path:
+def small_copy(name: str, tmp_path: Path, **settings) -> Path:
     """The checked-in config with absolute data-file paths and, unless it
-    is in ``FULL_SIZE``, at most ``MAX_SAMPLES`` Monte Carlo samples."""
+    is in ``FULL_SIZE``, at most ``MAX_SAMPLES`` Monte Carlo samples; then
+    each keyword ``section__key=value`` of ``settings`` is set."""
     cfg = configparser.ConfigParser()
     cfg.read(CONFIGS / name)
     for section in cfg.sections():
@@ -42,10 +43,36 @@ def small_copy(name: str, tmp_path: Path) -> Path:
                 cfg.set(section, key, str(CONFIGS / value))
     if cfg.has_option("mc", "samples") and name not in FULL_SIZE:
         cfg.set("mc", "samples", str(min(cfg.getint("mc", "samples"), MAX_SAMPLES)))
+    for option, value in settings.items():
+        cfg.set(*option.split("__"), value)
     path = tmp_path / name
     with path.open("w") as fh:
         cfg.write(fh)
     return path
+
+
+def read_rows(out: Path, study: str) -> dict:
+    with (out / f"{study}.csv").open(newline="") as fh:
+        return {r["check"]: r for r in csv.DictReader(fh)}
+
+
+def test_a_study_without_check_rows_fails(tmp_path):
+    # "0/0 checks passed" used to exit 0: a study that checks nothing shows nothing
+    assert cli._report(tmp_path, "series", [], []) == EXIT_CHECK
+    assert (tmp_path / "series_summary.txt").read_text().endswith("0/0 checks passed\n")
+
+
+class TestSeriesStudy:
+    def test_monte_carlo_mode_is_checked_against_the_direct_expectation(self, tmp_path):
+        # Monte Carlo mode used to write no check row at all
+        path = small_copy("series_void.ini", tmp_path, series__mode="mc", mc__samples="2000")
+        out = tmp_path / "out"
+        assert main(["series", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        row = read_rows(out, "series")["series_vs_direct_expectation"]
+        assert row["mode"] == "z" and row["pass"] == "pass"
+        assert 0.0 < float(row["tol"]) < 0.05
+        summary = (out / "series_summary.txt").read_text()
+        assert summary.endswith("1/1 checks passed\n")
 
 
 class TestZGate:
@@ -94,6 +121,25 @@ class TestDerivStudy:
         summary = (out / "deriv_summary.txt").read_text()
         assert "pivotal:" in summary and "stderr inf [FAIL]" in summary
         assert "[pass]" not in summary
+
+    @pytest.mark.parametrize("theta, shift, verdict", [
+        ("0.5", 0.0, "pass"), ("0.5", 1e-3, "FAIL"),
+        ("0.005", 0.0, "pass"),  # below the default finite-difference step
+    ])
+    def test_scaled_estimator_is_checked_against_a_finite_difference(
+            self, tmp_path, monkeypatch, theta, shift, verdict):
+        # the scaled row used to compare the exact derivative with itself, so
+        # no derivative, however wrong, could fail it
+        exact_derivative = cli.scaled_derivative
+        monkeypatch.setattr(cli, "scaled_derivative",
+                            lambda *args: exact_derivative(*args) + shift)
+        path = small_copy("deriv_pivotal.ini", tmp_path, deriv__estimator="scaled",
+                          deriv__theta=theta, deriv__fd_delta=str(float(theta) / 4))
+        out = tmp_path / "out"
+        main(["deriv", "--config", str(path), "--out", str(out)])
+        row = read_rows(out, "deriv")["scaled"]
+        assert row["pass"] == verdict
+        assert abs(float(row["value"]) - shift - float(row["target"])) < 1e-9
 
     @pytest.mark.parametrize("direction, code", [
         ("a 0.5\nb -0.25\n", EXIT_OK),

@@ -1,0 +1,83 @@
+"""The paper's discrete identities on generated intensity pairs.
+
+Each property draws 1-3 atoms with masses in [0.05, 1.5] (a target atom may
+also carry no mass, which gives the Lebesgue decompositions a singular
+part) and a built-in functional, and checks one identity against the exact
+engine: the variational series under every decomposition, the parametric
+series term by term, the Hellinger law identity, and the likelihood ratio's
+first two moments on the plan of ``plan_for_measures``.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from poissonpert import (AtomWindow, PerturbationFamily, constant_functional,
+                         count_functional, count_squared, discrete, exact_expectation,
+                         hellinger_poisson, parametric_series, poisson_hellinger_exact,
+                         reweighted_expectation, second_moment_bound, second_moment_exact,
+                         threshold_indicator, variational_series, void_indicator)
+
+ATOMS = ["a", "b", "c"]
+DECOMPOSITIONS = ["direct", "lebesgue-nu", "lebesgue-lambda", "monotone"]
+masses = st.floats(0.05, 1.5)
+masses_or_none = st.one_of(st.just(0.0), masses)
+
+
+@st.composite
+def pairs(draw):
+    """(lam, nu) on 1-3 atoms: lam charges every atom, nu may skip some."""
+    atoms = ATOMS[:draw(st.integers(1, 3))]
+    lam = {a: draw(masses) for a in atoms}
+    nu = {a: draw(masses_or_none) for a in atoms}
+    return discrete(lam), discrete(nu)
+
+
+@st.composite
+def functionals(draw):
+    """A built-in functional over a drawn window (or none)."""
+    window = draw(st.one_of(st.none(), st.sets(st.sampled_from(ATOMS), min_size=1)
+                            .map(AtomWindow)))
+    return draw(st.sampled_from([void_indicator(window), count_functional(window),
+                                 count_squared(window), threshold_indicator(1, window),
+                                 threshold_indicator(2, window)]))
+
+
+@given(pair=pairs(), f=functionals())
+def test_variational_series_reaches_the_target_under_every_decomposition(pair, f):
+    lam, nu = pair
+    target = exact_expectation(f, nu)
+    values = {d: variational_series(f, lam, nu, decomposition=d, strict=True).value
+              for d in DECOMPOSITIONS}
+    # the decomposition only chooses the admissibility gate, never the terms
+    assert len(set(values.values())) == 1
+    assert values["direct"] == pytest.approx(target, rel=1e-9, abs=1e-10)
+
+
+@given(pair=pairs(), f=functionals(), theta=st.floats(0.25, 1.0))
+def test_parametric_series_equals_variational_term_by_term(pair, f, theta):
+    lam, nu = pair
+    rho = lam.plus(nu)
+    h_lam, h_nu = lam.density_against(rho), nu.density_against(rho)
+    family = PerturbationFamily.linear(rho, h_lam, {a: h_nu[a] - h_lam[a] for a in rho.atoms})
+    at_theta = family.measure_at(theta)
+    para = parametric_series(f, family, theta)
+    vari = variational_series(f, family.base_measure(), at_theta)
+    assert para.terms == pytest.approx(vari.terms, rel=1e-12, abs=1e-14)
+    assert para.value == pytest.approx(exact_expectation(f, at_theta), rel=1e-9, abs=1e-10)
+
+
+@given(pair=pairs())
+def test_hellinger_law_identity(pair):
+    lam, nu = pair
+    assert hellinger_poisson(lam, nu) == pytest.approx(poisson_hellinger_exact(lam, nu),
+                                                       rel=1e-12, abs=1e-14)
+
+
+@given(pair=pairs())
+def test_likelihood_ratio_has_mean_one_and_attains_its_second_moment_bound(pair):
+    rho, nu = pair  # rho charges every atom, so it dominates nu
+    mean = reweighted_expectation(constant_functional(1.0), nu, rho)
+    assert mean == pytest.approx(1.0, abs=1e-10)
+    assert second_moment_exact(nu, rho) == pytest.approx(second_moment_bound(nu, rho),
+                                                         rel=1e-10)

@@ -104,7 +104,7 @@ class TestSimulatePath:
 
     def test_no_jumps_gives_drift_line(self, rng):
         model = cp_model({}, drift=0.7)
-        path = simulate_path(model, rng=rng.child(3))
+        path = simulate_path(model, generator=rng.child(3).generator())
         assert path.n_jumps == 0
         assert path.value(0.5) == pytest.approx(0.35)
         assert path.value(1.0) == pytest.approx(0.7)
@@ -187,11 +187,11 @@ class TestSimulatePath:
 
 class TestPathShift:
     def test_zero_jump_is_identity(self, rng):
-        path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(8))
+        path = simulate_path(cp_model({1.0: 1.0}), generator=rng.child(8).generator())
         assert path.with_jump(0.4, 0.0) is path
 
     def test_terminal_difference_is_the_jump(self, rng):
-        path = simulate_path(cp_model({1.0: 1.0}, drift=0.2), rng=rng.child(9))
+        path = simulate_path(cp_model({1.0: 1.0}, drift=0.2), generator=rng.child(9).generator())
         for t in (0.0, 0.3, 1.0):
             for x in (0.5, -1.2):
                 shifted = path.with_jump(t, x)
@@ -201,25 +201,25 @@ class TestPathShift:
         # nondecreasing path: sup sits at the end, a positive jump adds x
         model = cp_model({1.0: 1.0, 0.5: 0.5}, drift=0.4)
         for i in range(20):
-            path = simulate_path(model, rng=rng.child(10).child(i))
+            path = simulate_path(model, generator=rng.child(10).child(i).generator())
             for t in (0.2, 0.9):
                 shifted = path.with_jump(t, 0.75)
                 assert shifted.supremum() - path.supremum() == pytest.approx(0.75)
 
     def test_time_outside_horizon(self, rng):
-        path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(11))
+        path = simulate_path(cp_model({1.0: 1.0}), generator=rng.child(11).generator())
         with pytest.raises(ValueError):
             path.with_jump(1.5, 1.0)
 
     def test_iterated_difference_constant_functional(self, rng):
-        path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(12))
+        path = simulate_path(cp_model({1.0: 1.0}), generator=rng.child(12).generator())
         from poissonpert.levy import PathFunctional
         const = PathFunctional(lambda w: 2.0)
         assert path_difference(const, path, [(0.1, 1.0), (0.2, 1.0)]) == 0.0
 
     def test_iterated_difference_terminal(self, rng):
         # terminal value is linear in inserted jumps: second difference is 0
-        path = simulate_path(cp_model({1.0: 1.0}), rng=rng.child(13))
+        path = simulate_path(cp_model({1.0: 1.0}), generator=rng.child(13).generator())
         assert path_difference(terminal_value, path, [(0.1, 0.5), (0.6, -0.25)]) == \
             pytest.approx(0.0, abs=1e-12)
         assert path_difference(terminal_value, path, [(0.1, 0.5)]) == \
@@ -283,6 +283,20 @@ class TestDirections:
         np.testing.assert_array_equal(d.g(atoms), [g_map[a] for a in atoms])
         np.testing.assert_array_equal(d.g(atoms * (1.0 + 1e-9)), np.zeros(atoms.size))
         assert d.g(-3.0) == 0.0 and d.g(5.0) == 0.0  # beyond either end
+        # |g| d nu_ref is the compound-Poisson measure with masses |g| m; the
+        # atoms at 2.0 and at -1.0 (off g_map) weigh 0 and are never drawn
+        masses = {1.0: 0.4, -0.5: 1.0, 2.0: 0.7, 0.3: 0.2, -1.0: 0.9}
+        d = cp_direction(CompoundPoissonJumps(masses), g_map)
+        abs_jumps = CompoundPoissonJumps({s: abs(g_map.get(s, 0.0)) * m
+                                          for s, m in masses.items()})
+        for eps in (0.0, 0.4, 1.5):
+            assert d.abs_mass_above(eps) == abs_jumps.mass_above(eps)
+            draws = d.sample_above(eps, 4_000, RngStream(5).generator())
+            np.testing.assert_array_equal(
+                draws, abs_jumps.sample_above(eps, 4_000, RngStream(5).generator()))
+            assert not np.isin(draws, [2.0, -1.0]).any()
+        assert d.abs_mass_above(0.0) == pytest.approx(0.5 * 0.4 + 0.25 + 1.5 * 0.2)
+        assert d.sample_above(1.5, 10, RngStream(5).generator()).size == 0
 
     def test_unnormalizable_direction_needs_truncation(self, rng):
         st = StableJumps(0.5, 1.0, 1.0)
@@ -379,6 +393,14 @@ class TestLevySeries:
         assert all(math.isfinite(s) for s in res.stderrs)
         err = 3 * math.sqrt(sum(s ** 2 for s in res.stderrs)) + 1e-9
         assert abs(res.value - direct) <= err
+
+    @pytest.mark.parametrize("builder, args_a, args_b",
+                             [r for r in SAME_REFERENCE if r[0] is not CompoundPoissonJumps])
+    def test_non_atomic_reference_rejected(self, rng, builder, args_a, args_b):
+        # the series direction is the density gap on the reference's atoms
+        model, target = reference_pair(builder, args_a, args_b)
+        with pytest.raises(ConditionError, match="compound-Poisson reference"):
+            levy_series(terminal_value, model, target, MCPlan(100, rng.child(21)))
 
     def test_drift_mismatch_rejected(self):
         model = cp_model({1.0: 1.0}, drift=0.0)

@@ -23,25 +23,25 @@ THREE_SIGMA_P = 0.0027  # two-sided normal tail at 3 sigma
 
 class TestSamplePoisson:
     def test_zero_mass_gives_empty(self, rng):
-        assert sample_poisson(discrete({"x": 0.0}), rng=rng.child(0)) == \
+        assert sample_poisson(discrete({"x": 0.0}), generator=rng.child(0).generator()) == \
             PointConfiguration.empty()
 
     def test_bit_identical_reproduction(self, rng):
         m = discrete({"x": 1.0, "y": 2.0})
-        a = [sample_poisson(m, rng=rng.child(1).child(i)) for i in range(50)]
-        b = [sample_poisson(m, rng=rng.child(1).child(i)) for i in range(50)]
+        a = [sample_poisson(m, generator=rng.child(1).child(i).generator()) for i in range(50)]
+        b = [sample_poisson(m, generator=rng.child(1).child(i).generator()) for i in range(50)]
         assert a == b
 
     def test_void_probability(self, rng):
         # oracle: closed-form void probability exp(-1)
-        counts = sample_counts(discrete({"x": 1.0}), None, rng.child(2), 200_000)
+        counts = sample_counts(discrete({"x": 1.0}), 200_000, generator=rng.child(2).generator())
         p0 = float(np.mean(counts[:, 0] == 0))
         se = math.sqrt(p0 * (1 - p0) / counts.shape[0])
         assert abs(p0 - math.exp(-1.0)) <= 3 * se
 
     def test_mean_counts(self, rng):
         m = discrete({"x": 1.0, "y": 2.0})
-        counts = sample_counts(m, None, rng.child(3), 100_000)
+        counts = sample_counts(m, 100_000, generator=rng.child(3).generator())
         for j, target in enumerate((1.0, 2.0)):
             mean = float(np.mean(counts[:, j]))
             se = float(np.std(counts[:, j]) / math.sqrt(counts.shape[0]))
@@ -50,8 +50,8 @@ class TestSamplePoisson:
     def test_single_config_law(self, rng):
         # sample_poisson draws must match the count law as well
         m = discrete({"x": 1.5})
-        totals = np.array([sample_poisson(m, rng=rng.child(4).child(i)).total_points()
-                           for i in range(20_000)])
+        totals = np.array([sample_poisson(m, generator=rng.child(4).child(i).generator())
+                           .total_points() for i in range(20_000)])
         mean = totals.mean()
         se = totals.std() / math.sqrt(totals.size)
         assert abs(mean - 1.5) <= 3 * se

@@ -53,8 +53,8 @@ class TestVariationalSeries:
                                  decomposition="monotone")
         vals = []
         for i in range(30_000):
-            phi = sample_poisson(lam, rng=rng.child(1).child(2 * i))
-            psi = sample_poisson(mu, rng=rng.child(1).child(2 * i + 1))
+            phi = sample_poisson(lam, generator=rng.child(1).child(2 * i).generator())
+            psi = sample_poisson(mu, generator=rng.child(1).child(2 * i + 1).generator())
             vals.append(void_indicator()(phi.add(psi.points())))
         mean = float(np.mean(vals))
         se = float(np.std(vals) / math.sqrt(len(vals)))
