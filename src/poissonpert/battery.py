@@ -291,4 +291,21 @@ def run_battery(seed: int, workers: int = 1) -> list[CheckRow]:
     add(CheckRow("levy_sup_bound_violations", float(sup.bound_violations), 0.0, 0.0, "abs"))
     add(CheckRow("levy_sup_monotone_closed_form", sup.estimate, 0.9,
                  sup.stderr, "z"))
+
+    # exact Brownian-bridge maxima: E sup over [0, 1] of 0.3 t + 0.5 W_t
+    wiener = levy.LevyModel(jumps=levy.CompoundPoissonJumps({}), drift=0.3,
+                            drift_form="plain", sigma2=0.25, t0=1.0)
+    ws = mc_mean(lambda gen, n: levy.simulate_paths(wiener, n, gen).supremum()[None],
+                 MCPlan(40_000, rng.child(16), workers=workers)).estimate()
+    add(CheckRow("levy_wiener_sup_closed_form", ws.estimate, _drift_wiener_sup(0.3, 0.5),
+                 ws.stderr, "z"))
+    add(CheckRow("levy_wiener_sup_stderr", ws.stderr, 0.0, 0.003, "abs"))
     return rows
+
+
+def _drift_wiener_sup(mu: float, sigma: float) -> float:
+    """E sup over [0, 1] of mu t + sigma W_t for mu > 0, in closed form."""
+    z = mu / sigma
+    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return mu * cdf + sigma * pdf + sigma ** 2 / (2.0 * mu) * (2.0 * cdf - 1.0)

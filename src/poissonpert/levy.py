@@ -30,12 +30,18 @@ exploits and cross-checks path by path.
 A path is one ``CadlagPath``; the Monte Carlo estimators draw one
 ``PathBatch`` of n paths per chunk instead (``simulate_paths``,
 ``simulate_coupled_paths``).  Its layout is ragged: flat jump times and sizes
-sorted by (path, time) with per-path offsets, plus an ``(n, grid_n + 1)``
-Wiener grid when sigma^2 > 0.  Values, suprema over per-path intervals and
-jump insertion act on every path at once and reproduce ``CadlagPath``'s
-floating-point operations; the built-in path functionals have array forms,
-any other functional is evaluated path by path.  The identity checks run
-where they did per path:
+sorted by (path, time) with per-path offsets.  A Wiener part lives on each
+path's nodes (0, t0, every jump proposal time and the mark times where an
+estimator inserts jumps): W by Gaussian increments, and one Exp(1) draw E
+per segment, so that a segment of length h between the path's own end
+values u and v has the exact Brownian-bridge maximum
+(u + v + sqrt((v - u)^2 + 2 sigma^2 h E))/2, whatever the drift (Glasserman
+2004, Monte Carlo Methods in Financial Engineering, 6.4).  Without a Wiener
+part that is max(u, v), and nothing is drawn.  Values, suprema over
+per-path intervals and jump insertion act on every path at once and
+reproduce ``CadlagPath``'s floating-point operations; the built-in path
+functionals have array forms, any other functional is evaluated path by
+path.  The identity checks run where they did per path:
 
 * ``supremum_derivative`` compares the kernel with the re-evaluated path
   difference, and the difference with the 2|x| envelope, on every sample;
@@ -51,29 +57,15 @@ M = t0 int |g| d nu_ref above the truncation: ``levy_derivative`` is its
 order-one ``series.mc_term``, ``levy_series`` its ``series.mc_series``.
 
 Integrals against the power-tail and gamma references (``integrate``) run on
-the module's own quadrature, ``_panel_quad``, over numpy arrays:
-
-* the rule is G7/K15 Gauss-Kronrod, evaluated on every panel in one call of
-  the integrand; panel edges are powers of two, geometric toward 0 and
-  toward infinity;
-* a panel is bisected while |K - G| exceeds its equal share of the tolerance
-  max(1e-12, 1e-10 |total|), all such panels in one call per pass;
-* an endpoint singularity x^(-s) at 0 (s < 1) and a power tail at infinity
-  are summed as the geometric series of the last panels' ratio, with the
-  change of that ratio between panels as the series' error;
-* a plain-callable density's gap g - 1 is a subtraction, so ``check_pair``
-  adds the integral of its rounding, eps |g| (2 |g - 1| + eps) for the
-  square gap, to the error; where g rounds to 1 against an infinite measure
-  that integral diverges and the check raises.
-
-An error estimate above max(1e-9, 1e-7 |total|) raises ``QuadratureError``.
+the module's own G7/K15 Gauss-Kronrod quadrature over numpy arrays,
+``_panel_quad``; an error estimate above max(1e-9, 1e-7 |total|) raises
+``QuadratureError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -675,7 +667,8 @@ class JumpDensity:
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Characteristic triplet with simulation controls.
+    """Characteristic triplet (sigma^2, drift, nu) on [0, t0], with jumps
+    simulated above ``eps``.
 
     The jump measure is ``density * jumps``; references compare by value
     (equal builder parameters are one measure).  ``density`` is None for the
@@ -696,7 +689,6 @@ class LevyModel:
     sigma2: float = 0.0
     t0: float = 1.0
     eps: float = 0.0
-    grid_n: int = 256
     slope: float = field(init=False, default=0.0)
     jump_rate: float = field(init=False, default=0.0)
 
@@ -769,67 +761,70 @@ class LevyModel:
         return {"mean_below": self.t0 * mean_below, "var_below": self.t0 * var_below}
 
 
-class CadlagPath:
-    """A simulated path: linear-plus-Wiener skeleton and a sorted jump list.
+def _bridge_max(u, v, q):
+    """The maximum of a Brownian bridge from u to v, q = 2 sigma^2 h E."""
+    return 0.5 * (u + v + np.sqrt((v - u) ** 2 + q))
 
-    Between jumps the path is the skeleton (piecewise linear between grid
-    nodes), so suprema are exact on monotone-drift segments and grid-resolved
-    otherwise.  Values are right-continuous: the jump at time t belongs to
-    value(t).
+
+class CadlagPath:
+    """A simulated path: drift slope, jumps sorted by time and, with a
+    Wiener part, ``nodes`` = (t, w, q): node times from 0 to t0 holding every
+    jump time, W at them and q[k] = 2 sigma^2 (t[k+1] - t[k]) E_k per segment.
+
+    Values are right-continuous: the jump at time t belongs to value(t).  The
+    supremum over [a, b] is the largest of X(a), X(b), X_t and X_{t-} at the
+    jumps in (a, b] and the bridge maxima of the segments inside [a, b].  A
+    Wiener path is known at its nodes only; other times raise ``ValueError``.
     """
 
-    __slots__ = ("t0", "slope", "jump_t", "jump_x", "grid_t", "grid_w", "_cum")
+    __slots__ = ("t0", "slope", "jump_t", "jump_x", "nodes", "_cum")
 
-    def __init__(self, t0, slope, jump_t, jump_x, grid_t=None, grid_w=None):
+    def __init__(self, t0, slope, jump_t, jump_x, nodes=None):
         self.t0 = float(t0)
         self.slope = float(slope)
-        jump_t = np.asarray(jump_t, dtype=float)
-        jump_x = np.asarray(jump_x, dtype=float)
-        if jump_t.size > 1 and (jump_t[1:] < jump_t[:-1]).any():
-            order = np.argsort(jump_t, kind="stable")
-            jump_t, jump_x = jump_t[order], jump_x[order]
-        self.jump_t = jump_t
-        self.jump_x = jump_x
-        self.grid_t = grid_t
-        self.grid_w = grid_w
-        self._cum = np.concatenate(([0.0], np.cumsum(jump_x)))
+        self.jump_t = np.asarray(jump_t, dtype=float)
+        self.jump_x = np.asarray(jump_x, dtype=float)
+        self.nodes = nodes
+        self._cum = np.concatenate(([0.0], np.cumsum(self.jump_x)))
 
     @property
     def n_jumps(self) -> int:
         return int(self.jump_t.size)
 
     def _skeleton(self, ts: np.ndarray) -> np.ndarray:
+        """slope t plus W at ts, each of which must be a node."""
         base = self.slope * ts
-        if self.grid_t is not None:
-            base = base + np.interp(ts, self.grid_t, self.grid_w)
-        return base
+        if self.nodes is None:
+            return base
+        node_t, node_w = self.nodes[:2]
+        k = node_t.searchsorted(ts)
+        off = node_t.take(k, mode="clip") != ts
+        if off.any():
+            raise ValueError(f"time {float(ts[off][0])!r} is not a node of this Wiener path")
+        return base + node_w[k]
+
+    def _at(self, ts, side: str) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return self._skeleton(ts) + self._cum[np.searchsorted(self.jump_t, ts, side=side)]
 
     def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self.jump_t, ts, side="right")
-        return self._skeleton(ts) + self._cum[idx]
+        return self._at(ts, "right")
 
     def left_values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self.jump_t, ts, side="left")
-        return self._skeleton(ts) + self._cum[idx]
+        return self._at(ts, "left")
 
     def value(self, t: float) -> float:
         return float(self.values(np.array([t]))[0])
 
     def sup_over(self, a: float, b: float) -> float:
-        """Exact supremum of the piecewise model over [a, b]."""
-        cands = [a, b]
-        if self.grid_t is not None:
-            inner = self.grid_t[(self.grid_t > a) & (self.grid_t < b)]
-            cands.extend(inner.tolist())
-        mask = (self.jump_t > a) & (self.jump_t <= b)
-        jt = self.jump_t[mask]
-        best = float(np.max(self.values(np.array(cands))))
-        if jt.size:
-            best = max(best, float(np.max(self.values(jt))),
-                       float(np.max(self.left_values(jt))))
-        return best
+        """Exact supremum over [a, b] (see the class docstring)."""
+        jt = self.jump_t[(self.jump_t > a) & (self.jump_t <= b)]
+        cands = [self.values(np.array([a, b])), self.values(jt), self.left_values(jt)]
+        if self.nodes is not None:
+            t, _, q = self.nodes
+            inside = (t[:-1] >= a) & (t[1:] <= b)
+            cands.append(_bridge_max(self.values(t[:-1]), self.left_values(t[1:]), q)[inside])
+        return float(np.max(np.concatenate(cands)))
 
     def supremum(self) -> float:
         return self.sup_over(0.0, self.t0)
@@ -838,12 +833,13 @@ class CadlagPath:
         """Insert a jump (t, x); a zero jump is the identity on path space."""
         if not 0.0 <= t <= self.t0:
             raise ValueError(f"time {t} outside horizon [0, {self.t0}]")
+        self._skeleton(np.array([t]))  # raises off the nodes of a Wiener path
         if x == 0.0:
             return self
         idx = int(np.searchsorted(self.jump_t, t, side="right"))
         new_t = np.insert(self.jump_t, idx, t)
         new_x = np.insert(self.jump_x, idx, x)
-        return CadlagPath(self.t0, self.slope, new_t, new_x, self.grid_t, self.grid_w)
+        return CadlagPath(self.t0, self.slope, new_t, new_x, self.nodes)
 
 
 class BatchMismatchError(RuntimeError):
@@ -855,28 +851,28 @@ class PathBatch:
     ``CadlagPath``.
 
     Path i owns the jumps ``jump_t[offsets[i]:offsets[i + 1]]``, sorted by
-    time, and the matching sizes in ``jump_x``; ``grid_w`` is the
-    ``(n, grid_n + 1)`` Wiener skeleton on the shared nodes ``grid_t``, or
-    None.  Per-path arguments (times, interval ends, marks) are arrays with
-    one entry per path, or scalars shared by all.  The kernels read a padded
-    ``(n, width)`` copy of the jumps, width the largest jump count, with +inf
-    times and zero sizes after each path's own jumps, so a per-path search is
-    a row comparison and a segmented maximum a row maximum.  Every value is
-    formed by the same floating-point operations as in ``CadlagPath`` (row
-    cumsums, ``np.interp``'s formula), so ``path(i)`` reproduces it exactly.
+    time, and the matching sizes in ``jump_x``.  ``nodes`` is None or the
+    rows of every path's ``CadlagPath`` nodes, padded with +inf times (and
+    unread w and q) after its last node.  Per-path arguments (times,
+    interval ends, marks) are arrays with one entry per path, or scalars
+    shared by all.  The kernels read a padded ``(n, width)`` copy of the
+    jumps, width the largest jump count, with +inf times and zero sizes after
+    each path's own jumps, so a per-path search is a row comparison and a
+    segmented maximum a row maximum.  Every value is formed by the same
+    floating-point operations as in ``CadlagPath`` (row cumsums,
+    ``_bridge_max``), so ``path(i)`` reproduces it exactly.
     """
 
-    __slots__ = ("t0", "slope", "jump_t", "jump_x", "offsets", "grid_t", "grid_w",
-                 "_own", "_times", "_cum", "_tops", "_nodes")
+    __slots__ = ("t0", "slope", "jump_t", "jump_x", "offsets", "nodes",
+                 "_own", "_times", "_cum", "_tops", "_bridges")
 
-    def __init__(self, t0, slope, jump_t, jump_x, offsets, grid_t=None, grid_w=None):
+    def __init__(self, t0, slope, jump_t, jump_x, offsets, nodes=None):
         self.t0 = float(t0)
         self.slope = float(slope)
         self.jump_t = np.asarray(jump_t, dtype=float)
         self.jump_x = np.asarray(jump_x, dtype=float)
         self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.grid_t = grid_t
-        self.grid_w = grid_w
+        self.nodes = nodes
         counts = self.counts
         # slot j of row i holds path i's j-th jump
         self._own = np.arange(counts.max(initial=0)) < counts[:, None]
@@ -886,7 +882,7 @@ class PathBatch:
         sizes = self._cum[:, 1:]
         sizes[self._own] = self.jump_x
         np.cumsum(sizes, axis=1, out=sizes)
-        self._tops = self._nodes = None
+        self._tops = self._bridges = None
 
     @property
     def n(self) -> int:
@@ -898,25 +894,27 @@ class PathBatch:
 
     def path(self, i: int) -> CadlagPath:
         a, b = self.offsets[i], self.offsets[i + 1]
-        return CadlagPath(self.t0, self.slope, self.jump_t[a:b], self.jump_x[a:b],
-                          self.grid_t, None if self.grid_w is None else self.grid_w[i])
+        nodes = None
+        if self.nodes is not None:
+            t, w, q = (part[i] for part in self.nodes)
+            m = int(np.isfinite(t).sum())
+            nodes = (t[:m], w[:m], q[:m - 1])
+        return CadlagPath(self.t0, self.slope, self.jump_t[a:b], self.jump_x[a:b], nodes)
 
     def _per_path(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return ts if ts.ndim else np.full(self.n, ts)
 
     def _skeleton(self, ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """slope t plus path ``rows``' Wiener grid at ts, interpolated as
-        ``np.interp`` does (a node returns its own value)."""
+        """slope t plus W of path ``rows`` at ts, each a node of its path."""
         base = self.slope * ts
-        if self.grid_w is None:
+        if self.nodes is None:
             return base
-        gt, w = self.grid_t, self.grid_w.reshape(-1)
-        hit = np.searchsorted(gt, ts, side="right") - 1
-        j = np.minimum(hit, gt.size - 2)
-        at = rows * gt.size + j
-        slope = (w[at + 1] - w[at]) / (gt[j + 1] - gt[j])
-        return base + np.where(gt[hit] == ts, w[at + (hit - j)], slope * (ts - gt[j]) + w[at])
+        hit = self.nodes[0][rows] == ts[..., None]
+        found = hit.any(axis=-1)
+        if not found.all():
+            raise ValueError(f"time {float(ts[~found][0])!r} is not a node of its Wiener path")
+        return base + self.nodes[1][rows, hit.argmax(axis=-1)]
 
     def _at(self, ts, before: bool) -> np.ndarray:
         """X_t (or X_{t-}) of every path at its own times ts, of shape (n,)
@@ -937,48 +935,35 @@ class PathBatch:
         return self._at(ts, before=True)
 
     def _jump_tops(self) -> np.ndarray:
-        """max(X_t, X_{t-}) at every jump time, padded with -inf.  Jumps at
-        one time form a tie group: X_t counts the whole group, X_{t-} none
-        of it, as ``searchsorted`` does in ``CadlagPath``."""
+        """max(X_t, X_{t-}) at every jump time, padded with -inf."""
         if self._tops is None:
-            t, width = self._times, self._times.shape[1]
-            cols = np.arange(width)
-            start = np.ones(t.shape, dtype=bool)
-            start[:, 1:] = t[:, 1:] != t[:, :-1]
-            end = np.ones(t.shape, dtype=bool)
-            end[:, :-1] = start[:, 1:]
-            first = np.maximum.accumulate(np.where(start, cols, 0), axis=1)
-            last = np.minimum.accumulate(np.where(end, cols, width)[:, ::-1], axis=1)[:, ::-1]
-            rows = np.arange(self.n)[:, None]
-            skel = self._skeleton(np.where(self._own, t, 0.0), rows)
-            tops = np.maximum(skel + self._cum[rows, last + 1], skel + self._cum[rows, first])
+            t = np.where(self._own, self._times, 0.0)
+            tops = np.maximum(self.values(t), self.left_values(t))
             self._tops = np.where(self._own, tops, -np.inf)
         return self._tops
 
-    def _node_values(self) -> np.ndarray:
-        """X at every Wiener grid node of every path."""
-        if self._nodes is None:
-            g = self.grid_t.size
-            rows = np.arange(self.n)[:, None]
-            node = np.searchsorted(self.grid_t, self._times, side="left")  # first node at or after
-            hist = np.bincount((rows * (g + 1) + node).ravel(), minlength=self.n * (g + 1))
-            k = np.cumsum(hist.reshape(self.n, g + 1)[:, :g], axis=1)
-            self._nodes = self.slope * self.grid_t + self.grid_w + self._cum[rows, k]
-        return self._nodes
+    def _bridge_tops(self) -> np.ndarray:
+        """Every segment's bridge maximum; padding is read at t0, never used."""
+        if self._bridges is None:
+            t = np.minimum(self.nodes[0], self.t0)
+            self._bridges = _bridge_max(self.values(t)[:, :-1], self.left_values(t)[:, 1:],
+                                        self.nodes[2])
+        return self._bridges
 
     def sup_over(self, a, b) -> np.ndarray:
-        """Supremum of every path over its own [a, b]: the ends, the interior
-        grid nodes, and X_t and X_{t-} at the jumps in (a, b], each reduced
-        by a masked row maximum."""
+        """Supremum of every path over its own [a, b]: the ends, X_t and
+        X_{t-} at the jumps in (a, b] and the bridge maxima of the segments
+        inside [a, b], each reduced by a masked row maximum."""
         ends = np.stack([self._per_path(a), self._per_path(b)], axis=1)
         a, b = ends[:, :1], ends[:, 1:]
         best = self.values(ends).max(axis=1)
-        if self.grid_w is not None:
-            inner = (self.grid_t > a) & (self.grid_t < b)
-            best = np.maximum(best, np.where(inner, self._node_values(), -np.inf).max(axis=1))
         if self._times.shape[1]:
             inside = (self._times > a) & (self._times <= b)
             best = np.maximum(best, np.where(inside, self._jump_tops(), -np.inf).max(axis=1))
+        if self.nodes is not None:
+            t = self.nodes[0]
+            inside = (t[:, :-1] >= a) & (t[:, 1:] <= b)
+            best = np.maximum(best, np.where(inside, self._bridge_tops(), -np.inf).max(axis=1))
         return best
 
     def supremum(self) -> np.ndarray:
@@ -990,6 +975,7 @@ class PathBatch:
         t, x = self._per_path(t), self._per_path(x)
         if np.any((t < 0.0) | (t > self.t0)):
             raise ValueError(f"jump times outside horizon [0, {self.t0}]")
+        self._skeleton(t, np.arange(self.n))  # raises off the nodes of a Wiener path
         add = x != 0.0
         at = (self.offsets[:-1] + (self._times <= t[:, None]).sum(axis=1))[add]
         new = np.zeros(self.jump_t.size + at.size, dtype=bool)
@@ -998,8 +984,7 @@ class PathBatch:
         jump_t[new], jump_x[new] = t[add], x[add]
         jump_t[~new], jump_x[~new] = self.jump_t, self.jump_x
         offsets = self.offsets + np.concatenate(([0], np.cumsum(add)))
-        return PathBatch(self.t0, self.slope, jump_t, jump_x, offsets, self.grid_t,
-                         self.grid_w)
+        return PathBatch(self.t0, self.slope, jump_t, jump_x, offsets, self.nodes)
 
 
 @dataclass(frozen=True)
@@ -1040,33 +1025,40 @@ _BATCH_FORMS = {
 }
 
 
-@lru_cache(maxsize=16)
-def _grid_nodes(t0: float, grid_n: int) -> np.ndarray:
-    """The Wiener grid nodes, built once per (t0, grid_n) and shared
-    read-only by every path."""
-    nodes = np.linspace(0.0, t0, grid_n + 1)
-    nodes.setflags(write=False)
-    return nodes
+def _wiener_nodes(model: LevyModel, node_t: np.ndarray, gen: np.random.Generator):
+    """Sorted node times (rows of 0, t0, the other nodes and +inf padding),
+    W at them by Gaussian increments and q = 2 sigma^2 h E per segment, E an
+    Exp(1) draw; padding segments have h = 0, so their draws add nothing."""
+    node_t = np.sort(node_t, axis=-1)
+    ends = np.minimum(node_t, model.t0)
+    dt = ends[..., 1:] - ends[..., :-1]
+    node_w = np.zeros(node_t.shape)
+    np.add.accumulate(np.sqrt(model.sigma2 * dt) * gen.standard_normal(dt.shape), axis=-1,
+                      out=node_w[..., 1:])
+    return node_t, node_w, 2.0 * model.sigma2 * dt * gen.standard_exponential(dt.shape)
 
 
-def _wiener_grids(model: LevyModel, gen: np.random.Generator, n: int | None = None):
-    """The shared grid nodes and the Wiener skeleton on them: one
-    (grid_n + 1,) array, or (n, grid_n + 1) for a batch of n paths;
-    (None, None) without a Wiener part."""
+def _batch_nodes(model: LevyModel, counts: np.ndarray, times: np.ndarray, marks,
+                 gen: np.random.Generator):
+    """``_wiener_nodes`` of a batch (None, and no draw, without a Wiener part):
+    path i's nodes are 0, t0, its ``counts[i]`` proposals and ``marks[:, i]``."""
     if model.sigma2 <= 0:
-        return None, None
-    shape = (model.grid_n,) if n is None else (n, model.grid_n)
-    dw = gen.normal(0.0, math.sqrt(model.sigma2 * model.t0 / model.grid_n), shape)
-    grid_w = np.zeros(shape[:-1] + (model.grid_n + 1,))
-    np.cumsum(dw, axis=-1, out=grid_w[..., 1:])
-    return _grid_nodes(model.t0, model.grid_n), grid_w
+        return None
+    n, width = counts.size, counts.max(initial=0)
+    node_t = np.full((n, width + 2), np.inf)
+    node_t[:, :2] = 0.0, model.t0
+    node_t[:, 2:][np.arange(width) < counts[:, None]] = times
+    return _wiener_nodes(model, np.concatenate((node_t, np.reshape(marks, (-1, n)).T), axis=1),
+                         gen)
 
 
 def simulate_path(model: LevyModel, *, generator: np.random.Generator) -> CadlagPath:
-    """One path from ``generator``: Wiener skeleton on the grid, jumps above eps exactly."""
+    """One path from ``generator``: jumps above eps exactly, then the Wiener
+    part on the path's skeleton (``_wiener_nodes``)."""
     n = int(generator.poisson(model.jump_rate))
     times = generator.uniform(0.0, model.t0, n)
     sizes = model.jumps.sample_above(model.eps, n, generator)
+    proposals = times
     if model.density is not None and n > 0:
         gv = within_bound(np.asarray(model.density(sizes), dtype=float), model.density_bound,
                           "jump density")
@@ -1074,15 +1066,9 @@ def simulate_path(model: LevyModel, *, generator: np.random.Generator) -> Cadlag
         times, sizes = times[keep], sizes[keep]
     order = np.argsort(times, kind="stable")
     times, sizes = times[order], sizes[order]
-    return CadlagPath(model.t0, model.slope, times, sizes, *_wiener_grids(model, generator))
-
-
-def _check_couplable(model_lo: LevyModel, model_hi: LevyModel) -> None:
-    for attr in ("t0", "eps", "sigma2", "grid_n"):
-        if getattr(model_lo, attr) != getattr(model_hi, attr):
-            raise ValueError(f"coupled models must agree on {attr}")
-    if model_lo.jumps != model_hi.jumps:
-        raise ValueError("coupled models must share the reference jump measure")
+    nodes = (_wiener_nodes(model, np.concatenate(([0.0, model.t0], proposals)), generator)
+             if model.sigma2 > 0 else None)
+    return CadlagPath(model.t0, model.slope, times, sizes, nodes)
 
 
 def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
@@ -1094,7 +1080,7 @@ def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
     return lo.path(0), hi.path(0)
 
 
-def _batch(model: LevyModel, counts, times, sizes, keep, grid_t, grid_w) -> PathBatch:
+def _batch(model: LevyModel, counts, times, sizes, keep, nodes) -> PathBatch:
     """The batch of the proposals (``counts`` per path, in path order) that
     ``keep`` retains, sorted by (path, time)."""
     row = np.repeat(np.arange(counts.size), counts)
@@ -1103,14 +1089,15 @@ def _batch(model: LevyModel, counts, times, sizes, keep, grid_t, grid_w) -> Path
     order = np.lexsort((times, row))
     offsets = np.zeros(counts.size + 1, dtype=np.intp)
     np.cumsum(np.bincount(row, minlength=counts.size), out=offsets[1:])
-    return PathBatch(model.t0, model.slope, times[order], sizes[order], offsets,
-                     grid_t, grid_w)
+    return PathBatch(model.t0, model.slope, times[order], sizes[order], offsets, nodes)
 
 
-def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator) -> PathBatch:
+def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator,
+                   marks=()) -> PathBatch:
     """n paths on one generator, the batch form of ``simulate_path``: every
     path's jump count, then all proposal times, sizes and thinning uniforms,
-    then every Wiener skeleton."""
+    then the Wiener part.  ``marks``, a (k, n) array, adds k nodes to each
+    path's skeleton (column i to path i), where an estimator inserts jumps."""
     counts = gen.poisson(model.jump_rate, n)
     total = int(counts.sum())
     times = gen.uniform(0.0, model.t0, total)
@@ -1120,14 +1107,21 @@ def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator) -> PathBa
         gv = within_bound(np.asarray(model.density(sizes), dtype=float), model.density_bound,
                           "jump density")
         keep = gen.random(total) * model.density_bound < gv
-    return _batch(model, counts, times, sizes, keep, *_wiener_grids(model, gen, n))
+    return _batch(model, counts, times, sizes, keep,
+                  _batch_nodes(model, counts, times, marks, gen))
 
 
 def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
                            gen: np.random.Generator) -> tuple[PathBatch, PathBatch]:
     """n common-random-numbers pairs: shared jump proposals, one thinning
-    uniform per proposal, shared Wiener skeletons."""
-    _check_couplable(model_lo, model_hi)
+    uniform per proposal, and a shared Wiener part on the shared nodes.  Each
+    path takes its bridge maxima from its own end values, so both marginals
+    are exact even where the two slopes differ."""
+    for attr in ("t0", "eps", "sigma2"):
+        if getattr(model_lo, attr) != getattr(model_hi, attr):
+            raise ValueError(f"coupled models must agree on {attr}")
+    if model_lo.jumps != model_hi.jumps:
+        raise ValueError("coupled models must share the reference jump measure")
     bound = max(model_lo.density_bound, model_hi.density_bound)
     # both rates are t0 * density_bound * mass_above(eps): the larger uses the bound
     counts = gen.poisson(max(model_lo.jump_rate, model_hi.jump_rate), n)
@@ -1137,9 +1131,9 @@ def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
     u = gen.random(total) * bound
     keep = [u < within_bound(np.asarray(m.g(sizes), dtype=float), bound, "jump density")
             for m in (model_lo, model_hi)]
-    grids = _wiener_grids(model_lo, gen, n)
-    return (_batch(model_lo, counts, times, sizes, keep[0], *grids),
-            _batch(model_hi, counts, times, sizes, keep[1], *grids))
+    nodes = _batch_nodes(model_lo, counts, times, (), gen)
+    return (_batch(model_lo, counts, times, sizes, keep[0], nodes),
+            _batch(model_hi, counts, times, sizes, keep[1], nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -1320,11 +1314,12 @@ def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
 
     ``draw(n, gen, k, check=False)`` draws n marks (t, x) for each of k
     replications, t uniform on [0, t0] and x from the normalized |g| d nu_ref
-    above eps_d, then one batch of k paths, and returns the signed and absolute
-    M^n / n! times each path's n-fold path difference as a (2, k) array;
-    order 0 gives f(X).  With ``check`` every path's difference is recomputed
-    through ``CadlagPath`` (``path_difference``) and a gap above ``SPOT_TOL``
-    raises ``BatchMismatchError``.
+    above eps_d, then one batch of k paths with the mark times as nodes, and
+    returns the signed and absolute M^n / n! times each path's n-fold path
+    difference as a (2, k) array; order 0 gives f(X).  With ``check`` every
+    path's difference is recomputed through ``CadlagPath``
+    (``path_difference``) and a gap above ``SPOT_TOL`` raises
+    ``BatchMismatchError``.
     """
     t0 = model.t0
     eps_d, mass = _direction_mass(direction, direction_eps, t0)
@@ -1335,7 +1330,7 @@ def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
         sgn = np.ones(k)
         if n:
             sgn = np.where(np.asarray(direction.g(xs)) < 0, -1.0, 1.0).prod(axis=0)
-        batch = simulate_paths(model, k, gen)
+        batch = simulate_paths(model, k, gen, ts)
         dval = _batch_difference(f, batch, ts, xs)
         if check:
             for i in range(k):
@@ -1441,8 +1436,8 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
                         direction_eps: float | None = None) -> SupremumDerivativeResult:
     """Sensitivity of the expected running supremum to the jump density.
 
-    Per replication: simulate a path, draw t uniform, form the past/future
-    supremum gap Y_t, draw a jump size from the normalized absolute
+    Per replication: draw t uniform, simulate a path with t as a node, form
+    the past/future supremum gap Y_t, draw a jump size from the normalized absolute
     direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  Each
     chunk does this for a whole ``PathBatch``.  The kernel is cross-checked
     against the re-evaluated path difference and the |difference| <= 2|x|
@@ -1464,8 +1459,8 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
     edges = np.linspace(-4.0 * scale - 1.0, 4.0 * scale + 1.0, Q_BINS + 1)
 
     def draw(gen, n, check=False):
-        batch = simulate_paths(model, n, gen)
         t = gen.uniform(0.0, t0, n)
+        batch = simulate_paths(model, n, gen, t[None])
         past, future = batch.sup_over(0.0, t), batch.sup_over(t, t0)
         checked = range(n) if check else range(0)
         for i in checked:
@@ -1498,8 +1493,10 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
 def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
                         mc: MCPlan) -> EstimateResult:
     """Central finite difference of theta -> E sup X at theta0 with coupled
-    paths (shared jump proposals and Wiener skeleton), one coupled batch per
-    chunk; the suprema of the first ``SPOT_CHECKS`` pairs of chunk 0 are
+    paths (shared jump proposals, and a shared Wiener part on their nodes),
+    one coupled batch per chunk.  Each path's bridge maxima come from its own
+    end values, so each side is exact even where a compensated drift moves
+    the slope with theta.  The suprema of the first ``SPOT_CHECKS`` pairs of chunk 0 are
     checked against ``CadlagPath``."""
     f = running_supremum
     lo = perturbed_model(model, pert, pert.theta0 - delta)

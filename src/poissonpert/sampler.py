@@ -88,11 +88,9 @@ def couple_counts(lam: DiscreteMeasure, nu: DiscreteMeasure, gen: np.random.Gene
     return atoms, phi_l, shared + gen.poisson(np.maximum(hn - hl, 0.0), phi_l.shape), shared
 
 
-def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None,
-                          rng: RngStream | None = None) -> CoupledPair:
+def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None, *,
+                          rng: RngStream) -> CoupledPair:
     """One pair of ``couple_counts`` from a fresh generator of ``rng``."""
-    if rng is None:
-        raise ValueError("an RngStream is required")
     atoms, *counts = couple_counts(lam, nu, rng.generator(), 1, window)
     return CoupledPair(*(PointConfiguration.from_counts(atoms, c[0].tolist()) for c in counts))
 

@@ -74,6 +74,25 @@ class TestSeriesStudy:
         summary = (out / "series_summary.txt").read_text()
         assert summary.endswith("1/1 checks passed\n")
 
+    def test_monte_carlo_mode_above_the_enumeration_limit(self, tmp_path):
+        # 7 atoms exceed exact.MAX_ATOMS: the check row used to enumerate
+        # E_nu f and exit 2; a direct Monte Carlo estimate is the target now
+        atoms = [f"a{i}" for i in range(7)]
+        for name, mass in (("lam.txt", 0.2), ("nu.txt", 0.3)):
+            (tmp_path / name).write_text("".join(f"{a} {mass}\n" for a in atoms))
+        path = tmp_path / "series.ini"
+        path.write_text("[series]\nfunctional = void\nlambda_file = lam.txt\n"
+                        "nu_file = nu.txt\nmode = mc\nn_max = 12\n\n"
+                        "[mc]\nsamples = 2000\nseed = 42\n")
+        out = tmp_path / "out"
+        assert main(["series", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = read_rows(out, "series")
+        assert list(rows) == ["series_vs_mc_expectation"]
+        row = rows["series_vs_mc_expectation"]
+        assert row["mode"] == "z" and row["pass"] == "pass"
+        assert 0.0 < float(row["tol"]) < 0.05
+        assert abs(float(row["target"]) - math.exp(-2.1)) < 0.05
+
 
 class TestZGate:
     def test_finite_stderr_gates_at_three_sigma(self):

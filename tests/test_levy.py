@@ -16,8 +16,8 @@ from poissonpert.levy import (CadlagPath, CompoundPoissonJumps, ConditionError,
                               gamma_shape_direction, levy_derivative, levy_series,
                               no_jump_indicator, path_difference,
                               perturbed_model, running_supremum, simulate_coupled,
-                              simulate_path, stable_direction, supremum_derivative,
-                              terminal_value)
+                              simulate_path, simulate_paths, stable_direction,
+                              supremum_derivative, terminal_value)
 
 
 def cp_model(atoms, drift=0.0, t0=1.0, **kw):
@@ -165,8 +165,7 @@ class TestSimulatePath:
 
     def test_wiener_part_variance(self, rng):
         model = LevyModel(jumps=CompoundPoissonJumps({}), drift=0.0,
-                          drift_form="plain", sigma2=0.49, t0=1.0, eps=0.0,
-                          grid_n=128)
+                          drift_form="plain", sigma2=0.49, t0=1.0, eps=0.0)
         gen = rng.child(7).generator()
         vals = np.array([simulate_path(model, generator=gen).value(1.0)
                          for _ in range(20_000)])
@@ -183,6 +182,51 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             LevyModel(jumps=StableJumps(1.5, 1.0, 1.0), drift=0.0,
                       drift_form="plain", t0=1.0, eps=0.1)
+
+
+def drift_wiener_sup_mean(mu, sigma):
+    """E sup over [0, 1] of mu t + sigma W_t, in closed form."""
+    z = mu / sigma
+    cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return mu * cdf + sigma * pdf + sigma ** 2 / (2.0 * mu) * (2.0 * cdf - 1.0)
+
+
+class TestWienerSupremum:
+    # no jumps: X_t = 0.3 t + 0.5 W_t, each path two nodes and one bridge
+    MODEL = LevyModel(jumps=CompoundPoissonJumps({}), drift=0.3, drift_form="plain",
+                      sigma2=0.25, t0=1.0)
+
+    def test_supremum_matches_the_closed_form(self, rng):
+        target = drift_wiener_sup_mean(0.3, 0.5)
+        assert target == pytest.approx(0.572459, abs=5e-7)
+        sup = simulate_paths(self.MODEL, 40_000, rng.child(40).generator()).supremum()
+        se = sup.std() / math.sqrt(sup.size)
+        assert se <= 0.003
+        assert abs(sup.mean() - target) <= 3 * se
+
+    def test_mark_nodes_leave_the_law(self, rng):
+        # three more nodes split the bridge in four: the same supremum law
+        gen = rng.child(41).generator()
+        marks = gen.uniform(0.0, 1.0, (3, 40_000))
+        sup = simulate_paths(self.MODEL, 40_000, gen, marks).supremum()
+        se = sup.std() / math.sqrt(sup.size)
+        assert abs(sup.mean() - drift_wiener_sup_mean(0.3, 0.5)) <= 3 * se
+
+    def test_coupled_fd_is_exact_where_the_slopes_differ(self, rng):
+        # compensated drift with the only atom below eps: no jump is drawn,
+        # and theta moves the slope, 0.3 + 0.5 theta; the pair shares W and
+        # E but each side's supremum keeps its own exact law
+        cp = CompoundPoissonJumps({0.5: 1.0})
+        model = LevyModel(jumps=cp, drift=0.3, drift_form="compensated", sigma2=0.25,
+                          t0=1.0, eps=0.75)
+        pert = JumpPerturbation(direction=cp_direction(cp, {0.5: 1.0}), theta0=0.0,
+                                interval=(-0.5, 0.5))
+        slopes = [perturbed_model(model, pert, t).slope for t in (-0.2, 0.2)]
+        assert slopes == pytest.approx([0.2, 0.4], abs=1e-15)
+        target = (drift_wiener_sup_mean(0.4, 0.5) - drift_wiener_sup_mean(0.2, 0.5)) / 0.4
+        fd = coupled_supremum_fd(model, pert, 0.2, MCPlan(40_000, rng.child(42)))
+        assert abs(fd.estimate - target) <= 3 * fd.stderr
 
 
 class TestPathShift:

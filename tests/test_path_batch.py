@@ -28,7 +28,9 @@ BUILTINS = [running_supremum, terminal_value, no_jump_indicator]
 @st.composite
 def ragged_paths(draw):
     """Per-path sorted jump lists (some empty, ties likely: times come from
-    a few values), a slope and, or not, a Wiener grid."""
+    a few values), a slope and, or not, a Wiener part: per path the nodes 0,
+    t0, its jump times and a few more of the values, with W and the bridge
+    terms q drawn."""
     t0 = draw(st.sampled_from([1.0, 2.5]))
     n = draw(st.integers(1, 5))
     spots = draw(st.lists(st.floats(0.0, t0), min_size=1, max_size=4)) + [t0]
@@ -41,34 +43,48 @@ def ragged_paths(draw):
     if draw(st.booleans()):
         paths[draw(st.integers(0, n - 1))] = (np.empty(0), np.empty(0))
     slope = draw(st.floats(-1.0, 1.0))
-    grid_t = grid_w = None
+    nodes = None
     if draw(st.booleans()):
-        grid_n = draw(st.sampled_from([1, 4, 16]))
-        grid_t = np.linspace(0.0, t0, grid_n + 1)
-        steps = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * grid_n,
-                              max_size=n * grid_n))
-        grid_w = np.zeros((n, grid_n + 1))
-        grid_w[:, 1:] = np.cumsum(np.reshape(steps, (n, grid_n)), axis=1)
-    return t0, slope, paths, grid_t, grid_w
+        nodes = []
+        for t, _ in paths:
+            extra = draw(st.lists(st.sampled_from(spots), max_size=3))
+            node_t = np.unique(np.concatenate(([0.0, t0], t, extra)))
+            m = node_t.size
+            w = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+            q = draw(st.lists(st.floats(0.0, 2.0), min_size=m - 1, max_size=m - 1))
+            nodes.append((node_t, np.array(w), np.array(q)))
+    return t0, slope, paths, nodes
 
 
-def as_batch(t0, slope, paths, grid_t, grid_w):
+def as_batch(t0, slope, paths, nodes):
     offsets = np.concatenate(([0], np.cumsum([t.size for t, _ in paths])))
+    padded = None
+    if nodes is not None:
+        m = max(t.size for t, _, _ in nodes)
+        padded = (np.full((len(nodes), m), np.inf), np.zeros((len(nodes), m)),
+                  np.zeros((len(nodes), m - 1)))
+        for i, row in enumerate(nodes):
+            for part, values in zip(padded, row):
+                part[i, :values.size] = values
     return PathBatch(t0, slope, np.concatenate([t for t, _ in paths]),
-                     np.concatenate([x for _, x in paths]), offsets, grid_t, grid_w)
+                     np.concatenate([x for _, x in paths]), offsets, padded)
 
 
-def as_paths(t0, slope, paths, grid_t, grid_w):
-    return [CadlagPath(t0, slope, t, x, grid_t, None if grid_w is None else grid_w[i])
+def as_paths(t0, slope, paths, nodes):
+    return [CadlagPath(t0, slope, t, x, None if nodes is None else nodes[i])
             for i, (t, x) in enumerate(paths)]
 
 
-def per_path_times(draw, t0, paths):
-    """One time per path: a jump time of the path when it has one and the
-    draw says so, else any time in [0, t0]."""
+def per_path_times(draw, spec):
+    """One time per path: with a Wiener part one of the path's nodes, else a
+    jump time of the path when it has one and the draw says so, else any time
+    in [0, t0]."""
+    t0, _, paths, nodes = spec
     out = []
-    for t, _ in paths:
-        if t.size and draw(st.booleans()):
+    for i, (t, _) in enumerate(paths):
+        if nodes is not None:
+            out.append(draw(st.sampled_from(nodes[i][0].tolist())))
+        elif t.size and draw(st.booleans()):
             out.append(float(t[draw(st.integers(0, t.size - 1))]))
         else:
             out.append(draw(st.floats(0.0, t0)))
@@ -85,11 +101,11 @@ class TestBatchAgainstCadlagPath:
     def test_values_and_suprema(self, data, spec):
         batch, paths = as_batch(*spec), as_paths(*spec)
         t0 = spec[0]
-        ts = per_path_times(data.draw, t0, spec[2])
+        ts = per_path_times(data.draw, spec)
         assert_close(batch.values(ts), [p.values(np.array([t]))[0] for p, t in zip(paths, ts)])
         assert_close(batch.left_values(ts),
                      [p.left_values(np.array([t]))[0] for p, t in zip(paths, ts)])
-        other = per_path_times(data.draw, t0, spec[2])
+        other = per_path_times(data.draw, spec)
         a, b = np.minimum(ts, other), np.maximum(ts, other)
         assert_close(batch.sup_over(a, b), [p.sup_over(lo, hi) for p, lo, hi in zip(paths, a, b)])
         assert_close(batch.sup_over(0.0, ts), [p.sup_over(0.0, t) for p, t in zip(paths, ts)])
@@ -101,7 +117,7 @@ class TestBatchAgainstCadlagPath:
     @given(data=st.data(), spec=ragged_paths())
     def test_with_jumps(self, data, spec):
         batch, paths = as_batch(*spec), as_paths(*spec)
-        ts = per_path_times(data.draw, spec[0], spec[2])
+        ts = per_path_times(data.draw, spec)
         xs = np.array([data.draw(st.sampled_from([0.0, -0.7, 1.3])) for _ in paths])
         moved = batch.with_jumps(ts, xs)
         want = [p.with_jump(t, x) for p, t, x in zip(paths, ts, xs)]
@@ -119,10 +135,13 @@ class TestBatchAgainstCadlagPath:
             p = batch.path(i)
             np.testing.assert_array_equal(p.jump_t, w.jump_t)
             np.testing.assert_array_equal(p.jump_x, w.jump_x)
+            if w.nodes is not None:
+                for got, want in zip(p.nodes, w.nodes):
+                    np.testing.assert_array_equal(got, want)
 
     def test_other_functionals_fall_back_to_fn(self):
         spec = (1.0, 0.2, [(np.array([0.3, 0.6]), np.array([1.0, -2.0])),
-                           (np.empty(0), np.empty(0))], None, None)
+                           (np.empty(0), np.empty(0))], None)
         batch = as_batch(*spec)
         n_jumps = levy.PathFunctional(lambda w: float(w.n_jumps), name="n_jumps")
         np.testing.assert_array_equal(n_jumps.on_batch(batch), [2.0, 0.0])
@@ -131,9 +150,24 @@ class TestBatchAgainstCadlagPath:
         assert_close(moved.on_batch(batch), [1.1, 0.1])
 
     def test_jump_outside_horizon_rejected(self):
-        batch = as_batch(1.0, 0.0, [(np.empty(0), np.empty(0))], None, None)
+        batch = as_batch(1.0, 0.0, [(np.empty(0), np.empty(0))], None)
         with pytest.raises(ValueError, match="horizon"):
             batch.with_jumps(1.5, 1.0)
+
+    def test_wiener_paths_are_known_at_their_nodes_only(self):
+        nodes = [(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.3, -0.2]), np.array([0.5, 0.1]))]
+        spec = (1.0, 0.2, [(np.array([0.4]), np.array([1.0]))], nodes)
+        batch, (path,) = as_batch(*spec), as_paths(*spec)
+        for ask in (lambda p: p.values(np.array([0.5])), lambda p: p.sup_over(0.0, 0.5),
+                    lambda p: p.with_jumps(0.5, 1.0) if p is batch else p.with_jump(0.5, 1.0)):
+            for p in (batch, path):
+                with pytest.raises(ValueError, match="not a node"):
+                    ask(p)
+        # at a node: the inserted jump sits on the bridge's end, and the
+        # segment (0, 0.4) keeps its maximum (0 + 0.38 + sqrt(0.38^2 + 0.5))/2
+        top = 0.5 * (0.0 + 0.38 + math.sqrt(0.38 ** 2 + 0.5))
+        assert path.sup_over(0.0, 0.4) == pytest.approx(max(top, 1.38), abs=TOL)
+        assert path.with_jump(0.4, -2.0).sup_over(0.0, 0.4) == pytest.approx(top, abs=TOL)
 
 
 CP = CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5})
@@ -143,7 +177,7 @@ PERT = JumpPerturbation(direction=DIRECTION, theta0=0.0, interval=(-0.8, 1.0))
 
 def cp_model(sigma2=0.0):
     return LevyModel(jumps=CP, drift=0.3, drift_form="plain", t0=1.0, eps=0.0,
-                     sigma2=sigma2, grid_n=32)
+                     sigma2=sigma2)
 
 
 class TestSimulators:
@@ -177,12 +211,18 @@ class TestSimulators:
         with pytest.raises(ValueError, match="declared bound"):
             simulate_paths(model, 50, rng.child(3).generator())
 
-    def test_coupled_batches_share_proposals_and_grid(self, rng):
+    def test_coupled_batches_share_proposals_and_nodes(self, rng):
         model = cp_model(0.5)
         lo = levy.perturbed_model(model, PERT, -0.1)
         hi = levy.perturbed_model(model, PERT, 0.1)
         b_lo, b_hi = simulate_coupled_paths(lo, hi, 300, rng.child(4).generator())
-        assert b_lo.grid_w is b_hi.grid_w
+        # one skeleton (nodes, W and bridge terms) serves both batches, and
+        # every jump of either path is one of its nodes
+        assert b_lo.nodes is b_hi.nodes
+        for b in (b_lo, b_hi):
+            for i in range(b.n):
+                p = b.path(i)
+                assert np.isin(p.jump_t, p.nodes[0]).all()
         # g_hi >= g_lo on the atom 1.0 and g_hi <= g_lo on -0.6: one uniform
         # per proposal keeps the larger density's jumps a superset
         for i in range(300):

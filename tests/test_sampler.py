@@ -1,5 +1,6 @@
 """Sampling, the thinning/superposition coupling, and the Mecke harness."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -13,7 +14,7 @@ from scipy.stats import chisquare, poisson
 
 import poissonpert as pp
 from poissonpert import (AtomWindow, BoxWindow, MCPlan, MeckeResult, PointConfiguration,
-                         discrete, lebesgue_measure, mecke_check, sample_counts,
+                         RngStream, discrete, lebesgue_measure, mecke_check, sample_counts,
                          sample_poisson, thin_superpose_couple)
 from poissonpert import levy
 from poissonpert import rng as rng_module
@@ -79,6 +80,13 @@ class TestSamplePoisson:
 
 
 class TestCoupling:
+    def test_stream_is_a_required_keyword(self):
+        lam = discrete({"x": 1.0})
+        with pytest.raises(TypeError):
+            thin_superpose_couple(lam, lam)
+        with pytest.raises(TypeError):
+            thin_superpose_couple(lam, lam, None, RngStream(1))
+
     def test_equal_measures_share_everything(self, rng):
         lam = discrete({"x": 1.0, "y": 0.5})
         pair = thin_superpose_couple(lam, lam, rng=rng.child(6))
@@ -250,6 +258,15 @@ CP = levy.CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5})
 CP_MODEL = levy.LevyModel(jumps=CP, drift=0.3, drift_form="plain", t0=1.0, eps=0.0)
 CP_PERT = levy.JumpPerturbation(direction=levy.cp_direction(CP, {1.0: 0.8, -0.6: -0.5}),
                                 theta0=0.0, interval=(-0.8, 1.0))
+CP_WIENER = dataclasses.replace(CP_MODEL, sigma2=0.25)
+# compensated drift with an atom below eps: theta moves the slope of the
+# coupled pair, which shares its Wiener part
+COMP = levy.CompoundPoissonJumps({0.5: 1.0, 1.5: 0.6, -1.2: 0.4})
+COMP_MODEL = levy.LevyModel(jumps=COMP, drift=0.2, drift_form="compensated", sigma2=0.25,
+                            t0=1.0, eps=0.75)
+COMP_PERT = levy.JumpPerturbation(
+    direction=levy.cp_direction(COMP, {0.5: 1.0, 1.5: 0.5, -1.2: -0.5}), theta0=0.0,
+    interval=(-0.5, 0.5))
 
 
 def _series(res):
@@ -290,6 +307,14 @@ ESTIMATORS = {
         CP_MODEL, CP_PERT, 0.1, mc)),
     "levy_derivative": lambda mc: tuple(levy.levy_derivative(
         levy.running_supremum, CP_MODEL, CP_PERT, mc)),
+    "supremum_derivative_wiener": lambda mc: _supremum(levy.supremum_derivative(
+        CP_WIENER, CP_PERT, mc)),
+    "coupled_supremum_fd_wiener": lambda mc: tuple(levy.coupled_supremum_fd(
+        CP_WIENER, CP_PERT, 0.1, mc)),
+    "levy_derivative_wiener": lambda mc: tuple(levy.levy_derivative(
+        levy.running_supremum, CP_WIENER, CP_PERT, mc)),
+    "coupled_supremum_fd_compensated": lambda mc: tuple(levy.coupled_supremum_fd(
+        COMP_MODEL, COMP_PERT, 0.1, mc)),
     "levy_series": lambda mc: _series(levy.levy_series(
         levy.terminal_value, CP_MODEL, levy.perturbed_model(CP_MODEL, CP_PERT, 0.5),
         mc, n_max=2)),
