@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     parser.add_argument("--workers", type=int, default=1,
                         help="most threads per Monte Carlo call (capped at the CPU count); "
-                             "used only when a chunk takes a GIL switch interval or more")
+                             "used only when a block takes a GIL switch interval or more")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--strict", action="store_true",
                         help="admissibility failures become errors")

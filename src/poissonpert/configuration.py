@@ -17,7 +17,7 @@ as a cross-check.
 
 On a discrete space a configuration is a vector of per-atom counts:
 ``count_values`` evaluates f on whole count arrays (exact lattices, Monte
-Carlo chunks) and ``difference_counts`` differences every row of a chunk.
+Carlo blocks) and ``difference_counts`` differences every row of a block.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .rng import SPOT_CHECKS
 
 DIFFERENCE_ORDER_CAP = 20
-NODE_SLICE = 1 << 16  # most count nodes of a Monte Carlo chunk evaluated in one array
+NODE_SLICE = 1 << 16  # most count nodes of a Monte Carlo block evaluated in one array
 SPOT_RTOL = 1e-12  # count form vs fn on the spot-checked nodes (the built-ins agree exactly)
 
 
@@ -265,8 +265,8 @@ def count_values(f, cs: Sequence, atoms: Sequence, spot: Iterable = ()) -> np.nd
     return values
 
 
-def chunk_values(f, cs: Sequence, atoms: Sequence, check: bool = False) -> np.ndarray:
-    """``count_values`` on a Monte Carlo chunk; ``check`` spot-checks the
+def block_values(f, cs: Sequence, atoms: Sequence, check: bool = False) -> np.ndarray:
+    """``count_values`` on a Monte Carlo block; ``check`` spot-checks the
     empty configuration and the first ``rng.SPOT_CHECKS`` nodes."""
     if not check:
         return count_values(f, cs, atoms)
@@ -287,11 +287,11 @@ def _subsets(n: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
                       check: bool = False) -> np.ndarray:
-    """``difference_n`` on every row of a Monte Carlo chunk.
+    """``difference_n`` on every row of a Monte Carlo block.
 
     Row r is the configuration ``counts[r]`` over ``atoms`` with the points
     ``atoms[picks[r, j]]``, j < n.  Its 2^n subset configurations form one
-    count array, evaluated by ``chunk_values`` (``check`` on the first slice)
+    count array, evaluated by ``block_values`` (``check`` on the first slice)
     at most ``NODE_SLICE`` nodes at a time; the signed values of a row are
     added with ``math.fsum``, as in ``difference_n``.
     """
@@ -305,7 +305,7 @@ def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
         for start in range(0, 1 << n, step):
             bits, signs = _subsets(n, start, step)
             cs = list(counts[r:r + per].T[:, :, None] + hot[:, r:r + per] @ bits)
-            signed.append(chunk_values(f, cs, atoms, check and start == r == 0) * signs)
+            signed.append(block_values(f, cs, atoms, check and start == r == 0) * signs)
         signed = np.concatenate(signed, axis=-1)
         out[r:r + per] = signed[..., 0] if n == 0 else list(map(math.fsum, signed.tolist()))
     return out

@@ -26,14 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .configuration import Functional, chunk_values
+from .configuration import Functional, block_values
 from .exact import EnumerationPlan
 from .measures import DiscreteMeasure, PerturbationFamily
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import couple_counts, sample_counts
 from .series import SeriesResult, _signed_atoms, order_one, parametric_series
 
-PIVOTAL_PROBES = 64  # replications of the first chunk that probe the increasing event
+PIVOTAL_PROBES = 64  # replications of the first block that probe the increasing event
 
 
 class NonIncreasingEventError(RuntimeError):
@@ -135,7 +135,7 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
         if check:
             xs = gen.integers(len(atoms), size=n)
             nodes.append(c + eye[xs][:, None])
-        values = chunk_values(f, list(np.concatenate(nodes, axis=1).T), atoms, check).T
+        values = block_values(f, list(np.concatenate(nodes, axis=1).T), atoms, check).T
         if check and (values[:, -1] < values[:, 0] - 1e-12).any():
             x = atoms[xs[np.argmax(values[:, -1] < values[:, 0] - 1e-12)]]
             raise NonIncreasingEventError(f"adding a point decreased the functional at {x!r}")
@@ -163,7 +163,7 @@ def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
     def draw(gen, n, check=False):
         atoms, phi_hi, phi_lo, _ = couple_counts(hi, lo, gen, n)
         cs = [np.stack([a, b], axis=1) for a, b in zip(phi_hi.T, phi_lo.T)]
-        values = chunk_values(f, cs, atoms, check)
+        values = block_values(f, cs, atoms, check)
         return ((values[:, 0] - values[:, 1]) / (2.0 * delta))[None]
 
     return mc_mean(draw, mc, spot=SPOT_CHECKS).estimate()

@@ -28,7 +28,7 @@ Y_t the gap between past and future suprema, which the supremum estimator
 exploits and cross-checks path by path.
 
 A path is one ``CadlagPath``; the Monte Carlo estimators draw one
-``PathBatch`` of n paths per chunk instead (``simulate_paths``,
+``PathBatch`` of n paths per block instead (``simulate_paths``,
 ``simulate_coupled_paths``).  Its layout is ragged: flat jump times and sizes
 sorted by (path, time) with per-path offsets.  A Wiener part lives on each
 path's nodes (0, t0, every jump proposal time and the mark times where an
@@ -46,7 +46,7 @@ path.  The identity checks run where they did per path:
 * ``supremum_derivative`` compares the kernel with the re-evaluated path
   difference, and the difference with the 2|x| envelope, on every sample;
 * every estimator passes ``spot`` to ``rng.mc_mean``: the first
-  ``rng.SPOT_CHECKS`` paths of chunk 0 (of every order in ``levy_series``)
+  ``rng.SPOT_CHECKS`` paths of block 0 (of every order in ``levy_series``)
   are re-evaluated through ``CadlagPath`` (the suprema of
   ``supremum_derivative``, f on both paths of ``coupled_supremum_fd``, the
   path difference of ``jump_draw``), and a gap above ``SPOT_TOL`` raises
@@ -284,6 +284,13 @@ def _exp1_fraction(x):
 # ---------------------------------------------------------------------------
 
 
+def _finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class _ReferenceMeasure:
     """Reference jump measures compare by value: builders of one kind with
     equal parameters are the same measure, wherever they were built."""
@@ -300,15 +307,6 @@ class _ReferenceMeasure:
         return hash((type(self).__name__, self._params()))
 
 
-def _choose(values: np.ndarray, p: np.ndarray, n: int, gen: np.random.Generator
-            ) -> np.ndarray:
-    """n i.i.d. draws from ``values`` with probabilities p: the draws of
-    ``gen.choice(values.size, size=n, p=p)``, without its per-call checks."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return values[cdf.searchsorted(gen.random(n), side="right")]
-
-
 class CompoundPoissonJumps(_ReferenceMeasure):
     """Finite jump measure: a discrete law of jump sizes times a total rate."""
 
@@ -316,6 +314,8 @@ class CompoundPoissonJumps(_ReferenceMeasure):
         clean = {}
         for size, mass in atoms.items():
             s, m = float(size), float(mass)
+            if not math.isfinite(s):
+                raise ValueError(f"jump size must be finite, got {s!r}")
             if s == 0.0:
                 raise ValueError("jump size 0 is not allowed")
             if m < 0 or not math.isfinite(m):
@@ -342,7 +342,7 @@ class CompoundPoissonJumps(_ReferenceMeasure):
         sizes, masses = self.sizes[keep], self.masses[keep]
         if n == 0 or not masses.any():
             return np.empty(0)
-        return _choose(sizes, masses / masses.sum(), n, gen)
+        return gen.choice(sizes, size=n, p=masses / masses.sum())
 
     def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
         """int_{lo<|x|<=hi} fn d nu: a finite sum, so ``rounding`` (see
@@ -359,6 +359,7 @@ class StableJumps(_ReferenceMeasure):
     def __init__(self, alpha: float, c_pos: float = 1.0, c_neg: float = 1.0):
         if not 0.0 < alpha < 2.0:
             raise ValueError("stable index must lie in (0, 2)")
+        _finite(c_pos=c_pos, c_neg=c_neg)
         if c_pos < 0 or c_neg < 0 or c_pos + c_neg == 0:
             raise ValueError("tail weights must be nonnegative with positive sum")
         self.alpha = alpha
@@ -406,6 +407,7 @@ class GammaJumps(_ReferenceMeasure):
     """Gamma-process jump measure theta x^(-1) exp(-beta x) dx on x > 0."""
 
     def __init__(self, theta: float, beta: float):
+        _finite(theta=theta, beta=beta)
         if theta <= 0 or beta <= 0:
             raise ValueError("theta and beta must be positive")
         self.theta = theta
@@ -693,6 +695,7 @@ class LevyModel:
     jump_rate: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        _finite(drift=self.drift, sigma2=self.sigma2, t0=self.t0, eps=self.eps)
         if self.t0 <= 0:
             raise ValueError("horizon must be positive")
         if self.sigma2 < 0:
@@ -1348,7 +1351,7 @@ def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
 
     The order-one ``series.mc_term`` of ``jump_draw``: one mark (t, x) from
     uniform time tensor the normalized absolute direction, and the one-jump
-    difference on a common path.  The first ``SPOT_CHECKS`` paths of chunk 0
+    difference on a common path.  The first ``SPOT_CHECKS`` paths of block 0
     are checked against ``CadlagPath``.
     """
     check_direction(pert.direction)
@@ -1439,9 +1442,9 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
     Per replication: draw t uniform, simulate a path with t as a node, form
     the past/future supremum gap Y_t, draw a jump size from the normalized absolute
     direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  Each
-    chunk does this for a whole ``PathBatch``.  The kernel is cross-checked
+    block does this for a whole ``PathBatch``.  The kernel is cross-checked
     against the re-evaluated path difference and the |difference| <= 2|x|
-    envelope on every sample; the first ``SPOT_CHECKS`` paths of chunk 0 are
+    envelope on every sample; the first ``SPOT_CHECKS`` paths of block 0 are
     re-evaluated through ``CadlagPath`` (both suprema and the supremum after
     the jump), and a gap above ``SPOT_TOL`` raises ``BatchMismatchError``.
     Y_t is summarized in ``Q_BINS`` bins over +-(4 scale + 1), with scale
@@ -1494,10 +1497,10 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
                         mc: MCPlan) -> EstimateResult:
     """Central finite difference of theta -> E sup X at theta0 with coupled
     paths (shared jump proposals, and a shared Wiener part on their nodes),
-    one coupled batch per chunk.  Each path's bridge maxima come from its own
+    one coupled batch per block.  Each path's bridge maxima come from its own
     end values, so each side is exact even where a compensated drift moves
-    the slope with theta.  The suprema of the first ``SPOT_CHECKS`` pairs of chunk 0 are
-    checked against ``CadlagPath``."""
+    the slope with theta.  The suprema of the first ``SPOT_CHECKS`` pairs of
+    block 0 are checked against ``CadlagPath``."""
     f = running_supremum
     lo = perturbed_model(model, pert, pert.theta0 - delta)
     hi = perturbed_model(model, pert, pert.theta0 + delta)

@@ -583,13 +583,12 @@ class PerturbationFamily:
     def base_measure(self) -> DiscreteMeasure:
         return self.measure_at(self.theta0)
 
-    def validate(self, points: Sequence, thetas: Sequence[float] | None = None) -> None:
-        """Sampled hypothesis checks: nonnegativity on I, envelope domination,
-        and a remainder vanishing pointwise at theta0."""
+    def validate(self, points: Sequence) -> None:
+        """Sampled hypothesis checks on 9 evenly spaced thetas of I:
+        nonnegativity, envelope domination, and a remainder vanishing
+        pointwise at theta0."""
         lo, hi = self.interval
-        if thetas is None:
-            thetas = np.linspace(lo, hi, 9)
-        for theta in thetas:
+        for theta in np.linspace(lo, hi, 9):
             dens = self.density_at(theta)
             for x in points:
                 if dens(x) < -1e-12:

@@ -1,47 +1,43 @@
-"""Counter-based random streams and deterministic chunked Monte Carlo.
+"""Counter-based random streams and deterministic blocked Monte Carlo.
 
 Streams are keyed Philox generators: a (seed, stream) pair fully determines
 the draw sequence, and distinct stream ids give statistically independent
-generators.  Estimators never share a stream between chunks; each chunk owns
-a child stream and chunk results are reduced in chunk order, so the output
-is byte-identical for any worker count.
+generators.  A stream's generator is ``Philox(key=[seed, stream])`` (two
+uint64 words, counter 0), the counter-based generator of Salmon et al.
+(2011).  Estimators never share a stream between blocks; each block owns a
+child stream and block results are joined in block order, so the output is
+byte-identical for any worker count.
 
-A stream's generator is Philox with the 128-bit key [seed, stream] (two
-uint64 words) and counter 0, the counter-based generator of Salmon et al.
-(2011).  ``Philox(key=...)`` would also seed a ``SeedSequence`` from OS
-entropy that it never uses, which costs more than the rest of the
-construction.  So the key is passed as the seed sequence itself (see
-``_key_sequence``), which answers Philox's one request, 2 uint64 words,
-with the key and raises on any other: the state is exactly that of
-``Philox(key=...)`` given the same uint64 key array, and a numpy that asked
-differently would fail loudly instead of changing the stream.
-
-Threads pay only for long chunks.  A chunk is a short run of numpy calls
+Threads pay only for long blocks.  A block is a short run of numpy calls
 that hold the GIL between them, and on Python 3.11 a thread that released
 the GIL inside numpy waits up to one ``sys.getswitchinterval()`` (5 ms) to
 take it back while another thread runs Python.  So ``run_chunked`` runs
-chunks 0 and 1 in the calling thread, times chunk 1 (chunk 0 carries the
+blocks 0 and 1 in the calling thread, times block 1 (block 0 carries the
 spot checks), and hands the rest to at most min(workers, CPUs) pool threads
-only when chunk 1 took at least one switch interval; shorter chunks all run
+only when block 1 took at least one switch interval; shorter blocks all run
 inline.  ``workers`` is an upper bound on threads, never a promise.
 
 Every Monte Carlo estimator in the package is one call of ``mc_mean``.  Its
-contract: the estimator supplies a chunk draw ``draw(gen, n)``, which draws n
+contract: the estimator supplies a block draw ``draw(gen, n)``, which draws n
 replications from ``gen`` and returns their values as one ``(fields, n)``
 array (row j holds field j of every replication, in replication order), or
 strata ``(draw_s, K_s)`` of one estimand (a series' orders, Mecke's atoms).
-``mc_mean`` splits the budget into chunks, builds each chunk's generator
-from its own child stream, calls every draw once per chunk on that
-generator, and reduces every field of every stratum to its pooled mean and
-batch-means standard error over the chunk means, taken in chunk order.
-With ``spot = k`` the first min(k, n) replications of chunk 0 of every
+Two jobs are kept apart.  Drawing runs in B = min(C, ceil(K / BLOCK_ROWS))
+blocks, K the largest budget and C = min(chunks, K): each block builds one
+generator from its own child stream and calls every draw once on it.  Batch
+means run over the C chunks: the replications are i.i.d., so each stratum's
+rows, in block order, are cut into C consecutive chunks (Schmeiser 1982), and
+every field is reduced to its pooled mean and batch-means standard error
+over the chunk means, taken in chunk order.  B depends on the budget and C
+only, never on the workers, and where B = C every chunk is one block.
+With ``spot = k`` the first min(k, n) replications of block 0 of every
 stratum are drawn first, as ``draw(gen, k, True)`` on the same generator:
 the draw cross-checks its fast evaluation on them (f's count form, the path
 batch against ``CadlagPath``), once per estimate whatever the plan.
-Discrete draws are one Poisson count array per chunk, Levy draws one path
+Discrete draws are one Poisson count array per block, Levy draws one path
 batch.  ``each`` remains only for draws that are truly one replication at a
 time (box-density configurations): it loops a per-replication draw
-``draw(gen) -> float | tuple`` n times on the chunk's generator, like a
+``draw(gen) -> float | tuple`` n times on the block's generator, like a
 hand-written loop.
 """
 
@@ -53,15 +49,17 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-# the checked lead: replications of chunk 0 that ``mc_mean(..., spot=SPOT_CHECKS)``
-# draws as ``draw(gen, k, True)``, and the count nodes of a checked chunk
+# the checked lead: replications of block 0 that ``mc_mean(..., spot=SPOT_CHECKS)``
+# draws as ``draw(gen, k, True)``, and the count nodes of a checked block
 # compared against ``fn``
 SPOT_CHECKS = 8
+# the most replications of a stratum that ``mc_mean`` draws in one block
+# while it has fewer blocks than chunks
+BLOCK_ROWS = 1024
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -71,28 +69,6 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-@cache
-def _key_sequence() -> type:
-    """The seed sequence of a keyed Philox, which hands over its 2-word uint64
-    key as is.  The class is made on first use: ``numpy.random`` is not
-    imported until then, so importing the package stays as cheap as before."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Key(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a Philox key is 2 uint64 words, "
-                                 f"not {n_words} of {np.dtype(dtype)}")
-            return self.words
-
-    return Key
 
 
 @dataclass(frozen=True)
@@ -109,7 +85,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_key_sequence()(key)))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Independent sub-stream ``index`` (collisions are ~2^-64 events)."""
@@ -130,7 +106,8 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
 
 @dataclass(frozen=True)
 class MCPlan:
-    """Sample budget plus the stream that owns it."""
+    """Sample budget plus the stream that owns it; ``chunks`` is the number
+    of batch-means groups, not of draw calls (see ``mc_mean``)."""
 
     samples: int
     stream: RngStream
@@ -162,7 +139,8 @@ def run_chunked(
     chunks: int = 32,
     workers: int = 1,
 ) -> list:
-    """Run ``fn(chunk_index, n_chunk, chunk_stream)`` over deterministic chunks.
+    """Run ``fn(chunk_index, n_chunk, chunk_stream)`` over deterministic chunks
+    (``mc_mean`` schedules its blocks as these chunks).
 
     Results come back ordered by chunk index regardless of scheduling, which
     is what makes downstream reductions worker-count independent.  Chunks 0
@@ -208,75 +186,85 @@ def combine_batch_means(means: Sequence[float], sizes: Sequence[int]) -> tuple[f
 
 @dataclass(frozen=True)
 class ChunkedDraws:
-    """Every replication's fields, one ``(fields, n)`` array per chunk."""
+    """Every replication's fields as one ``(fields, n)`` array in draw order,
+    and the sizes of the consecutive chunks that batch means group it in."""
 
     sizes: list[int]
-    chunks: list[np.ndarray]
+    draws: np.ndarray
 
     def estimate(self, field: int = 0) -> EstimateResult:
         """Pooled mean and batch-means standard error of one field.
 
-        Each chunk mean is ``np.mean`` over a contiguous 1-D row, the same
-        summation order as a per-chunk accumulator array.
+        Each chunk mean is ``np.mean`` over a contiguous slice of the
+        field's row, the same summation order as a per-chunk array.
         """
-        means = [float(np.mean(c[field])) for c in self.chunks]
-        return EstimateResult(*combine_batch_means(means, self.sizes))
+        parts = np.split(self.draws[field], np.cumsum(self.sizes[:-1]))
+        return EstimateResult(*combine_batch_means([float(np.mean(p)) for p in parts],
+                                                   self.sizes))
 
     def values(self, field: int) -> np.ndarray:
-        """One field of every replication, in chunk order."""
-        return np.concatenate([c[field] for c in self.chunks])
+        """One field of every replication, in draw order."""
+        return self.draws[field]
 
 
 def each(draw: Callable[[np.random.Generator], object]
          ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """The chunk draw that runs the per-replication ``draw(gen)`` n times in a
-    row on the chunk's generator and stacks the fields."""
-    def chunk_draw(gen: np.random.Generator, n: int) -> np.ndarray:
+    """The block draw that runs the per-replication ``draw(gen)`` n times in
+    a row on the block's generator and stacks the fields."""
+    def block_draw(gen: np.random.Generator, n: int) -> np.ndarray:
         rows = [draw(gen) for _ in range(n)]
         return np.array(rows, dtype=float).reshape(n, -1).T
-    return chunk_draw
+    return block_draw
 
 
 def _block(draw: Callable, gen: np.random.Generator, n: int, *check) -> np.ndarray:
     out = np.asarray(draw(gen, n, *check), dtype=float)
     if out.ndim != 2 or out.shape[1] != n:
-        raise ValueError(f"a chunk draw of {n} replications returned shape {out.shape}, "
+        raise ValueError(f"a block draw of {n} replications returned shape {out.shape}, "
                          f"not (fields, {n})")
     return out
 
 
 def mc_mean(draw: Callable | Sequence[tuple[Callable, int]], plan: MCPlan,
             spot: int = 0) -> ChunkedDraws | list[ChunkedDraws]:
-    """Run the chunk draw ``draw(gen, n)`` once per chunk of ``plan``.
+    """Draw the K = ``plan.samples`` replications of ``draw(gen, n)`` in
+    blocks and group them in chunks for batch means.
 
-    The first k = min(spot, n) replications of chunk 0 are drawn as
-    ``draw(gen, k, True)``, the checked lead; the rest of that chunk follows
-    as ``draw(gen, n - k)`` on the same generator.  A draw that does not
-    return a ``(fields, n)`` array raises ``ValueError``.
+    With C = min(plan.chunks, K) chunks and B = min(C, ceil(K / BLOCK_ROWS))
+    blocks, block b builds one generator from ``plan.stream.child(b)`` and
+    calls the draw once for its ``chunk_sizes(K, B)[b]`` replications.  The
+    first k = min(spot, n) replications of block 0 are drawn as ``draw(gen,
+    k, True)``, the checked lead; the rest of that block follows as
+    ``draw(gen, n - k)`` on the same generator.  A draw that does not return
+    a ``(fields, n)`` array raises ``ValueError``.  The replications, in
+    block order, form ``chunk_sizes(K, C)`` consecutive chunks.
 
-    Strata ``[(draw_s, K_s), ...]`` in place of ``draw`` run in one pass over
-    C = min(plan.chunks, max K_s) chunks: chunk c draws ``chunk_sizes(K_s,
-    C)[c]`` replications of every stratum s (none once c >= K_s) in stratum
-    order on its generator, each stratum with its own checked lead in chunk
-    0.  Each stratum gets its own ``ChunkedDraws``, as from a call of its own.
+    Strata ``[(draw_s, K_s), ...]`` in place of ``draw`` run in one pass, K
+    the largest K_s: block b draws ``chunk_sizes(K_s, B)[b]`` replications
+    of every stratum s (none once b >= K_s) in stratum order on its
+    generator, each stratum with its own checked lead in block 0 and its own
+    ``chunk_sizes(K_s, C)`` chunks.  Each stratum gets its own
+    ``ChunkedDraws``, as from a call of its own.
     """
     single = callable(draw)
     strata = [(draw, plan.samples)] if single else draw
     total = max(k for _, k in strata)
-    shares = [chunk_sizes(k, min(plan.chunks, total)) for _, k in strata]
+    chunks = min(plan.chunks, total)
+    blocks = min(chunks, -(-total // BLOCK_ROWS))
+    shares = [chunk_sizes(k, blocks) for _, k in strata]
 
-    def chunk(index: int, _: int, stream: RngStream) -> list:
+    def block(index: int, _: int, stream: RngStream) -> list:
         gen = stream.generator()
         out = []
         for (fn, _), sizes in zip(strata, shares):
             n = sizes[index] if index < len(sizes) else 0
             k = min(spot, n) if index == 0 else 0
-            blocks = ([_block(fn, gen, k, True)] if k else []) + (
-                [_block(fn, gen, n - k)] if n > k else [])
-            out.append(np.ascontiguousarray(np.concatenate(blocks, axis=1)) if n else None)
+            out.append(([_block(fn, gen, k, True)] if k else [])
+                       + ([_block(fn, gen, n - k)] if n > k else []))
         return out
 
-    chunks = run_chunked(chunk, total, plan.stream, plan.chunks, plan.workers)
-    results = [ChunkedDraws(sizes, [c[s] for c in chunks[:len(sizes)]])
-               for s, sizes in enumerate(shares)]
+    done = run_chunked(block, total, plan.stream, blocks, plan.workers)
+    results = [ChunkedDraws(chunk_sizes(k, chunks), np.ascontiguousarray(
+                   np.concatenate([part for b in done for part in b[s]], axis=1)))
+               for s, (_, k) in enumerate(strata)]
     return results[0] if single else results

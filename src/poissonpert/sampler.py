@@ -3,7 +3,7 @@ the Mecke-identity test harness.
 
 On a discrete measure a configuration is a vector of independent per-atom
 Poisson counts: ``sample_counts`` draws a ``(size, atoms)`` array of them,
-the Monte Carlo estimators one array per chunk, and ``sample_poisson`` is one
+the Monte Carlo estimators one array per block, and ``sample_poisson`` is one
 row of it.  ``sample_poisson`` and ``mecke_check`` also accept a density
 measure h * ref on a box, whose configurations are drawn one at a time by
 envelope thinning (sample from bound * ref, retain with probability
@@ -97,7 +97,7 @@ def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None
 
 def mc_expectation(f, m: DiscreteMeasure, plan: MCPlan) -> EstimateResult:
     """Monte Carlo E f(Phi) with batch-means standard error: one count array
-    per chunk, f on all of it (``difference_counts`` at order 0)."""
+    per block, f on all of it (``difference_counts`` at order 0)."""
     atoms = m.support()
 
     def draw(gen, n, check=False):

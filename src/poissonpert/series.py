@@ -12,7 +12,7 @@ Monte Carlo mode runs over one backend protocol: a backend is a pair
 ``(draw, M)`` of an order-n term sampler and the absolute mass M of the
 perturbation.  ``draw(n, gen, k, check=False)`` returns k samples of the
 signed order-n term and of its absolute companion, scaled by M^n / n!, as a
-``(2, k)`` array (the chunk contract of ``rng.mc_mean``); ``check``
+``(2, k)`` array (the block contract of ``rng.mc_mean``); ``check``
 cross-checks the backend's fast evaluation on the replications it draws.
 Two backends meet it:
 
@@ -24,7 +24,7 @@ Two backends meet it:
   path difference over the batch.
 
 Two drivers run a backend: ``mc_series`` is the whole series as one
-stratified ``mc_mean`` pass (a chunk builds one generator and draws its
+stratified ``mc_mean`` pass (a block builds one generator and draws its
 share of every order on it, and the first replications of every stratum run
 with ``check``), and ``mc_term`` is the order-n term alone.
 
@@ -234,7 +234,7 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
     returning its draw(N) / P(N | tail) in its own place; adding each tail
     draw into the term of its own order keeps every term unbiased, and the
     tail, being one sample, reports one stderr.  The first ``SPOT_CHECKS``
-    replications of every stratum in chunk 0 run with ``check``.
+    replications of every stratum in block 0 run with ``check``.
 
     The series always runs to n_max, and ``truncation_budget(bound, M,
     n_max)`` reports what truncating there can cost; ``converged`` means that
@@ -319,7 +319,7 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
 
     Each replication of order n draws n atoms i.i.d. from |w| / sum |w| (in
     the given atom order), then Phi ~ Poisson(base), and gives the signed and
-    absolute (sum |w|)^n / n! D^n f(Phi); order 0 gives f(Phi).  The chunk
+    absolute (sum |w|)^n / n! D^n f(Phi); order 0 gives f(Phi).  The block
     draw ``draw(n, gen, k, check=False)`` draws all k replications' picks,
     then one count array, and differences every row with
     ``difference_counts``, which with ``check`` spot-checks f's count form
@@ -369,7 +369,7 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
 def mc_term(draw: Callable, mass: float, n: int, mc: MCPlan, spot: int) -> EstimateResult:
     """The order-n term alone from a backend ``(draw, mass)``: the signed field
     of ``draw(n, gen, k, check)`` through ``mc_mean``, with the first ``spot``
-    replications of chunk 0 checked.  A zero mass gives exactly 0."""
+    replications of block 0 checked.  A zero mass gives exactly 0."""
     if mass == 0.0:
         return EstimateResult(0.0, 0.0)
     return mc_mean(lambda gen, k, check=False: draw(n, gen, k, check)[:1], mc,

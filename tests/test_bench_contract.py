@@ -58,8 +58,10 @@ def test_run_chunked_keeps_its_signature():
     assert seen == [(c, n, stream.child(c)) for c, n in enumerate(rng.chunk_sizes(10, 4))]
 
 
-def test_tracer_installs_and_counts_one_generator_per_chunk(tracing):
+def test_tracer_installs_and_counts_one_generator_per_chunk(tracing, monkeypatch):
     import poissonpert as pp
+    # one row a block: every chunk is a block, with a generator of its own
+    monkeypatch.setattr(rng, "BLOCK_ROWS", 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:

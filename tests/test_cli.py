@@ -110,7 +110,7 @@ class TestZGate:
 
 class TestBattery:
     def test_no_generator_per_replication(self, monkeypatch):
-        # mc_mean builds one generator per chunk; a row that builds one per
+        # mc_mean builds one generator per block; a row that builds one per
         # replication (the battery's rows run 8,000-50,000) exceeds the limit
         built = []
         generator = RngStream.generator
@@ -184,6 +184,25 @@ def test_worker_count_below_one_is_a_config_error(workers, tmp_path, capsys):
     argv = ["levy-sim", "--config", str(small_copy("levy_sim_gamma.ini", tmp_path))]
     assert main(argv + ["--workers", workers, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, settings, name", [
+    # an uncaught QuadratureError traceback (exit 1)
+    ("levy_sim_gamma.ini", {"levy__beta": "nan"}, "beta"),
+    # a failed check (exit 4)
+    ("levy_sim_gamma.ini", {"levy__sigma2": "nan"}, "sigma2"),
+    ("levy_sim_gamma.ini", {"levy__drift": "inf"}, "drift"),
+    # exit 2, but with a message about lam from the Poisson sampler
+    ("levy_sim_gamma.ini", {"levy__t0": "nan"}, "t0"),
+    # an uncaught BatchMismatchError (exit 1)
+    ("levy_sup_cp.ini", {"levy__atoms": "inf:1.0, -0.6:0.5", "levy__direction": "-0.6:-0.5"},
+     "jump size"),
+], ids=["beta", "sigma2", "drift", "t0", "atoms"])
+def test_non_finite_levy_value_is_a_config_error(config, settings, name, tmp_path, capsys):
+    path = small_copy(config, tmp_path, **settings)
+    argv = [STUDY_OF_CONFIG[config], "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {name} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])

@@ -5,17 +5,19 @@ also carry no mass, which gives the Lebesgue decompositions a singular
 part) and a built-in functional, and checks one identity against the exact
 engine: the variational series under every decomposition, the parametric
 series term by term, the Hellinger law identity, the likelihood ratio's
-first two moments on the plan of ``plan_for_measures``, and the Fock
-identity.  The symmetry of D^n is checked on drawn configurations and
+first two moments on the plan of ``plan_for_measures``, the Fock
+identity and the Mecke identity.  The symmetry of D^n is checked on drawn configurations and
 points, against the count kernel too.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poissonpert import (AtomWindow, PerturbationFamily, PointConfiguration,
+from poissonpert import (AtomWindow, Functional, PerturbationFamily, PointConfiguration,
                          constant_functional, count_functional, count_squared, difference_n,
                          discrete, exact_expectation, fock_identity_check, hellinger_poisson,
                          parametric_series, poisson_hellinger_exact, reweighted_expectation,
@@ -116,3 +118,18 @@ def indicators(draw):
 def test_fock_identity(pair, f, g):
     lam, _ = pair
     assert fock_identity_check(f, g, lam, FOCK_ORDERS).gap <= 1e-10
+
+
+@given(pair=pairs(), g=functionals(), data=st.data())
+def test_mecke_identity(pair, g, data):
+    # E sum_{x in Phi} f(x, Phi - delta_x) = int E f(a, Phi) m(da) for
+    # f(x, phi) = w(x) g(phi), both sides exact
+    m, _ = pair
+    atoms = m.support()
+    w = {a: data.draw(st.floats(-1.0, 1.0)) for a in atoms}
+    lhs = Functional(lambda phi: math.fsum(mult * w[x] * g(phi.remove_one(x))
+                                           for x, mult in phi.items()),
+                     growth_degree=(g.growth_degree or 0) + 1, name="mecke left side")
+    mean_g = exact_expectation(g, m)
+    rhs = math.fsum(m.mass(a) * w[a] * mean_g for a in atoms)
+    assert abs(exact_expectation(lhs, m) - rhs) <= 1e-10

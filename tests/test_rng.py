@@ -1,6 +1,7 @@
-"""The chunk contract of ``rng.mc_mean``: one ``draw(gen, n)`` per chunk,
-the per-replication adapter ``each``, the checked lead of ``spot``
-replications, the shape check, and which thread runs each chunk."""
+"""The block contract of ``rng.mc_mean``: one ``draw(gen, n)`` per block,
+the batch-means chunks cut from the blocks' rows, the per-replication
+adapter ``each``, the checked lead of ``spot`` replications, the shape
+check, and which thread runs each block."""
 
 import os
 import sys
@@ -10,9 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from poissonpert.rng import MCPlan, RngStream, chunk_sizes, each, mc_mean
+from poissonpert import rng as rng_module
+from poissonpert.rng import MCPlan, RngStream, chunk_sizes, combine_batch_means, each, mc_mean
 
 SWITCH = sys.getswitchinterval()
+
+
+def n_blocks(total, chunks):
+    """B of ``mc_mean``: min(C, ceil(K / BLOCK_ROWS)), C = min(chunks, K)."""
+    return min(chunks, total, -(-total // rng_module.BLOCK_ROWS))
+
+
+def chunks_of(res):
+    """The batch-means chunks of a ``ChunkedDraws``, as ``(fields, n)`` slices."""
+    return np.split(res.draws, np.cumsum(res.sizes[:-1]), axis=1)
 
 
 class TestKeyedGenerator:
@@ -36,17 +48,6 @@ class TestKeyedGenerator:
         a, b = stream.generator(), stream.generator()
         assert a is not b and np.array_equal(a.random(5), b.random(5))
 
-    @pytest.mark.parametrize("n_words, dtype", [
-        (4, np.uint64), (2, np.uint32), (1, np.uint64), (4, np.uint32)])
-    def test_seed_sequence_answers_only_the_key_request(self, n_words, dtype):
-        seq = RngStream(3, 4).generator().bit_generator.seed_seq
-        assert seq.generate_state(2, np.uint64).tolist() == [3, 4]
-        with pytest.raises(ValueError, match="Philox key"):
-            seq.generate_state(n_words, dtype)
-        # a bit generator that seeds itself differently fails loudly
-        with pytest.raises(ValueError, match="Philox key"):
-            np.random.PCG64(seq)
-
 
 def one(gen):
     """A per-replication draw with two fields and a data-dependent number of
@@ -56,25 +57,42 @@ def one(gen):
 
 
 class TestChunkContract:
-    def test_each_equals_a_hand_written_loop(self, rng):
+    def test_each_equals_a_hand_written_loop(self, rng, monkeypatch):
+        # 103 replications in 7 chunks, drawn in 7 blocks at 16 rows a block
+        # (every chunk a block of its own), in 3 at 40 rows and in 1 at 1,024
         plan = MCPlan(103, rng.child(1), chunks=7, workers=2)
-        res = mc_mean(each(one), plan)
         sizes = chunk_sizes(plan.samples, plan.chunks)
-        assert res.sizes == sizes
-        for c, (n, block) in enumerate(zip(sizes, res.chunks)):
-            gen = plan.stream.child(c).generator()
-            rows = [one(gen) for _ in range(n)]
-            want = np.array([[r[0] for r in rows], [r[1] for r in rows]])
-            assert block.shape == (2, n) and block.flags.c_contiguous
-            assert np.array_equal(block, want)
+        for block_rows, blocks in ((16, 7), (40, 3), (1024, 1)):
+            monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
+            res = mc_mean(each(one), plan)
+            rows = []
+            for b, n in enumerate(chunk_sizes(plan.samples, blocks)):
+                gen = plan.stream.child(b).generator()
+                rows += [one(gen) for _ in range(n)]
+            want = np.array(rows).T
+            assert res.sizes == sizes
+            assert res.draws.shape == (2, 103) and res.draws.flags.c_contiguous
+            assert np.array_equal(res.draws, want)
+            if blocks == len(sizes):  # chunk c: a loop on child stream c
+                for c, (n, chunk) in enumerate(zip(sizes, chunks_of(res))):
+                    gen = plan.stream.child(c).generator()
+                    assert np.array_equal(chunk, np.array([one(gen) for _ in range(n)]).T)
+            # batch means over consecutive groups of the rows
+            for field in (0, 1):
+                means = [float(np.mean(part))
+                         for part in np.split(want[field], np.cumsum(sizes[:-1]))]
+                assert tuple(res.estimate(field)) == combine_batch_means(means, sizes)
 
     @pytest.mark.parametrize("workers, pause", [
         (1, 0.0),
-        (2, 0.0),      # chunks far under a switch interval: all on the calling thread
-        (2, SWITCH),   # chunk 1 takes a switch interval: chunks 2.. on pool threads
+        (2, 0.0),      # blocks far under a switch interval: all on the calling thread
+        (2, SWITCH),   # block 1 takes a switch interval: blocks 2.. on pool threads
         (64, SWITCH),  # ... on no more threads than CPUs
     ], ids=["one-worker", "short-chunks", "long-chunks", "long-chunks-64-workers"])
-    def test_one_draw_per_chunk(self, rng, workers, pause):
+    def test_one_draw_per_chunk(self, rng, monkeypatch, workers, pause):
+        # at 4 rows a block, 50 replications in 8 chunks are 8 blocks: one
+        # draw per chunk, each on its own generator
+        monkeypatch.setattr(rng_module, "BLOCK_ROWS", 4)
         calls = []
 
         def draw(gen, n):
@@ -95,30 +113,34 @@ class TestChunkContract:
         else:
             assert calls == [(n, here) for n in sizes]
         serial = mc_mean(lambda gen, n: gen.random(n)[None], MCPlan(50, rng.child(2), chunks=8))
-        assert all(np.array_equal(a, b) for a, b in zip(res.chunks, serial.chunks))
+        assert np.array_equal(res.draws, serial.draws)
 
     @pytest.mark.parametrize("samples, k", [(40, 3), (40, 10), (40, 25)])
-    def test_lead_runs_k_replications_on_chunk_zero(self, rng, samples, k):
-        calls = []
+    def test_lead_runs_k_replications_on_chunk_zero(self, rng, monkeypatch, samples, k):
+        # the lead is the first min(k, n) replications of block 0, n its size:
+        # all 40 in one block, or 10 when each of the 4 chunks is a block
+        for block_rows in (1024, 10):
+            monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
+            calls = []
 
-        def draw(gen, n, check=False):
-            calls.append(("lead" if check else "draw", n))
-            return np.full((1, n), float(check))
+            def draw(gen, n, check=False):
+                calls.append(("lead" if check else "draw", n))
+                return np.full((1, n), float(check))
 
-        res = mc_mean(draw, MCPlan(samples, rng.child(3), chunks=4), spot=k)
-        first = chunk_sizes(samples, 4)[0]
-        lead_n = min(k, first)
-        assert calls[0] == ("lead", lead_n)
-        assert ("lead", lead_n) not in calls[1:]
-        assert sum(n for tag, n in calls if tag == "draw") == samples - lead_n
-        marks = res.values(0)
-        assert marks[:lead_n].tolist() == [1.0] * lead_n and not marks[lead_n:].any()
+            res = mc_mean(draw, MCPlan(samples, rng.child(3), chunks=4), spot=k)
+            first = chunk_sizes(samples, n_blocks(samples, 4))[0]
+            lead_n = min(k, first)
+            assert calls[0] == ("lead", lead_n)
+            assert ("lead", lead_n) not in calls[1:]
+            assert sum(n for tag, n in calls if tag == "draw") == samples - lead_n
+            marks = res.values(0)
+            assert marks[:lead_n].tolist() == [1.0] * lead_n and not marks[lead_n:].any()
 
     def test_lead_continues_the_chunk_generator(self, rng):
-        # the lead and the rest of chunk 0 share one generator, as one loop would
+        # the lead and the rest of block 0 share one generator, as one loop would
         plan = MCPlan(30, rng.child(4), chunks=3)
         led = mc_mean(lambda gen, n, check=False: each(one)(gen, n), plan, spot=4)
-        assert np.array_equal(led.chunks[0], mc_mean(each(one), plan).chunks[0])
+        assert np.array_equal(led.draws, mc_mean(each(one), plan).draws)
 
     @pytest.mark.parametrize("bad", [
         lambda gen, n: gen.random(n),             # 1-D: fields missing
@@ -127,5 +149,5 @@ class TestChunkContract:
         lambda gen, n: gen.random((1, 1, n)),
     ])
     def test_wrong_shape_raises(self, rng, bad):
-        with pytest.raises(ValueError, match="chunk draw"):
+        with pytest.raises(ValueError, match="block draw"):
             mc_mean(bad, MCPlan(20, rng.child(5), chunks=2))

@@ -325,9 +325,12 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_worker_count_does_not_change_results(self, rng, monkeypatch, name):
         run = ESTIMATORS[name]
+        # 16 rows a block: 240 replications in 8 chunks are 8 blocks (3 or
+        # more for every estimator, whose largest stratum holds 240)
+        monkeypatch.setattr(rng_module, "BLOCK_ROWS", 16)
         one = run(MCPlan(240, rng.child(15), chunks=8, workers=1))
-        # every chunk counts as long enough for the pool, so chunks 2.. run on
-        # pool threads, sharing whatever the estimator shares between chunks
+        # every block counts as long enough for the pool, so blocks 2.. run on
+        # pool threads, sharing whatever the estimator shares between blocks
         monkeypatch.setattr(rng_module.sys, "getswitchinterval", lambda: 0.0)
         threads = set()
         generator = rng_module.RngStream.generator

@@ -1,4 +1,4 @@
-"""Stratified ``rng.mc_mean``: one chunk pass over several (draw, K) strata,
+"""Stratified ``rng.mc_mean``: one block pass over several (draw, K) strata,
 and the series and Mecke estimators that run on it."""
 
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from test_path_batch import PERT, cp_model
+from test_rng import chunks_of, n_blocks
 
 import poissonpert as pp
 from poissonpert import levy
@@ -38,28 +39,33 @@ STRATA = [(each(one), 103), (each(two), 9), (each(one), 2)]
 
 
 class TestStratifiedPass:
-    def test_equals_hand_written_chunk_draws(self, rng):
+    def test_equals_hand_written_chunk_draws(self, rng, monkeypatch):
         plan = MCPlan(0, rng.child(1), chunks=7, workers=2)  # samples: unused by strata
-        res = mc_mean([(marked(d), k) for d, (_, k) in zip(DRAWS, STRATA)], plan, spot=4)
         shares = [chunk_sizes(k, 7) for _, k in STRATA]
-        assert [r.sizes for r in res] == shares == [chunk_sizes(103, 7), [2] * 2 + [1] * 5,
-                                                     [1, 1]]
-        for c in range(7):
-            gen = plan.stream.child(c).generator()
-            for draw, r, sizes in zip(DRAWS, res, shares):
-                n = sizes[c] if c < len(sizes) else 0
-                lead = min(4, n) if c == 0 else 0
-                rows = [mark(gen) for _ in range(lead)] + [draw(gen) for _ in range(n - lead)]
-                if n:
-                    assert r.chunks[c].flags.c_contiguous
-                    assert np.array_equal(r.chunks[c], np.array(rows).T)
+        assert shares == [chunk_sizes(103, 7), [2] * 2 + [1] * 5, [1, 1]]
+        # 7 blocks at 16 rows a block (each chunk a block of its own), 1 at 1,024
+        for block_rows, blocks in ((16, 7), (1024, 1)):
+            monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
+            res = mc_mean([(marked(d), k) for d, (_, k) in zip(DRAWS, STRATA)], plan, spot=4)
+            assert [r.sizes for r in res] == shares
+            rows = [[] for _ in STRATA]
+            for b in range(blocks):
+                gen = plan.stream.child(b).generator()
+                for draw, out, (_, k) in zip(DRAWS, rows, STRATA):
+                    sizes = chunk_sizes(k, blocks)
+                    n = sizes[b] if b < len(sizes) else 0
+                    lead = min(4, n) if b == 0 else 0
+                    out += [mark(gen) for _ in range(lead)] + [draw(gen) for _ in range(n - lead)]
+            for r, out in zip(res, rows):
+                assert r.draws.flags.c_contiguous
+                assert np.array_equal(r.draws, np.array(out).T)
 
     def test_one_stratum_is_the_plain_call(self, rng):
         plan = MCPlan(57, rng.child(2), chunks=6)
         plain = mc_mean(marked(one), plan, spot=3)
         (strat,) = mc_mean([(marked(one), 57)], plan, spot=3)
         assert strat.sizes == plain.sizes
-        assert all(np.array_equal(a, b) for a, b in zip(strat.chunks, plain.chunks))
+        assert np.array_equal(strat.draws, plain.draws)
         assert strat.estimate(1) == plain.estimate(1)
 
     def test_each_stratum_keeps_its_own_estimator(self, rng):
@@ -67,7 +73,7 @@ class TestStratifiedPass:
         res = mc_mean(STRATA, MCPlan(0, rng.child(3), chunks=7))
         for (_, k), r in zip(STRATA, res):
             assert sum(r.sizes) == k and len(r.sizes) == min(7, k)
-            means = [float(np.mean(c[0])) for c in r.chunks]
+            means = [float(np.mean(c[0])) for c in chunks_of(r)]
             assert tuple(r.estimate(0)) == pp.rng.combine_batch_means(means, r.sizes)
 
     def test_chunk_evaluation_order_does_not_matter(self, rng, monkeypatch):
@@ -123,10 +129,16 @@ class TestSeriesPass:
 
     @pytest.mark.parametrize("samples, chunks", [(60, 64), (100, 32), (7, 32)])
     def test_one_pass_builds_one_generator_per_chunk(self, rng, monkeypatch, samples, chunks):
-        counts = counted(monkeypatch)
-        res = pp.variational_series(pp.void_indicator(), self.LAM, self.NU, n_max=12,
-                                    mode="mc", mc=MCPlan(samples, rng.child(7), chunks=chunks))
-        assert counts == {"generators": min(chunks, max(res.samples)), "passes": 1}
+        # one generator per block: one block at bench sizes, and one per
+        # chunk where a block holds a single row
+        for block_rows in (rng_module.BLOCK_ROWS, 1):
+            monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
+            counts = counted(monkeypatch)
+            res = pp.variational_series(pp.void_indicator(), self.LAM, self.NU, n_max=12,
+                                        mode="mc", mc=MCPlan(samples, rng.child(7), chunks=chunks))
+            blocks = n_blocks(max(res.samples), chunks)
+            assert counts == {"generators": blocks, "passes": 1}
+            assert block_rows > 1 or blocks == min(chunks, max(res.samples))
 
     @pytest.mark.parametrize("samples, n_max", [(60, 12), (100, 8), (5, 3), (2_000, 30)])
     def test_samples_and_tail_follow_the_plan(self, rng, samples, n_max):
@@ -147,26 +159,37 @@ class TestSeriesPass:
         res = mc_series(draw, 1.5, 12, MCPlan(50, rng.child(11), chunks=8))
         checked = [(n, k) for n, k, check in calls if check]
         first = res.tail_from
-        # orders 0..n*: the first SPOT_CHECKS of each chunk-0 share; the tail's
-        # chunk-0 share holds one replication
-        assert checked[:first] == [(n, min(SPOT_CHECKS, chunk_sizes(k, 8)[0]))
+        blocks = n_blocks(max(res.samples[:first] + [sum(res.samples[first:])]), 8)
+        # orders 0..n*: the first SPOT_CHECKS of each block-0 share; the tail's
+        # lead is the same count, split over the orders its draws picked
+        assert checked[:first] == [(n, min(SPOT_CHECKS, chunk_sizes(k, blocks)[0]))
                                    for n, k in enumerate(res.samples[:first])]
-        assert len(checked) == first + 1 and checked[-1][0] >= first
+        tail_lead = min(SPOT_CHECKS, chunk_sizes(sum(res.samples[first:]), blocks)[0])
+        assert checked[first:] and all(n >= first for n, _ in checked[first:])
+        assert sum(k for _, k in checked[first:]) == tail_lead
 
     def test_mecke_right_side_is_one_pass(self, rng, monkeypatch):
-        counts = counted(monkeypatch)
         m = pp.discrete({"a": 1.0, "b": 0.5, "c": 0.25})
-        res = pp.mecke_check(lambda x, phi: float(phi.total_points()), m,
-                             plan=MCPlan(300, rng.child(9), chunks=16))
-        assert counts == {"generators": 2 * 16, "passes": 2}  # the left side and the right
-        # E sum_x N(Phi - delta_x) = E N(N - 1) = mu^2 = int E N(Phi) m(dx)
-        assert abs(res.lhs - res.rhs) <= 4 * res.stderr and math.isfinite(res.rhs_stderr)
+        # 300 replications in 16 chunks: one block, or 16 at 16 rows a block
+        for block_rows, blocks in ((rng_module.BLOCK_ROWS, 1), (16, 16)):
+            monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
+            counts = counted(monkeypatch)
+            res = pp.mecke_check(lambda x, phi: float(phi.total_points()), m,
+                                 plan=MCPlan(300, rng.child(9), chunks=16))
+            # the left side and the right
+            assert counts == {"generators": 2 * blocks, "passes": 2}
+            # E sum_x N(Phi - delta_x) = E N(N - 1) = mu^2 = int E N(Phi) m(dx)
+            assert abs(res.lhs - res.rhs) <= 4 * res.stderr and math.isfinite(res.rhs_stderr)
 
 
 class TestLevySeriesPass:
     def test_one_pass_builds_one_generator_per_chunk(self, rng, monkeypatch):
         target = levy.perturbed_model(cp_model(), PERT, 0.5)
-        counts = counted(monkeypatch)
-        res = levy.levy_series(levy.terminal_value, cp_model(), target,
-                               MCPlan(100, rng.child(10), chunks=64), n_max=6)
-        assert counts == {"generators": min(64, max(res.samples)), "passes": 1}
+        for block_rows in (rng_module.BLOCK_ROWS, 1):
+            monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
+            counts = counted(monkeypatch)
+            res = levy.levy_series(levy.terminal_value, cp_model(), target,
+                                   MCPlan(100, rng.child(10), chunks=64), n_max=6)
+            blocks = n_blocks(max(res.samples), 64)
+            assert counts == {"generators": blocks, "passes": 1}
+            assert block_rows > 1 or blocks == min(64, max(res.samples))
