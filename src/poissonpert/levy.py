@@ -30,9 +30,13 @@ exploits and cross-checks path by path.
 A path is one ``CadlagPath``; the Monte Carlo estimators draw one
 ``PathBatch`` of n paths per block instead (``simulate_paths``,
 ``simulate_coupled_paths``).  Its layout is ragged: flat jump times and sizes
-sorted by (path, time) with per-path offsets.  A Wiener part lives on each
-path's nodes (0, t0, every jump proposal time and the mark times where an
-estimator inserts jumps): W by Gaussian increments, and one Exp(1) draw E
+sorted by (path, time) with per-path offsets.  ``simulate_path`` is the
+one-path form of ``simulate_paths``: it makes the same draws, so
+``simulate_paths(model, 1, g).path(0)`` is the same path bit for bit.  Both
+classes read a path on its horizon [0, t0] only; a value or supremum at any
+other time raises ``ValueError``.  A Wiener part lives on each path's
+nodes (0, t0, every jump proposal time and the mark times where an estimator
+inserts jumps): W by Gaussian increments, and one Exp(1) draw E
 per segment, so that a segment of length h between the path's own end
 values u and v has the exact Brownian-bridge maximum
 (u + v + sqrt((v - u)^2 + 2 sigma^2 h E))/2, whatever the drift (Glasserman
@@ -764,6 +768,21 @@ class LevyModel:
         return {"mean_below": self.t0 * mean_below, "var_below": self.t0 * var_below}
 
 
+def _check_time(t: float, t0: float) -> None:
+    """Raise ``ValueError`` for a time t outside [0, t0], or NaN."""
+    if not 0.0 <= t <= t0:
+        raise ValueError(f"time {float(t)!r} outside horizon [0, {t0}]")
+
+
+def _on_horizon(ts, t0: float) -> np.ndarray:
+    """ts as a float array, each time checked by ``_check_time``."""
+    ts = np.asarray(ts, dtype=float)
+    off = ~((ts >= 0.0) & (ts <= t0))
+    if off.any():
+        _check_time(ts[off][0], t0)
+    return ts
+
+
 def _bridge_max(u, v, q):
     """The maximum of a Brownian bridge from u to v, q = 2 sigma^2 h E."""
     return 0.5 * (u + v + np.sqrt((v - u) ** 2 + q))
@@ -777,7 +796,8 @@ class CadlagPath:
     Values are right-continuous: the jump at time t belongs to value(t).  The
     supremum over [a, b] is the largest of X(a), X(b), X_t and X_{t-} at the
     jumps in (a, b] and the bridge maxima of the segments inside [a, b].  A
-    Wiener path is known at its nodes only; other times raise ``ValueError``.
+    Wiener path is known at its nodes only; other times raise ``ValueError``,
+    and so does any time outside [0, t0].
     """
 
     __slots__ = ("t0", "slope", "jump_t", "jump_x", "nodes", "_cum")
@@ -788,7 +808,8 @@ class CadlagPath:
         self.jump_t = np.asarray(jump_t, dtype=float)
         self.jump_x = np.asarray(jump_x, dtype=float)
         self.nodes = nodes
-        self._cum = np.concatenate(([0.0], np.cumsum(self.jump_x)))
+        self._cum = np.zeros(self.jump_x.size + 1)
+        np.add.accumulate(self.jump_x, out=self._cum[1:])
 
     @property
     def n_jumps(self) -> int:
@@ -811,22 +832,35 @@ class CadlagPath:
         return self._skeleton(ts) + self._cum[np.searchsorted(self.jump_t, ts, side=side)]
 
     def values(self, ts) -> np.ndarray:
-        return self._at(ts, "right")
+        return self._at(_on_horizon(ts, self.t0), "right")
 
     def left_values(self, ts) -> np.ndarray:
-        return self._at(ts, "left")
+        return self._at(_on_horizon(ts, self.t0), "left")
 
     def value(self, t: float) -> float:
-        return float(self.values(np.array([t]))[0])
+        """X_t at one time: ``values`` by the same floating-point operations."""
+        _check_time(t, self.t0)
+        x = self.slope * t
+        if self.nodes is not None:
+            node_t, node_w = self.nodes[:2]
+            k = node_t.searchsorted(t)
+            if k == node_t.size or node_t[k] != t:
+                raise ValueError(f"time {float(t)!r} is not a node of this Wiener path")
+            x = x + node_w[k]
+        return float(x + self._cum[self.jump_t.searchsorted(t, "right")])
 
     def sup_over(self, a: float, b: float) -> float:
         """Exact supremum over [a, b] (see the class docstring)."""
+        _check_time(a, self.t0)
+        _check_time(b, self.t0)
         jt = self.jump_t[(self.jump_t > a) & (self.jump_t <= b)]
-        cands = [self.values(np.array([a, b])), self.values(jt), self.left_values(jt)]
+        cands = [self._at(np.array([a, b]), "right"), self._at(jt, "right"),
+                 self._at(jt, "left")]
         if self.nodes is not None:
             t, _, q = self.nodes
             inside = (t[:-1] >= a) & (t[1:] <= b)
-            cands.append(_bridge_max(self.values(t[:-1]), self.left_values(t[1:]), q)[inside])
+            cands.append(_bridge_max(self._at(t[:-1], "right"), self._at(t[1:], "left"),
+                                     q)[inside])
         return float(np.max(np.concatenate(cands)))
 
     def supremum(self) -> float:
@@ -834,8 +868,7 @@ class CadlagPath:
 
     def with_jump(self, t: float, x: float) -> "CadlagPath":
         """Insert a jump (t, x); a zero jump is the identity on path space."""
-        if not 0.0 <= t <= self.t0:
-            raise ValueError(f"time {t} outside horizon [0, {self.t0}]")
+        _check_time(t, self.t0)
         self._skeleton(np.array([t]))  # raises off the nodes of a Wiener path
         if x == 0.0:
             return self
@@ -858,12 +891,13 @@ class PathBatch:
     rows of every path's ``CadlagPath`` nodes, padded with +inf times (and
     unread w and q) after its last node.  Per-path arguments (times,
     interval ends, marks) are arrays with one entry per path, or scalars
-    shared by all.  The kernels read a padded ``(n, width)`` copy of the
-    jumps, width the largest jump count, with +inf times and zero sizes after
-    each path's own jumps, so a per-path search is a row comparison and a
-    segmented maximum a row maximum.  Every value is formed by the same
-    floating-point operations as in ``CadlagPath`` (row cumsums,
-    ``_bridge_max``), so ``path(i)`` reproduces it exactly.
+    shared by all; a time outside [0, t0] raises ``ValueError``.  The kernels
+    read a padded ``(n, width)`` copy of the jumps, width the largest jump
+    count, with +inf times and zero sizes after each path's own jumps, so a
+    per-path search is a row comparison and a segmented maximum a row
+    maximum.  Every value is formed by the same floating-point operations as
+    in ``CadlagPath`` (row cumsums, ``_bridge_max``), so ``path(i)``
+    reproduces it exactly.
     """
 
     __slots__ = ("t0", "slope", "jump_t", "jump_x", "offsets", "nodes",
@@ -931,17 +965,17 @@ class PathBatch:
 
     def values(self, ts) -> np.ndarray:
         """X_t of every path, the jumps at t included."""
-        return self._at(ts, before=False)
+        return self._at(_on_horizon(ts, self.t0), before=False)
 
     def left_values(self, ts) -> np.ndarray:
         """X_{t-} of every path."""
-        return self._at(ts, before=True)
+        return self._at(_on_horizon(ts, self.t0), before=True)
 
     def _jump_tops(self) -> np.ndarray:
         """max(X_t, X_{t-}) at every jump time, padded with -inf."""
         if self._tops is None:
             t = np.where(self._own, self._times, 0.0)
-            tops = np.maximum(self.values(t), self.left_values(t))
+            tops = np.maximum(self._at(t, before=False), self._at(t, before=True))
             self._tops = np.where(self._own, tops, -np.inf)
         return self._tops
 
@@ -949,17 +983,17 @@ class PathBatch:
         """Every segment's bridge maximum; padding is read at t0, never used."""
         if self._bridges is None:
             t = np.minimum(self.nodes[0], self.t0)
-            self._bridges = _bridge_max(self.values(t)[:, :-1], self.left_values(t)[:, 1:],
-                                        self.nodes[2])
+            self._bridges = _bridge_max(self._at(t, before=False)[:, :-1],
+                                        self._at(t, before=True)[:, 1:], self.nodes[2])
         return self._bridges
 
     def sup_over(self, a, b) -> np.ndarray:
         """Supremum of every path over its own [a, b]: the ends, X_t and
         X_{t-} at the jumps in (a, b] and the bridge maxima of the segments
         inside [a, b], each reduced by a masked row maximum."""
-        ends = np.stack([self._per_path(a), self._per_path(b)], axis=1)
+        ends = _on_horizon(np.stack([self._per_path(a), self._per_path(b)], axis=1), self.t0)
         a, b = ends[:, :1], ends[:, 1:]
-        best = self.values(ends).max(axis=1)
+        best = self._at(ends, before=False).max(axis=1)
         if self._times.shape[1]:
             inside = (self._times > a) & (self._times <= b)
             best = np.maximum(best, np.where(inside, self._jump_tops(), -np.inf).max(axis=1))
@@ -975,9 +1009,7 @@ class PathBatch:
     def with_jumps(self, t, x) -> "PathBatch":
         """Insert the jump (t[i], x[i]) into path i; a zero jump leaves its
         path as it is."""
-        t, x = self._per_path(t), self._per_path(x)
-        if np.any((t < 0.0) | (t > self.t0)):
-            raise ValueError(f"jump times outside horizon [0, {self.t0}]")
+        t, x = _on_horizon(self._per_path(t), self.t0), self._per_path(x)
         self._skeleton(t, np.arange(self.n))  # raises off the nodes of a Wiener path
         add = x != 0.0
         at = (self.offsets[:-1] + (self._times <= t[:, None]).sum(axis=1))[add]
@@ -1028,13 +1060,11 @@ _BATCH_FORMS = {
 }
 
 
-def _wiener_nodes(model: LevyModel, node_t: np.ndarray, gen: np.random.Generator):
-    """Sorted node times (rows of 0, t0, the other nodes and +inf padding),
-    W at them by Gaussian increments and q = 2 sigma^2 h E per segment, E an
-    Exp(1) draw; padding segments have h = 0, so their draws add nothing."""
-    node_t = np.sort(node_t, axis=-1)
-    ends = np.minimum(node_t, model.t0)
-    dt = ends[..., 1:] - ends[..., :-1]
+def _wiener_nodes(model: LevyModel, node_t: np.ndarray, dt: np.ndarray,
+                  gen: np.random.Generator):
+    """(node_t, W, q) on sorted node times whose segments have lengths dt:
+    W by Gaussian increments and q = 2 sigma^2 h E per segment, E an Exp(1)
+    draw."""
     node_w = np.zeros(node_t.shape)
     np.add.accumulate(np.sqrt(model.sigma2 * dt) * gen.standard_normal(dt.shape), axis=-1,
                       out=node_w[..., 1:])
@@ -1044,33 +1074,43 @@ def _wiener_nodes(model: LevyModel, node_t: np.ndarray, gen: np.random.Generator
 def _batch_nodes(model: LevyModel, counts: np.ndarray, times: np.ndarray, marks,
                  gen: np.random.Generator):
     """``_wiener_nodes`` of a batch (None, and no draw, without a Wiener part):
-    path i's nodes are 0, t0, its ``counts[i]`` proposals and ``marks[:, i]``."""
+    path i's nodes are 0, t0, its ``counts[i]`` proposals and ``marks[:, i]``,
+    sorted, then +inf padding, whose segments have h = 0 and add nothing."""
     if model.sigma2 <= 0:
         return None
     n, width = counts.size, counts.max(initial=0)
     node_t = np.full((n, width + 2), np.inf)
     node_t[:, :2] = 0.0, model.t0
     node_t[:, 2:][np.arange(width) < counts[:, None]] = times
-    return _wiener_nodes(model, np.concatenate((node_t, np.reshape(marks, (-1, n)).T), axis=1),
-                         gen)
+    node_t = np.sort(np.concatenate((node_t, np.reshape(marks, (-1, n)).T), axis=1), axis=1)
+    ends = np.minimum(node_t, model.t0)
+    return _wiener_nodes(model, node_t, ends[:, 1:] - ends[:, :-1], gen)
 
 
 def simulate_path(model: LevyModel, *, generator: np.random.Generator) -> CadlagPath:
     """One path from ``generator``: jumps above eps exactly, then the Wiener
-    part on the path's skeleton (``_wiener_nodes``)."""
+    part on the path's skeleton 0, the sorted proposals, t0.  The one-path
+    form of ``simulate_paths``: ``simulate_paths(model, 1, g).path(0)`` draws
+    the same numbers and returns the same path, bit for bit."""
     n = int(generator.poisson(model.jump_rate))
-    times = generator.uniform(0.0, model.t0, n)
+    times = generator.random(n) * model.t0  # the doubles of uniform(0, t0, n)
     sizes = model.jumps.sample_above(model.eps, n, generator)
-    proposals = times
+    keep = None
     if model.density is not None and n > 0:
         gv = within_bound(np.asarray(model.density(sizes), dtype=float), model.density_bound,
                           "jump density")
         keep = generator.random(n) * model.density_bound < gv
+    order = times.argsort(kind="stable")
+    proposals = times = times[order]
+    sizes = sizes[order]
+    if keep is not None:
+        keep = keep[order]
         times, sizes = times[keep], sizes[keep]
-    order = np.argsort(times, kind="stable")
-    times, sizes = times[order], sizes[order]
-    nodes = (_wiener_nodes(model, np.concatenate(([0.0, model.t0], proposals)), generator)
-             if model.sigma2 > 0 else None)
+    nodes = None
+    if model.sigma2 > 0:
+        node_t = np.empty(n + 2)
+        node_t[0], node_t[1:-1], node_t[-1] = 0.0, proposals, model.t0
+        nodes = _wiener_nodes(model, node_t, node_t[1:] - node_t[:-1], generator)
     return CadlagPath(model.t0, model.slope, times, sizes, nodes)
 
 
@@ -1086,12 +1126,17 @@ def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
 def _batch(model: LevyModel, counts, times, sizes, keep, nodes) -> PathBatch:
     """The batch of the proposals (``counts`` per path, in path order) that
     ``keep`` retains, sorted by (path, time)."""
-    row = np.repeat(np.arange(counts.size), counts)
     if keep is not None:
-        row, times, sizes = row[keep], times[keep], sizes[keep]
-    order = np.lexsort((times, row))
+        counts = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
+                             minlength=counts.size)
+        times, sizes = times[keep], sizes[keep]
     offsets = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row, minlength=counts.size), out=offsets[1:])
+    np.cumsum(counts, out=offsets[1:])
+    # a stable sort of each +inf-padded row: the (path, time) order, ties in draw order
+    own = np.arange(counts.max(initial=0)) < counts[:, None]
+    rows = np.full(own.shape, np.inf)
+    rows[own] = times
+    order = (rows.argsort(axis=1, kind="stable") + offsets[:-1, None])[own]
     return PathBatch(model.t0, model.slope, times[order], sizes[order], offsets, nodes)
 
 
@@ -1099,7 +1144,8 @@ def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator,
                    marks=()) -> PathBatch:
     """n paths on one generator, the batch form of ``simulate_path``: every
     path's jump count, then all proposal times, sizes and thinning uniforms,
-    then the Wiener part.  ``marks``, a (k, n) array, adds k nodes to each
+    then the Wiener part.  At n = 1 the draws are those of ``simulate_path``,
+    whose path equals ``path(0)`` bit for bit.  ``marks``, a (k, n) array, adds k nodes to each
     path's skeleton (column i to path i), where an estimator inserts jumps."""
     counts = gen.poisson(model.jump_rate, n)
     total = int(counts.sum())

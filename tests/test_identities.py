@@ -7,9 +7,11 @@ engine: the variational series under every decomposition, the parametric
 series term by term, the Hellinger law identity, the likelihood ratio's
 first two moments on the plan of ``plan_for_measures``, the Fock
 identity and the Mecke identity.  The symmetry of D^n is checked on drawn configurations and
-points, against the count kernel too.
+points, against the count kernel too, and D^n over a multiset against its
+signed binomial sum on the multiplicity lattice.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -103,6 +105,21 @@ def test_differences_are_symmetric_and_match_the_count_kernel(data, f):
     # math.fsum sums the 2^n signed values exactly, so no order moves a bit
     assert difference_n(f, phi, [ATOMS[i] for i in shuffled]) == value
     assert difference_counts(f, np.array([counts]), ATOMS, np.array([shuffled]))[0] == value
+
+
+@given(data=st.data(), f=functionals())
+def test_differences_on_the_multiplicity_lattice(data, f):
+    # D^k f(c) over a multiset with k_i copies of atom i is a signed binomial
+    # sum over the prod (k_i + 1) lattice points c + j, j <= k
+    atoms = ATOMS[:data.draw(st.integers(1, 3))]
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
+    k = data.draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
+    terms = [math.prod((-1) ** (ki - ji) * math.comb(ki, ji) for ki, ji in zip(k, j))
+             * f(PointConfiguration.from_counts(atoms, [c + ji for c, ji in zip(counts, j)]))
+             for j in itertools.product(*(range(ki + 1) for ki in k))]
+    multiset = [a for a, ki in zip(atoms, k) for _ in range(ki)]
+    value = difference_n(f, PointConfiguration.from_counts(atoms, counts), multiset)
+    assert abs(value - math.fsum(terms)) <= 1e-12 * math.fsum(abs(t) for t in terms)
 
 
 @st.composite

@@ -272,6 +272,21 @@ class TestPathShift:
         with pytest.raises(ValueError):
             path.with_jump(1.5, 1.0)
 
+    def test_reads_outside_horizon_rejected(self):
+        # no extrapolation past either end: 0.3 t + 1.0 at 5.0 would read 2.5
+        path = CadlagPath(1.0, 0.3, [0.4], [1.0])
+        for ask in (lambda: path.value(5.0), lambda: path.values([0.5, 5.0]),
+                    lambda: path.left_values(np.array([5.0])), lambda: path.sup_over(0.0, 5.0),
+                    lambda: path.sup_over(5.0, 1.0)):
+            with pytest.raises(ValueError, match=r"time 5\.0 outside horizon \[0, 1\.0\]"):
+                ask()
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="outside horizon"):
+                path.value(t)
+        with pytest.raises(ValueError, match="outside horizon"):
+            path.sup_over(-3.0, 1.0)
+        assert path.value(1.0) == 1.3 and path.sup_over(0.0, 1.0) == 1.3
+
     def test_iterated_difference_constant_functional(self, rng):
         path = simulate_path(cp_model({1.0: 1.0}), generator=rng.child(12).generator())
         from poissonpert.levy import PathFunctional

@@ -1,8 +1,9 @@
 """Chunk-batched Levy paths.
 
 ``PathBatch`` against the same paths as ``CadlagPath`` on generated ragged
-jump sets, the batch simulators, and the spot cross-check that the
-estimators run on the first paths of their first chunk.
+jump sets and on hand-built ties, the batch simulators (``simulate_path`` is
+a batch of one), and the spot cross-check that the estimators run on the
+first paths of their first chunk.
 """
 
 import math
@@ -13,12 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_exact_arrays import PROFILE
 
-from poissonpert import MCPlan
+from poissonpert import MCPlan, RngStream
 from poissonpert import levy
 from poissonpert.levy import (BatchMismatchError, CadlagPath, CompoundPoissonJumps,
-                              JumpPerturbation, LevyModel, PathBatch, cp_direction,
-                              no_jump_indicator, running_supremum, simulate_coupled_paths,
-                              simulate_paths, terminal_value)
+                              GammaJumps, JumpPerturbation, LevyModel, PathBatch, StableJumps,
+                              cp_direction, no_jump_indicator, running_supremum,
+                              simulate_coupled_paths, simulate_paths, stable_direction,
+                              terminal_value)
 from poissonpert.rng import SPOT_CHECKS
 
 TOL = 1e-12
@@ -154,6 +156,20 @@ class TestBatchAgainstCadlagPath:
         with pytest.raises(ValueError, match="horizon"):
             batch.with_jumps(1.5, 1.0)
 
+    def test_times_outside_horizon_rejected(self):
+        # no extrapolation past either end: 0.5 t + 1.0 at 5.0 would read 3.5
+        batch = as_batch(1.0, 0.5, [(np.array([0.3]), np.array([1.0])),
+                                    (np.empty(0), np.empty(0))], None)
+        for ask in (lambda: batch.values(5.0), lambda: batch.left_values([0.5, 5.0]),
+                    lambda: batch.sup_over(0.0, 5.0), lambda: batch.sup_over([0.0, 5.0], 1.0),
+                    lambda: batch.with_jumps(5.0, 1.0)):
+            with pytest.raises(ValueError, match=r"time 5\.0 outside horizon \[0, 1\.0\]"):
+                ask()
+        for t in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="outside horizon"):
+                batch.values(t)
+        assert_close(batch.values(1.0), [1.5, 0.5])
+
     def test_wiener_paths_are_known_at_their_nodes_only(self):
         nodes = [(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.3, -0.2]), np.array([0.5, 0.1]))]
         spec = (1.0, 0.2, [(np.array([0.4]), np.array([1.0]))], nodes)
@@ -170,6 +186,48 @@ class TestBatchAgainstCadlagPath:
         assert path.with_jump(0.4, -2.0).sup_over(0.0, 0.4) == pytest.approx(top, abs=TOL)
 
 
+class TestBatchOrder:
+    """``_batch`` sorts each path's kept proposals by time, ties in draw
+    order: the order of ``np.lexsort((times, row))``."""
+
+    # path 0: ties at 0.5 and 0.2; path 1: none kept; path 2: a triple tie at 1.0
+    COUNTS = np.array([5, 2, 4])
+    TIMES = np.array([0.5, 0.2, 0.5, 0.9, 0.2, 0.4, 0.1, 1.0, 1.0, 0.0, 1.0])
+    SIZES = np.arange(1.0, 12.0) * np.where(np.arange(11) % 2, -0.5, 1.0)
+
+    @pytest.mark.parametrize("keep", [None, np.array([1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1], bool)])
+    def test_ties_keep_draw_order(self, keep):
+        model = LevyModel(jumps=CP, drift=0.3, t0=1.0)
+        times, sizes = self.TIMES, self.SIZES
+        row = np.repeat(np.arange(3), self.COUNTS)
+        if keep is not None:
+            row, times, sizes = row[keep], times[keep], sizes[keep]
+        order = np.lexsort((times, row))
+        batch = levy._batch(model, self.COUNTS, self.TIMES, self.SIZES, keep, None)
+        np.testing.assert_array_equal(batch.jump_t, times[order])
+        np.testing.assert_array_equal(batch.jump_x, sizes[order])
+        np.testing.assert_array_equal(batch.counts, np.bincount(row, minlength=3))
+        paths = [CadlagPath(1.0, model.slope, times[order][row[order] == i],
+                            sizes[order][row[order] == i]) for i in range(3)]
+        ts = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
+        self.assert_paths_equal(batch, paths, ts)
+        # inserted at an existing jump time, a jump goes after the ones there
+        moved = batch.with_jumps([0.5, 0.2, 1.0], [2.5, -3.0, 0.25])
+        self.assert_paths_equal(moved, [p.with_jump(t, x) for p, t, x in
+                                        zip(paths, (0.5, 0.2, 1.0), (2.5, -3.0, 0.25))], ts)
+
+    @staticmethod
+    def assert_paths_equal(batch, paths, ts):
+        for i, want in enumerate(paths):
+            got = batch.path(i)
+            np.testing.assert_array_equal(got.jump_t, want.jump_t)
+            np.testing.assert_array_equal(got.jump_x, want.jump_x)
+            np.testing.assert_array_equal(got.values(ts), want.values(ts))
+            np.testing.assert_array_equal(got.left_values(ts), want.left_values(ts))
+            assert got.supremum() == want.supremum()
+        np.testing.assert_array_equal(batch.supremum(), [p.supremum() for p in paths])
+
+
 CP = CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5})
 DIRECTION = cp_direction(CP, {1.0: 0.8, -0.6: -0.5})
 PERT = JumpPerturbation(direction=DIRECTION, theta0=0.0, interval=(-0.8, 1.0))
@@ -178,6 +236,19 @@ PERT = JumpPerturbation(direction=DIRECTION, theta0=0.0, interval=(-0.8, 1.0))
 def cp_model(sigma2=0.0):
     return LevyModel(jumps=CP, drift=0.3, drift_form="plain", t0=1.0, eps=0.0,
                      sigma2=sigma2)
+
+
+STABLE = StableJumps(1.2, 1.0, 0.5)
+STABLE_PERT = JumpPerturbation(direction=stable_direction(0.4, 1.0, 0.5, STABLE),
+                               theta0=0.0, interval=(-0.5, 0.5))
+# compound Poisson without and with a Wiener part, gamma with one, and thinned
+# compensated power tails with one
+ONE_PATH_MODELS = [
+    cp_model(), cp_model(0.5),
+    LevyModel(jumps=GammaJumps(2.0, 1.0), sigma2=0.5, t0=1.0, eps=0.01),
+    levy.perturbed_model(LevyModel(jumps=STABLE, drift=0.1, drift_form="compensated",
+                                   sigma2=0.3, t0=1.0, eps=0.1), STABLE_PERT, 0.4),
+]
 
 
 class TestSimulators:
@@ -230,6 +301,20 @@ class TestSimulators:
             up_lo, up_hi = p_lo.jump_t[p_lo.jump_x > 0], p_hi.jump_t[p_hi.jump_x > 0]
             down_lo, down_hi = p_lo.jump_t[p_lo.jump_x < 0], p_hi.jump_t[p_hi.jump_x < 0]
             assert set(up_lo) <= set(up_hi) and set(down_hi) <= set(down_lo)
+
+    @PROFILE
+    @given(seed=st.integers(0, 2 ** 63 - 1))
+    def test_one_path_is_a_batch_of_one(self, seed):
+        for model in ONE_PATH_MODELS:
+            path = levy.simulate_path(model, generator=RngStream(seed).generator())
+            want = simulate_paths(model, 1, RngStream(seed).generator()).path(0)
+            np.testing.assert_array_equal(path.jump_t, want.jump_t)
+            np.testing.assert_array_equal(path.jump_x, want.jump_x)
+            assert (path.nodes is None) == (want.nodes is None) == (model.sigma2 == 0)
+            for got, part in zip(path.nodes or (), want.nodes or ()):
+                np.testing.assert_array_equal(got, part)
+            assert path.value(model.t0) == want.value(model.t0)
+            assert path.supremum() == want.supremum()
 
     def test_equal_models_couple_identically(self, rng):
         model = cp_model()
