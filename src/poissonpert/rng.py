@@ -28,7 +28,9 @@ generator from its own child stream and calls every draw once on it.  Batch
 means run over the C chunks: the replications are i.i.d., so each stratum's
 rows, in block order, are cut into C consecutive chunks (Schmeiser 1982), and
 every field is reduced to its pooled mean and batch-means standard error
-over the chunk means, taken in chunk order.  B depends on the budget and C
+over the chunk means, taken in chunk order.  The chunk means of a field come
+from two reshaped row means, one over the longer chunks and one over the
+shorter, with no per-chunk call.  B depends on the budget and C
 only, never on the workers, and where B = C every chunk is one block.
 With ``spot = k`` the first min(k, n) replications of block 0 of every
 stratum are drawn first, as ``draw(gen, k, True)`` on the same generator:
@@ -96,7 +98,12 @@ class RngStream:
 
 
 def chunk_sizes(total: int, chunks: int) -> list[int]:
-    """Split ``total`` into ``chunks`` near-equal deterministic pieces."""
+    """Split ``total`` into min(``chunks``, ``total``) near-equal pieces.
+
+    With base, rem = divmod(total, pieces) the first rem pieces hold base + 1
+    and the rest base, so the sizes are non-increasing and differ by at most
+    one.  ``ChunkedDraws.estimate`` relies on this order.
+    """
     if total <= 0 or chunks <= 0:
         raise ValueError("total and chunks must be positive")
     chunks = min(chunks, total)
@@ -187,20 +194,38 @@ def combine_batch_means(means: Sequence[float], sizes: Sequence[int]) -> tuple[f
 @dataclass(frozen=True)
 class ChunkedDraws:
     """Every replication's fields as one ``(fields, n)`` array in draw order,
-    and the sizes of the consecutive chunks that batch means group it in."""
+    and the sizes of the consecutive chunks that batch means group it in:
+    ``chunk_sizes(n, len(sizes))``, the only layout accepted."""
 
     sizes: list[int]
     draws: np.ndarray
 
+    def __post_init__(self):
+        if self.draws.ndim != 2:
+            raise ValueError(f"draws must be a (fields, n) array, got shape {self.draws.shape}")
+        total, n = sum(self.sizes), self.draws.shape[1]
+        if total != n:
+            raise ValueError(f"chunk sizes sum to {total} but there are {n} draws")
+        layout = chunk_sizes(total, len(self.sizes))
+        if list(self.sizes) != layout:
+            raise ValueError(f"chunk sizes {list(self.sizes)} are not the layout "
+                             f"chunk_sizes({total}, {len(self.sizes)}) = {layout}")
+
     def estimate(self, field: int = 0) -> EstimateResult:
         """Pooled mean and batch-means standard error of one field.
 
-        Each chunk mean is ``np.mean`` over a contiguous slice of the
-        field's row, the same summation order as a per-chunk array.
+        The row is rem chunks of base + 1 rows followed by chunks of base
+        rows (``chunk_sizes``), so the chunk means are two row means of
+        reshaped C-contiguous blocks.  numpy reduces each row of such a block
+        with the same pairwise sum as a 1-D slice of it, so every chunk mean
+        is bit-identical to ``np.mean`` of that chunk's slice.
         """
-        parts = np.split(self.draws[field], np.cumsum(self.sizes[:-1]))
-        return EstimateResult(*combine_batch_means([float(np.mean(p)) for p in parts],
-                                                   self.sizes))
+        row = self.draws[field]
+        base, rem = divmod(row.size, len(self.sizes))
+        cut = rem * (base + 1)
+        means = (row[:cut].reshape(rem, base + 1).mean(axis=1).tolist()
+                 + row[cut:].reshape(-1, base).mean(axis=1).tolist())
+        return EstimateResult(*combine_batch_means(means, self.sizes))
 
     def values(self, field: int) -> np.ndarray:
         """One field of every replication, in draw order."""

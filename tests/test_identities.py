@@ -8,7 +8,9 @@ series term by term, the Hellinger law identity, the likelihood ratio's
 first two moments on the plan of ``plan_for_measures``, the Fock
 identity and the Mecke identity.  The symmetry of D^n is checked on drawn configurations and
 points, against the count kernel too, and D^n over a multiset against its
-signed binomial sum on the multiplicity lattice.
+signed binomial sum on the multiplicity lattice.  The Monte Carlo series
+(``mc_series`` through ``variational_series``) is checked against
+enumeration within 4 of its own stderrs.
 """
 
 import itertools
@@ -19,12 +21,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poissonpert import (AtomWindow, Functional, PerturbationFamily, PointConfiguration,
-                         constant_functional, count_functional, count_squared, difference_n,
-                         discrete, exact_expectation, fock_identity_check, hellinger_poisson,
-                         parametric_series, poisson_hellinger_exact, reweighted_expectation,
-                         second_moment_bound, second_moment_exact, threshold_indicator,
-                         variational_series, void_indicator)
+from poissonpert import (AtomWindow, Functional, MCPlan, PerturbationFamily, PointConfiguration,
+                         RngStream, constant_functional, count_functional, count_squared,
+                         difference_n, discrete, exact_expectation, fock_identity_check,
+                         hellinger_poisson, parametric_series, poisson_hellinger_exact,
+                         reweighted_expectation, second_moment_bound, second_moment_exact,
+                         threshold_indicator, variational_series, void_indicator)
 from poissonpert.configuration import difference_counts
 
 ATOMS = ["a", "b", "c"]
@@ -34,6 +36,8 @@ masses_or_none = st.one_of(st.just(0.0), masses)
 # orders of the Fock expansion: on the largest inputs (three atoms of mass
 # 1.5, at_least 2) 30 orders leave a gap of 4e-15, 24 orders 8e-11
 FOCK_ORDERS = 30
+# the fixed stream of every Monte Carlo property
+STREAM = RngStream(20240811).child(16)
 
 
 @st.composite
@@ -150,3 +154,19 @@ def test_mecke_identity(pair, g, data):
     mean_g = exact_expectation(g, m)
     rhs = math.fsum(m.mass(a) * w[a] * mean_g for a in atoms)
     assert abs(exact_expectation(lhs, m) - rhs) <= 1e-10
+
+
+@given(pair=pairs(), data=st.data())
+def test_mc_series_agrees_with_enumeration(pair, data):
+    # the window lies in lam's support, so f is not 0 on every configuration
+    # and the series has a positive stderr
+    lam, nu = pair
+    window = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(lam.support()), min_size=1)
+                                 .map(AtomWindow)))
+    f = data.draw(st.sampled_from([void_indicator(window), count_functional(window),
+                                   count_squared(window), threshold_indicator(1, window),
+                                   threshold_indicator(2, window)]))
+    res = variational_series(f, lam, nu, mode="mc", mc=MCPlan(8000, STREAM))
+    se = math.sqrt(math.fsum(s * s for s in res.stderrs))
+    assert math.isfinite(se) and se > 0.0
+    assert abs(res.value - exact_expectation(f, nu)) <= 4.0 * se

@@ -1,7 +1,8 @@
 """The block contract of ``rng.mc_mean``: one ``draw(gen, n)`` per block,
 the batch-means chunks cut from the blocks' rows, the per-replication
 adapter ``each``, the checked lead of ``spot`` replications, the shape
-check, and which thread runs each block."""
+check, and which thread runs each block; the ``chunk_sizes`` layout, and
+``ChunkedDraws``' batch means against per-chunk ``np.mean`` bit for bit."""
 
 import os
 import sys
@@ -10,9 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poissonpert import rng as rng_module
-from poissonpert.rng import MCPlan, RngStream, chunk_sizes, combine_batch_means, each, mc_mean
+from poissonpert.rng import (ChunkedDraws, MCPlan, RngStream, chunk_sizes, combine_batch_means,
+                             each, mc_mean)
 
 SWITCH = sys.getswitchinterval()
 
@@ -151,3 +155,50 @@ class TestChunkContract:
     def test_wrong_shape_raises(self, rng, bad):
         with pytest.raises(ValueError, match="block draw"):
             mc_mean(bad, MCPlan(20, rng.child(5), chunks=2))
+
+
+@given(total=st.integers(1, 5000), chunks=st.integers(1, 100))
+def test_chunk_sizes_layout(total, chunks):
+    # non-increasing and within one of each other: the longer chunks first
+    sizes = chunk_sizes(total, chunks)
+    assert sum(sizes) == total and len(sizes) == min(chunks, total)
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+
+def wide(gen, shape):
+    """Signed values whose magnitudes span 1e-100 to 1e100."""
+    return gen.choice([-1.0, 1.0], shape) * 10.0 ** gen.uniform(-100, 100, shape)
+
+
+VALUES = {"normal": lambda gen, shape: gen.normal(0.3, 2.0, shape),
+          "binary": lambda gen, shape: (gen.random(shape) < 0.3).astype(float),
+          "wide": wide}
+
+
+@settings(max_examples=200)
+@given(total=st.integers(1, 5000), chunks=st.integers(1, 70), fields=st.integers(1, 3),
+       kind=st.sampled_from(sorted(VALUES)), seed=st.integers(0, 2**32 - 1))
+@example(total=5, chunks=64, fields=2, kind="normal", seed=1)       # K < C
+@example(total=64, chunks=64, fields=1, kind="wide", seed=2)        # K = C
+@example(total=4096, chunks=64, fields=3, kind="binary", seed=3)    # no long chunks
+@example(total=4999, chunks=70, fields=3, kind="wide", seed=4)
+def test_estimate_is_batch_means_over_per_chunk_means(total, chunks, fields, kind, seed):
+    # bit for bit: every chunk mean is np.mean over the chunk's own slice
+    draws = VALUES[kind](np.random.default_rng(seed), (fields, total))
+    sizes = chunk_sizes(total, chunks)
+    res = ChunkedDraws(sizes, draws)
+    for f in range(fields):
+        means = [float(np.mean(p)) for p in np.split(draws[f], np.cumsum(sizes[:-1]))]
+        assert tuple(res.estimate(f)) == combine_batch_means(means, sizes)
+
+
+@pytest.mark.parametrize("sizes, draws, match", [
+    ([3, 3], np.zeros((1, 7)), "sum to 6 but there are 7 draws"),
+    ([4, 4], np.zeros((2, 7)), "sum to 8 but there are 7 draws"),
+    ([3, 4], np.zeros((1, 7)), r"\[3, 4\] are not the layout chunk_sizes\(7, 2\) = \[4, 3\]"),
+    ([2, 1, 2, 2, 1], np.zeros((1, 8)), "not the layout"),
+    ([4, 3], np.zeros(7), r"\(fields, n\) array"),
+], ids=["extra-row", "missing-row", "short-chunk-first", "uneven", "1-d"])
+def test_chunked_draws_rejects_sizes_that_do_not_match(sizes, draws, match):
+    with pytest.raises(ValueError, match=match):
+        ChunkedDraws(sizes, draws)
