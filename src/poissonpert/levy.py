@@ -21,8 +21,8 @@ drift adjusted accordingly; the path-difference operator inserts a jump
 
     int int (E Delta_{t,x} f(X)) g(x) dt nu_ref(dx)
 
-estimated by sampling (t, x) from dt tensor |g| d nu_ref with signs carried
-as weights and the inner difference evaluated on a common path.  The running
+estimated by sampling (t, x) from dt tensor w |g| d nu_ref with the weight
+sgn g / w and the inner difference evaluated on a common path.  The running
 supremum admits a closed difference kernel (x - Y_t)^+ - (Y_t)^- with
 Y_t the gap between past and future suprema, which the supremum estimator
 exploits and cross-checks path by path.
@@ -57,7 +57,9 @@ path.  The identity checks run where they did per path:
   ``BatchMismatchError``.
 
 ``jump_draw`` returns the Levy backend ``(draw, M)`` of ``series``, with
-M = t0 int |g| d nu_ref above the truncation: ``levy_derivative`` is its
+M = t0 Q and Q the mass of the direction's mark law w |g| d nu_ref
+(``JumpDirection``): w = 1 where |g| d nu_ref is finite, w = min(|x|, 1)
+where it is not, so no direction is truncated.  ``levy_derivative`` is its
 order-one ``series.mc_term``, ``levy_series`` its ``series.mc_series``.
 
 Integrals against the power-tail and gamma references (``integrate``) run on
@@ -468,9 +470,10 @@ class GammaJumps(_ReferenceMeasure):
 class JumpDirection:
     """A signed density direction with its sampling and moment toolkit.
 
-    ``abs_mass_above(eps)`` and ``sample_above`` drive the outer importance
-    sampling from |g| d nu_ref; ``min_eps`` is None when |g| d nu_ref is not
-    normalizable at the origin and a positive truncation is mandatory.
+    The derivatives draw marks from the law w |g| d nu_ref of mass
+    ``mark_mass`` Q (``sample_marks(n, gen)``) and weigh each by
+    Q sgn g(x) / w(x).  The tilt w is 1 where |g| d nu_ref is finite, and
+    min(|x|, 1) with Q = ``x_wedge_integral`` where it is not: no mark is cut.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -478,9 +481,13 @@ class JumpDirection:
     x_wedge_integral: float
     drift_moment: float
     g_bound: float
-    abs_mass_above: Callable[[float], float]
-    sample_above: Callable[[float, int, np.random.Generator], np.ndarray]
-    min_eps: float | None = 0.0
+    mark_mass: float
+    sample_marks: Callable[[int, np.random.Generator], np.ndarray]
+    tilt: Callable[[np.ndarray], np.ndarray]
+
+
+def _wedge_tilt(x):
+    return np.minimum(np.abs(x), 1.0)
 
 
 def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
@@ -488,8 +495,8 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
 
     ``g`` matches x to an atom by exact equality: marks and jumps are drawn
     from ``nu_ref.sizes`` itself, so a value off an atom by rounding is off
-    the support.  |g| d nu_ref is sampled as the ``CompoundPoissonJumps`` of
-    masses |g| m, so an atom where g = 0 is never drawn.
+    the support.  The marks are the ``CompoundPoissonJumps`` of masses |g| m
+    (tilt 1), so an atom where g = 0 is never drawn.
     """
     sizes = nu_ref.sizes
     gvals = np.array([float(g_map.get(float(s), 0.0)) for s in sizes])
@@ -509,9 +516,9 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
         x_wedge_integral=float((np.minimum(np.abs(sizes), 1.0) * absw).sum()),
         drift_moment=float((sizes * gvals * masses)[np.abs(sizes) <= 1.0].sum()),
         g_bound=float(np.max(np.abs(gvals))) if gvals.size else 0.0,
-        abs_mass_above=abs_jumps.mass_above,
-        sample_above=abs_jumps.sample_above,
-        min_eps=0.0,
+        mark_mass=abs_jumps.mass_above(0.0),
+        sample_marks=lambda n, gen: abs_jumps.sample_above(0.0, n, gen),
+        tilt=np.ones_like,
     )
 
 
@@ -520,7 +527,8 @@ def gamma_scale_direction(theta: float, beta0: float, nu_ref: StableJumps) -> Ju
     positive power-tail reference: g(x) = -theta x^(alpha+1) exp(-beta0 x).
 
     Against the reference, |g| d nu_ref collapses to a pure exponential
-    theta c_pos exp(-beta0 x) dx, so every moment is closed form.
+    theta c_pos exp(-beta0 x) dx, so every moment is closed form and the
+    marks are Exp(beta0) (tilt 1).
     """
     if nu_ref.c_pos <= 0:
         raise ValueError("reference needs a positive tail")
@@ -540,21 +548,24 @@ def gamma_scale_direction(theta: float, beta0: float, nu_ref: StableJumps) -> Ju
         x_wedge_integral=theta * c * (int01 + math.exp(-beta0) / beta0),
         drift_moment=-theta * c * int01,
         g_bound=theta * ((alpha + 1.0) / beta0) ** (alpha + 1.0) * math.exp(-(alpha + 1.0)),
-        abs_mass_above=lambda eps: theta * c * math.exp(-beta0 * eps) / beta0,
-        sample_above=lambda eps, n, gen: eps + gen.exponential(1.0 / beta0, n),
-        min_eps=0.0,
+        mark_mass=theta * c / beta0,
+        sample_marks=lambda n, gen: gen.exponential(1.0 / beta0, n),
+        tilt=np.ones_like,
     )
 
 
 def gamma_shape_direction(beta: float, nu_ref: StableJumps) -> JumpDirection:
     """Direction adding a gamma jump component per unit shape:
     g(x) = x^alpha exp(-beta x)/c_pos on x > 0, so |g| d nu_ref is the gamma
-    jump measure ``GammaJumps(1, beta)`` itself (log-divergent at 0:
-    truncation is mandatory)."""
+    jump measure ``GammaJumps(1, beta)`` itself, of infinite mass.  The
+    marks mix e^(-beta x) dx on (0, 1] (inverted) with that measure above 1.
+    """
     if nu_ref.c_pos <= 0:
         raise ValueError("reference needs a positive tail")
     alpha, c = nu_ref.alpha, nu_ref.c_pos
-    abs_jumps = GammaJumps(1.0, beta)
+    tail = GammaJumps(1.0, beta)
+    head = 1.0 - math.exp(-beta)
+    head_mass, tail_mass = head / beta, float(_exp1(beta))
 
     def g(x):
         x = np.asarray(x, dtype=float)
@@ -562,24 +573,35 @@ def gamma_shape_direction(beta: float, nu_ref: StableJumps) -> JumpDirection:
                        * np.exp(-beta * np.maximum(x, 0)) / c, 0.0)
         return out if out.shape else float(out)
 
+    def sample_marks(n, gen):
+        small = gen.random(n) < head_mass / (head_mass + tail_mass)
+        k = int(small.sum())
+        out = np.empty(n)
+        # 1 - u lies in (0, 1], so no mark is 0, where the tilt vanishes
+        out[small] = -np.log1p(-head * (1.0 - gen.random(k))) / beta
+        out[~small] = tail.sample_above(1.0, n - k, gen)
+        return out
+
     return JumpDirection(
         g=g,
         square_integral=math.gamma(alpha) / (c * (2 * beta) ** alpha),
-        x_wedge_integral=(1.0 - math.exp(-beta)) / beta + float(_exp1(beta)),
-        drift_moment=(1.0 - math.exp(-beta)) / beta,
+        x_wedge_integral=head_mass + tail_mass,
+        drift_moment=head_mass,
         g_bound=(alpha / beta) ** alpha * math.exp(-alpha) / c,
-        abs_mass_above=abs_jumps.mass_above,
-        sample_above=abs_jumps.sample_above,
-        min_eps=None,
+        mark_mass=head_mass + tail_mass,
+        sample_marks=sample_marks,
+        tilt=_wedge_tilt,
     )
 
 
 def stable_direction(alpha_dir: float, q_pos: float, q_neg: float,
                      nu_ref: StableJumps) -> JumpDirection:
-    """Direction adding a power-tail component supported on |x| <= 1.
+    """Direction adding a power-tail component supported on |x| <= 1, with
+    |g| d nu_ref = q_pos x^(-alpha_dir-1) dx on (0, 1] (q_neg on [-1, 0)).
 
     Square integrability against the reference demands alpha_dir < alpha/2,
-    which is enforced.
+    which is enforced.  The marks |x| |g| d nu_ref have |x| = u^(1/(1 -
+    alpha_dir)) for u uniform on (0, 1].
     """
     alpha = nu_ref.alpha
     if not 0.0 < alpha_dir < alpha / 2.0:
@@ -602,21 +624,9 @@ def stable_direction(alpha_dir: float, q_pos: float, q_neg: float,
         out = pos + neg
         return out if out.shape else float(out)
 
-    def abs_mass_above(eps):
-        if eps <= 0:
-            raise ValueError("this direction needs a positive truncation")
-        if eps >= 1.0:
-            return 0.0
-        return qsum * (eps ** (-alpha_dir) - 1.0) / alpha_dir
-
-    def sample_above(eps, n, gen):
-        if n == 0:
-            return np.empty(0)
-        top = eps ** (-alpha_dir)
-        u = gen.random(n)
-        r = (top - u * (top - 1.0)) ** (-1.0 / alpha_dir)
-        signs = np.where(gen.random(n) < q_pos / qsum, 1.0, -1.0)
-        return r * signs
+    def sample_marks(n, gen):
+        r = (1.0 - gen.random(n)) ** (1.0 / (1.0 - alpha_dir))
+        return np.where(gen.random(n) < q_pos / qsum, r, -r)
 
     square = 0.0
     for q, cc in qc:
@@ -629,9 +639,9 @@ def stable_direction(alpha_dir: float, q_pos: float, q_neg: float,
         drift_moment=(q_pos - q_neg) / (1.0 - alpha_dir),
         g_bound=max(q_pos / nu_ref.c_pos if nu_ref.c_pos else 0.0,
                     q_neg / nu_ref.c_neg if nu_ref.c_neg else 0.0),
-        abs_mass_above=abs_mass_above,
-        sample_above=sample_above,
-        min_eps=None,
+        mark_mass=qsum / (1.0 - alpha_dir),
+        sample_marks=sample_marks,
+        tilt=_wedge_tilt,
     )
 
 
@@ -1338,70 +1348,57 @@ def gamma_overlay_model(theta: float, beta0: float, alpha: float, t0: float,
 # ---------------------------------------------------------------------------
 
 
-def _direction_mass(direction: JumpDirection, direction_eps: float | None,
-                    t0: float) -> tuple[float, float]:
-    """The truncation eps_d of the direction (``direction_eps``, else its
-    ``min_eps``) and its mass M = t0 int_{|x| > eps_d} |g| d nu_ref.
-
-    A direction whose |g| d nu_ref is not normalizable at 0 needs
-    ``direction_eps > 0``; a non-finite M raises ``ConditionError``.
-    """
-    eps_d = direction.min_eps if direction_eps is None else direction_eps
-    if direction.min_eps is None and (eps_d is None or eps_d <= 0):
-        raise ConditionError("|g| d nu_ref is not normalizable at 0; "
-                             "pass direction_eps > 0")
-    mass = t0 * direction.abs_mass_above(eps_d)
-    if not math.isfinite(mass):
-        raise ConditionError("absolute direction mass is not finite")
-    return eps_d, mass
+def _mark_weights(direction: JumpDirection, xs: np.ndarray) -> np.ndarray:
+    """sgn g(x) / w(x) of each mark x: times the mark mass Q, the weight
+    that makes a mark's difference unbiased for int E Delta_(t,x) f g dnu_ref."""
+    return np.where(np.asarray(direction.g(xs)) < 0, -1.0, 1.0) / direction.tilt(xs)
 
 
-def jump_draw(f: PathFunctional, model: LevyModel, direction: JumpDirection,
-              direction_eps: float | None = None) -> tuple[Callable, float]:
+def jump_draw(f: PathFunctional, model: LevyModel,
+              direction: JumpDirection) -> tuple[Callable, float]:
     """The Levy backend of ``series``: the order-n term sampler and the
-    direction mass M = t0 int_{|x| > eps_d} |g| d nu_ref (``_direction_mass``).
+    mark mass M = t0 Q of the direction (``JumpDirection.mark_mass``).
 
     ``draw(n, gen, k, check=False)`` draws n marks (t, x) for each of k
-    replications, t uniform on [0, t0] and x from the normalized |g| d nu_ref
-    above eps_d, then one batch of k paths with the mark times as nodes, and
-    returns the signed and absolute M^n / n! times each path's n-fold path
-    difference as a (2, k) array; order 0 gives f(X).  With ``check`` every
+    replications, t uniform on [0, t0] and x from the direction's mark law
+    (``sample_marks``), then one batch of k paths with the mark times as
+    nodes, and returns M^n / n! times each path's n-fold path difference
+    times the marks' weights sgn g / w (``_mark_weights``), signed and
+    absolute, as a (2, k) array; order 0 gives f(X).  With ``check`` every
     path's difference is recomputed through ``CadlagPath``
     (``path_difference``) and a gap above ``SPOT_TOL`` raises
     ``BatchMismatchError``.
     """
     t0 = model.t0
-    eps_d, mass = _direction_mass(direction, direction_eps, t0)
+    mass = t0 * direction.mark_mass
 
     def draw(n: int, gen: np.random.Generator, k: int, check: bool = False) -> np.ndarray:
         ts = gen.uniform(0.0, t0, (n, k))
-        xs = direction.sample_above(eps_d, n * k, gen).reshape(n, k)
-        sgn = np.ones(k)
-        if n:
-            sgn = np.where(np.asarray(direction.g(xs)) < 0, -1.0, 1.0).prod(axis=0)
+        xs = direction.sample_marks(n * k, gen).reshape(n, k)
+        weight = _mark_weights(direction, xs).prod(axis=0) if n else np.ones(k)
         batch = simulate_paths(model, k, gen, ts)
         dval = _batch_difference(f, batch, ts, xs)
         if check:
             for i in range(k):
                 _agree(f"{f.name} path difference", dval[i],
                        path_difference(f, batch.path(i), list(zip(ts[:, i], xs[:, i]))))
-        scale = mass ** n / math.factorial(n)
-        return np.stack([scale * sgn * dval, scale * np.abs(dval)])
+        term = mass ** n / math.factorial(n) * weight * dval
+        return np.stack([term, np.abs(term)])
 
     return draw, mass
 
 
 def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
-                    mc: MCPlan, direction_eps: float | None = None) -> EstimateResult:
+                    mc: MCPlan) -> EstimateResult:
     """First-order sensitivity of E f(X) to the jump density along g.
 
     The order-one ``series.mc_term`` of ``jump_draw``: one mark (t, x) from
-    uniform time tensor the normalized absolute direction, and the one-jump
+    uniform time tensor the direction's mark law, and the weighted one-jump
     difference on a common path.  The first ``SPOT_CHECKS`` paths of block 0
     are checked against ``CadlagPath``.
     """
     check_direction(pert.direction)
-    return mc_term(*jump_draw(f, model, pert.direction, direction_eps), 1, mc, SPOT_CHECKS)
+    return mc_term(*jump_draw(f, model, pert.direction), 1, mc, SPOT_CHECKS)
 
 
 def _agree(name: str, batch_value: float, path_value: float) -> None:
@@ -1481,14 +1478,14 @@ class SupremumDerivativeResult:
     samples: int
 
 
-def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
-                        direction_eps: float | None = None) -> SupremumDerivativeResult:
+def supremum_derivative(model: LevyModel, pert: JumpPerturbation,
+                        mc: MCPlan) -> SupremumDerivativeResult:
     """Sensitivity of the expected running supremum to the jump density.
 
     Per replication: draw t uniform, simulate a path with t as a node, form
-    the past/future supremum gap Y_t, draw a jump size from the normalized absolute
-    direction, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-.  Each
-    block does this for a whole ``PathBatch``.  The kernel is cross-checked
+    the past/future supremum gap Y_t, draw a jump size x from the direction's
+    mark law, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-, weighted
+    as in ``jump_draw``.  Each block does this for a whole ``PathBatch``.  The kernel is cross-checked
     against the re-evaluated path difference and the |difference| <= 2|x|
     envelope on every sample; the first ``SPOT_CHECKS`` paths of block 0 are
     re-evaluated through ``CadlagPath`` (both suprema and the supremum after
@@ -1502,7 +1499,7 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
     d = pert.direction
     check_direction(d)
     t0 = model.t0
-    eps_d, mass = _direction_mass(d, direction_eps, t0)
+    mass = t0 * d.mark_mass
     mom = model.moments()
     scale = abs(mom["mean"]) + math.sqrt(max(mom["var"], 0.0)) + abs(model.slope) * t0
     edges = np.linspace(-4.0 * scale - 1.0, 4.0 * scale + 1.0, Q_BINS + 1)
@@ -1519,15 +1516,14 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation, mc: MCPlan,
         y = past - future
         if mass == 0:
             return np.stack([np.zeros(n), y, np.zeros(n), np.zeros(n)])
-        x = d.sample_above(eps_d, n, gen)
+        x = d.sample_marks(n, gen)
         kernel = np.maximum(x - y, 0.0) - np.maximum(-y, 0.0)
         moved = batch.with_jumps(t, x).supremum()
         for i in checked:
             _agree("with_jump(t, x).supremum()", moved[i],
                    batch.path(i).with_jump(t[i], x[i]).supremum())
         delta = moved - batch.supremum()
-        sgn = np.where(np.asarray(d.g(x)) >= 0, 1.0, -1.0)
-        return np.stack([mass * sgn * kernel, y, np.abs(delta - kernel),
+        return np.stack([mass * _mark_weights(d, x) * kernel, y, np.abs(delta - kernel),
                          np.abs(delta) > 2.0 * np.abs(x) + 1e-12])
 
     res = mc_mean(draw, mc, spot=SPOT_CHECKS)

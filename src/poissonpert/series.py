@@ -20,8 +20,8 @@ Two backends meet it:
   normalized absolute perturbation, one count array of k configurations,
   and the n-th differences D^n f of all k rows evaluated on count arrays;
 * ``levy.jump_draw`` (Levy jump measures): k batches of n marks (t, x) from
-  dt tensor the normalized |g| d nu_ref, one batch of k paths, the n-fold
-  path difference over the batch.
+  dt tensor the direction's normalized mark law w |g| d nu_ref, one batch of
+  k paths, the n-fold path difference over the batch weighted by sgn g / w.
 
 Two drivers run a backend: ``mc_series`` is the whole series as one
 stratified ``mc_mean`` pass (a block builds one generator and draws its

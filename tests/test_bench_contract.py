@@ -5,6 +5,7 @@ package would make ``bench/run.py --trace 1`` fail at install time.  This
 reads the tracer's tables and checks that every name still resolves.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonpert import rng
+from poissonpert import levy, rng
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,6 +43,26 @@ def test_direction_builders_resolve(tracing):
     levy = importlib.import_module("poissonpert.levy")
     for builder in tracing.DIRECTION_BUILDERS:
         assert callable(getattr(levy, builder)), builder
+
+
+def test_derivatives_call_the_direction_g_field(tracing):
+    # the tracer counts levy.direction_g by replacing a built direction's g;
+    # a derivative that read a g the builder closed over would count nothing
+    cp = levy.CompoundPoissonJumps({1.0: 1.0, -0.5: 0.5})
+    st = levy.StableJumps(0.5, 1.0, 1.0)
+    args = {"cp_direction": (cp, {1.0: 0.5, -0.5: -1.0}),
+            "gamma_scale_direction": (2.0, 1.0, st),
+            "gamma_shape_direction": (1.0, st),
+            "stable_direction": (0.2, 1.0, 1.0, st)}
+    for builder in tracing.DIRECTION_BUILDERS:
+        d = getattr(levy, builder)(*args[builder])
+        calls = []
+        counted = dataclasses.replace(d, g=lambda x, g=d.g: calls.append(1) or g(x))
+        ref = cp if builder == "cp_direction" else st
+        model = levy.LevyModel(jumps=ref, drift_form="plain", eps=0.1)
+        levy.levy_derivative(levy.terminal_value, model, levy.JumpPerturbation(counted),
+                             rng.MCPlan(50, rng.RngStream(3)))
+        assert calls, builder
 
 
 def test_run_chunked_keeps_its_signature():

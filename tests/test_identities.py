@@ -10,7 +10,9 @@ identity and the Mecke identity.  The symmetry of D^n is checked on drawn config
 points, against the count kernel too, and D^n over a multiset against its
 signed binomial sum on the multiplicity lattice.  The Monte Carlo series
 (``mc_series`` through ``variational_series``) is checked against
-enumeration within 4 of its own stderrs.
+enumeration within 4 of its own stderrs, and each side of the
+thinning/superposition coupling (``sampler.couple_counts``) against its
+Poisson law.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from poissonpert import (AtomWindow, Functional, MCPlan, PerturbationFamily, Poi
                          reweighted_expectation, second_moment_bound, second_moment_exact,
                          threshold_indicator, variational_series, void_indicator)
 from poissonpert.configuration import difference_counts
+from poissonpert.sampler import couple_counts
 
 ATOMS = ["a", "b", "c"]
 DECOMPOSITIONS = ["direct", "lebesgue-nu", "lebesgue-lambda", "monotone"]
@@ -170,3 +173,20 @@ def test_mc_series_agrees_with_enumeration(pair, data):
     se = math.sqrt(math.fsum(s * s for s in res.stderrs))
     assert math.isfinite(se) and se > 0.0
     assert abs(res.value - exact_expectation(f, nu)) <= 4.0 * se
+
+
+@given(pair=pairs())
+def test_coupling_has_both_poisson_marginals(pair):
+    # per atom, each side's mean count is its Poisson mass within 4 stderrs,
+    # and the shared points are points of both configurations
+    lam, nu = pair
+    atoms, phi_lam, phi_nu, shared = couple_counts(lam, nu, STREAM.generator(), 4000)
+    assert np.all(shared <= phi_lam) and np.all(shared <= phi_nu)
+    for m, counts in ((lam, phi_lam), (nu, phi_nu)):
+        for a, col in zip(atoms, counts.T):
+            if m.mass(a) == 0.0:
+                assert not col.any()
+                continue
+            se = col.std() / math.sqrt(col.size)
+            assert math.isfinite(se) and se > 0.0
+            assert abs(col.mean() - m.mass(a)) <= 4.0 * se

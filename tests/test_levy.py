@@ -39,6 +39,16 @@ OTHER_REFERENCE = [
     (StableJumps, (1.2, 1.0, 1.0), (1.1, 1.0, 1.0)),
     (GammaJumps, (2.0, 1.0), (2.0, 1.5)),
 ]
+# a direction of each builder and the reference its mark law integrates against
+CP_REF = CompoundPoissonJumps({1.0: 0.4, -0.5: 1.0, 2.0: 0.7, 0.3: 0.2, -1.0: 0.9})
+HALF, TWO_SIDED = StableJumps(0.5, 1.0, 1.0), StableJumps(1.2, 1.0, 0.5)
+MARK_LAWS = [
+    pytest.param(cp_direction(CP_REF, {1.0: 0.5, -0.5: -0.25, 0.3: 1.5, 2.0: -2.0}), CP_REF,
+                 id="cp"),
+    pytest.param(gamma_scale_direction(2.0, 1.0, HALF), HALF, id="gamma_scale"),
+    pytest.param(gamma_shape_direction(1.0, HALF), HALF, id="gamma_shape"),
+    pytest.param(stable_direction(0.4, 1.0, 0.5, TWO_SIDED), TWO_SIDED, id="stable"),
+]
 
 
 def reference_pair(builder, args_a, args_b):
@@ -343,7 +353,7 @@ class TestDirections:
         st = StableJumps(0.5, 1.0, 1.0)
         d = gamma_scale_direction(2.0, 1.0, st)
         # |g| nu_ref = 2 e^{-x} dx: mass 2, first absolute moment 2
-        assert d.abs_mass_above(0.0) == pytest.approx(2.0)
+        assert d.mark_mass == pytest.approx(2.0)
         sq, _ = quad(lambda x: (2.0 * x ** 1.5 * math.exp(-x)) ** 2 * x ** -1.5,
                      0, 50)
         assert d.square_integral == pytest.approx(sq, rel=1e-8)
@@ -359,36 +369,62 @@ class TestDirections:
         np.testing.assert_array_equal(d.g(atoms), [g_map[a] for a in atoms])
         np.testing.assert_array_equal(d.g(atoms * (1.0 + 1e-9)), np.zeros(atoms.size))
         assert d.g(-3.0) == 0.0 and d.g(5.0) == 0.0  # beyond either end
-        # |g| d nu_ref is the compound-Poisson measure with masses |g| m; the
-        # atoms at 2.0 and at -1.0 (off g_map) weigh 0 and are never drawn
+        # the marks are the compound-Poisson measure with masses |g| m, untilted;
+        # the atoms at 2.0 and at -1.0 (off g_map) weigh 0 and are never drawn
         masses = {1.0: 0.4, -0.5: 1.0, 2.0: 0.7, 0.3: 0.2, -1.0: 0.9}
         d = cp_direction(CompoundPoissonJumps(masses), g_map)
         abs_jumps = CompoundPoissonJumps({s: abs(g_map.get(s, 0.0)) * m
                                           for s, m in masses.items()})
-        for eps in (0.0, 0.4, 1.5):
-            assert d.abs_mass_above(eps) == abs_jumps.mass_above(eps)
-            draws = d.sample_above(eps, 4_000, RngStream(5).generator())
-            np.testing.assert_array_equal(
-                draws, abs_jumps.sample_above(eps, 4_000, RngStream(5).generator()))
-            assert not np.isin(draws, [2.0, -1.0]).any()
-        assert d.abs_mass_above(0.0) == pytest.approx(0.5 * 0.4 + 0.25 + 1.5 * 0.2)
-        assert d.sample_above(1.5, 10, RngStream(5).generator()).size == 0
+        assert d.mark_mass == abs_jumps.mass_above(0.0)
+        draws = d.sample_marks(4_000, RngStream(5).generator())
+        np.testing.assert_array_equal(
+            draws, abs_jumps.sample_above(0.0, 4_000, RngStream(5).generator()))
+        assert not np.isin(draws, [2.0, -1.0]).any()
+        np.testing.assert_array_equal(d.tilt(draws), np.ones(draws.size))
+        assert d.mark_mass == pytest.approx(0.5 * 0.4 + 0.25 + 1.5 * 0.2)
 
-    def test_unnormalizable_direction_needs_truncation(self, rng):
-        st = StableJumps(0.5, 1.0, 1.0)
-        d = gamma_shape_direction(1.0, st)
-        model = LevyModel(jumps=st, drift=0.0, drift_form="compensated",
-                          t0=1.0, eps=0.1)
-        pert = JumpPerturbation(direction=d, theta0=0.0, interval=(0.0, 1.0))
-        with pytest.raises(ConditionError):
-            levy_derivative(terminal_value, model, pert,
-                            MCPlan(100, rng.child(14)))
-        est = levy_derivative(terminal_value, model, pert,
-                              MCPlan(2_000, rng.child(14)), direction_eps=0.05)
-        assert math.isfinite(est.estimate)
+    @pytest.mark.parametrize("d, nu_ref", MARK_LAWS)
+    def test_mark_law_mass_and_mean(self, d, nu_ref):
+        # the mark law is w |g| d nu_ref of mass Q: Q against the reference's
+        # own integral (a finite sum for compound Poisson), and the mean mark
+        # against int x w |g| d nu_ref / Q
+        def law(x):
+            return np.asarray(d.tilt(x)) * np.abs(np.asarray(d.g(x)))
+
+        assert d.mark_mass == pytest.approx(nu_ref.integrate(law, 0.0, np.inf), rel=1e-8)
+        mean = nu_ref.integrate(lambda x: x * law(x), 0.0, np.inf) / d.mark_mass
+        xs = d.sample_marks(20_000, RngStream(9).generator())
+        assert np.all(d.tilt(xs) > 0)
+        se = xs.std() / math.sqrt(xs.size)
+        assert math.isfinite(se) and se > 0
+        assert abs(xs.mean() - mean) <= 4 * se
+
 
 
 class TestLevyDerivative:
+    def test_gamma_shape_derivative_needs_no_cut(self, rng):
+        # |g| d nu_ref = x^-1 e^-x dx has infinite mass; oracle
+        # t0 int x g d nu_ref = t0 / beta, with no mark cut off
+        st = StableJumps(0.5, 1.0, 1.0)
+        model = LevyModel(jumps=st, drift=0.0, drift_form="compensated",
+                          t0=1.0, eps=0.1)
+        pert = JumpPerturbation(direction=gamma_shape_direction(1.0, st), theta0=0.0)
+        est = levy_derivative(terminal_value, model, pert, MCPlan(20_000, rng.child(14)))
+        assert math.isfinite(est.stderr) and est.stderr > 0
+        assert abs(est.estimate - 1.0) <= 3 * est.stderr
+
+    def test_two_sided_stable_derivative_needs_no_cut(self, rng):
+        # oracle: t0 int x g d nu_ref = t0 (q_pos - q_neg) / (1 - alpha_dir); a
+        # one-sided direction would give every replication the same value
+        st = StableJumps(1.2, 1.0, 0.5)
+        d = stable_direction(0.4, 1.0, 0.5, st)
+        model = LevyModel(jumps=st, drift=0.0, drift_form="compensated",
+                          t0=1.5, eps=0.1)
+        pert = JumpPerturbation(direction=d, theta0=0.0)
+        est = levy_derivative(terminal_value, model, pert, MCPlan(20_000, rng.child(30)))
+        assert math.isfinite(est.stderr) and est.stderr > 0
+        assert abs(est.estimate - 1.5 * d.drift_moment) <= 3 * est.stderr
+
     def test_terminal_value_is_direction_mean(self, rng):
         # oracle: t0 * int x g(x) nu_ref(dx) by quadrature
         cp = CompoundPoissonJumps({1.0: 0.6, -0.5: 0.4})
@@ -596,8 +632,7 @@ class TestSupremumDerivative:
         pert = JumpPerturbation(direction=stable_direction(0.2, 1.0, 1.0, st),
                                 theta0=0.0)
         with pytest.raises(ConditionError):
-            supremum_derivative(model, pert, MCPlan(100, rng.child(26)),
-                                direction_eps=0.05)
+            supremum_derivative(model, pert, MCPlan(100, rng.child(26)))
 
 
 class TestCoupledSimulation:
