@@ -223,7 +223,10 @@ def _run_deriv(cfg, args, out_dir: Path) -> int:
             est = pivotal_derivative(f, lam, theta, mc)
             rows.append(CheckRow("pivotal", est.estimate, exact_value, est.stderr, "z"))
         else:
-            # steps that keep theta - step >= 0, as lam.scaled requires
+            # steps that keep theta - step >= 0, as lam.scaled requires; at
+            # theta <= 0 no such step is positive
+            if not theta > 0:
+                raise ConfigError(f"theta must be positive for the scaled check, got {theta!r}")
             steps = (min(1e-2, theta / 2), min(1e-3, theta / 20))
             richardson = richardson_fd(lambda t: exact.exact_expectation(f, lam.scaled(t)),
                                        theta, steps)

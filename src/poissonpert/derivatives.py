@@ -22,6 +22,7 @@ makes the 3-sigma comparisons meaningful at desk scale.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,7 +153,10 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
 def coupled_scale_fd(f: Functional, lam: DiscreteMeasure, theta: float,
                      delta: float, mc: MCPlan) -> EstimateResult:
     """Central finite difference of theta -> E_{theta lam} f with common
-    random numbers via the thinning coupling."""
+    random numbers via the thinning coupling; delta must be finite and
+    positive (``ValueError`` otherwise)."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if theta - delta <= 0:
         raise ValueError("theta - delta must stay positive")
     hi = lam.scaled(theta + delta)

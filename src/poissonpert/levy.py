@@ -3,8 +3,11 @@ measure.
 
 A model is (sigma^2, drift, nu) with the jump measure given as a density
 ``g_nu`` against a reference jump measure built from a small library
-(two-sided power tails, gamma tails, compound Poisson).  Paths are simulated
-by sampling jumps above a threshold eps exactly and dropping the rest:
+(two-sided power tails, gamma tails, compound Poisson).  A density other
+than the reference's own 1 is a ``JumpDensity``, which carries the gap
+g_nu - 1 with g_nu, so no hypothesis integral subtracts values of g.  Paths
+are simulated by sampling jumps above a threshold eps exactly and dropping
+the rest:
 
 * in the compensated parameterization the drift absorbs the correction
   -int_{eps<|x|<=1} x nu(dx), so truncation leaves the mean exact and biases
@@ -124,7 +127,7 @@ class ConditionError(RuntimeError):
     """A hypothesis of the requested expansion or derivative fails."""
 
 
-def _panel_quad(fn, lo: float, hi: float, rounding=None) -> tuple[float, float]:
+def _panel_quad(fn, lo: float, hi: float) -> tuple[float, float]:
     """Integrate fn over (lo, hi]; return the value and its error estimate.
 
     The panels' edges are powers of two (of min(1, hi) toward 0, of
@@ -142,12 +145,8 @@ def _panel_quad(fn, lo: float, hi: float, rounding=None) -> tuple[float, float]:
     remainder is the series of the last panel's ratio to the one before; its
     error is the gap to the series of the ratio one panel further in.  A
     ratio outside [0, 1) (a divergent or sign-changing end) makes the error
-    infinite.
-
-    ``rounding``, when given, is a nonnegative integrand bounding the
-    rounding error of fn's values (fn formed by cancellation); its integral,
-    on the same panels and remainders, is added to the error.  An error
-    above max(1e-9, 1e-7 |total|) raises ``QuadratureError``.
+    infinite.  An error above max(1e-9, 1e-7 |total|) raises
+    ``QuadratureError``.
     """
     edges, lo_open, hi_open = _panel_edges(lo, hi)
     if edges.size < 2:
@@ -173,17 +172,11 @@ def _panel_quad(fn, lo: float, hi: float, rounding=None) -> tuple[float, float]:
         root = np.concatenate((root[keep], root[split], root[split]))
         val, gap, floor = (np.concatenate((old[keep], part)) for old, part in
                            zip((val, gap, floor), new))
-    n_roots = edges.size - 1
     total = val.sum()
     error = _panel_errors(gap, floor).sum()
-    for part, part_err in _open_ends(np.bincount(root, val, n_roots), lo_open, hi_open):
+    for part, part_err in _open_ends(np.bincount(root, val, edges.size - 1), lo_open, hi_open):
         total += part
         error += part_err
-    if rounding is not None:
-        bound = _kronrod(rounding, a, b)[0]
-        error += bound.sum() + sum(part + part_err for part, part_err in
-                                   _open_ends(np.bincount(root, bound, n_roots),
-                                              lo_open, hi_open))
     if not (math.isfinite(total) and error <= max(1e-9, 1e-7 * abs(total))):
         raise QuadratureError(f"quadrature error estimate {error:g} too large")
     return float(total), float(error)
@@ -329,7 +322,6 @@ class CompoundPoissonJumps(_ReferenceMeasure):
             clean[s] = m
         self.sizes = np.array(sorted(clean))
         self.masses = np.array([clean[s] for s in self.sizes])
-        self.min_eps = 0.0
         self.finite_variation = True
 
     def _params(self) -> tuple:
@@ -350,9 +342,8 @@ class CompoundPoissonJumps(_ReferenceMeasure):
             return np.empty(0)
         return gen.choice(sizes, size=n, p=masses / masses.sum())
 
-    def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
-        """int_{lo<|x|<=hi} fn d nu: a finite sum, so ``rounding`` (see
-        ``_panel_quad``) has no quadrature error to join and is unused."""
+    def integrate(self, fn, lo: float, hi: float) -> float:
+        """int_{lo<|x|<=hi} fn d nu: a finite sum over the atoms."""
         keep = (np.abs(self.sizes) > lo) & (np.abs(self.sizes) <= hi)
         if not np.any(keep):
             return 0.0
@@ -371,7 +362,6 @@ class StableJumps(_ReferenceMeasure):
         self.alpha = alpha
         self.c_pos = c_pos
         self.c_neg = c_neg
-        self.min_eps = None  # infinite activity: a positive eps is mandatory
         self.finite_variation = alpha < 1.0
 
     def _params(self) -> tuple:
@@ -394,18 +384,14 @@ class StableJumps(_ReferenceMeasure):
         signs = np.where(gen.random(n) < self.c_pos / (self.c_pos + self.c_neg), 1.0, -1.0)
         return r * signs
 
-    def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
-        """int_{lo<|x|<=hi} fn d nu, one ``_panel_quad`` per side; fn (and
-        the ``rounding`` bound of its error, if any) take arrays."""
-
-        def weighted(h, sign):
-            return None if h is None else (lambda r: h(sign * r) * r ** (-self.alpha - 1.0))
-
+    def integrate(self, fn, lo: float, hi: float) -> float:
+        """int_{lo<|x|<=hi} fn d nu, one ``_panel_quad`` per side; fn takes
+        arrays."""
         total = 0.0
         for c, sign in ((self.c_pos, 1.0), (self.c_neg, -1.0)):
             if c > 0:
-                total += c * _panel_quad(weighted(fn, sign), lo, hi,
-                                         weighted(rounding, sign))[0]
+                total += c * _panel_quad(lambda r: fn(sign * r) * r ** (-self.alpha - 1.0),
+                                         lo, hi)[0]
         return total
 
 
@@ -418,7 +404,6 @@ class GammaJumps(_ReferenceMeasure):
             raise ValueError("theta and beta must be positive")
         self.theta = theta
         self.beta = beta
-        self.min_eps = None
         self.finite_variation = True
         self._cdf_cache: dict = {}
 
@@ -451,14 +436,10 @@ class GammaJumps(_ReferenceMeasure):
         cdf, xs = self._inverse_cdf(eps)
         return np.interp(gen.random(n), cdf, xs)
 
-    def integrate(self, fn, lo: float, hi: float, rounding=None) -> float:
-        """int_{lo<x<=hi} fn d nu by ``_panel_quad``; fn (and the
-        ``rounding`` bound of its error, if any) take arrays."""
-
-        def weighted(h):
-            return None if h is None else (lambda r: h(r) * np.exp(-self.beta * r) / r)
-
-        return self.theta * _panel_quad(weighted(fn), lo, hi, weighted(rounding))[0]
+    def integrate(self, fn, lo: float, hi: float) -> float:
+        """int_{lo<x<=hi} fn d nu by ``_panel_quad``; fn takes arrays."""
+        return self.theta * _panel_quad(lambda r: fn(r) * np.exp(-self.beta * r) / r,
+                                        lo, hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +646,15 @@ class JumpPerturbation:
 
 @dataclass(frozen=True)
 class JumpDensity:
-    """A jump density g against the reference that also evaluates its gap
-    g - 1 directly.
+    """A jump density g against the reference, with its gap g - 1 evaluated
+    directly: the one form a non-reference ``LevyModel.density`` takes.
 
     Where g is within rounding of 1 (near the origin of a power-tail
     perturbation), forming g - 1 from values of g loses every significant
-    digit, so the hypothesis integrals of ``check_pair`` use ``gap``.
-    Calling the object returns g itself, which is what thinning uses.
+    digit, so every hypothesis integral of ``check_pair`` and the series
+    direction of ``levy_series`` are formed from ``gap``, never by
+    subtracting values of g.  Calling the object returns g itself, which is
+    what thinning uses.
     """
 
     value: Callable
@@ -688,8 +671,8 @@ class LevyModel:
 
     The jump measure is ``density * jumps``; references compare by value
     (equal builder parameters are one measure).  ``density`` is None for the
-    reference itself, a plain callable g, or a ``JumpDensity`` that also
-    carries the gap g - 1 (see ``gap``).
+    reference itself or a ``JumpDensity``, which carries the gap g - 1 with
+    g; anything else raises ``TypeError``.
 
     ``drift_form``: "plain" means X = drift*t + W + sum of jumps (valid only
     for finite-variation jump parts); "compensated" means the drift pairs
@@ -698,7 +681,7 @@ class LevyModel:
     """
 
     jumps: object
-    density: Callable | None = None
+    density: JumpDensity | None = None
     density_bound: float = 1.0
     drift: float = 0.0
     drift_form: str = "plain"
@@ -716,18 +699,21 @@ class LevyModel:
             raise ValueError("Wiener variance must be nonnegative")
         if self.drift_form not in ("plain", "compensated"):
             raise ValueError(f"unknown drift form {self.drift_form!r}")
-        if self.eps <= 0 and self.jumps.min_eps is None:
-            raise ValueError("eps = 0 with an infinite-activity jump measure")
+        if self.density is not None and not isinstance(self.density, JumpDensity):
+            raise TypeError("density must be None or a JumpDensity, "
+                            f"not {type(self.density).__name__}")
         if self.drift_form == "plain" and not self.jumps.finite_variation:
             raise ValueError("plain drift form requires finite-variation jumps")
+        # the envelope Poisson rate of jumps above eps over the horizon; first,
+        # so that eps <= 0 on an infinite-activity reference raises its
+        # ValueError before any quadrature near 0
+        object.__setattr__(self, "jump_rate",
+                           self.t0 * self.density_bound * self.jumps.mass_above(self.eps))
         if self.drift_form == "plain":
             slope = self.drift
         else:
             slope = self.drift - self.nu_integral(lambda x: x, self.eps, 1.0)
         object.__setattr__(self, "slope", slope)
-        # the envelope Poisson rate of jumps above eps over the horizon
-        object.__setattr__(self, "jump_rate",
-                           self.t0 * self.density_bound * self.jumps.mass_above(self.eps))
 
     def g(self, x):
         if self.density is None:
@@ -736,20 +722,11 @@ class LevyModel:
         return self.density(x)
 
     def gap(self, x):
-        """The density gap g(x) - 1: carried by a ``JumpDensity``, otherwise
-        formed from g (exactly 0 for the reference itself)."""
-        if isinstance(self.density, JumpDensity):
-            return self.density.gap(x)
-        return np.asarray(self.g(x)) - 1.0
-
-    @property
-    def gap_error(self):
-        """None where ``gap`` is exact (the reference itself, a
-        ``JumpDensity``); for a plain callable g, whose gap is the
-        subtraction g - 1, the bound x -> eps |g(x)| on its rounding."""
-        if self.density is None or isinstance(self.density, JumpDensity):
-            return None
-        return lambda x: EPS * np.abs(np.asarray(self.density(x), dtype=float))
+        """The density gap g(x) - 1 that the ``JumpDensity`` carries; exactly
+        0 for the reference itself."""
+        if self.density is None:
+            return np.zeros_like(np.asarray(x, dtype=float))
+        return self.density.gap(x)
 
     def nu_integral(self, fn, lo: float, hi: float) -> float:
         """int_{lo<|x|<=hi} fn(x) nu(dx) with nu = g_nu * nu_ref."""
@@ -1200,20 +1177,10 @@ def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
 # ---------------------------------------------------------------------------
 
 
-def drift_adjust(b: float, direction: JumpDirection, theta_delta: float,
-                 nu_ref=None) -> float:
-    """b + theta_delta * int_{|x|<=1} x g(x) nu_ref(dx).
-
-    Uses the direction's closed-form moment when available, otherwise
-    adaptive quadrature against the reference.
-    """
-    moment = direction.drift_moment
-    if moment is None:
-        if nu_ref is None:
-            raise ValueError("need the reference measure for quadrature")
-        moment = nu_ref.integrate(lambda x: np.asarray(x) * np.asarray(direction.g(x)),
-                                  0.0, 1.0)
-    return b + theta_delta * moment
+def drift_adjust(b: float, direction: JumpDirection, theta_delta: float) -> float:
+    """b + theta_delta * int_{|x|<=1} x g(x) nu_ref(dx), from the direction's
+    closed-form ``drift_moment``."""
+    return b + theta_delta * direction.drift_moment
 
 
 def check_direction(direction: JumpDirection) -> dict:
@@ -1232,33 +1199,23 @@ def check_pair(model: LevyModel, target: LevyModel) -> dict:
 
     The reference measures must be equal; they compare by value, so two
     separately built equal builders qualify.  Every integrand is formed from
-    the density gaps g - 1 (``LevyModel.gap``), never by subtracting values
-    of g, and a quadrature failure names the integral it happened in.  A
-    plain-callable density only yields its gap by that subtraction, off by
-    up to eps |g|; its integrals carry that rounding in their error estimate
-    (eps |g| (2 |g - 1| + eps) for the square gap).  Against a reference of
-    infinite mass near 0 that bound diverges, so there a plain callable
-    raises ``QuadratureError`` and the density must be a ``JumpDensity``.
+    the exact density gaps g - 1 (``LevyModel.gap``), never by subtracting
+    values of g, and a quadrature failure names the integral it happened in.
     """
     if model.jumps != target.jumps:
         raise ConditionError("models must share the reference jump measure")
 
-    def integral(name, fn, lo, hi, rounding=None):
+    def integral(name, fn, lo, hi):
         try:
-            return model.jumps.integrate(fn, lo, hi, rounding=rounding)
+            return model.jumps.integrate(fn, lo, hi)
         except QuadratureError as err:
             raise QuadratureError(f"{name}: {err}") from err
 
     out = {}
     for tag, m in (("base", model), ("target", target)):
-        gap_err = m.gap_error
-        gap = integral(f"{tag} square gap", lambda x: m.gap(x) ** 2, 0.0, np.inf,
-                       None if gap_err is None else
-                       lambda x: gap_err(x) * (2.0 * np.abs(m.gap(x)) + EPS))
+        gap = integral(f"{tag} square gap", lambda x: m.gap(x) ** 2, 0.0, np.inf)
         wedge = integral(f"{tag} small-jump x gap",
-                         lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0,
-                         None if gap_err is None else
-                         lambda x: np.minimum(np.abs(x), 1.0) * gap_err(x))
+                         lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0)
         out[f"{tag}_square_gap"] = gap
         out[f"{tag}_x_gap"] = wedge
         if not math.isfinite(gap) or gap >= CAP:
@@ -1271,11 +1228,8 @@ def check_pair(model: LevyModel, target: LevyModel) -> dict:
         if abs(model.drift - target.drift) > DRIFT_TOL:
             raise ConditionError("plain-form models must share the drift")
     else:
-        errs = [e for e in (model.gap_error, target.gap_error) if e is not None]
-        move = integral(
-            "compensation move",
-            lambda x: np.asarray(x) * (target.gap(x) - model.gap(x)), 0.0, 1.0,
-            (lambda x: np.abs(x) * sum(e(x) for e in errs)) if errs else None)
+        move = integral("compensation move",
+                        lambda x: np.asarray(x) * (target.gap(x) - model.gap(x)), 0.0, 1.0)
         if abs((target.drift - model.drift) - move) > max(DRIFT_TOL, 1e-7 * abs(move)):
             raise ConditionError("drifts do not satisfy the compensation relation")
     return out
@@ -1307,7 +1261,7 @@ def perturbed_model(model: LevyModel, pert: JumpPerturbation, theta: float) -> L
     if model.drift_form == "plain":
         drift = model.drift
     else:
-        drift = drift_adjust(model.drift, d, dt, model.jumps)
+        drift = drift_adjust(model.drift, d, dt)
     return replace(model, density=JumpDensity(g_theta, gap_theta), density_bound=bound,
                    drift=drift)
 
@@ -1322,7 +1276,11 @@ def gamma_overlay_model(theta: float, beta0: float, alpha: float, t0: float,
     theta x^(-1) exp(-beta0 x) dx; the perturbation moves its scale along
     ``gamma_scale_direction`` around theta0 = beta0, where
     d/dbeta E X_t0 = -theta t0 / beta0^2.  The gap g - 1 is carried exactly.
+    theta and beta0 must be finite and positive (``ValueError`` otherwise).
     """
+    for name, value in (("theta", theta), ("beta0", beta0)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     st = StableJumps(alpha, 1.0, 1.0)
     gmax = theta * (alpha / beta0) ** alpha * math.exp(-alpha)
 
@@ -1439,7 +1397,8 @@ def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
     on a compound-Poisson reference (any other raises ``ConditionError``).
 
     Order n integrates the expected n-fold path difference against the
-    tensorized density gap g_target - g_base on the reference's atoms:
+    tensorized density gap g_target - g_base on the reference's atoms, formed
+    as the difference of the two exact gaps (``LevyModel.gap``):
     ``mc_series`` over ``jump_draw``, with the absolute mass M = t0 int |g| d
     nu_ref setting the Poisson(M) budget of each order.  The series always
     runs to ``n_max``; a path functional declares no bound, so
@@ -1451,8 +1410,7 @@ def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
         raise ConditionError("the Levy series needs a compound-Poisson reference, "
                              f"not {type(model.jumps).__name__}")
     check_pair(model, target)
-    gap = {float(s): float(np.asarray(target.g(s)) - np.asarray(model.g(s)))
-           for s in model.jumps.sizes}
+    gap = {float(s): float(target.gap(s) - model.gap(s)) for s in model.jumps.sizes}
     return mc_series(*jump_draw(f, model, cp_direction(model.jumps, gap)), n_max, mc)
 
 
@@ -1542,7 +1500,10 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
     one coupled batch per block.  Each path's bridge maxima come from its own
     end values, so each side is exact even where a compensated drift moves
     the slope with theta.  The suprema of the first ``SPOT_CHECKS`` pairs of
-    block 0 are checked against ``CadlagPath``."""
+    block 0 are checked against ``CadlagPath``.  delta must be finite and
+    positive (``ValueError`` otherwise)."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     f = running_supremum
     lo = perturbed_model(model, pert, pert.theta0 - delta)
     hi = perturbed_model(model, pert, pert.theta0 + delta)

@@ -160,6 +160,14 @@ class TestDerivStudy:
         assert row["pass"] == verdict
         assert abs(float(row["value"]) - shift - float(row["target"])) < 1e-9
 
+    def test_scaled_estimator_at_theta_zero_is_a_config_error(self, tmp_path, capsys):
+        # both Richardson steps are 0 there: a ZeroDivisionError traceback (exit 1)
+        path = small_copy("deriv_pivotal.ini", tmp_path, deriv__estimator="scaled",
+                          deriv__theta="0")
+        assert main(["deriv", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert "config error: theta must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("direction, code", [
         ("a 0.5\nb -0.25\n", EXIT_OK),
         ("a 0.5\nb -0.25\na 0.3\n", EXIT_CONFIG),  # a density file lists atom a twice
@@ -203,6 +211,19 @@ def test_non_finite_levy_value_is_a_config_error(config, settings, name, tmp_pat
     argv = [STUDY_OF_CONFIG[config], "--config", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, name", [
+    # a ZeroDivisionError traceback (exit 1)
+    ({"levy__beta0": "0"}, "beta0"),
+    # exit 2, but blaming the declared bound of the jump density
+    ({"levy__theta": "-0.5"}, "theta"),
+], ids=["beta0", "theta"])
+def test_nonpositive_gamma_overlay_value_is_a_config_error(settings, name, tmp_path, capsys):
+    path = small_copy("levy_deriv_gamma_scale.ini", tmp_path, **settings)
+    argv = ["levy-deriv", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {name} must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])

@@ -222,6 +222,13 @@ class TestCoupledFiniteDifference:
         # central-difference curvature bias is ~ delta^2/6 * third derivative
         assert abs(fd.estimate - exact_d) <= 3 * fd.stderr + 1e-3
 
+    @pytest.mark.parametrize("delta", [0.0, -0.05, math.nan])
+    def test_step_must_be_positive(self, rng, delta):
+        # delta = 0 used to divide 0 by 0 into a NaN estimate
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            coupled_scale_fd(threshold_indicator(1), discrete({"b": 1.0}), 0.5, delta,
+                             MCPlan(100, rng.child(11)))
+
     def test_variance_reduction_against_independent_sampling(self, rng):
         # the coupled estimator should beat two independent estimates clearly
         lam = discrete({"b": 1.0})

@@ -9,7 +9,7 @@ from scipy.stats import poisson as poisson_law
 
 from poissonpert import MCPlan, RngStream
 from poissonpert.levy import (CadlagPath, CompoundPoissonJumps, ConditionError,
-                              GammaJumps, JumpPerturbation, LevyModel,
+                              GammaJumps, JumpDensity, JumpPerturbation, LevyModel,
                               QuadratureError, StableJumps,
                               check_direction, check_pair, coupled_supremum_fd,
                               cp_direction, drift_adjust, gamma_scale_direction,
@@ -84,6 +84,13 @@ class TestBuilders:
     def test_non_finite_value_rejected(self, build, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
             build(value)
+
+    def test_zero_eps_on_infinite_activity_is_a_value_error(self):
+        # jump_rate's mass_above(eps) must reject eps = 0 before the
+        # compensated slope integrates down to 0, whose QuadratureError the
+        # CLI does not catch
+        with pytest.raises(ValueError, match="eps"):
+            LevyModel(jumps=StableJumps(1.5), drift_form="compensated", eps=0.0)
 
     def test_stable_mass_above(self):
         st = StableJumps(0.5, 1.0, 1.0)
@@ -177,7 +184,8 @@ class TestSimulatePath:
     def test_jump_rate_is_computed_once_per_model(self, rng, monkeypatch):
         from poissonpert.levy import simulate_coupled_paths, simulate_paths
         gj = GammaJumps(2.0, 1.0)
-        model = LevyModel(jumps=gj, density=lambda x: np.full(np.shape(x), 0.5),
+        model = LevyModel(jumps=gj, density=JumpDensity(lambda x: np.full(np.shape(x), 0.5),
+                                                        lambda x: np.full(np.shape(x), -0.5)),
                           density_bound=1.5, t0=2.0, eps=0.01)
         other = LevyModel(jumps=GammaJumps(2.0, 1.0), t0=2.0, eps=0.01)
         assert model.jump_rate == 2.0 * 1.5 * gj.mass_above(0.01)
@@ -332,13 +340,11 @@ class TestDriftAdjust:
         assert drift_adjust(0.1, d, 3.0) == pytest.approx(0.1, abs=1e-12)
 
     def test_quadrature_route(self):
-        # drop the closed form and integrate x * g against the reference
+        # the closed-form moment against quadrature of x * g on the reference
         st = StableJumps(0.5, 1.0, 1.0)
-        d0 = gamma_scale_direction(2.0, 1.0, st)
-        import dataclasses
-        d = dataclasses.replace(d0, drift_moment=None)
-        out = drift_adjust(0.0, d, 1.0, nu_ref=st)
-        assert out == pytest.approx(d0.drift_moment, abs=1e-8)
+        d = gamma_scale_direction(2.0, 1.0, st)
+        quad_moment = st.integrate(lambda x: x * d.g(x), 0.0, 1.0)
+        assert drift_adjust(0.0, d, 1.0) == pytest.approx(quad_moment, abs=1e-8)
 
 
 class TestDirections:
@@ -443,12 +449,13 @@ class TestLevyDerivative:
         st = StableJumps(alpha, 1.0, 1.0)
         gmax = theta * (alpha / beta0) ** alpha * math.exp(-alpha)
 
-        def g_nu(x):
+        def gap(x):
             x = np.asarray(x, dtype=float)
-            out = 1.0 + np.where(x > 0, theta * np.power(np.maximum(x, 0), alpha)
-                                 * np.exp(-beta0 * np.maximum(x, 0)), 0.0)
+            out = np.where(x > 0, theta * np.power(np.maximum(x, 0), alpha)
+                           * np.exp(-beta0 * np.maximum(x, 0)), 0.0)
             return out if out.shape else float(out)
 
+        g_nu = JumpDensity(lambda x: 1.0 + gap(x), gap)
         model = LevyModel(jumps=st, density=g_nu, density_bound=1.0 + gmax,
                           drift=0.0, drift_form="compensated", t0=1.0, eps=0.05)
         pert = JumpPerturbation(direction=gamma_scale_direction(theta, beta0, st),
@@ -480,7 +487,8 @@ class TestLevySeries:
         model = cp_model({1.0: 1.0})
         target = LevyModel(
             jumps=model.jumps,
-            density=lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+            density=JumpDensity(lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+                                lambda x: np.ones_like(np.asarray(x, dtype=float))),
             density_bound=2.0, drift=0.0, drift_form="plain", t0=1.0, eps=0.0)
         res = levy_series(no_jump_indicator, model, target,
                           MCPlan(1_500, rng.child(19)), n_max=5)
@@ -497,7 +505,8 @@ class TestLevySeries:
         cp = CompoundPoissonJumps({1.0: 1.0, -0.5: 0.5})
         model = cp_model({1.0: 1.0, -0.5: 0.5}, drift=0.2)
         target = LevyModel(
-            jumps=cp, density=lambda x: np.where(np.asarray(x) > 0, 1.5, 1.0),
+            jumps=cp, density=JumpDensity(lambda x: np.where(np.asarray(x) > 0, 1.5, 1.0),
+                                          lambda x: np.where(np.asarray(x) > 0, 0.5, 0.0)),
             density_bound=1.5, drift=0.2, drift_form="plain", t0=1.0, eps=0.0)
         res = levy_series(terminal_value, model, target,
                           MCPlan(2_000, rng.child(20)), n_max=3)
@@ -539,13 +548,17 @@ class TestLevySeries:
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_quadrature_failure_names_the_integral(self):
-        # a plain callable g = 1 + 0.5 g_dir only yields its gap as g - 1,
-        # which cancels near 0 and spoils the square-gap quadrature
+        # the exact gap 0.5 |x|^0.1 on |x| <= 1 has the square gap
+        # int 0.25 x^0.2 x^-2.2 dx = int 0.25 x^-2 dx near 0, which diverges
         st = StableJumps(1.2, 1.0, 1.0)
         model = LevyModel(jumps=st, drift=0.1, drift_form="compensated",
                           t0=1.0, eps=0.05)
-        direction = stable_direction(0.5, 1.0, 0.0, st)
-        target = LevyModel(jumps=st, density=lambda x: 1.0 + 0.5 * direction.g(x),
+
+        def gap(x):
+            ax = np.abs(np.asarray(x, dtype=float))
+            return np.where(ax <= 1.0, 0.5 * ax ** 0.1, 0.0)
+
+        target = LevyModel(jumps=st, density=JumpDensity(lambda x: 1.0 + gap(x), gap),
                            density_bound=1.5, drift=0.1, drift_form="compensated",
                            t0=1.0, eps=0.05)
         with pytest.raises(QuadratureError, match="^target square gap: "):
@@ -617,6 +630,14 @@ class TestSupremumDerivative:
         combined = math.sqrt(res.stderr ** 2 + fd.stderr ** 2)
         assert abs(res.estimate - fd.estimate) <= 3 * combined
         assert res.kernel_max_err < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, -0.05, math.nan])
+    def test_coupled_fd_step_must_be_positive(self, rng, delta):
+        # delta = 0 used to divide 0 by 0 into a NaN estimate
+        cp = CompoundPoissonJumps({1.0: 1.0})
+        pert = JumpPerturbation(direction=cp_direction(cp, {1.0: 1.0}), theta0=0.0)
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            coupled_supremum_fd(cp_model({1.0: 1.0}), pert, delta, MCPlan(100, rng.child(27)))
 
     def test_q_histogram_accumulates_all_samples(self, rng):
         cp = CompoundPoissonJumps({1.0: 1.0})

@@ -17,8 +17,8 @@ from test_exact_arrays import PROFILE
 from poissonpert import MCPlan, RngStream
 from poissonpert import levy
 from poissonpert.levy import (BatchMismatchError, CadlagPath, CompoundPoissonJumps,
-                              GammaJumps, JumpPerturbation, LevyModel, PathBatch, StableJumps,
-                              cp_direction, no_jump_indicator, running_supremum,
+                              GammaJumps, JumpDensity, JumpPerturbation, LevyModel, PathBatch,
+                              StableJumps, cp_direction, no_jump_indicator, running_supremum,
                               simulate_coupled_paths, simulate_paths, stable_direction,
                               terminal_value)
 from poissonpert.rng import SPOT_CHECKS
@@ -277,8 +277,9 @@ class TestSimulators:
             assert np.all(np.diff(batch.path(i).jump_t) >= 0)
 
     def test_thinned_density_bound_checked(self, rng):
-        model = LevyModel(jumps=CP, density=lambda x: 2.0 * np.ones_like(np.asarray(x)),
-                          density_bound=1.5, t0=1.0)
+        density = JumpDensity(lambda x: 2.0 * np.ones_like(np.asarray(x)),
+                              lambda x: np.ones_like(np.asarray(x)))
+        model = LevyModel(jumps=CP, density=density, density_bound=1.5, t0=1.0)
         with pytest.raises(ValueError, match="declared bound"):
             simulate_paths(model, 50, rng.child(3).generator())
 
