@@ -37,8 +37,9 @@ from . import battery, exact, levy, likelihood, measures, sampler, series
 from .battery import CheckRow
 from .configuration import (Functional, constant_functional, count_functional,
                             count_squared, threshold_indicator, void_indicator)
-from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
-                          pivotal_derivative, richardson_fd, scaled_derivative)
+from .derivatives import (NonIncreasingEventError, coupled_scale_fd, linear_derivative,
+                          nonlinear_derivative, pivotal_derivative, richardson_fd,
+                          scaled_derivative)
 from .likelihood import AdmissibilityError
 from .measures import AtomWindow, DiscreteMeasure, PerturbationFamily
 from .rng import RngStream, mc_mean
@@ -475,7 +476,7 @@ def main(argv=None) -> int:
 
     try:
         return RUNNERS[args.subcommand](cfg, args, Path(args.out))
-    except (AdmissibilityError, levy.ConditionError) as err:
+    except (AdmissibilityError, levy.ConditionError, NonIncreasingEventError) as err:
         print(f"admissibility failure: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
     except (ConfigError, configparser.Error, KeyError, ValueError) as err:

@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .configuration import Functional, block_values
-from .exact import EnumerationPlan
 from .measures import DiscreteMeasure, PerturbationFamily
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import couple_counts, sample_counts
@@ -47,8 +46,7 @@ def _direction_weights(family: PerturbationFamily) -> dict:
 
 
 def linear_derivative(f: Functional, family: PerturbationFamily, theta: float,
-                      mode: str = "exact", plan: EnumerationPlan | None = None,
-                      mc: MCPlan | None = None) -> float | EstimateResult:
+                      mode: str = "exact", mc: MCPlan | None = None) -> float | EstimateResult:
     """Derivative of E f along a linear family, at any theta in the interval."""
     if not family.is_linear:
         raise ValueError("linear_derivative expects a remainder-free family")
@@ -56,12 +54,12 @@ def linear_derivative(f: Functional, family: PerturbationFamily, theta: float,
         raise ValueError(f"theta={theta} outside declared interval {family.interval}")
     lam_theta = family.measure_at(theta)
     weights = _direction_weights(family)
-    return order_one(f, lam_theta, *_signed_atoms(weights), mode, plan, mc)
+    return order_one(f, lam_theta, *_signed_atoms(weights), mode, mc)
 
 
 def nonlinear_derivative(f: Functional, family: PerturbationFamily,
-                         mode: str = "exact", plan: EnumerationPlan | None = None,
-                         mc: MCPlan | None = None) -> float | EstimateResult:
+                         mode: str = "exact", mc: MCPlan | None = None
+                         ) -> float | EstimateResult:
     """Derivative at theta0 of a family with a dominated vanishing remainder.
 
     Hypotheses are spot-checked by sampling: densities stay nonnegative on
@@ -79,23 +77,21 @@ def nonlinear_derivative(f: Functional, family: PerturbationFamily,
     family.validate(list(rho.support()))
     base = family.base_measure()
     weights = _direction_weights(family)
-    return order_one(f, base, *_signed_atoms(weights), mode, plan, mc)
+    return order_one(f, base, *_signed_atoms(weights), mode, mc)
 
 
 def scaled_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
-                      mode: str = "exact", plan: EnumerationPlan | None = None,
-                      mc: MCPlan | None = None) -> float | EstimateResult:
+                      mode: str = "exact", mc: MCPlan | None = None) -> float | EstimateResult:
     """d/dtheta E_{theta lam} f for a finite measure lam, theta >= 0."""
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     scaled = lam.scaled(theta)
     weights = {a: lam.mass(a) for a in lam.atoms}
-    return order_one(f, scaled, *_signed_atoms(weights), mode, plan, mc)
+    return order_one(f, scaled, *_signed_atoms(weights), mode, mc)
 
 
 def scaled_taylor_report(f: Functional, lam: DiscreteMeasure, theta: float,
-                         n_max: int = 30, plan: EnumerationPlan | None = None
-                         ) -> SeriesResult:
+                         n_max: int = 30) -> SeriesResult:
     """Taylor expansion of theta -> E_{theta lam} f around zero intensity.
 
     Exposes the analyticity of the scaled map: coefficients are the empty-
@@ -104,7 +100,7 @@ def scaled_taylor_report(f: Functional, lam: DiscreteMeasure, theta: float,
     family = PerturbationFamily.linear(
         rho=lam, base_density=lambda x: 0.0, direction=lambda x: 1.0,
         theta0=0.0, interval=(0.0, max(theta, 1.0)))
-    return parametric_series(f, family, theta, n_max=n_max, plan=plan)
+    return parametric_series(f, family, theta, n_max=n_max)
 
 
 def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,

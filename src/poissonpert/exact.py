@@ -2,7 +2,10 @@
 
 Every result here comes from one lattice of count vectors.  Per-atom counts
 are truncated at a Poisson quantile chosen so the neglected tail mass stays
-below the plan's ``tail`` bound.  The functional is evaluated once over the
+below the plan's ``tail`` bound.  That tail belongs to the base measure and
+the growth of f, not to the identity evaluated, so the plan is the engine's
+own: ``EnumerationPlan()``, or likelihood's ``plan_for_measures`` floor, and
+only the lattice primitives take one.  The functional is evaluated once over the
 whole lattice, as array work through its count-array form
 (``Functional.counts``), and the Poisson mixture is contracted afterwards.
 A plain expectation is one compensated sum over the lattice, so results are
@@ -285,22 +288,21 @@ class FockCheck:
 
 
 def fock_identity_check(f: Functional, g: Functional, m: DiscreteMeasure,
-                        n_max: int, plan: EnumerationPlan | None = None) -> FockCheck:
+                        n_max: int) -> FockCheck:
     """Compare E[f g] with its truncated difference-product expansion
 
         sum_n 1/n! int (E D^n f)(E D^n g) dm^n.
     """
-    plan = plan or EnumerationPlan()
     both = Functional(lambda phi: f(phi) * g(phi),
                       growth_degree=(f.growth_degree or 0) + (g.growth_degree or 0) or None,
                       name=f"{f.name}*{g.name}",
                       counts=None if f.counts is None or g.counts is None else
                       lambda cs, atoms: f.counts(cs, atoms) * g.counts(cs, atoms))
-    lhs = exact_expectation(both, m, plan)
+    lhs = exact_expectation(both, m)
 
     atoms = list(m.support())
-    table_f = forward_difference_table(expectation_table(f, m, atoms, n_max, plan))
-    table_g = forward_difference_table(expectation_table(g, m, atoms, n_max, plan))
+    table_f = forward_difference_table(expectation_table(f, m, atoms, n_max))
+    table_g = forward_difference_table(expectation_table(g, m, atoms, n_max))
     wt = weight_table([m.mass(a) for a in atoms], n_max)
     terms = order_sums(table_f * table_g * wt, n_max)
     partials = np.cumsum(terms)
@@ -310,8 +312,7 @@ def fock_identity_check(f: Functional, g: Functional, m: DiscreteMeasure,
                      partials=tuple(float(p) for p in partials))
 
 
-def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure,
-                            plan: EnumerationPlan | None = None) -> float:
+def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Squared Hellinger distance between two Poisson laws, by enumeration.
 
     Counts factorize over atoms, so the Bhattacharyya affinity is a product
@@ -319,7 +320,7 @@ def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure,
     minus that product.  Serves as the independent oracle for the identity
     route in :func:`poissonpert.measures.hellinger_poisson`.
     """
-    plan = plan or EnumerationPlan()
+    plan = EnumerationPlan()
     affinity = 1.0
     for a in sorted(set(lam.atoms) | set(nu.atoms), key=repr):
         ml, mn = lam.mass(a), nu.mass(a)

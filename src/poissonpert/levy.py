@@ -81,7 +81,7 @@ import numpy as np
 
 from .measures import within_bound
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
-from .series import SeriesResult, mc_series, mc_term
+from .series import SeriesResult, _check_order, mc_series, mc_term
 
 CAP = 1e12  # the largest hypothesis integral accepted as finite
 DRIFT_TOL = 1e-9  # ``check_pair``: absolute tolerance of the drift relation
@@ -736,12 +736,19 @@ class LevyModel:
                                     lo, hi)
 
     def moments(self) -> dict:
-        """Triplet mean and variance of X_{t0} for the simulated process."""
-        if self.drift_form == "plain":
-            mean = self.t0 * (self.drift + self.nu_integral(lambda x: x, self.eps, np.inf))
-        else:
-            mean = self.t0 * (self.drift + self.nu_integral(lambda x: x, 1.0, np.inf))
-        var = self.t0 * (self.sigma2 + self.nu_integral(lambda x: x * x, self.eps, np.inf))
+        """Triplet mean and variance of X_{t0} for the simulated process.  A
+        divergent moment integral (a power tail's x^2 always, its plain-form x at
+        alpha <= 1) raises ``ConditionError`` naming the terminal mean or variance.
+        """
+        def integral(name, fn, lo):
+            try:
+                return self.nu_integral(fn, lo, np.inf)
+            except QuadratureError as err:
+                raise ConditionError(f"{name}: {err}") from err
+
+        lo = self.eps if self.drift_form == "plain" else 1.0
+        mean = self.t0 * (self.drift + integral("terminal mean", lambda x: x, lo))
+        var = self.t0 * (self.sigma2 + integral("terminal variance", lambda x: x * x, self.eps))
         return {"mean": mean, "var": var}
 
     def small_jump_budget(self) -> dict:
@@ -1404,8 +1411,9 @@ def levy_series(f: PathFunctional, model: LevyModel, target: LevyModel,
     runs to ``n_max``; a path functional declares no bound, so
     ``truncation_budget`` is None (0 for equal densities).  Hypotheses
     (common reference, square gaps, small-jump moments, drift relation) are
-    hard errors.
+    hard errors, and a negative ``n_max`` raises ``ValueError``.
     """
+    _check_order(n_max)
     if not isinstance(model.jumps, CompoundPoissonJumps):
         raise ConditionError("the Levy series needs a compound-Poisson reference, "
                              f"not {type(model.jumps).__name__}")

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .configuration import Functional, PointConfiguration
 from .exact import EnumerationPlan, exact_expectation
-from .measures import DEFAULT_CAP, DiscreteMeasure, MeasureMismatchError
-from .sampler import EstimateResult, MCPlan, mc_expectation
+from .measures import DEFAULT_CAP, DiscreteMeasure
+from .sampler import MCPlan, mc_expectation
 
 
 class AdmissibilityError(RuntimeError):
@@ -41,8 +40,6 @@ class AdmissibilityError(RuntimeError):
 class LikelihoodRatio:
     """Radon-Nikodym density of Poisson(nu) with respect to Poisson(rho)."""
 
-    reference: DiscreteMeasure
-    target: DiscreteMeasure
     support: tuple
     h: dict
     log_offset: float      # rho(C) - nu(C)
@@ -54,8 +51,8 @@ class LikelihoodRatio:
         support = tuple(a for a in rho.atoms if h[a] != 1.0)
         log_offset = math.fsum(rho.mass(a) - nu.mass(a) for a in support)
         square_gap = math.fsum((h[a] - 1.0) ** 2 * rho.mass(a) for a in rho.atoms)
-        return LikelihoodRatio(reference=rho, target=nu, support=support,
-                               h=h, log_offset=log_offset, square_gap=square_gap)
+        return LikelihoodRatio(support=support, h=h, log_offset=log_offset,
+                               square_gap=square_gap)
 
     def weighted(self, g: Functional) -> Functional:
         """The integrand L g of the reweighting identity, with a count form
@@ -133,13 +130,12 @@ def second_moment_bound(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
 
 
 def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeasure,
-                           mode: str = "exact",
-                           plan: EnumerationPlan | None = None,
-                           mc: MCPlan | None = None):
+                           mode: str = "exact", mc: MCPlan | None = None):
     """E_rho[L(Phi) g(Phi)], which equals E_nu g(Phi).
 
-    The square-integrability hypothesis is hard here: a capped gap raises
-    instead of warning, because the identity itself assumes it.
+    Exact mode enumerates on ``plan_for_measures([rho, nu])``.  The
+    square-integrability hypothesis is hard here: a capped gap raises instead
+    of warning, because the identity itself assumes it.
     """
     L = LikelihoodRatio.from_discrete(nu, rho)
     if not math.isfinite(L.square_gap) or L.square_gap >= DEFAULT_CAP:
@@ -147,8 +143,7 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
             f"int (h-1)^2 drho = {L.square_gap:g} is not acceptably finite")
     weighted = L.weighted(g)
     if mode == "exact":
-        eff_plan = plan or plan_for_measures([rho, nu])
-        return exact_expectation(weighted, rho, eff_plan)
+        return exact_expectation(weighted, rho, plan_for_measures([rho, nu]))
     if mode == "mc":
         if mc is None:
             raise ValueError("mc mode needs an MCPlan")
@@ -156,14 +151,12 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def second_moment_exact(nu: DiscreteMeasure, rho: DiscreteMeasure,
-                        plan: EnumerationPlan | None = None) -> float:
-    """Exact E_rho L^2 by enumeration; equals the bound on finite spaces."""
+def second_moment_exact(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
+    """Exact E_rho L^2 by enumeration; equals the bound on finite spaces.  L^2
+    weights counts like a Poisson law with masses h^2 rho, so the caps are
+    ``plan_for_measures`` of rho, nu and that tilted measure."""
     L = LikelihoodRatio.from_discrete(nu, rho)
     squared = Functional(lambda phi: likelihood_eval(L, phi) ** 2, name="L^2",
                          counts=lambda cs, atoms: likelihood_counts(L, cs, atoms) ** 2)
-    if plan is None:
-        # L^2 weights counts like a Poisson with atom mass h^2 * rho
-        tilted = DiscreteMeasure({a: (L.h[a] ** 2) * rho.mass(a) for a in rho.atoms})
-        plan = plan_for_measures([rho, nu, tilted])
-    return exact_expectation(squared, rho, plan)
+    tilted = DiscreteMeasure({a: (L.h[a] ** 2) * rho.mass(a) for a in rho.atoms})
+    return exact_expectation(squared, rho, plan_for_measures([rho, nu, tilted]))

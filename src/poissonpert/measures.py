@@ -19,8 +19,7 @@ Conventions
   which is always valid; every reported quantity is invariant under the
   choice of dominating measure.
 * Diagnostics never raise on divergence.  Values at or above ``DEFAULT_CAP``
-  (1e12) are clamped and flagged, so a report can always be produced;
-  ``hellinger_poisson`` alone takes its cap as an argument.
+  (1e12) are clamped and flagged, so a report can always be produced.
 
 The squared Hellinger distance used throughout is
 ``H(lam, nu) = 1/2 * int (sqrt(h_lam) - sqrt(h_nu))^2 drho`` and the law-level
@@ -297,10 +296,8 @@ class SignedPerturbation:
     density_high: Callable
 
     @staticmethod
-    def from_discrete(lam: DiscreteMeasure, nu: DiscreteMeasure,
-                      rho: DiscreteMeasure | None = None) -> "SignedPerturbation":
-        if rho is None:
-            rho = lam.plus(nu)
+    def from_discrete(lam: DiscreteMeasure, nu: DiscreteMeasure) -> "SignedPerturbation":
+        rho = lam.plus(nu)
         return SignedPerturbation(
             reference=rho,
             density_low=_as_density(lam.density_against(rho)),
@@ -374,15 +371,13 @@ def hellinger_decomposed(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return 0.5 * (math.fsum(acc) + nu2.total())
 
 
-def hellinger_poisson(lam: DiscreteMeasure, nu: DiscreteMeasure,
-                      rho: DiscreteMeasure | None = None, cap: float = DEFAULT_CAP) -> float:
+def hellinger_poisson(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Squared Hellinger distance between the two Poisson process laws.
 
     Computed through the identity ``1 - exp(-H(lam, nu))``; the measure-level
-    distance is capped first, so a divergent input maps to 1 within cap
-    tolerance.
+    distance is capped at ``DEFAULT_CAP`` first, so a divergent input maps to 1.
     """
-    h = min(hellinger_measures(lam, nu, rho=rho), cap)
+    h = min(hellinger_measures(lam, nu), DEFAULT_CAP)
     return -math.expm1(-h)
 
 

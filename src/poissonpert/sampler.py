@@ -70,7 +70,7 @@ class CoupledPair:
 
 
 def couple_counts(lam: DiscreteMeasure, nu: DiscreteMeasure, gen: np.random.Generator,
-                  size: int, window=None) -> tuple:
+                  size: int) -> tuple:
     """Couple Poisson(lam) and Poisson(nu) by independent thinning plus an
     independent superposed remainder; returns the atoms and the (size, atoms)
     counts of the lam- and nu-configurations and of their shared points.
@@ -80,18 +80,17 @@ def couple_counts(lam: DiscreteMeasure, nu: DiscreteMeasure, gen: np.random.Gene
     configuration of intensity (h_nu - h_lam)^+ drho is added: the marginals
     are exactly the two Poisson laws.
     """
-    lam_r, nu_r = lam.restrict(window), nu.restrict(window)
-    atoms = tuple(sorted(set(lam_r.support()) | set(nu_r.support()), key=repr))
-    hl, hn = (np.array([m.mass(a) for a in atoms]) for m in (lam_r, nu_r))
+    atoms = tuple(sorted(set(lam.support()) | set(nu.support()), key=repr))
+    hl, hn = (np.array([m.mass(a) for a in atoms]) for m in (lam, nu))
     phi_l = gen.poisson(hl, size=(size, len(atoms)))
     shared = gen.binomial(phi_l, np.divide(hn, hl, out=np.ones_like(hl), where=hl > hn))
     return atoms, phi_l, shared + gen.poisson(np.maximum(hn - hl, 0.0), phi_l.shape), shared
 
 
-def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, window=None, *,
+def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, *,
                           rng: RngStream) -> CoupledPair:
     """One pair of ``couple_counts`` from a fresh generator of ``rng``."""
-    atoms, *counts = couple_counts(lam, nu, rng.generator(), 1, window)
+    atoms, *counts = couple_counts(lam, nu, rng.generator(), 1)
     return CoupledPair(*(PointConfiguration.from_counts(atoms, c[0].tolist()) for c in counts))
 
 

@@ -58,9 +58,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .configuration import DIFFERENCE_ORDER_CAP, Functional, difference_counts
-from .exact import (EnumerationPlan, exact_expectation, expectation_table,
-                    expected_difference_orders, forward_difference_table, order_sums,
-                    weight_table)
+from .exact import (exact_expectation, expectation_table, expected_difference_orders,
+                    forward_difference_table, order_sums, weight_table)
 from .likelihood import AdmissibilityError
 from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
                        _as_density, admissibility_check, lebesgue_decompose)
@@ -132,7 +131,7 @@ def _assemble(terms, abs_terms, stop, converged, **fields) -> SeriesResult:
                         truncation_order=stop, converged=converged, **fields)
 
 
-# decomposition -> (its default rho from lam and nu, its verdict in the report)
+# decomposition -> (its dominating measure from lam and nu, its verdict in the report)
 _DECOMPOSITIONS = {
     "direct": (lambda lam, nu: lam.plus(nu), lambda r: r.l2_ok),
     "lebesgue-nu": (lambda lam, nu: lam.plus(lebesgue_decompose(nu, lam)[1]),
@@ -145,14 +144,13 @@ _DECOMPOSITIONS = {
 
 
 def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
-                       rho: DiscreteMeasure | None = None, n_max: int = 30,
-                       mode: str = "exact", plan: EnumerationPlan | None = None,
-                       mc: MCPlan | None = None, decomposition: str = "direct",
-                       strict: bool = False, eps_abs: float = EPS_ABS) -> SeriesResult:
+                       n_max: int = 30, mode: str = "exact", mc: MCPlan | None = None,
+                       decomposition: str = "direct", strict: bool = False,
+                       eps_abs: float = EPS_ABS) -> SeriesResult:
     """Expand E_nu f around lam in powers of the signed perturbation nu - lam.
 
     ``decomposition`` selects which sufficient condition backs the run:
-    "direct" uses the density gaps against rho (default lam + nu),
+    "direct" uses the density gaps against lam + nu,
     "lebesgue-nu"/"lebesgue-lambda" use the split along the absolutely
     continuous part, "monotone" the one-sided criterion.  The numerical terms
     are identical in every case; the choice only governs the gate.  Failing
@@ -162,10 +160,11 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
     consecutive terms below it, Monte Carlo mode runs to ``n_max`` and is
     ``converged`` when its ``truncation_budget`` is at most ``eps_abs``.
     """
+    _check_order(n_max)
     if decomposition not in _DECOMPOSITIONS:
         raise ValueError(f"unknown decomposition {decomposition!r}")
-    default_rho, verdict = _DECOMPOSITIONS[decomposition]
-    report = admissibility_check(lam, nu, rho=default_rho(lam, nu) if rho is None else rho)
+    dominating, verdict = _DECOMPOSITIONS[decomposition]
+    report = admissibility_check(lam, nu, rho=dominating(lam, nu))
     if not verdict(report):
         msg = (f"admissibility gaps capped for decomposition {decomposition!r}: "
                f"low={report.l2_gap_low:g} high={report.l2_gap_high:g}")
@@ -175,7 +174,13 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
     weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
-    return _atom_series(f, lam, weights, n_max, mode, plan, mc, eps_abs, report)
+    return _atom_series(f, lam, weights, n_max, mode, mc, eps_abs, report)
+
+
+def _check_order(n_max: int) -> None:
+    """Raise ``ValueError`` for a negative series order ``n_max``."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max!r}")
 
 
 def series_plan(samples: int, mass: float, n_max: int) -> tuple[list[int], int]:
@@ -283,8 +288,8 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
 
 
 def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int,
-                 mode: str, plan: EnumerationPlan | None, mc: MCPlan | None,
-                 eps_abs: float, admissibility=None) -> SeriesResult:
+                 mode: str, mc: MCPlan | None, eps_abs: float,
+                 admissibility=None) -> SeriesResult:
     """The series of the discrete perturbation ``weights`` around ``base``.
 
     Exact mode stops after two consecutive terms below ``eps_abs``.  Monte
@@ -294,7 +299,7 @@ def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int
     means the budget is known and at most ``eps_abs``.
     """
     if mode == "exact":
-        terms, abs_terms = expected_difference_orders(f, base, weights, n_max, plan)
+        terms, abs_terms = expected_difference_orders(f, base, weights, n_max)
         stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
         return _assemble(terms, abs_terms, stop, converged, admissibility=admissibility)
     if mode != "mc":
@@ -348,8 +353,7 @@ def atom_draw(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
 
 
 def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequence,
-              mode: str, plan: EnumerationPlan | None, mc: MCPlan | None
-              ) -> float | EstimateResult:
+              mode: str, mc: MCPlan | None) -> float | EstimateResult:
     """int (E_base D_x f) w(dx) over the given atoms: the series' order-one term.
 
     Exact mode reads the order-one sum of one shifted-expectation table that
@@ -357,7 +361,7 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     ``atom_draw``.
     """
     if mode == "exact":
-        terms, _ = expected_difference_orders(f, base, dict(zip(atoms, ws)), 1, plan)
+        terms, _ = expected_difference_orders(f, base, dict(zip(atoms, ws)), 1)
         return float(terms[1])
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
@@ -377,14 +381,14 @@ def mc_term(draw: Callable, mass: float, n: int, mc: MCPlan, spot: int) -> Estim
 
 
 def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
-                      n_max: int = 30, mode: str = "exact",
-                      plan: EnumerationPlan | None = None, mc: MCPlan | None = None,
+                      n_max: int = 30, mode: str = "exact", mc: MCPlan | None = None,
                       eps_abs: float = EPS_ABS) -> SeriesResult:
     """Series for E f under lam_theta = (h_lam + (theta - theta0) h) rho.
 
     Requires a linear family (no remainder); order n carries the weight
     (theta - theta0)^n / n! against the direction tensor powers.
     """
+    _check_order(n_max)
     if not family.is_linear:
         raise ValueError("parametric series needs a linear family (remainder-free)")
     if not family.contains(theta):
@@ -393,23 +397,18 @@ def parametric_series(f: Functional, family: PerturbationFamily, theta: float,
     base = family.base_measure()
     dt = theta - family.theta0
     weights = {a: dt * family.direction(a) * rho.mass(a) for a in rho.atoms}
-    return _atom_series(f, base, weights, n_max, mode, plan, mc, eps_abs)
+    return _atom_series(f, base, weights, n_max, mode, mc, eps_abs)
 
 
-def gateaux_derivative(f: Functional, lam: DiscreteMeasure, h,
-                       rho: DiscreteMeasure | None = None, mode: str = "exact",
-                       plan: EnumerationPlan | None = None,
-                       mc: MCPlan | None = None) -> float:
-    """Directional derivative int (E_lam D_x f) h(x) rho(dx).
-
-    With rho omitted the direction h is read against lam itself.
-    """
-    if rho is None:
-        rho = lam
+def gateaux_derivative(f: Functional, lam: DiscreteMeasure, h, mode: str = "exact",
+                       mc: MCPlan | None = None) -> float | EstimateResult:
+    """Directional derivative int (E_lam D_x f) h(x) lam(dx), h a density
+    against lam itself (a direction off lam's support is ``linear_derivative``
+    of a ``PerturbationFamily``).  Monte Carlo mode returns the
+    ``EstimateResult`` with its stderr."""
     hfun = _as_density(h)
-    atoms = [a for a in rho.support() if hfun(a) != 0.0]
-    res = order_one(f, lam, atoms, [hfun(a) * rho.mass(a) for a in atoms], mode, plan, mc)
-    return res.estimate if mode == "mc" else res
+    atoms = [a for a in lam.support() if hfun(a) != 0.0]
+    return order_one(f, lam, atoms, [hfun(a) * lam.mass(a) for a in atoms], mode, mc)
 
 
 @dataclass(frozen=True)
@@ -426,8 +425,7 @@ def small_remainder_factor(t: float) -> float:
 
 
 def frechet_remainder_check(f: Functional, lam: DiscreteMeasure,
-                            h_list: Sequence, n_max: int = 30,
-                            plan: EnumerationPlan | None = None) -> list[RemainderRow]:
+                            h_list: Sequence, n_max: int = 30) -> list[RemainderRow]:
     """Norm-uniform first-order error of h -> E f under (1 + h) lam.
 
     For each direction h with 1 + h >= 0 and finite int h^2 dlam, the
@@ -436,12 +434,12 @@ def frechet_remainder_check(f: Functional, lam: DiscreteMeasure,
     ``small_remainder_factor(norm(h))``.  Exact regime only.
     """
     atoms = list(lam.support())
-    table = forward_difference_table(expectation_table(f, lam, atoms, n_max, plan))
+    table = forward_difference_table(expectation_table(f, lam, atoms, n_max))
     diag = order_sums(table * table * weight_table([lam.mass(a) for a in atoms], n_max),
                       n_max)
     factor = math.sqrt(max(math.fsum(float(t) for t in diag[2:]), 0.0))
 
-    base_value = exact_expectation(f, lam, plan)
+    base_value = exact_expectation(f, lam)
     rows = []
     for h in h_list:
         hfun = _as_density(h)
@@ -450,8 +448,8 @@ def frechet_remainder_check(f: Functional, lam: DiscreteMeasure,
                 raise ValueError(f"direction violates 1 + h >= 0 at atom {a!r}")
         norm = math.sqrt(math.fsum(hfun(a) ** 2 * lam.mass(a) for a in atoms))
         shifted = DiscreteMeasure({a: (1.0 + hfun(a)) * lam.mass(a) for a in atoms})
-        target = exact_expectation(f, shifted, plan)
-        linear = gateaux_derivative(f, lam, hfun, rho=lam, plan=plan)
+        target = exact_expectation(f, shifted)
+        linear = gateaux_derivative(f, lam, hfun)
         remainder = target - base_value - linear
         bound = factor * small_remainder_factor(norm)
         rows.append(RemainderRow(norm=norm, remainder=remainder, bound=bound,

@@ -10,7 +10,7 @@ import pytest
 
 from poissonpert import battery, cli
 from poissonpert.battery import CheckRow, z_gate
-from poissonpert.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+from poissonpert.cli import EXIT_ADMISSIBILITY, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from poissonpert.rng import RngStream
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -93,6 +93,15 @@ class TestSeriesStudy:
         assert 0.0 < float(row["tol"]) < 0.05
         assert abs(float(row["target"]) - math.exp(-2.1)) < 0.05
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_negative_order_is_a_config_error(self, tmp_path, capsys, mode):
+        # exact mode used to exit 1 on an IndexError; Monte Carlo mode exited 0,
+        # its truncation budget covering a series of no computed terms
+        path = small_copy("series_void.ini", tmp_path, series__mode=mode, series__n_max="-1")
+        assert main(["series", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert "config error: n_max must be nonnegative, got -1" in capsys.readouterr().err
+
 
 class TestZGate:
     def test_finite_stderr_gates_at_three_sigma(self):
@@ -168,6 +177,15 @@ class TestDerivStudy:
             == EXIT_CONFIG
         assert "config error: theta must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("functional", ["void", "count", "count_sq", "one"])
+    def test_pivotal_estimator_needs_an_increasing_event(self, tmp_path, capsys, functional):
+        # an uncaught NonIncreasingEventError traceback (exit 1)
+        path = small_copy("deriv_pivotal.ini", tmp_path, deriv__functional=functional)
+        assert main(["deriv", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_ADMISSIBILITY
+        assert "admissibility failure: functional not declared increasing" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("direction, code", [
         ("a 0.5\nb -0.25\n", EXIT_OK),
         ("a 0.5\nb -0.25\na 0.3\n", EXIT_CONFIG),  # a density file lists atom a twice
@@ -211,6 +229,21 @@ def test_non_finite_levy_value_is_a_config_error(config, settings, name, tmp_pat
     argv = [STUDY_OF_CONFIG[config], "--config", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, moment", [
+    # plain form at alpha = 0.5: int x nu(dx) diverges at infinity
+    ({"levy__builder": "stable"}, "terminal mean"),
+    # compensated at alpha = 1.5: the mean converges, int x^2 nu(dx) does not
+    ({"levy__builder": "stable", "levy__drift_form": "compensated", "levy__alpha": "1.5"},
+     "terminal variance"),
+], ids=["plain", "compensated"])
+def test_divergent_stable_moment_is_named(settings, moment, tmp_path, capsys):
+    # an uncaught QuadratureError traceback (exit 1) that named no integral
+    path = small_copy("levy_sim_gamma.ini", tmp_path, **settings)
+    argv = ["levy-sim", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_ADMISSIBILITY
+    assert f"admissibility failure: {moment}: quadrature error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("settings, name", [

@@ -22,7 +22,7 @@ from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, MCPlan,
                          fock_identity_check, mc_expectation, threshold_indicator,
                          void_indicator)
 from poissonpert.configuration import CountFormMismatchError, FunctionalEvaluationError
-from poissonpert.exact import expectation_table, poisson_pmf
+from poissonpert.exact import expectation_table, expected_difference_orders, poisson_pmf
 from poissonpert.series import order_one
 
 # one fixed profile for every property here: derandomized, no example database,
@@ -136,7 +136,8 @@ class TestLatticeTable:
         f = data.draw(builtins(atoms))
         ws = [data.draw(st.floats(-1.0, 1.0)) for _ in atoms]
         parts = [w * exact_expected_difference(f, m, [a], COARSE) for a, w in zip(atoms, ws)]
-        got = order_one(f, m, atoms, ws, "exact", COARSE, None)
+        # order_one's exact mode, on the same coarse lattice
+        got = expected_difference_orders(f, m, dict(zip(atoms, ws)), 1, COARSE)[0][1]
         assert abs(got - math.fsum(parts)) <= 1e-12 * math.fsum(abs(p) for p in parts) + 1e-300
 
     def test_plain_expectation_is_the_unshifted_table(self):
@@ -176,7 +177,7 @@ class TestSpotCheck:
             with pytest.raises(CountFormMismatchError, match="stale_void"):
                 mc_expectation(f, m, plan=MCPlan(200, RngStream(0)))
             with pytest.raises(CountFormMismatchError, match="stale_void"):
-                order_one(f, m, ["a"], [1.0], "mc", None, MCPlan(200, RngStream(0)))
+                order_one(f, m, ["a"], [1.0], "mc", MCPlan(200, RngStream(0)))
 
     def test_nan_in_count_form_raises(self):
         f = dataclasses.replace(count_functional(name="bad"),

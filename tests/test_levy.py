@@ -482,6 +482,11 @@ class TestLevySeries:
         assert res.truncation_order <= 1
         assert res.terms[1:] == [0.0] * (len(res.terms) - 1)
 
+    def test_negative_order_rejected(self, rng):
+        model = cp_model({1.0: 1.0})
+        with pytest.raises(ValueError, match="n_max must be nonnegative, got -1"):
+            levy_series(no_jump_indicator, model, model, MCPlan(100, rng.child(18)), n_max=-1)
+
     def test_rate_doubling_void_series(self, rng):
         # oracle: truncated alternating series e^{-1} sum (-1)^n/n!
         model = cp_model({1.0: 1.0})

@@ -143,10 +143,9 @@ class TestHellinger:
         assert hellinger_poisson(lam, lam) == 0.0
 
     def test_law_identity_capped(self):
-        lam, nu = discrete({"x": 1.0}), discrete({"x": 4.0})
-        assert hellinger_poisson(lam, nu, cap=1e-9) == pytest.approx(0.0, abs=1e-8)
-        # a capped-to-ceiling distance maps to 1 within cap tolerance
-        assert hellinger_poisson(lam, nu, cap=50.0) <= 1.0
+        # H(lam, nu) = 2e12 is beyond DEFAULT_CAP: the capped distance maps to 1
+        lam, nu = discrete({"x": 0.0}), discrete({"x": 4e12})
+        assert hellinger_poisson(lam, nu) == 1.0
 
     def test_enumeration_oracle_multi_atom(self):
         lam = discrete({"x": 0.5, "y": 1.5})

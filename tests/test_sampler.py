@@ -293,8 +293,8 @@ ESTIMATORS = {
         pp.void_indicator(), FAMILY, mode="mc", mc=mc)),
     "scaled_derivative": lambda mc: tuple(pp.scaled_derivative(
         pp.count_squared(), LAM, 0.8, mode="mc", mc=mc)),
-    "gateaux_derivative": lambda mc: pp.gateaux_derivative(
-        pp.void_indicator(), LAM, {"a": 0.5, "b": -1.0}, mode="mc", mc=mc),
+    "gateaux_derivative": lambda mc: tuple(pp.gateaux_derivative(
+        pp.void_indicator(), LAM, {"a": 0.5, "b": -1.0}, mode="mc", mc=mc)),
     "pivotal_derivative": lambda mc: tuple(pp.pivotal_derivative(
         pp.threshold_indicator(1), LAM, 0.5, mc)),
     "coupled_scale_fd": lambda mc: tuple(pp.coupled_scale_fd(
