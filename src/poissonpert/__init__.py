@@ -10,17 +10,16 @@ from .configuration import (DIFFERENCE_ORDER_CAP, Functional, PointConfiguration
                             constant_functional, count_functional, count_squared,
                             difference_n, difference_n_recursive, threshold_indicator,
                             void_indicator)
-from .derivatives import (NonIncreasingEventError, coupled_scale_fd, linear_derivative,
-                          nonlinear_derivative, pivotal_derivative, richardson_fd,
-                          scaled_derivative, scaled_taylor_report)
+from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
+                          pivotal_derivative, richardson_fd, scaled_derivative,
+                          scaled_taylor_report)
 from .exact import (EnumerationPlan, FockCheck, exact_expectation,
                     exact_expected_difference, fock_identity_check,
                     poisson_hellinger_exact)
-from .likelihood import (AdmissibilityError, LikelihoodRatio, likelihood_eval,
-                         plan_for_measures, reweighted_expectation,
-                         second_moment_bound, second_moment_exact)
-from .measures import (AdmissibilityReport, AtomWindow, BoxWindow, DensityMeasure,
-                       DiscreteMeasure, MeasureMismatchError,
+from .likelihood import (LikelihoodRatio, likelihood_eval, plan_for_measures,
+                         reweighted_expectation, second_moment_bound, second_moment_exact)
+from .measures import (AdmissibilityReport, AtomWindow, BoxWindow, ConditionError,
+                       DensityMeasure, DiscreteMeasure, MeasureMismatchError,
                        PerturbationFamily, SignedPerturbation, admissibility_check,
                        discrete, hellinger_decomposed, hellinger_measures,
                        hellinger_poisson, lebesgue_decompose, lebesgue_measure,

@@ -17,8 +17,8 @@ term, partial_sum, abs_term) and ``levy-sup_q.csv`` (bin_left, bin_right,
 count of the Y_t histogram).  Seeds are mandatory and re-running a config
 with the same seed is byte-identical for any worker count.
 
-Exit codes: 0 all checks pass, 2 config error, 3 admissibility failure in
-strict mode, 4 one or more checks failed.
+Exit codes: 0 all checks pass, 2 config error, 3 a failed hypothesis
+(``ConditionError``), 4 one or more checks failed.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from . import battery, exact, levy, likelihood, measures, sampler, series
 from .battery import CheckRow
 from .configuration import (Functional, constant_functional, count_functional,
                             count_squared, threshold_indicator, void_indicator)
-from .derivatives import (NonIncreasingEventError, coupled_scale_fd, linear_derivative,
-                          nonlinear_derivative, pivotal_derivative, richardson_fd,
-                          scaled_derivative)
-from .likelihood import AdmissibilityError
-from .measures import AtomWindow, DiscreteMeasure, PerturbationFamily
+from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
+                          pivotal_derivative, richardson_fd, scaled_derivative)
+from .measures import AtomWindow, ConditionError, DiscreteMeasure, PerturbationFamily
 from .rng import RngStream, mc_mean
 from .sampler import MCPlan
 
@@ -120,12 +118,15 @@ def _mc_plan(cfg, args, default_samples=100_000) -> MCPlan:
 
 
 def _atom_pairs(text: str) -> dict:
+    """``size:value`` pairs as {size: value}; a repeated size is a ``ConfigError``."""
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         size, mass = piece.split(":")
+        if float(size) in out:
+            raise ConfigError(f"jump size {float(size)!r} is listed twice")
         out[float(size)] = float(mass)
     return out
 
@@ -437,8 +438,8 @@ OUTPUT_DOCS = """Every study writes <study>.csv with the columns
 nonzero; mode bool: value is true) and <study>_summary.txt with the
 identity, the study's notes, one line per check and 'k/n checks passed'.  Data files: series_terms.csv (order, term,
 partial_sum, abs_term) and levy-sup_q.csv (bin_left, bin_right, count).
-Exit codes: 0 all checks pass, 2 config error, 3 admissibility failure
-(--strict), 4 a check failed.
+Exit codes: 0 all checks pass, 2 config error, 3 a failed hypothesis
+(ConditionError), 4 a check failed.
 """
 
 
@@ -476,7 +477,7 @@ def main(argv=None) -> int:
 
     try:
         return RUNNERS[args.subcommand](cfg, args, Path(args.out))
-    except (AdmissibilityError, levy.ConditionError, NonIncreasingEventError) as err:
+    except ConditionError as err:
         print(f"admissibility failure: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
     except (ConfigError, configparser.Error, KeyError, ValueError) as err:

@@ -28,16 +28,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .configuration import Functional, block_values
-from .measures import DiscreteMeasure, PerturbationFamily
+from .measures import ConditionError, DiscreteMeasure, PerturbationFamily
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import couple_counts, sample_counts
 from .series import SeriesResult, _signed_atoms, order_one, parametric_series
 
 PIVOTAL_PROBES = 64  # replications of the first block that probe the increasing event
-
-
-class NonIncreasingEventError(RuntimeError):
-    """A sampled pivotal term contradicts the declared increasing event."""
 
 
 def _direction_weights(family: PerturbationFamily) -> dict:
@@ -116,7 +112,7 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
     if theta <= 0:
         raise ValueError("theta must be positive")
     if not f.increasing:
-        raise NonIncreasingEventError("functional not declared increasing")
+        raise ConditionError("functional not declared increasing")
     scaled = lam.scaled(theta)
     atoms = scaled.support()
     if not atoms:
@@ -135,12 +131,11 @@ def pivotal_derivative(f: Functional, lam: DiscreteMeasure, theta: float,
         values = block_values(f, list(np.concatenate(nodes, axis=1).T), atoms, check).T
         if check and (values[:, -1] < values[:, 0] - 1e-12).any():
             x = atoms[xs[np.argmax(values[:, -1] < values[:, 0] - 1e-12)]]
-            raise NonIncreasingEventError(f"adding a point decreased the functional at {x!r}")
+            raise ConditionError(f"adding a point decreased the functional at {x!r}")
         terms = values[:, :1] - values[:, 1:len(atoms) + 1]
         if (terms < -1e-12).any():
             x = atoms[np.argwhere(terms < -1e-12)[0, 1]]
-            raise NonIncreasingEventError(f"negative pivotal term at {x!r}; "
-                                          "event is not increasing")
+            raise ConditionError(f"negative pivotal term at {x!r}; event is not increasing")
         return ((c[:, 0] * terms) @ w / theta)[None]
 
     return mc_mean(draw, mc, spot=PIVOTAL_PROBES).estimate()

@@ -79,11 +79,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import within_bound
+from .measures import DEFAULT_CAP, ConditionError, within_bound
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .series import SeriesResult, _check_order, mc_series, mc_term
 
-CAP = 1e12  # the largest hypothesis integral accepted as finite
 DRIFT_TOL = 1e-9  # ``check_pair``: absolute tolerance of the drift relation
 GAMMA_GRID_POINTS = 4097  # nodes of the gamma jump sampler's inverse-CDF grid
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
@@ -121,10 +120,6 @@ _GK_KRONROD, _GK_GAUSS = (np.concatenate((w, w[-2::-1])) for w in _GK_HALF[:, 1:
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to an acceptable error."""
-
-
-class ConditionError(RuntimeError):
-    """A hypothesis of the requested expansion or derivative fails."""
 
 
 def _panel_quad(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -477,9 +472,14 @@ def cp_direction(nu_ref: CompoundPoissonJumps, g_map: dict) -> JumpDirection:
     ``g`` matches x to an atom by exact equality: marks and jumps are drawn
     from ``nu_ref.sizes`` itself, so a value off an atom by rounding is off
     the support.  The marks are the ``CompoundPoissonJumps`` of masses |g| m
-    (tilt 1), so an atom where g = 0 is never drawn.
+    (tilt 1), so an atom where g = 0 is never drawn.  A size of ``g_map``
+    off the atoms raises ``ValueError``.
     """
     sizes = nu_ref.sizes
+    off = sorted(set(map(float, g_map)) - set(sizes.tolist()))
+    if off:
+        raise ValueError(f"direction sizes {off} are not jump sizes of the reference "
+                         f"{sizes.tolist()}")
     gvals = np.array([float(g_map.get(float(s), 0.0)) for s in sizes])
     masses = nu_ref.masses
     absw = np.abs(gvals) * masses
@@ -672,7 +672,9 @@ class LevyModel:
     The jump measure is ``density * jumps``; references compare by value
     (equal builder parameters are one measure).  ``density`` is None for the
     reference itself or a ``JumpDensity``, which carries the gap g - 1 with
-    g; anything else raises ``TypeError``.
+    g; anything else raises ``TypeError``.  ``density_bound``, the thinning
+    envelope, must be 1.0 for the reference (never thinned) and positive
+    otherwise; a bound below sup g fails ``within_bound`` when thinning.
 
     ``drift_form``: "plain" means X = drift*t + W + sum of jumps (valid only
     for finite-variation jump parts); "compensated" means the drift pairs
@@ -692,7 +694,8 @@ class LevyModel:
     jump_rate: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        _finite(drift=self.drift, sigma2=self.sigma2, t0=self.t0, eps=self.eps)
+        _finite(drift=self.drift, sigma2=self.sigma2, t0=self.t0, eps=self.eps,
+                density_bound=self.density_bound)
         if self.t0 <= 0:
             raise ValueError("horizon must be positive")
         if self.sigma2 < 0:
@@ -702,6 +705,11 @@ class LevyModel:
         if self.density is not None and not isinstance(self.density, JumpDensity):
             raise TypeError("density must be None or a JumpDensity, "
                             f"not {type(self.density).__name__}")
+        if self.density is None and self.density_bound != 1.0:
+            raise ValueError("the reference density is 1: density_bound must be 1.0, "
+                             f"got {self.density_bound!r}")
+        if self.density_bound <= 0:
+            raise ValueError(f"density_bound must be positive, got {self.density_bound!r}")
         if self.drift_form == "plain" and not self.jumps.finite_variation:
             raise ValueError("plain drift form requires finite-variation jumps")
         # the envelope Poisson rate of jumps above eps over the horizon; first,
@@ -1195,7 +1203,7 @@ def check_direction(direction: JumpDirection) -> dict:
     vals = {"square_integral": direction.square_integral,
             "x_wedge_integral": direction.x_wedge_integral}
     for name, v in vals.items():
-        if not math.isfinite(v) or v >= CAP:
+        if not math.isfinite(v) or v >= DEFAULT_CAP:
             raise ConditionError(f"direction fails {name}: {v:g}")
     return vals
 
@@ -1225,9 +1233,9 @@ def check_pair(model: LevyModel, target: LevyModel) -> dict:
                          lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0)
         out[f"{tag}_square_gap"] = gap
         out[f"{tag}_x_gap"] = wedge
-        if not math.isfinite(gap) or gap >= CAP:
+        if not math.isfinite(gap) or gap >= DEFAULT_CAP:
             raise ConditionError(f"{tag} density fails the square-gap condition: {gap:g}")
-        if not math.isfinite(wedge) or wedge >= CAP:
+        if not math.isfinite(wedge) or wedge >= DEFAULT_CAP:
             raise ConditionError(f"{tag} density fails the small-jump moment condition")
     if model.drift_form != target.drift_form:
         raise ConditionError("models must use the same drift parameterization")

@@ -28,12 +28,8 @@ import numpy as np
 
 from .configuration import Functional, PointConfiguration
 from .exact import EnumerationPlan, exact_expectation
-from .measures import DEFAULT_CAP, DiscreteMeasure
+from .measures import DEFAULT_CAP, ConditionError, DiscreteMeasure
 from .sampler import MCPlan, mc_expectation
-
-
-class AdmissibilityError(RuntimeError):
-    """The square-integrability hypothesis of the reweighting identity fails."""
 
 
 @dataclass(frozen=True)
@@ -134,12 +130,13 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
     """E_rho[L(Phi) g(Phi)], which equals E_nu g(Phi).
 
     Exact mode enumerates on ``plan_for_measures([rho, nu])``.  The
-    square-integrability hypothesis is hard here: a capped gap raises instead
-    of warning, because the identity itself assumes it.
+    square-integrability hypothesis is hard here: a capped gap raises
+    ``ConditionError`` instead of warning, because the identity itself
+    assumes it.
     """
     L = LikelihoodRatio.from_discrete(nu, rho)
     if not math.isfinite(L.square_gap) or L.square_gap >= DEFAULT_CAP:
-        raise AdmissibilityError(
+        raise ConditionError(
             f"int (h-1)^2 drho = {L.square_gap:g} is not acceptably finite")
     weighted = L.weighted(g)
     if mode == "exact":

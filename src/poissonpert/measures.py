@@ -18,8 +18,9 @@ Conventions
 * The default dominating measure for a discrete pair (lam, nu) is lam + nu,
   which is always valid; every reported quantity is invariant under the
   choice of dominating measure.
-* Diagnostics never raise on divergence.  Values at or above ``DEFAULT_CAP``
-  (1e12) are clamped and flagged, so a report can always be produced.
+* Diagnostics never raise on divergence: values at or above ``DEFAULT_CAP``
+  (1e12) are clamped, and each verdict compares its value with the cap.
+* A failed hypothesis, in this module or any other, raises ``ConditionError``.
 
 The squared Hellinger distance used throughout is
 ``H(lam, nu) = 1/2 * int (sqrt(h_lam) - sqrt(h_nu))^2 drho`` and the law-level
@@ -41,6 +42,10 @@ DEFAULT_CAP = 1e12
 
 class MeasureMismatchError(ValueError):
     """Operands do not share a usable common reference measure."""
+
+
+class ConditionError(RuntimeError):
+    """A hypothesis of an expansion, derivative or change of measure fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +390,43 @@ def hellinger_poisson(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 class AdmissibilityReport:
     """Square-integrability and Hellinger diagnostics for a measure pair.
 
-    ``l2_ok`` is the verdict used by the series engine: both mean-one density
-    gaps ``int (1-h)^2 drho`` below ``DEFAULT_CAP``.  ``hellinger_ok`` tracks
-    the weaker necessary condition ``H(lam, nu) < inf``; it is reported but
-    never drives the verdict on its own.
+    The gaps, ``hellinger`` and ``monotone_down`` are clamped at
+    ``DEFAULT_CAP`` (``monotone_up`` is not), and each verdict holds when
+    its value is below the cap.  ``l2_ok``, the series engine's verdict,
+    reads both mean-one density gaps ``int (1-h)^2 drho``; ``hellinger_ok``
+    tracks the weaker necessary condition ``H(lam, nu) < inf`` and never
+    drives a verdict on its own.  ``monotone_ok`` reads the l2 side of
+    ``monotone_up``, or ``monotone_down``; it is None when neither applies.
     """
 
     l2_gap_low: float
     l2_gap_high: float
     hellinger: float
-    l2_ok: bool
-    hellinger_ok: bool
     lebesgue_gap_nu: float
     lebesgue_gap_lam: float
-    lebesgue_nu_ok: bool
-    lebesgue_lam_ok: bool
     monotone_up: tuple[float, float] | None = None
     monotone_down: float | None = None
-    monotone_ok: bool | None = None
-    capped: bool = False
+
+    @property
+    def l2_ok(self) -> bool:
+        return max(self.l2_gap_low, self.l2_gap_high) < DEFAULT_CAP
+
+    @property
+    def hellinger_ok(self) -> bool:
+        return self.hellinger < DEFAULT_CAP
+
+    @property
+    def lebesgue_nu_ok(self) -> bool:
+        return self.lebesgue_gap_nu < DEFAULT_CAP
+
+    @property
+    def lebesgue_lam_ok(self) -> bool:
+        return self.lebesgue_gap_lam < DEFAULT_CAP
+
+    @property
+    def monotone_ok(self) -> bool | None:
+        side = self.monotone_down if self.monotone_up is None else self.monotone_up[1]
+        return None if side is None else side < DEFAULT_CAP
 
     def rows(self) -> list[tuple[str, float, bool]]:
         out = [
@@ -414,26 +437,24 @@ class AdmissibilityReport:
             ("lebesgue_gap_lam", self.lebesgue_gap_lam, self.lebesgue_lam_ok),
         ]
         if self.monotone_up is not None:
-            out.append(("monotone_up_mu_side", self.monotone_up[0], bool(self.monotone_ok)))
-            out.append(("monotone_up_l2_side", self.monotone_up[1], bool(self.monotone_ok)))
+            out.append(("monotone_up_mu_side", self.monotone_up[0], self.monotone_ok))
+            out.append(("monotone_up_l2_side", self.monotone_up[1], self.monotone_ok))
         if self.monotone_down is not None:
-            out.append(("monotone_down_sq", self.monotone_down, bool(self.monotone_ok)))
+            out.append(("monotone_down_sq", self.monotone_down, self.monotone_ok))
         return out
 
 
-def _capped(value: float) -> tuple[float, bool]:
-    if not math.isfinite(value) or value >= DEFAULT_CAP:
-        return DEFAULT_CAP, True
-    return value, False
+def _capped(value: float) -> float:
+    return value if math.isfinite(value) and value < DEFAULT_CAP else DEFAULT_CAP
 
 
 def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
                         rho: DiscreteMeasure | None = None) -> AdmissibilityReport:
     """Report every admissibility diagnostic for the pair (lam, nu).
 
-    Nothing is thrown: divergent or capped quantities are clamped at
-    ``DEFAULT_CAP`` and flagged.  Monotone-direction checks are included
-    whenever nu >= lam or nu <= lam atom-wise.
+    Nothing is thrown: divergent quantities are clamped at ``DEFAULT_CAP``,
+    and the report's verdicts read the clamped values.  Monotone-direction
+    checks are included whenever nu >= lam or nu <= lam atom-wise.
     """
     if rho is None:
         rho = lam.plus(nu)
@@ -442,10 +463,6 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
 
     gap_low = math.fsum((1.0 - h_lam[a]) ** 2 * rho.mass(a) for a in rho.atoms)
     gap_high = math.fsum((1.0 - h_nu[a]) ** 2 * rho.mass(a) for a in rho.atoms)
-    gap_low, cap1 = _capped(gap_low)
-    gap_high, cap2 = _capped(gap_high)
-
-    hell, cap3 = _capped(hellinger_measures(lam, nu, rho=rho))
 
     nu1, nu2 = lebesgue_decompose(nu, lam)
     leb_nu = math.fsum(
@@ -455,14 +472,12 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
     leb_lam = math.fsum(
         (1.0 - lam1.mass(a) / m) ** 2 * m for a, m in nu.items() if m > 0.0
     ) + lam2.total()
-    leb_nu, cap4 = _capped(leb_nu)
-    leb_lam, cap5 = _capped(leb_lam)
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
     up = all(nu.mass(a) >= lam.mass(a) for a in atoms)
     down = all(nu.mass(a) <= lam.mass(a) for a in atoms)
 
-    monotone_up = monotone_down = monotone_ok = None
+    monotone_up = monotone_down = None
     if up and not down:
         # nu = lam + mu: the gap int (1-h)^2 d(lam+mu) collapses to
         # int (1-h) dmu for h = dlam/d(lam+mu), both reported
@@ -472,30 +487,17 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
         mu_side = math.fsum((1.0 - h[a]) * mu.mass(a) for a in lam_plus_mu.atoms)
         l2_side = math.fsum((1.0 - h[a]) ** 2 * lam_plus_mu.mass(a) for a in lam_plus_mu.atoms)
         monotone_up = (mu_side, l2_side)
-        monotone_ok = l2_side < DEFAULT_CAP
     elif down and not up:
         # nu = lam - mu: square-integrability of dmu/dlam decides the verdict
         mu = DiscreteMeasure({a: lam.mass(a) - nu.mass(a) for a in atoms})
         h_mu = mu.density_against(lam)
-        monotone_down = math.fsum(h_mu[a] ** 2 * lam.mass(a) for a in lam.atoms)
-        monotone_down, capm = _capped(monotone_down)
-        monotone_ok = not capm
+        monotone_down = _capped(math.fsum(h_mu[a] ** 2 * lam.mass(a) for a in lam.atoms))
 
     return AdmissibilityReport(
-        l2_gap_low=gap_low,
-        l2_gap_high=gap_high,
-        hellinger=hell,
-        l2_ok=not (cap1 or cap2),
-        hellinger_ok=not cap3,
-        lebesgue_gap_nu=leb_nu,
-        lebesgue_gap_lam=leb_lam,
-        lebesgue_nu_ok=not cap4,
-        lebesgue_lam_ok=not cap5,
-        monotone_up=monotone_up,
-        monotone_down=monotone_down,
-        monotone_ok=monotone_ok,
-        capped=cap1 or cap2 or cap3 or cap4 or cap5,
-    )
+        l2_gap_low=_capped(gap_low), l2_gap_high=_capped(gap_high),
+        hellinger=_capped(hellinger_measures(lam, nu, rho=rho)),
+        lebesgue_gap_nu=_capped(leb_nu), lebesgue_gap_lam=_capped(leb_lam),
+        monotone_up=monotone_up, monotone_down=monotone_down)
 
 
 def lebesgue_decompose(nu: DiscreteMeasure, lam: DiscreteMeasure

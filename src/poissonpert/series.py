@@ -60,22 +60,23 @@ import numpy as np
 from .configuration import DIFFERENCE_ORDER_CAP, Functional, difference_counts
 from .exact import (exact_expectation, expectation_table, expected_difference_orders,
                     forward_difference_table, order_sums, weight_table)
-from .likelihood import AdmissibilityError
-from .measures import (AdmissibilityReport, DiscreteMeasure, PerturbationFamily,
-                       _as_density, admissibility_check, lebesgue_decompose)
+from .measures import (ConditionError, DiscreteMeasure, PerturbationFamily, _as_density,
+                       admissibility_check, lebesgue_decompose)
 from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
 from .sampler import sample_counts
 
 EPS_ABS = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesResult:
     """Per-order terms of a perturbation series with convergence bookkeeping.
 
     ``abs_terms`` tracks the fully absolute companion series (integrand and
     weights in absolute value); its plateau is the practical finiteness
-    diagnostic for the expansion.
+    diagnostic for the expansion.  ``converged`` is set where the series is
+    built: two consecutive exact terms below ``eps_abs``, or a Monte Carlo
+    ``truncation_budget`` that is known and at most ``eps_abs``.
 
     Monte Carlo runs also report ``samples``, the replications spent on each
     order, and ``truncation_budget``, a bound on what the orders above
@@ -92,7 +93,6 @@ class SeriesResult:
     truncation_order: int
     converged: bool
     stderrs: list[float] | None = None
-    admissibility: AdmissibilityReport | None = None
     samples: list[int] | None = None
     tail_from: int | None = None
     truncation_budget: float | None = None
@@ -169,12 +169,12 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
         msg = (f"admissibility gaps capped for decomposition {decomposition!r}: "
                f"low={report.l2_gap_low:g} high={report.l2_gap_high:g}")
         if strict:
-            raise AdmissibilityError(msg)
+            raise ConditionError(msg)
         warnings.warn(msg, RuntimeWarning)
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
     weights = {a: nu.mass(a) - lam.mass(a) for a in atoms}
-    return _atom_series(f, lam, weights, n_max, mode, mc, eps_abs, report)
+    return _atom_series(f, lam, weights, n_max, mode, mc, eps_abs)
 
 
 def _check_order(n_max: int) -> None:
@@ -225,7 +225,7 @@ def truncation_budget(bound: float | None, mass: float, n_max: int) -> float | N
 
 
 def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
-              bound: float | None = None, admissibility=None) -> SeriesResult:
+              bound: float | None = None, eps_abs: float = EPS_ABS) -> SeriesResult:
     """Poisson-stratified Monte Carlo series from ``draw(n, gen, k, check)``.
 
     ``mass`` is M, the absolute mass of the perturbation; ``draw(n, gen, k,
@@ -243,8 +243,8 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
 
     The series always runs to n_max, and ``truncation_budget(bound, M,
     n_max)`` reports what truncating there can cost; ``converged`` means that
-    budget is 0.  A zero mass stops after order 0: every higher term is
-    exactly 0.
+    budget is known and at most ``eps_abs``.  A zero mass stops after order 0:
+    every higher term is exactly 0.
     """
     if mass == 0.0:
         budgets, tail, n_max = [mc.samples], 0, min(n_max, 1)
@@ -281,15 +281,14 @@ def mc_series(draw: Callable, mass: float, n_max: int, mc: MCPlan,
         samples += [int(m.sum()) for m in own]
     zeros = [0.0] * (n_max + 1 - len(terms))  # a zero mass: orders above 0 vanish
     budget = truncation_budget(bound, mass, n_max)
-    return _assemble(terms + zeros, abs_terms + zeros, n_max, budget == 0.0,
-                     stderrs=stderrs + zeros, admissibility=admissibility,
+    return _assemble(terms + zeros, abs_terms + zeros, n_max,
+                     budget is not None and budget <= eps_abs, stderrs=stderrs + zeros,
                      samples=samples + [0] * len(zeros), tail_from=first if tail else None,
                      truncation_budget=budget)
 
 
 def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int,
-                 mode: str, mc: MCPlan | None, eps_abs: float,
-                 admissibility=None) -> SeriesResult:
+                 mode: str, mc: MCPlan | None, eps_abs: float) -> SeriesResult:
     """The series of the discrete perturbation ``weights`` around ``base``.
 
     Exact mode stops after two consecutive terms below ``eps_abs``.  Monte
@@ -301,15 +300,13 @@ def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int
     if mode == "exact":
         terms, abs_terms = expected_difference_orders(f, base, weights, n_max)
         stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
-        return _assemble(terms, abs_terms, stop, converged, admissibility=admissibility)
+        return _assemble(terms, abs_terms, stop, converged)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if mc is None:
         raise ValueError("mc mode needs an MCPlan")
-    res = mc_series(*atom_draw(f, base, *_signed_atoms(weights)),
-                    min(n_max, DIFFERENCE_ORDER_CAP), mc, f.bound, admissibility)
-    res.converged = res.truncation_budget is not None and res.truncation_budget <= eps_abs
-    return res
+    return mc_series(*atom_draw(f, base, *_signed_atoms(weights)),
+                     min(n_max, DIFFERENCE_ORDER_CAP), mc, f.bound, eps_abs)
 
 
 def _signed_atoms(weights: dict) -> tuple[list, list]:

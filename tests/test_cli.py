@@ -179,7 +179,7 @@ class TestDerivStudy:
 
     @pytest.mark.parametrize("functional", ["void", "count", "count_sq", "one"])
     def test_pivotal_estimator_needs_an_increasing_event(self, tmp_path, capsys, functional):
-        # an uncaught NonIncreasingEventError traceback (exit 1)
+        # an uncaught exception traceback (exit 1)
         path = small_copy("deriv_pivotal.ini", tmp_path, deriv__functional=functional)
         assert main(["deriv", "--config", str(path), "--out", str(tmp_path / "out")]) \
             == EXIT_ADMISSIBILITY
@@ -257,6 +257,24 @@ def test_nonpositive_gamma_overlay_value_is_a_config_error(settings, name, tmp_p
     argv = ["levy-deriv", "--config", str(path), "--out", str(tmp_path / "out")]
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {name} must be finite and positive" in capsys.readouterr().err
+
+
+def test_direction_off_the_reference_sizes_is_a_config_error(tmp_path, capsys):
+    # the direction was 0: both estimators gave exact zeros and 3/3 checks passed
+    path = small_copy("levy_sup_cp.ini", tmp_path, levy__direction="3.0:1.0",
+                      mc__samples="2000")
+    argv = ["levy-sup", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: direction sizes [3.0] are not jump sizes" in capsys.readouterr().err
+
+
+def test_repeated_jump_size_is_a_config_error(tmp_path, capsys):
+    # only the last mass of a repeated size was kept (exit 0)
+    path = small_copy("levy_sim_gamma.ini", tmp_path, levy__builder="cp",
+                      levy__atoms="1.0:0.5, 1.0:0.3")
+    argv = ["levy-sim", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: jump size 1.0 is listed twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from poissonpert import (Functional, MCPlan, NonIncreasingEventError,
+from poissonpert import (ConditionError, Functional, MCPlan,
                          PerturbationFamily, coupled_scale_fd, count_functional,
                          count_squared, discrete, exact_expectation,
                          linear_derivative, nonlinear_derivative, parametric_series,
@@ -194,7 +194,7 @@ class TestPivotalDerivative:
         assert abs(est.estimate - 2.0 * math.exp(-0.5)) <= 3 * est.stderr
 
     def test_undeclared_event_rejected(self, rng):
-        with pytest.raises(NonIncreasingEventError):
+        with pytest.raises(ConditionError):
             pivotal_derivative(count_functional(), discrete({"b": 1.0}), 1.0,
                                MCPlan(100, rng.child(6)))
 
@@ -202,7 +202,7 @@ class TestPivotalDerivative:
         # the void indicator is decreasing; sampled pivotal terms go negative
         lying = Functional(lambda phi: 1.0 if phi.total_points() == 0 else 0.0,
                            bound=1.0, increasing=True, name="not_increasing")
-        with pytest.raises(NonIncreasingEventError):
+        with pytest.raises(ConditionError):
             pivotal_derivative(lying, discrete({"b": 2.0}), 1.0,
                                MCPlan(2_000, rng.child(7)))
 

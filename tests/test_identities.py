@@ -4,7 +4,8 @@ Each property draws 1-3 atoms with masses in [0.05, 1.5] (a target atom may
 also carry no mass, which gives the Lebesgue decompositions a singular
 part) and a built-in functional, and checks one identity against the exact
 engine: the variational series under every decomposition, the parametric
-series term by term, the Hellinger law identity, the likelihood ratio's
+series term by term, the Hellinger law identity, the admissibility verdicts
+against their clamped values (one divergent pair included), the likelihood ratio's
 first two moments on the plan of ``plan_for_measures``, the Fock
 identity and the Mecke identity.  The symmetry of D^n is checked on drawn configurations and
 points, against the count kernel too, and D^n over a multiset against its
@@ -20,16 +21,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from poissonpert import (AtomWindow, Functional, MCPlan, PerturbationFamily, PointConfiguration,
-                         RngStream, constant_functional, count_functional, count_squared,
+                         RngStream, admissibility_check, constant_functional, count_functional, count_squared,
                          difference_n, discrete, exact_expectation, fock_identity_check,
                          hellinger_poisson, parametric_series, poisson_hellinger_exact,
                          reweighted_expectation, second_moment_bound, second_moment_exact,
                          threshold_indicator, variational_series, void_indicator)
 from poissonpert.configuration import difference_counts
+from poissonpert.measures import DEFAULT_CAP
 from poissonpert.sampler import couple_counts
 
 ATOMS = ["a", "b", "c"]
@@ -91,6 +93,32 @@ def test_hellinger_law_identity(pair):
     lam, nu = pair
     assert hellinger_poisson(lam, nu) == pytest.approx(poisson_hellinger_exact(lam, nu),
                                                        rel=1e-12, abs=1e-14)
+
+
+@given(pair=pairs())
+@example(pair=(discrete({"a": 1.0}), discrete({"a": 4e12})))
+def test_admissibility_verdicts_read_their_clamped_values(pair):
+    rep = admissibility_check(*pair)
+    clamped = {"l2_gap_low": rep.l2_gap_low, "l2_gap_high": rep.l2_gap_high,
+               "hellinger": rep.hellinger, "lebesgue_gap_nu": rep.lebesgue_gap_nu,
+               "lebesgue_gap_lam": rep.lebesgue_gap_lam}
+    assert all(0.0 <= v <= DEFAULT_CAP for v in clamped.values())
+    assert rep.l2_ok == (rep.l2_gap_low < DEFAULT_CAP and rep.l2_gap_high < DEFAULT_CAP)
+    assert rep.hellinger_ok == (rep.hellinger < DEFAULT_CAP)
+    assert rep.lebesgue_nu_ok == (rep.lebesgue_gap_nu < DEFAULT_CAP)
+    assert rep.lebesgue_lam_ok == (rep.lebesgue_gap_lam < DEFAULT_CAP)
+    if rep.monotone_up is not None:
+        assert rep.monotone_ok == (rep.monotone_up[1] < DEFAULT_CAP)
+    elif rep.monotone_down is not None:
+        assert rep.monotone_down <= DEFAULT_CAP
+        assert rep.monotone_ok == (rep.monotone_down < DEFAULT_CAP)
+    else:
+        assert rep.monotone_ok is None
+    # the ok column of rows(): a clamped value's own comparison, and the
+    # monotone verdict on every monotone row
+    for name, value, ok in rep.rows():
+        assert ok == (clamped[name] < DEFAULT_CAP if name in clamped else rep.monotone_ok)
+        assert isinstance(ok, bool)
 
 
 @given(pair=pairs())

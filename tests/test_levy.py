@@ -218,6 +218,21 @@ class TestSimulatePath:
             LevyModel(jumps=StableJumps(1.5, 1.0, 1.0), drift=0.0,
                       drift_form="plain", t0=1.0, eps=0.1)
 
+    @pytest.mark.parametrize("g, bound, message", [
+        # the jump rate used the bound but no proposal was thinned: over
+        # 20,000 paths E X_1 read 3.0 against moments()' 1.0
+        (None, 3.0, "density_bound must be 1.0, got 3.0"),
+        # a zero jump rate: every path was jump-free, E X_1 0 against 2.0
+        (2.0, 0.0, "density_bound must be positive"),
+        (2.0, -1.0, "density_bound must be positive"),
+        (2.0, math.inf, "density_bound must be finite"),
+    ])
+    def test_density_bound_is_a_usable_envelope(self, g, bound, message):
+        density = None if g is None else JumpDensity(
+            lambda x: np.full(np.shape(x), g), lambda x: np.full(np.shape(x), g - 1.0))
+        with pytest.raises(ValueError, match=message):
+            cp_model({1.0: 1.0}, density=density, density_bound=bound)
+
 
 def drift_wiener_sup_mean(mu, sigma):
     """E sup over [0, 1] of mu t + sigma W_t, in closed form."""
@@ -388,6 +403,11 @@ class TestDirections:
         assert not np.isin(draws, [2.0, -1.0]).any()
         np.testing.assert_array_equal(d.tilt(draws), np.ones(draws.size))
         assert d.mark_mass == pytest.approx(0.5 * 0.4 + 0.25 + 1.5 * 0.2)
+
+    def test_cp_direction_off_the_reference_sizes_rejected(self):
+        # g is 0 off the atoms, so such a direction was silently the zero direction
+        with pytest.raises(ValueError, match=r"direction sizes \[3.0\] are not jump sizes"):
+            cp_direction(CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5}), {1.0: 0.8, 3.0: 1.0})
 
     @pytest.mark.parametrize("d, nu_ref", MARK_LAWS)
     def test_mark_law_mass_and_mean(self, d, nu_ref):

@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.stats import poisson
 
-from poissonpert import (AdmissibilityError, LikelihoodRatio, MCPlan,
+from poissonpert import (ConditionError, LikelihoodRatio, MCPlan,
                          PointConfiguration, constant_functional, count_functional,
                          discrete, exact_expectation, likelihood_eval,
                          reweighted_expectation, second_moment_bound,
@@ -111,5 +111,5 @@ class TestReweighting:
     def test_square_gap_failure_is_hard(self):
         nu = discrete({"x": 4e12})
         rho = discrete({"x": 1.0})
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(ConditionError):
             reweighted_expectation(void_indicator(), nu, rho)

@@ -1,13 +1,14 @@
 """Variational and parametric series, Gateaux and norm-uniform derivatives."""
 
 import csv
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
-from poissonpert import (DIFFERENCE_ORDER_CAP, AdmissibilityError, Functional, MCPlan,
+from poissonpert import (DIFFERENCE_ORDER_CAP, ConditionError, Functional, MCPlan,
                          PerturbationFamily, constant_functional, count_functional,
                          count_squared, discrete, exact_expectation,
                          frechet_remainder_check, gateaux_derivative, parametric_series,
@@ -27,6 +28,15 @@ class TestVariationalSeries:
         oracle = exact_expectation(void_indicator(), nu)
         assert abs(res.value - oracle) < 1e-10
         assert res.converged
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_result_is_frozen(self, rng, mode):
+        # converged is decided where the series is built, and nothing rewrites it
+        lam, nu = discrete({"b": 1.0}), discrete({"b": 2.0})
+        res = variational_series(void_indicator(), lam, nu, n_max=4, mode=mode,
+                                 mc=MCPlan(200, rng.child(60)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.converged = not res.converged
 
     def test_constant_converges_at_order_zero(self):
         lam, nu = discrete({"b": 1.0}), discrete({"b": 2.5})
@@ -76,7 +86,7 @@ class TestVariationalSeries:
         with pytest.warns(RuntimeWarning):
             res = variational_series(void_indicator(), lam, nu, n_max=5)
         assert res.terms  # warned but produced a (non-convergent) report
-        with pytest.raises(AdmissibilityError):
+        with pytest.raises(ConditionError):
             variational_series(void_indicator(), lam, nu, n_max=5, strict=True)
 
     def test_monte_carlo_mode_matches_exact(self, rng):
