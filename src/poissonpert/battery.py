@@ -256,11 +256,11 @@ def run_battery(seed: int, workers: int = 1) -> list[CheckRow]:
     add(CheckRow("coupling_identity_at_equal_measures",
                  float(pair_same.phi_lambda == pair_same.phi_nu), 1.0, 0.0, "bool"))
 
-    mk = sampler.mecke_check(lambda x, phi: 1.0, lam1,
+    mk = sampler.mecke_check(lambda x, phi: 1.0, lam1, window=None,
                              plan=MCPlan(20_000, rng.child(11), workers=workers))
     add(CheckRow("mecke_constant", mk.lhs, mk.rhs, mk.stderr, "z"))
     mk2 = sampler.mecke_check(lambda x, phi: float(phi.total_points()), lam1,
-                              plan=MCPlan(20_000, rng.child(12), workers=workers))
+                              window=None, plan=MCPlan(20_000, rng.child(12), workers=workers))
     add(CheckRow("mecke_count", mk2.lhs, mk2.rhs, mk2.stderr, "z"))
 
     # --- levy -----------------------------------------------------------------

@@ -35,6 +35,7 @@ from .rng import SPOT_CHECKS
 DIFFERENCE_ORDER_CAP = 20
 NODE_SLICE = 1 << 16  # most count nodes of a Monte Carlo block evaluated in one array
 SPOT_RTOL = 1e-12  # count form vs fn on the spot-checked nodes (the built-ins agree exactly)
+_FSUM_ARRAY_MIN = 1024  # fewest values _fsum sums in array passes (math.fsum is cheaper below)
 
 
 class FunctionalEvaluationError(RuntimeError):
@@ -285,6 +286,73 @@ def _subsets(n: int, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, signs
 
 
+def _extract(r: np.ndarray, mag: np.ndarray, m: int) -> tuple:
+    """One error-free extraction pass down axis 0: the exact column sums of
+    the high parts q = (r + sigma) - sigma, with sigma 2^m times the least
+    power of two above the column's ``mag``, and the remainders r - q with
+    their largest magnitudes."""
+    sigma = np.ldexp(1.0, np.frexp(mag)[1] + m)
+    q = r + sigma
+    q -= sigma
+    total = q.sum(axis=0)
+    r = np.subtract(r, q, out=q)
+    return total, r, np.maximum(r.max(axis=0), -r.min(axis=0))
+
+
+def _fsum(x: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row (the last axis) of a float array, bit for bit.
+
+    Below ``_FSUM_ARRAY_MIN`` values in all, every row runs ``math.fsum``.
+    Otherwise the rows are summed by error-free extraction (Rump, Ogita &
+    Oishi, *Accurate floating-point summation I*, SIAM J. Sci. Comput. 31,
+    2008).  With n values a row and 2^m >= n + 2, a power of two
+    sigma > 2^m max|r| splits each value r into the high part
+    q = (r + sigma) - sigma and the exact remainder r - q.  Every q is a
+    multiple of 2^-53 sigma and at most 2^-m sigma, so the float sum T of a
+    row's q is exact in any order.
+
+    - If one pass leaves no remainder (integer-valued rows, say), T is the sum.
+    - Otherwise a second pass leaves the exact sum T1 + T2 + sum(r), and
+      s = fl(T1 + T2) is the correctly rounded sum when no r is left.
+    - Else the float sum of the r errs by less than 2^(2m - 52) max|r|, so
+      the exact residual, the TwoSum error of s plus sum(r), lies within w
+      of its float value d.  If s + (d - w) and s + (d + w) both round to
+      s, so does the exact sum, since rounding is monotone.
+
+    ``math.fsum`` rounds correctly, so it returns the same s.  A row with
+    inf, NaN or a value of 2^(1022 - m) or more, or whose sum is too near a
+    rounding boundary (a tie, or an exact zero with remainders), runs
+    ``math.fsum`` on its list, so its exceptions and non-finite results stay
+    those of ``math.fsum``.
+    """
+    x = np.asarray(x, dtype=float)
+    shape, n = x.shape[:-1], x.shape[-1]
+    if x.size == 0:
+        return np.zeros(shape)
+    rows = x.reshape(-1, n)
+    if rows.size < _FSUM_ARRAY_MIN:
+        return np.fromiter(map(math.fsum, rows.tolist()), float, len(rows)).reshape(shape)
+    r = np.ascontiguousarray(rows.T)  # (n, rows): the reductions run across rows
+    m = (n + 1).bit_length()  # 2^m >= n + 2
+    mag = np.maximum(r.max(axis=0), -r.min(axis=0))
+    sure = mag < 2.0 ** (1022 - m)  # finite (NaN compares false), sigma stays finite
+    if not sure.all():
+        r = np.where(sure, r, 0.0)
+        mag[~sure] = 0.0
+    s, r, mag = _extract(r, mag, m)
+    if mag.any():
+        t1, (t2, r, mag) = s, _extract(r, mag, m)
+        s = t1 + t2
+        z = s - t1
+        d = (t1 - (s - z)) + (t2 - z) + r.sum(axis=0)
+        w = np.ldexp(mag, 2 * m - 50) + np.abs(d) * 2.0 ** -50 + 2.0 ** -1072
+        sure &= (mag == 0) | ((s + (d + w) == s) & (s + (d - w) == s))
+    bad = np.flatnonzero(~sure)
+    if bad.size:
+        s[bad] = list(map(math.fsum, rows[bad].tolist()))
+    return s.reshape(shape)
+
+
 def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
                       check: bool = False) -> np.ndarray:
     """``difference_n`` on every row of a Monte Carlo block.
@@ -292,8 +360,9 @@ def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
     Row r is the configuration ``counts[r]`` over ``atoms`` with the points
     ``atoms[picks[r, j]]``, j < n.  Its 2^n subset configurations form one
     count array, evaluated by ``block_values`` (``check`` on the first slice)
-    at most ``NODE_SLICE`` nodes at a time; the signed values of a row are
-    added with ``math.fsum``, as in ``difference_n``.
+    at most ``NODE_SLICE`` nodes at a time.  The signed values of each row
+    are added by ``_fsum``, which returns ``math.fsum`` of the row, as in
+    ``difference_n``, from a few array passes.
     """
     rows, n = picks.shape
     hot = picks == np.arange(len(atoms))[:, None, None]  # (atoms, rows, n)
@@ -307,7 +376,7 @@ def difference_counts(f, counts: np.ndarray, atoms: Sequence, picks: np.ndarray,
             cs = list(counts[r:r + per].T[:, :, None] + hot[:, r:r + per] @ bits)
             signed.append(block_values(f, cs, atoms, check and start == r == 0) * signs)
         signed = np.concatenate(signed, axis=-1)
-        out[r:r + per] = signed[..., 0] if n == 0 else list(map(math.fsum, signed.tolist()))
+        out[r:r + per] = signed[..., 0] if n == 0 else _fsum(signed)
     return out
 
 

@@ -8,8 +8,11 @@ own: ``EnumerationPlan()``, or likelihood's ``plan_for_measures`` floor, and
 only the lattice primitives take one.  The functional is evaluated once over the
 whole lattice, as array work through its count-array form
 (``Functional.counts``), and the Poisson mixture is contracted afterwards.
-A plain expectation is one compensated sum over the lattice, so results are
-exact to near machine precision at desk scale.  A functional without a
+A plain expectation is one exactly rounded sum over the lattice, so results
+are exact to near machine precision at desk scale.  That sum is
+``configuration._fsum``: ``math.fsum`` of the weighted lattice, bit for bit,
+from a few array passes of error-free extraction instead of one Python float
+at a time.  A functional without a
 count form (a plain callable, a hand-written ``Functional``) is evaluated
 node by node instead: the same lattice, one ``fn`` call per node, which is
 the slow fallback.  Cost is the product of the per-atom cap ranges, so
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .configuration import Functional, count_values, difference_n
+from .configuration import Functional, _fsum, count_values, difference_n
 from .measures import DiscreteMeasure
 
 _UNDERFLOW_MASS = 700.0  # e^(-mass) stays a normal float below this
@@ -87,6 +90,10 @@ class EnumerationPlan:
     tail: float = 1e-14
     floor: int = 0
 
+    def __post_init__(self):
+        if not self.tail > 0.0:  # a zero bound is never met: cap would count forever
+            raise ValueError(f"tail must be positive, got {self.tail!r}")
+
     def cap(self, mass: float, growth_degree: int | None = None) -> int:
         """Smallest count cap whose tail (inflated by polynomial growth of the
         integrand when declared) is below the plan bound, and at least
@@ -95,20 +102,29 @@ class EnumerationPlan:
         The cap starts one past the tail quantile min{k : P(N > k) <= tail}
         and grows while P(N > k) (k + 2)^p >= tail.  P(N > k) is the
         compensated forward sum of the probabilities beyond k; 1 - cdf would
-        lose every digit of so small a tail.
+        lose every digit of so small a tail.  Every test reads that
+        ``math.fsum``, computed only where it could decide the test: the K
+        positive probabilities summed smallest first give each P(N > k)
+        within a relative (K + 3) u, so a test whose cumulative sum lies
+        further than K 2^-50 from the bound has the same outcome.
         """
         if mass <= 0.0:
             return 0
         if mass > 1e6:
             raise ValueError(f"atom mass {mass:g} is far beyond enumeration scale")
-        probs = poisson_pmf(mass, _tail_reach(mass)).tolist()
+        probs = poisson_pmf(mass, _tail_reach(mass))
+        rough = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0).tolist()  # P(N > j)
+        close = len(probs) * 2.0 ** -50 * self.tail
 
-        def sf(j: int) -> float:
-            return math.fsum(probs[j + 1:])
+        def sf(j: int, scale: int = 1) -> float:
+            value = rough[min(j, len(rough) - 1)] * scale
+            if abs(value - self.tail) <= close:
+                value = math.fsum(probs[j + 1:]) * scale
+            return value
 
         k = bisect.bisect_left(range(len(probs)), True, key=lambda j: sf(j) <= self.tail) + 1
         p = growth_degree or 0
-        while sf(k) * (k + 2) ** p >= self.tail:
+        while sf(k, (k + 2) ** p) >= self.tail:
             k += 1
         return max(k, self.floor)
 
@@ -159,7 +175,8 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
     the count form spot-checked on ``_spot_nodes``; the Poisson
     mixture over the base measure is contracted axis by axis afterwards.
     Without shifts (``n_max = 0`` or no shift atoms) the result is a 0-d
-    array, the expectation itself, summed with ``math.fsum``.
+    array, the expectation itself: ``math.fsum`` of the weighted lattice,
+    computed by ``configuration._fsum``.
     """
     plan = plan or EnumerationPlan()
     shift_atoms = list(shift_atoms)
@@ -179,7 +196,7 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
         weights = np.ones(())
         for pmf, c in zip(pmfs, _open_grid(shape)):
             weights = weights * pmf[c]
-        return np.array(math.fsum((weights * table).ravel().tolist()))
+        return _fsum((weights * table).ravel())
 
     # contract the Poisson mixture over base-measure axes
     axis = 0

@@ -390,13 +390,13 @@ def hellinger_poisson(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 class AdmissibilityReport:
     """Square-integrability and Hellinger diagnostics for a measure pair.
 
-    The gaps, ``hellinger`` and ``monotone_down`` are clamped at
-    ``DEFAULT_CAP`` (``monotone_up`` is not), and each verdict holds when
-    its value is below the cap.  ``l2_ok``, the series engine's verdict,
-    reads both mean-one density gaps ``int (1-h)^2 drho``; ``hellinger_ok``
-    tracks the weaker necessary condition ``H(lam, nu) < inf`` and never
-    drives a verdict on its own.  ``monotone_ok`` reads the l2 side of
-    ``monotone_up``, or ``monotone_down``; it is None when neither applies.
+    Every value, both sides of ``monotone_up`` included, is clamped at
+    ``DEFAULT_CAP``, and each verdict holds when its value is below the cap.
+    ``l2_ok``, the series engine's verdict, reads both mean-one density gaps
+    ``int (1-h)^2 drho``; ``hellinger_ok`` tracks the weaker necessary
+    condition ``H(lam, nu) < inf`` and never drives a verdict on its own.
+    ``monotone_ok`` reads the l2 side of ``monotone_up``, or
+    ``monotone_down``; it is None when neither applies.
     """
 
     l2_gap_low: float
@@ -486,7 +486,7 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
         h = lam.density_against(lam_plus_mu)
         mu_side = math.fsum((1.0 - h[a]) * mu.mass(a) for a in lam_plus_mu.atoms)
         l2_side = math.fsum((1.0 - h[a]) ** 2 * lam_plus_mu.mass(a) for a in lam_plus_mu.atoms)
-        monotone_up = (mu_side, l2_side)
+        monotone_up = (_capped(mu_side), _capped(l2_side))
     elif down and not up:
         # nu = lam - mu: square-integrability of dmu/dlam decides the verdict
         mu = DiscreteMeasure({a: lam.mass(a) - nu.mass(a) for a in atoms})
@@ -583,24 +583,24 @@ class PerturbationFamily:
     def validate(self, points: Sequence) -> None:
         """Sampled hypothesis checks on 9 evenly spaced thetas of I:
         nonnegativity, envelope domination, and a remainder vanishing
-        pointwise at theta0."""
+        pointwise at theta0.  A failed check raises ``ConditionError``."""
         lo, hi = self.interval
         for theta in np.linspace(lo, hi, 9):
             dens = self.density_at(theta)
             for x in points:
                 if dens(x) < -1e-12:
-                    raise ValueError(
+                    raise ConditionError(
                         f"family density negative at {x!r} for theta={theta:g}"
                     )
                 if self.remainder is not None and self.envelope is not None:
                     if abs(self.remainder(theta, x)) > self.envelope(x) + 1e-12:
-                        raise ValueError(
+                        raise ConditionError(
                             f"remainder exceeds its envelope at {x!r}, theta={theta:g}"
                         )
         if self.remainder is not None:
             for x in points:
                 if abs(self.remainder(self.theta0, x)) > 1e-12:
-                    raise ValueError("remainder does not vanish at theta0")
+                    raise ConditionError("remainder does not vanish at theta0")
                 for sgn in (-1.0, 1.0):
                     span = (hi - self.theta0) if sgn > 0 else (self.theta0 - lo)
                     if span <= 0.0:
@@ -611,6 +611,6 @@ class PerturbationFamily:
                         for k in range(2, 12)
                     ]
                     if vals[-1] > 1e-9 and vals[-1] > 0.5 * vals[0]:
-                        raise ValueError(
+                        raise ConditionError(
                             f"remainder does not shrink toward theta0 at {x!r}"
                         )

@@ -120,7 +120,7 @@ class MeckeResult:
         yield self.stderr
 
 
-def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
+def mecke_check(f, m, window, plan: MCPlan) -> MeckeResult:
     """Both sides of the Mecke identity, estimated with standard errors.
 
     lhs: E sum over points x of Phi of f(x, Phi - delta_x).
@@ -131,16 +131,14 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
     the quadrature sum.  On a discrete measure the right side is one
     stratified ``mc_mean`` pass with one stratum per atom a, estimating
     E f(a, Phi) on configurations of its own; the atoms' masses weight the
-    strata's means and stderrs.  Both sides draw count rows, and one memo per
-    call, keyed by the row, holds each row's left-side sum and f at each
-    (point, row) on first use: f is evaluated once per distinct (point,
-    configuration) pair of the call, and the values and their summation
-    order are those of evaluating every replication afresh.  The memo pays
-    where rows repeat, as they do at small masses; where they rarely do
-    (masses in the tens) its bookkeeping makes the call about 1.5x slower.
+    strata's means and stderrs.  Both sides draw count rows.  One lexsort
+    per block finds its distinct rows and the index of each row among them;
+    each side is evaluated once per distinct row and gathered back.  One memo
+    per call, keyed by the row, holds each row's left-side sum and f at each
+    (point, row) on first use, so f is evaluated once per distinct (point,
+    configuration) pair of the call.  The values and their summation order
+    are those of evaluating every replication afresh.
     """
-    if plan is None:
-        raise ValueError("an MCPlan is required")
     if isinstance(m, DiscreteMeasure):
         mr = m.restrict(window)
         atoms = mr.support()
@@ -157,10 +155,20 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
                        for i, (x, c) in enumerate(zip(atoms, row)) if c)
 
         def rows(gen, n):
-            return map(tuple, sample_counts(mr, size=n, generator=gen).tolist())
+            """A block's distinct count rows, as tuples, and each row's index
+            among them."""
+            counts = sample_counts(mr, size=n, generator=gen)
+            order = np.lexsort(counts.T[::-1]) if atoms else np.arange(n)
+            ranked = counts[order]
+            new = np.ones(n, dtype=bool)
+            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            index = np.empty(n, dtype=np.intp)
+            index[order] = np.cumsum(new) - 1
+            return list(map(tuple, ranked[new].tolist())), index
 
         def lhs_draw(gen, n):
-            return np.array([[lhs_sum(row) for row in rows(gen, n)]], dtype=float)
+            distinct, index = rows(gen, n)
+            return np.array([[lhs_sum(row) for row in distinct]], dtype=float)[:, index]
     else:
         def lhs_draw(gen, n):
             phis = [sample_poisson(m, window, generator=gen) for _ in range(n)]
@@ -172,7 +180,10 @@ def mecke_check(f, m, window=None, plan: MCPlan | None = None) -> MeckeResult:
     rhs_plan = plan.split(1)
     if isinstance(m, DiscreteMeasure):
         def side_draw(atom):
-            return lambda gen, n: np.array([[f_at(atom, row) for row in rows(gen, n)]])
+            def draw(gen, n):
+                distinct, index = rows(gen, n)
+                return np.array([[f_at(atom, row) for row in distinct]])[:, index]
+            return draw
 
         strata = [(side_draw(a), rhs_plan.samples) for a in atoms]
         sides = [r.estimate() for r in mc_mean(strata, rhs_plan)] if atoms else []

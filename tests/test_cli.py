@@ -186,6 +186,22 @@ class TestDerivStudy:
         assert "admissibility failure: functional not declared increasing" \
             in capsys.readouterr().err
 
+    def test_nonlinear_family_hypothesis_failure_exits_3(self, tmp_path, capsys):
+        # the sampled family checks raised ValueError, reported as a config error (exit 2)
+        files = {"rho.txt": "a 1.0\nb 0.5\n", "base.txt": "a 1.0\nb -0.5\n",
+                 "rate.txt": "a 0.3\nb 0.2\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "deriv.ini").write_text(
+            "[deriv]\nestimator = nonlinear\nfunctional = void\nrho_file = rho.txt\n"
+            "base_file = base.txt\nrate_file = rate.txt\ntheta = 0.2\n"
+            "interval = -0.5 0.5\n\n[mc]\nseed = 42\n")
+        out = tmp_path / "out"
+        assert main(["deriv", "--config", str(tmp_path / "deriv.ini"), "--out", str(out)]) \
+            == EXIT_ADMISSIBILITY
+        assert "admissibility failure: family density negative at 'b'" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("direction, code", [
         ("a 0.5\nb -0.25\n", EXIT_OK),
         ("a 0.5\nb -0.25\na 0.3\n", EXIT_CONFIG),  # a density file lists atom a twice

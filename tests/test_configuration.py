@@ -1,12 +1,16 @@
-"""Point configurations and the difference operators."""
+"""Point configurations, the difference operators and the exact array sums."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonpert import (AtomWindow, Functional, PointConfiguration,
                          count_functional, count_squared, difference_n,
                          difference_n_recursive, void_indicator)
+from poissonpert import configuration
 from poissonpert.configuration import (DifferenceOrderError,
                                        FunctionalEvaluationError)
 
@@ -137,3 +141,83 @@ class TestFunctionalNaN:
         f = Functional(lambda phi: float("nan"), name="broken")
         with pytest.raises(FunctionalEvaluationError):
             f(PointConfiguration.empty())
+
+
+def _summands(gen: np.random.Generator, kind: str, size: int) -> np.ndarray:
+    """``size`` doubles of one adversarial family."""
+    if kind == "normal":
+        return gen.normal(size=size)
+    if kind == "wide":  # exponents spread over e^-50..e^50
+        return gen.normal(size=size) * np.exp(gen.uniform(-50.0, 50.0, size))
+    if kind == "integers":
+        return gen.integers(-2**40, 2**40, size).astype(float)
+    if kind == "cancel":  # pairs x, -x around a few survivors far below them
+        half = gen.normal(size=size // 2) * np.exp(gen.uniform(-30.0, 30.0, size // 2))
+        rest = gen.normal(size=size - 2 * (size // 2)) * 1e-20
+        return gen.permutation(np.concatenate([half, -half, rest]))
+    if kind == "tie":  # 1 + 2^-53 exactly, or 1 + 3 * 2^-53: a rounding tie either way
+        head = [1.0, 2.0 ** -53] if gen.random() < 0.5 else [1.0 + 2.0 ** -52, 2.0 ** -53]
+        half = gen.normal(size=max(size - 2, 0) // 2)
+        pad = np.zeros(max(size - 2, 0) % 2)
+        return gen.permutation(np.concatenate([head[:size], half, -half, pad]))
+    if kind == "subnormal":  # a normal head and a subnormal tail
+        tail = gen.normal(size=size) * 1e-310
+        tail[: size // 8] *= 1e300
+        return tail
+    if kind == "zeros":
+        return np.where(gen.random(size) < 0.5, 0.0, -0.0)
+    if kind == "huge":  # near the overflow threshold: some rows overflow in fsum
+        return gen.choice([-1.0, 1.0], size) * gen.uniform(0.5, 1.0, size) * 1e308
+    out = gen.normal(size=size)  # "special": an inf, -inf or NaN somewhere
+    if size:
+        out[gen.integers(size, size=gen.integers(1, 3))] = gen.choice([np.inf, -np.inf, np.nan])
+    return out
+
+
+def _outcome(run):
+    """The bits of a sum (sign of zero and NaN included), or the error raised."""
+    try:
+        values = run()
+    except (OverflowError, ValueError) as err:
+        return type(err), str(err)
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestArraySums:
+    """``configuration._fsum`` is ``math.fsum`` of each row, bit for bit."""
+
+    KINDS = ["normal", "wide", "integers", "cancel", "tie", "subnormal", "zeros", "huge",
+             "special"]
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(KINDS), min_size=1,
+                                                        max_size=4),
+           n=st.integers(0, 3000), array_path=st.booleans())
+    def test_rows_equal_fsum(self, seed, kinds, n, array_path):
+        gen = np.random.default_rng(seed)
+        x = np.stack([_summands(gen, kind, n) for kind in kinds])
+        want = [_outcome(lambda row=row: math.fsum(row)) for row in x.tolist()]
+        errors = [w for w in want if isinstance(w, tuple)]
+        want = errors[0] if errors else [w[0] for w in want]
+        with pytest.MonkeyPatch.context() as mp:
+            if array_path:  # below the size switch too
+                mp.setattr(configuration, "_FSUM_ARRAY_MIN", 0)
+            assert _outcome(lambda: configuration._fsum(x)) == want
+            if len(kinds) == 1:
+                assert _outcome(lambda: configuration._fsum(x[0])) == want
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0 ** -53, -(2.0 ** -106)],  # just below a tie
+        [1.0, 2.0 ** -53, 2.0 ** -106],  # just above it
+        [1e100, 1.0, -1e100],  # a 1 hidden under a cancelling pair
+        [2.0 ** 1020, 2.0 ** 1020, -(2.0 ** 1020)],  # beyond the array passes' range
+        [1e308, 1e308, -1e308],  # an intermediate overflow
+        [np.inf, -np.inf], [np.nan, 1.0], [np.inf, 1.0],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [],
+        [0.1] * 10 + [-1.0],
+    ])
+    def test_hand_picked_sums(self, values, monkeypatch):
+        monkeypatch.setattr(configuration, "_FSUM_ARRAY_MIN", 0)
+        x = np.array(values, dtype=float)
+        assert _outcome(lambda: configuration._fsum(x)) \
+            == _outcome(lambda: [math.fsum(values)])

@@ -123,7 +123,7 @@ class TestNonlinearDerivative:
             reference=lam, base_density=lambda a: 1.0, direction=lambda a: 0.1,
             theta0=0.0, interval=(-0.5, 0.5),
             remainder=lambda t, a: t, envelope=lambda a: 1e-4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionError):
             nonlinear_derivative(void_indicator(), fam)
 
 

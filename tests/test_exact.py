@@ -29,6 +29,12 @@ class TestEnumerationPlan:
     def test_zero_mass(self):
         assert EnumerationPlan().cap(0.0) == 0
 
+    @pytest.mark.parametrize("tail", [0.0, -1e-14, math.nan])
+    def test_tail_must_be_positive(self, tail):
+        # a zero tail used to make cap() loop forever, a NaN one return garbage
+        with pytest.raises(ValueError, match="tail must be positive"):
+            EnumerationPlan(tail=tail)
+
     def test_too_many_atoms(self):
         m = discrete({f"a{i}": 0.5 for i in range(7)})
         with pytest.raises(ValueError):

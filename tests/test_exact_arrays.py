@@ -6,6 +6,7 @@ against the subset-sum route, the spot check, and the Poisson pmf / tail
 helpers behind the enumeration caps.
 """
 
+import bisect
 import dataclasses
 import math
 from decimal import Decimal, getcontext
@@ -22,6 +23,7 @@ from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, MCPlan,
                          fock_identity_check, mc_expectation, threshold_indicator,
                          void_indicator)
 from poissonpert.configuration import CountFormMismatchError, FunctionalEvaluationError
+from poissonpert import exact
 from poissonpert.exact import expectation_table, expected_difference_orders, poisson_pmf
 from poissonpert.series import order_one
 
@@ -228,6 +230,26 @@ class TestPoissonHelpers:
                 while stats.poisson.sf(ref, mass) * (ref + 2) ** p >= tail:
                     ref += 1
                 assert k >= ref
+
+    @settings(max_examples=100)
+    @given(mass=st.floats(1e-6, 500.0), p=st.sampled_from([None, 1, 2, 3, 5]),
+           tail=st.sampled_from([1e-14, 1e-10, 1e-4, 0.3, 1e-100, 1e-250]),
+           tie_at=st.none() | st.integers(0, 80))
+    def test_caps_equal_the_fsum_of_every_tail(self, mass, p, tail, tie_at):
+        # the cumulative tails decide only where fsum could not change the
+        # outcome: the caps are those of fsum at every probe, also when the
+        # bound is exactly one of the tails
+        probs = poisson_pmf(mass, exact._tail_reach(mass)).tolist()
+
+        def sf(j):
+            return math.fsum(probs[j + 1:])
+
+        if tie_at is not None and sf(tie_at) > 0.0:
+            tail = sf(tie_at)
+        k = bisect.bisect_left(range(len(probs)), True, key=lambda j: sf(j) <= tail) + 1
+        while sf(k) * (k + 2) ** (p or 0) >= tail:
+            k += 1
+        assert EnumerationPlan(tail=tail).cap(mass, p) == k
 
     def test_floor_lifts_caps_of_positive_masses_only(self):
         plan = EnumerationPlan(floor=40)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poissonpert import (AtomWindow, BoxWindow, DiscreteMeasure,
+from poissonpert import (AtomWindow, BoxWindow, ConditionError, DiscreteMeasure,
                          MeasureMismatchError, PerturbationFamily, RngStream,
                          SignedPerturbation, admissibility_check, discrete,
                          hellinger_decomposed, hellinger_measures, hellinger_poisson,
@@ -198,6 +198,15 @@ class TestAdmissibility:
         rep = admissibility_check(discrete({"x": 1.0}), discrete({"x": 4e12}))
         assert not rep.l2_ok
 
+    def test_monotone_up_sides_are_clamped(self):
+        # both sides diverge: they used to print raw (3999999999998.0 on the
+        # mu side) next to the clamped gaps
+        rep = admissibility_check(discrete({"a": 1.0}), discrete({"a": 4e12}))
+        assert rep.monotone_up == (1e12, 1e12)
+        assert not rep.monotone_ok
+        rows = {name: value for name, value, _ in rep.rows()}
+        assert rows["monotone_up_mu_side"] == rows["monotone_up_l2_side"] == 1e12
+
 
 class TestLebesgueDecompose:
     def test_support_split(self):
@@ -237,7 +246,7 @@ class TestPerturbationFamily:
             reference=discrete({"x": 1.0}), base_density=lambda a: 1.0,
             direction=lambda a: 0.1, theta0=0.0, interval=(-0.5, 0.5),
             remainder=lambda t, a: 1.0, envelope=lambda a: 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionError):
             fam.validate(["x"])
 
     def test_envelope_violation_detected(self):
@@ -245,5 +254,5 @@ class TestPerturbationFamily:
             reference=discrete({"x": 1.0}), base_density=lambda a: 1.0,
             direction=lambda a: 0.1, theta0=0.0, interval=(-0.5, 0.5),
             remainder=lambda t, a: t, envelope=lambda a: 1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionError):
             fam.validate(["x"])

@@ -143,9 +143,31 @@ class TestCoupling:
             assert abs(vals.var() - target) <= 3 * se2
 
 
+def per_replication_mecke(f, m, window, plan):
+    """``mecke_check`` on a discrete measure with every replication's f
+    evaluated afresh, on the same count rows in the same chunks and strata."""
+    mr = m.restrict(window)
+    atoms = mr.support()
+
+    def phis(gen, n):
+        return [PointConfiguration.from_counts(atoms, row)
+                for row in sample_counts(mr, size=n, generator=gen).tolist()]
+
+    lhs, lhs_se = rng_module.mc_mean(lambda gen, n: np.array([[
+        sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
+        for phi in phis(gen, n)]]), plan.split(0)).estimate()
+    rhs_plan = plan.split(1)
+    sides = [r.estimate() for r in rng_module.mc_mean(
+        [(lambda gen, n, a=a: np.array([[f(a, phi) for phi in phis(gen, n)]]),
+          rhs_plan.samples) for a in atoms], rhs_plan)]
+    rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
+    rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2 for a, s in zip(atoms, sides)))
+    return MeckeResult(lhs, rhs, math.sqrt(lhs_se**2 + rhs_se**2), lhs_se, rhs_se)
+
+
 class TestMecke:
     def test_constant_integrand(self, rng):
-        res = mecke_check(lambda x, phi: 1.0, discrete({"x": 1.0}),
+        res = mecke_check(lambda x, phi: 1.0, discrete({"x": 1.0}), window=None,
                           plan=MCPlan(30_000, rng.child(11)))
         assert res.lhs == pytest.approx(1.0, abs=3 * res.lhs_stderr)
         assert res.rhs == pytest.approx(1.0, abs=max(3 * res.rhs_stderr, 1e-12))
@@ -154,13 +176,15 @@ class TestMecke:
     def test_count_integrand(self, rng):
         # oracle: E[N(N-1)] = 1 for a unit-mean count on the reduced side
         res = mecke_check(lambda x, phi: float(phi.total_points()),
-                          discrete({"x": 1.0}), plan=MCPlan(40_000, rng.child(12)))
+                          discrete({"x": 1.0}), window=None,
+                          plan=MCPlan(40_000, rng.child(12)))
         assert abs(res.lhs - 1.0) <= 3 * res.lhs_stderr
         assert abs(res.lhs - res.rhs) <= 3 * res.stderr
 
     def test_void_integrand(self, rng):
         res = mecke_check(lambda x, phi: 1.0 if phi.total_points() == 0 else 0.0,
-                          discrete({"x": 1.0}), plan=MCPlan(40_000, rng.child(13)))
+                          discrete({"x": 1.0}), window=None,
+                          plan=MCPlan(40_000, rng.child(13)))
         assert abs(res.lhs - math.exp(-1.0)) <= 3 * res.lhs_stderr
         assert abs(res.lhs - res.rhs) <= 3 * res.stderr
 
@@ -184,35 +208,30 @@ class TestMecke:
         def f(x, phi):
             return weight[x] * math.sqrt(1.0 + phi.count(10)) / (1.3 + phi.total_points())
 
-        def reference(plan):
-            mr = m.restrict(window)
-            atoms = mr.support()
-
-            def phis(gen, n):
-                return [PointConfiguration.from_counts(atoms, row)
-                        for row in sample_counts(mr, size=n, generator=gen).tolist()]
-
-            lhs, lhs_se = rng_module.mc_mean(lambda gen, n: np.array([[
-                sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
-                for phi in phis(gen, n)]]), plan.split(0)).estimate()
-            rhs_plan = plan.split(1)
-            sides = [r.estimate() for r in rng_module.mc_mean(
-                [(lambda gen, n, a=a: np.array([[f(a, phi) for phi in phis(gen, n)]]),
-                  rhs_plan.samples) for a in atoms], rhs_plan)]
-            rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
-            rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2
-                                         for a, s in zip(atoms, sides)))
-            return MeckeResult(lhs, rhs, math.sqrt(lhs_se**2 + rhs_se**2), lhs_se, rhs_se)
-
         for plan in (MCPlan(3000, rng.child(17), chunks=16),
                      MCPlan(97, rng.child(18), chunks=5)):
             blocks.clear()
             got = mecke_check(f, m, window, plan)
             got_blocks = blocks[:]
             blocks.clear()
-            assert got == reference(plan)
+            assert got == per_replication_mecke(f, m, window, plan)
             assert len(got_blocks) == len(blocks)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got_blocks, blocks))
+
+    @pytest.mark.parametrize("masses", [
+        {"a": 0.3, "b": 0.8},
+        {"a": 30.0, "b": 25.0, "c": 40.0, "d": 35.0},  # rows rarely repeat
+    ])
+    def test_distinct_rows_reproduce_per_replication_evaluation(self, rng, masses):
+        def f(x, phi):
+            return (1.0 + phi.count(x)) / (0.7 + phi.total_points()) ** 0.5
+
+        m = discrete(masses)
+        plan = MCPlan(600, rng.child(21), chunks=8)
+        got = mecke_check(f, m, None, plan)
+        want = per_replication_mecke(f, m, None, plan)
+        assert [x.hex() for x in (got.lhs, got.rhs, got.lhs_stderr, got.rhs_stderr)] \
+            == [x.hex() for x in (want.lhs, want.rhs, want.lhs_stderr, want.rhs_stderr)]
 
     def test_f_runs_once_per_point_and_configuration(self, rng):
         calls = Counter()
@@ -234,11 +253,11 @@ class TestMecke:
             return (1.0 + phi.count(x)) / (0.7 + phi.total_points())
 
         m = discrete({"a": 0.9, "b": 1.7, "c": 0.4})
-        serial = mecke_check(f, m, plan=MCPlan(2000, rng.child(20), chunks=32))
+        serial = mecke_check(f, m, window=None, plan=MCPlan(2000, rng.child(20), chunks=32))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # every chunk is long enough for the pool
         try:
-            pooled = mecke_check(f, m, plan=MCPlan(2000, rng.child(20), chunks=32, workers=8))
+            pooled = mecke_check(f, m, window=None, plan=MCPlan(2000, rng.child(20), chunks=32, workers=8))
         finally:
             sys.setswitchinterval(interval)
         assert pooled == serial
@@ -246,7 +265,7 @@ class TestMecke:
     def test_box_measure_route(self, rng):
         box = BoxWindow((0.0,), (1.0,))
         dens = lebesgue_measure(box, lambda p: 1.0, 1.0)
-        res = mecke_check(lambda x, phi: 1.0, dens, plan=MCPlan(20_000, rng.child(14)))
+        res = mecke_check(lambda x, phi: 1.0, dens, window=None, plan=MCPlan(20_000, rng.child(14)))
         assert abs(res.lhs - res.rhs) <= 3 * res.stderr
 
 
@@ -300,7 +319,7 @@ ESTIMATORS = {
     "coupled_scale_fd": lambda mc: tuple(pp.coupled_scale_fd(
         pp.count_squared(), LAM, 0.5, 0.05, mc)),
     "mecke_check": lambda mc: tuple(pp.mecke_check(
-        lambda x, phi: float(phi.total_points()), LAM, plan=mc)),
+        lambda x, phi: float(phi.total_points()), LAM, window=None, plan=mc)),
     "supremum_derivative": lambda mc: _supremum(levy.supremum_derivative(
         CP_MODEL, CP_PERT, mc)),
     "coupled_supremum_fd": lambda mc: tuple(levy.coupled_supremum_fd(

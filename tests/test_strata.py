@@ -89,7 +89,7 @@ class TestStratifiedPass:
                 pp.void_indicator(), lam, nu, n_max=8, mode="mc",
                 mc=MCPlan(80, rng.child(4), chunks=5)),
             "mecke": lambda: tuple(pp.mecke_check(
-                lambda x, phi: float(phi.total_points()), lam,
+                lambda x, phi: float(phi.total_points()), lam, window=None,
                 plan=MCPlan(60, rng.child(5), chunks=4))),
             "strata": lambda: [tuple(r.estimate(1)) for r in
                                mc_mean(STRATA, MCPlan(0, rng.child(6), chunks=7))],
@@ -175,7 +175,7 @@ class TestSeriesPass:
             monkeypatch.setattr(rng_module, "BLOCK_ROWS", block_rows)
             counts = counted(monkeypatch)
             res = pp.mecke_check(lambda x, phi: float(phi.total_points()), m,
-                                 plan=MCPlan(300, rng.child(9), chunks=16))
+                                 window=None, plan=MCPlan(300, rng.child(9), chunks=16))
             # the left side and the right
             assert counts == {"generators": 2 * blocks, "passes": 2}
             # E sum_x N(Phi - delta_x) = E N(N - 1) = mu^2 = int E N(Phi) m(dx)
