@@ -18,11 +18,10 @@ from .exact import (EnumerationPlan, FockCheck, exact_expectation,
                     poisson_hellinger_exact)
 from .likelihood import (LikelihoodRatio, likelihood_eval, plan_for_measures,
                          reweighted_expectation, second_moment_bound, second_moment_exact)
-from .measures import (AdmissibilityReport, AtomWindow, BoxWindow, ConditionError,
-                       DensityMeasure, DiscreteMeasure, MeasureMismatchError,
-                       PerturbationFamily, SignedPerturbation, admissibility_check,
-                       discrete, hellinger_decomposed, hellinger_measures,
-                       hellinger_poisson, lebesgue_decompose, lebesgue_measure,
+from .measures import (AdmissibilityReport, AtomWindow, ConditionError, DiscreteMeasure,
+                       MeasureMismatchError, PerturbationFamily, SignedPerturbation,
+                       admissibility_check, discrete, hellinger_decomposed,
+                       hellinger_measures, hellinger_poisson, lebesgue_decompose,
                        signed_power_integral)
 from .rng import EstimateResult, MCPlan, RngStream
 from .sampler import (CoupledPair, MeckeResult, mc_expectation, mecke_check,

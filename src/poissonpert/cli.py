@@ -79,13 +79,22 @@ FUNCTIONALS = {
 }
 
 
-def _functional_from(cfg, section) -> Functional:
+def _functional_from(cfg, section, *carriers: DiscreteMeasure) -> Functional:
+    """The section's functional.  A window atom that no measure of
+    ``carriers`` gives mass, or ``at_least`` with functional_k below 1, would
+    make it a constant that every check passes: both are config errors."""
     name = cfg.get(section, "functional", fallback="void")
     if name not in FUNCTIONALS:
         raise ConfigError(f"unknown functional {name!r}; known: {sorted(FUNCTIONALS)}")
     atoms = cfg.get(section, "functional_window", fallback="").strip()
     window = AtomWindow(a.strip() for a in atoms.split(",") if a.strip()) if atoms else None
+    stray = sorted(window.atoms.difference(*(m.support() for m in carriers))) if window else []
+    if stray:
+        raise ConfigError(f"functional_window atom {stray[0]!r} has no mass under "
+                          "the study's measures")
     k = cfg.getint(section, "functional_k", fallback=1)
+    if name == "at_least" and k < 1:
+        raise ConfigError(f"functional_k must be at least 1 for at_least, got {k}")
     return FUNCTIONALS[name](window, k)
 
 
@@ -173,9 +182,9 @@ def _report(out_dir: Path, study: str, rows: list[CheckRow], notes: list[str],
 
 def _run_series(cfg, args, out_dir: Path) -> int:
     base = Path(args.config).parent
-    f = _functional_from(cfg, "series")
     lam = _measure_from(cfg, "series", "lambda_file", base)
     nu = _measure_from(cfg, "series", "nu_file", base)
+    f = _functional_from(cfg, "series", lam, nu)
     n_max = cfg.getint("series", "n_max", fallback=30)
     mode = cfg.get("series", "mode", fallback="exact")
     decomposition = cfg.get("series", "decomposition", fallback="direct")
@@ -213,13 +222,13 @@ def _run_series(cfg, args, out_dir: Path) -> int:
 def _run_deriv(cfg, args, out_dir: Path) -> int:
     base = Path(args.config).parent
     estimator = cfg.get("deriv", "estimator", fallback="pivotal")
-    f = _functional_from(cfg, "deriv")
     theta = cfg.getfloat("deriv", "theta", fallback=1.0)
     mc = _mc_plan(cfg, args, default_samples=100_000)
     rows: list[CheckRow] = []
 
     if estimator in ("scaled", "pivotal"):
         lam = _measure_from(cfg, "deriv", "lambda_file", base)
+        f = _functional_from(cfg, "deriv", lam)
         exact_value = scaled_derivative(f, lam, theta)
         if estimator == "pivotal":
             est = pivotal_derivative(f, lam, theta, mc)
@@ -238,6 +247,7 @@ def _run_deriv(cfg, args, out_dir: Path) -> int:
         rows.append(CheckRow("coupled_fd", fd.estimate, exact_value, fd.stderr, "z"))
     elif estimator in ("linear", "nonlinear"):
         rho = _measure_from(cfg, "deriv", "rho_file", base)
+        f = _functional_from(cfg, "deriv", rho)
         base_d = _density_table(cfg, "deriv", "base_file", base)
         theta0 = cfg.getfloat("deriv", "theta0", fallback=0.0)
         lo, hi = (float(v) for v in cfg.get("deriv", "interval", fallback="0 1").split())
@@ -286,7 +296,7 @@ def _run_likelihood(cfg, args, out_dir: Path) -> int:
     base = Path(args.config).parent
     nu = _measure_from(cfg, "likelihood", "nu_file", base)
     rho = _measure_from(cfg, "likelihood", "rho_file", base)
-    f = _functional_from(cfg, "likelihood")
+    f = _functional_from(cfg, "likelihood", nu, rho)
     mc = _mc_plan(cfg, args, default_samples=100_000)
 
     mean_one = likelihood.reweighted_expectation(constant_functional(1.0), nu, rho)

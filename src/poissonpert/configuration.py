@@ -1,10 +1,8 @@
 """Point configurations, functionals of them, and the add-point difference
 operators.
 
-A configuration is a finite multiset of ground-space points.  Points compare
-by exact identity: atom ids in the discrete regime, full coordinate tuples in
-boxes (continuum samples are almost surely distinct, and the discrete regime
-needs true multiset semantics).
+A configuration is a finite multiset of atoms of a discrete ground space,
+which compare by exact identity (true multiset semantics).
 
 The n-th difference of a functional f at points x_1..x_n is the alternating
 subset sum
@@ -84,13 +82,6 @@ class PointConfiguration:
         """counts[i] copies of atoms[i]; a zero count leaves the atom out."""
         return PointConfiguration._trusted({a: int(c) for a, c in zip(atoms, counts) if c},
                                            int(sum(counts)))
-
-    @staticmethod
-    def from_points(points: Iterable) -> "PointConfiguration":
-        cfg: dict = {}
-        for p in points:
-            cfg[p] = cfg.get(p, 0) + 1
-        return PointConfiguration(cfg)
 
     def total_points(self) -> int:
         return self._total

@@ -3,13 +3,9 @@
 Perturbations live on a finite discrete ground space: a measure is an
 explicit table of atom masses, every integral is a finite sum and every
 diagnostic is exact.  Signed perturbations, Hellinger distances, couplings and
-parametric families take discrete measures only.
-
-A measure on a box in R^d (``DensityMeasure``: a density against a reference
-measure that knows its own total mass and how to sample itself) is a sampling
-intensity and nothing more.  ``sampler.sample_poisson`` draws its
-configurations by envelope thinning and ``sampler.mecke_check`` estimates both
-sides of the Mecke identity on it.
+parametric families take discrete measures only.  The package's one
+non-discrete Poisson process, the jumps of a Levy process on [0, t0] x R, is
+``levy``'s.
 
 Conventions
 -----------
@@ -49,42 +45,8 @@ class ConditionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Ground spaces and windows
+# Windows
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoxWindow:
-    """Axis-aligned box; doubles as a window for functionals and samplers."""
-
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper) or not self.lower:
-            raise ValueError("box bounds must be nonempty and equally sized")
-        for lo, hi in zip(self.lower, self.upper):
-            if not lo < hi:
-                raise ValueError(f"box requires lower < upper per axis, got [{lo}, {hi}]")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-    def volume(self) -> float:
-        out = 1.0
-        for lo, hi in zip(self.lower, self.upper):
-            out *= hi - lo
-        return out
-
-    def contains(self, point) -> bool:
-        try:
-            coords = tuple(point)
-        except TypeError:
-            return False
-        if len(coords) != self.dim:
-            return False
-        return all(lo <= x <= hi for x, lo, hi in zip(coords, self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -219,65 +181,6 @@ def atom_values(text: str) -> dict:
 def discrete(masses: Mapping) -> DiscreteMeasure:
     """Shorthand constructor used all over the tests and the CLI."""
     return DiscreteMeasure(masses)
-
-
-# ---------------------------------------------------------------------------
-# Density measures on boxes (sampling intensities)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityMeasure:
-    """A measure ``density * reference`` on a box, used as a sampling intensity.
-
-    The reference knows its total mass on a window and how to draw points
-    from its normalization.  ``density_bound`` (a sup bound over the window)
-    enables exact sampling of the tilted measure by envelope thinning.
-    """
-
-    window: BoxWindow
-    reference_mass: Callable[[BoxWindow], float]
-    reference_sampler: Callable[[BoxWindow, np.random.Generator, int], np.ndarray]
-    density: Callable[[tuple], float]
-    density_bound: float | None = None
-
-    def density_at(self, point) -> float:
-        val = float(self.density(point))
-        if not math.isfinite(val) or val < 0.0:
-            raise ValueError(f"density must be finite and >= 0, got {val} at {point}")
-        return val
-
-
-def within_bound(values, bound: float, what: str):
-    """``values`` (a float or an array) of a thinning density, checked against
-    its declared sup bound up to 1e-9 relative rounding.  Thinning past the
-    bound would silently sample a smaller intensity."""
-    if np.any(np.asarray(values) > bound * (1.0 + 1e-9)):
-        raise ValueError(f"{what} exceeds its declared bound")
-    return values
-
-
-def lebesgue_measure(box: BoxWindow, density=None, density_bound=None) -> DensityMeasure:
-    """Density measure against Lebesgue measure restricted to ``box``."""
-
-    def mass(window: BoxWindow) -> float:
-        return window.volume()
-
-    def sampler(window: BoxWindow, gen: np.random.Generator, size: int) -> np.ndarray:
-        lo = np.asarray(window.lower)
-        hi = np.asarray(window.upper)
-        return gen.uniform(lo, hi, size=(size, window.dim))
-
-    if density is None:
-        density = lambda point: 1.0  # noqa: E731
-        density_bound = 1.0
-    return DensityMeasure(
-        window=box,
-        reference_mass=mass,
-        reference_sampler=sampler,
-        density=density,
-        density_bound=density_bound,
-    )
 
 
 # ---------------------------------------------------------------------------

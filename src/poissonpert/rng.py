@@ -37,10 +37,7 @@ stratum are drawn first, as ``draw(gen, k, True)`` on the same generator:
 the draw cross-checks its fast evaluation on them (f's count form, the path
 batch against ``CadlagPath``), once per estimate whatever the plan.
 Discrete draws are one Poisson count array per block, Levy draws one path
-batch.  ``each`` remains only for draws that are truly one replication at a
-time (box-density configurations): it loops a per-replication draw
-``draw(gen) -> float | tuple`` n times on the block's generator, like a
-hand-written loop.
+batch.
 """
 
 from __future__ import annotations
@@ -230,16 +227,6 @@ class ChunkedDraws:
     def values(self, field: int) -> np.ndarray:
         """One field of every replication, in draw order."""
         return self.draws[field]
-
-
-def each(draw: Callable[[np.random.Generator], object]
-         ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """The block draw that runs the per-replication ``draw(gen)`` n times in
-    a row on the block's generator and stacks the fields."""
-    def block_draw(gen: np.random.Generator, n: int) -> np.ndarray:
-        rows = [draw(gen) for _ in range(n)]
-        return np.array(rows, dtype=float).reshape(n, -1).T
-    return block_draw
 
 
 def _block(draw: Callable, gen: np.random.Generator, n: int, *check) -> np.ndarray:

@@ -1,14 +1,9 @@
 """Poisson configuration sampling, the thinning/superposition coupling, and
-the Mecke-identity test harness.
+the Mecke-identity test harness, all on discrete measures.
 
-On a discrete measure a configuration is a vector of independent per-atom
-Poisson counts: ``sample_counts`` draws a ``(size, atoms)`` array of them,
-the Monte Carlo estimators one array per block, and ``sample_poisson`` is one
-row of it.  ``sample_poisson`` and ``mecke_check`` also accept a density
-measure h * ref on a box, whose configurations are drawn one at a time by
-envelope thinning (sample from bound * ref, retain with probability
-h/bound), which never needs the tilted total mass.  Everything else here
-takes discrete measures.
+A configuration is a vector of independent per-atom Poisson counts:
+``sample_counts`` draws a ``(size, atoms)`` array of them, the Monte Carlo
+estimators one array per block, and ``sample_poisson`` is one row of it.
 
 Finite-difference oracles couple two discrete intensities with
 ``couple_counts``: points of the lower envelope are shared, which is what
@@ -24,32 +19,19 @@ from functools import cache
 import numpy as np
 
 from .configuration import PointConfiguration, difference_counts
-from .measures import DensityMeasure, DiscreteMeasure, within_bound
-from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, each, mc_mean
+from .measures import DiscreteMeasure
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, RngStream, mc_mean
 
 
-def sample_poisson(m, window=None, *, generator: np.random.Generator) -> PointConfiguration:
-    """One Poisson configuration with intensity m on the window, from ``generator``."""
-    if isinstance(m, DiscreteMeasure):
-        mr = m.restrict(window)
-        return PointConfiguration.from_counts(
-            mr.support(), sample_counts(mr, generator=generator)[0].tolist())
-    if isinstance(m, DensityMeasure):
-        win = window or m.window
-        mass = m.reference_mass(win)
-        if not math.isfinite(mass):
-            raise ValueError("window has infinite reference mass")
-        if m.density_bound is None:
-            raise ValueError("density measure sampling needs a density bound")
-        n = int(generator.poisson(m.density_bound * mass))
-        if n == 0:
-            return PointConfiguration.empty()
-        pts = m.reference_sampler(win, generator, n)
-        u = generator.random(n)
-        h = within_bound([m.density_at(tuple(p)) for p in pts], m.density_bound, "density")
-        kept = [tuple(p) for p, ui, hi in zip(pts, u, h) if ui * m.density_bound < hi]
-        return PointConfiguration.from_points(kept)
-    raise TypeError(f"unsupported measure type {type(m)!r}")
+def sample_poisson(m: DiscreteMeasure, window=None, *,
+                   generator: np.random.Generator) -> PointConfiguration:
+    """One Poisson configuration with intensity m on the window, from
+    ``generator``: one row of ``sample_counts``."""
+    if not isinstance(m, DiscreteMeasure):
+        raise TypeError(f"unsupported measure type {type(m)!r}")
+    mr = m.restrict(window)
+    return PointConfiguration.from_counts(mr.support(),
+                                          sample_counts(mr, generator=generator)[0].tolist())
 
 
 def sample_counts(m: DiscreteMeasure, size: int = 1, *,
@@ -89,7 +71,9 @@ def couple_counts(lam: DiscreteMeasure, nu: DiscreteMeasure, gen: np.random.Gene
 
 def thin_superpose_couple(lam: DiscreteMeasure, nu: DiscreteMeasure, *,
                           rng: RngStream) -> CoupledPair:
-    """One pair of ``couple_counts`` from a fresh generator of ``rng``."""
+    """One pair of ``couple_counts`` from a fresh generator of ``rng``.  No
+    code of the package calls it: it stays because ``bench/tracing.py`` wraps
+    it by name."""
     atoms, *counts = couple_counts(lam, nu, rng.generator(), 1)
     return CoupledPair(*(PointConfiguration.from_counts(atoms, c[0].tolist()) for c in counts))
 
@@ -121,90 +105,69 @@ class MeckeResult:
 
 
 def mecke_check(f, m, window, plan: MCPlan) -> MeckeResult:
-    """Both sides of the Mecke identity, estimated with standard errors.
+    """Both sides of the Mecke identity on a discrete measure, estimated with
+    standard errors.
 
     lhs: E sum over points x of Phi of f(x, Phi - delta_x).
     rhs: int E f(x, Phi) m(dx).
 
     f must be a function of (point, configuration) alone, returning a real.
     The two sides use independent streams, so the combined standard error is
-    the quadrature sum.  On a discrete measure the right side is one
-    stratified ``mc_mean`` pass with one stratum per atom a, estimating
-    E f(a, Phi) on configurations of its own; the atoms' masses weight the
-    strata's means and stderrs.  Both sides draw count rows.  One lexsort
-    per block finds its distinct rows and the index of each row among them;
-    each side is evaluated once per distinct row and gathered back.  One memo
-    per call, keyed by the row, holds each row's left-side sum and f at each
-    (point, row) on first use, so f is evaluated once per distinct (point,
-    configuration) pair of the call.  The values and their summation order
-    are those of evaluating every replication afresh.
+    the quadrature sum.  The right side is one stratified ``mc_mean`` pass
+    with one stratum per atom a, estimating E f(a, Phi) on configurations of
+    its own; the atoms' masses weight the strata's means and stderrs.  Both
+    sides draw count rows.  One lexsort per block finds its distinct rows and
+    the index of each row among them; each side is evaluated once per
+    distinct row and gathered back.  One memo per call, keyed by the row,
+    holds each row's left-side sum and f at each (point, row) on first use,
+    so f is evaluated once per distinct (point, configuration) pair of the
+    call.  The values and their summation order are those of evaluating
+    every replication afresh.
     """
-    if isinstance(m, DiscreteMeasure):
-        mr = m.restrict(window)
-        atoms = mr.support()
+    if not isinstance(m, DiscreteMeasure):
+        raise TypeError(f"unsupported measure type {type(m)!r}")
+    mr = m.restrict(window)
+    atoms = mr.support()
 
-        @cache
-        def f_at(x, row):
-            return f(x, PointConfiguration.from_counts(atoms, row))
+    @cache
+    def f_at(x, row):
+        return f(x, PointConfiguration.from_counts(atoms, row))
 
-        @cache
-        def lhs_sum(row):
-            # the atoms run in repr order, as Phi.items() does, and
-            # f(x, Phi - delta_x) is f at the row one below at x
-            return sum(c * f_at(x, row[:i] + (c - 1,) + row[i + 1:])
-                       for i, (x, c) in enumerate(zip(atoms, row)) if c)
+    @cache
+    def lhs_sum(row):
+        # the atoms run in repr order, as Phi.items() does, and
+        # f(x, Phi - delta_x) is f at the row one below at x
+        return sum(c * f_at(x, row[:i] + (c - 1,) + row[i + 1:])
+                   for i, (x, c) in enumerate(zip(atoms, row)) if c)
 
-        def rows(gen, n):
-            """A block's distinct count rows, as tuples, and each row's index
-            among them."""
-            counts = sample_counts(mr, size=n, generator=gen)
-            order = np.lexsort(counts.T[::-1]) if atoms else np.arange(n)
-            ranked = counts[order]
-            new = np.ones(n, dtype=bool)
-            new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-            index = np.empty(n, dtype=np.intp)
-            index[order] = np.cumsum(new) - 1
-            return list(map(tuple, ranked[new].tolist())), index
+    def rows(gen, n):
+        """A block's distinct count rows, as tuples, and each row's index
+        among them."""
+        counts = sample_counts(mr, size=n, generator=gen)
+        order = np.lexsort(counts.T[::-1]) if atoms else np.arange(n)
+        ranked = counts[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        index = np.empty(n, dtype=np.intp)
+        index[order] = np.cumsum(new) - 1
+        return list(map(tuple, ranked[new].tolist())), index
 
-        def lhs_draw(gen, n):
+    def lhs_draw(gen, n):
+        distinct, index = rows(gen, n)
+        return np.array([[lhs_sum(row) for row in distinct]], dtype=float)[:, index]
+
+    def side_draw(atom):
+        def draw(gen, n):
             distinct, index = rows(gen, n)
-            return np.array([[lhs_sum(row) for row in distinct]], dtype=float)[:, index]
-    else:
-        def lhs_draw(gen, n):
-            phis = [sample_poisson(m, window, generator=gen) for _ in range(n)]
-            return np.array([[sum(mult * f(x, phi.remove_one(x)) for x, mult in phi.items())
-                              for phi in phis]], dtype=float)
+            return np.array([[f_at(atom, row) for row in distinct]])[:, index]
+        return draw
 
     lhs, lhs_se = mc_mean(lhs_draw, plan.split(0)).estimate()
-
     rhs_plan = plan.split(1)
-    if isinstance(m, DiscreteMeasure):
-        def side_draw(atom):
-            def draw(gen, n):
-                distinct, index = rows(gen, n)
-                return np.array([[f_at(atom, row) for row in distinct]])[:, index]
-            return draw
-
-        strata = [(side_draw(a), rhs_plan.samples) for a in atoms]
-        sides = [r.estimate() for r in mc_mean(strata, rhs_plan)] if atoms else []
-        rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
-        rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2 for a, s in zip(atoms, sides)))
-    elif isinstance(m, DensityMeasure):
-        win = window or m.window
-        mass_ref = m.reference_mass(win)
-
-        def rhs_draw(gen):
-            # int E f dm = mass_ref * E_{x ~ ref/mass}[h(x) E f(x, Phi)]
-            p = tuple(m.reference_sampler(win, gen, 1)[0])
-            phi = sample_poisson(m, win, generator=gen)
-            return m.density_at(p) * f(p, phi)
-
-        mean_r, se_r = mc_mean(each(rhs_draw), rhs_plan).estimate()
-        rhs = mass_ref * mean_r
-        rhs_se = mass_ref * se_r
-    else:
-        raise TypeError(f"unsupported measure type {type(m)!r}")
-
+    strata = [(side_draw(a), rhs_plan.samples) for a in atoms]
+    sides = [r.estimate() for r in mc_mean(strata, rhs_plan)] if atoms else []
+    rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
+    rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2 for a, s in zip(atoms, sides)))
     return MeckeResult(lhs=lhs, rhs=rhs,
                        stderr=math.sqrt(lhs_se**2 + rhs_se**2),
                        lhs_stderr=lhs_se, rhs_stderr=rhs_se)

@@ -221,6 +221,28 @@ class TestDerivStudy:
             assert "line 3: duplicate atom 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_at_least_below_one_point_is_a_config_error(k, tmp_path, capsys):
+    # 1{N(W) >= k} is the constant 1 there: the study exited 0, "1/1 checks passed"
+    path = small_copy("series_void.ini", tmp_path, series__functional="at_least",
+                      series__functional_k=k)
+    assert main(["series", "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    assert f"config error: functional_k must be at least 1 for at_least, got {k}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["series_void.ini", "deriv_pivotal.ini", "likelihood.ini"])
+def test_window_atom_without_mass_is_a_config_error(config, tmp_path, capsys):
+    # N(W) = 0 whatever the configuration, so the functional is a constant:
+    # each of these studies exited 0 with every check passed
+    study = STUDY_OF_CONFIG[config]
+    path = small_copy(config, tmp_path, **{f"{study}__functional_window": "zz"})
+    assert main([study, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: functional_window atom 'zz' has no mass under the study's measures" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_worker_count_below_one_is_a_config_error(workers, tmp_path, capsys):
     argv = ["levy-sim", "--config", str(small_copy("levy_sim_gamma.ini", tmp_path))]

@@ -233,6 +233,19 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match=message):
             cp_model({1.0: 1.0}, density=density, density_bound=bound)
 
+    def test_jump_density_above_its_bound_raises(self, rng):
+        # thinning g = 2 against a bound of 1 would sample half the jump rate
+        def flat(g):
+            return JumpDensity(lambda x: np.full(np.shape(x), g),
+                               lambda x: np.full(np.shape(x), g - 1.0))
+
+        gen = rng.child(16).generator()
+        with pytest.raises(ValueError, match="jump density exceeds its declared bound"):
+            simulate_paths(cp_model({1.0: 1.0}, density=flat(2.0), density_bound=1.0), 50, gen)
+        # a density at its bound up to rounding samples
+        at_bound = cp_model({1.0: 1.0}, density=flat(1.0 + 1e-12), density_bound=1.0)
+        assert simulate_paths(at_bound, 50, gen).counts.sum()
+
 
 def drift_wiener_sup_mean(mu, sigma):
     """E sup over [0, 1] of mu t + sigma W_t, in closed form."""

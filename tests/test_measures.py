@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from poissonpert import (AtomWindow, BoxWindow, ConditionError, DiscreteMeasure,
-                         MeasureMismatchError, PerturbationFamily, RngStream,
-                         SignedPerturbation, admissibility_check, discrete,
-                         hellinger_decomposed, hellinger_measures, hellinger_poisson,
-                         lebesgue_decompose, lebesgue_measure, signed_power_integral)
+from poissonpert import (ConditionError, DiscreteMeasure, MeasureMismatchError,
+                         PerturbationFamily, SignedPerturbation, admissibility_check,
+                         discrete, hellinger_decomposed, hellinger_measures,
+                         hellinger_poisson, lebesgue_decompose, signed_power_integral)
 from poissonpert.exact import poisson_hellinger_exact
+from poissonpert.levy import GammaJumps
 
 
 class TestDiscreteMeasure:
@@ -224,10 +224,10 @@ class TestLebesgueDecompose:
 
 
 class TestPerturbationFamily:
-    def test_box_reference_rejected_at_construction(self):
-        box = lebesgue_measure(BoxWindow((0.0,), (1.0,)))
+    def test_non_discrete_reference_rejected_at_construction(self):
+        jumps = GammaJumps(2.0, 1.0)
         with pytest.raises(MeasureMismatchError):
-            PerturbationFamily.linear(box, lambda p: 1.0, lambda p: 0.5)
+            PerturbationFamily.linear(jumps, lambda x: 1.0, lambda x: 0.5)
 
     def test_negative_density_detected(self):
         fam = PerturbationFamily.linear(discrete({"x": 1.0}), lambda a: 0.5,

@@ -1,6 +1,6 @@
 """The block contract of ``rng.mc_mean``: one ``draw(gen, n)`` per block,
-the batch-means chunks cut from the blocks' rows, the per-replication
-adapter ``each``, the checked lead of ``spot`` replications, the shape
+the batch-means chunks cut from the blocks' rows (against a hand-written
+per-replication loop), the checked lead of ``spot`` replications, the shape
 check, and which thread runs each block; the ``chunk_sizes`` layout, and
 ``ChunkedDraws``' batch means against per-chunk ``np.mean`` bit for bit."""
 
@@ -16,9 +16,18 @@ from hypothesis import strategies as st
 
 from poissonpert import rng as rng_module
 from poissonpert.rng import (ChunkedDraws, MCPlan, RngStream, chunk_sizes, combine_batch_means,
-                             each, mc_mean)
+                             mc_mean)
 
 SWITCH = sys.getswitchinterval()
+
+
+def each(draw):
+    """The block draw that runs the per-replication ``draw(gen)`` n times in
+    a row on the block's generator and stacks the fields."""
+    def block_draw(gen, n):
+        rows = [draw(gen) for _ in range(n)]
+        return np.array(rows, dtype=float).reshape(n, -1).T
+    return block_draw
 
 
 def n_blocks(total, chunks):

@@ -13,11 +13,12 @@ import pytest
 from scipy.stats import chisquare, poisson
 
 import poissonpert as pp
-from poissonpert import (AtomWindow, BoxWindow, MCPlan, MeckeResult, PointConfiguration,
-                         RngStream, discrete, lebesgue_measure, mecke_check, sample_counts,
-                         sample_poisson, thin_superpose_couple)
+from poissonpert import (AtomWindow, MCPlan, MeckeResult, PointConfiguration, RngStream,
+                         discrete, mecke_check, sample_counts, sample_poisson,
+                         thin_superpose_couple)
 from poissonpert import levy
 from poissonpert import rng as rng_module
+from poissonpert.sampler import couple_counts
 
 THREE_SIGMA_P = 0.0027  # two-sided normal tail at 3 sigma
 
@@ -57,26 +58,9 @@ class TestSamplePoisson:
         se = totals.std() / math.sqrt(totals.size)
         assert abs(mean - 1.5) <= 3 * se
 
-    def test_box_sampling_void_probability(self, rng):
-        box = BoxWindow((0.0,), (1.0,))
-        dens = lebesgue_measure(box, lambda p: 2.0, 2.0)
-        gen = rng.child(5).generator()
-        hits = sum(1 for _ in range(50_000)
-                   if sample_poisson(dens, generator=gen).total_points() == 0)
-        p0 = hits / 50_000
-        se = math.sqrt(p0 * (1 - p0) / 50_000)
-        assert abs(p0 - math.exp(-2.0)) <= 3 * se
-
-    def test_box_density_above_its_bound_raises(self, rng):
-        # thinning h = 2 against a bound of 1 would sample mean 1, not 2
-        box = BoxWindow((0.0,), (1.0,))
-        gen = rng.child(16).generator()
-        with pytest.raises(ValueError, match="density exceeds its declared bound"):
-            for _ in range(50):
-                sample_poisson(lebesgue_measure(box, lambda p: 2.0, 1.0), generator=gen)
-        # a density at its bound up to rounding samples
-        at_bound = lebesgue_measure(box, lambda p: 1.0 + 1e-12, 1.0)
-        assert sum(sample_poisson(at_bound, generator=gen).total_points() for _ in range(50))
+    def test_non_discrete_measure_rejected(self, rng):
+        with pytest.raises(TypeError, match="unsupported measure type"):
+            sample_poisson(levy.GammaJumps(2.0, 1.0), generator=rng.child(5).generator())
 
 
 class TestCoupling:
@@ -105,9 +89,8 @@ class TestCoupling:
         # lam = 2 delta_x down to nu = delta_x: counts of phi_nu must be
         # Poisson(1); chi-square on binned counts at the 3 sigma level
         lam, nu = discrete({"x": 2.0}), discrete({"x": 1.0})
-        counts = np.array([
-            thin_superpose_couple(lam, nu, rng=rng.child(8).child(i)).phi_nu.total_points()
-            for i in range(20_000)])
+        _, _, phi_nu, _ = couple_counts(lam, nu, rng.child(8).generator(), 20_000)
+        counts = phi_nu[:, 0]
         kmax = 7
         observed = np.array([np.sum(counts == k) for k in range(kmax)]
                             + [np.sum(counts >= kmax)])
@@ -120,10 +103,9 @@ class TestCoupling:
         # phi_lambda and adds an independent unit-mean count at y
         lam = discrete({"x": 1.0})
         nu = discrete({"x": 1.0, "y": 1.0})
-        pairs = [thin_superpose_couple(lam, nu, rng=rng.child(9).child(i))
-                 for i in range(20_000)]
-        assert all(p.shared == p.phi_lambda for p in pairs)
-        ys = np.array([p.phi_nu.count("y") for p in pairs], dtype=float)
+        atoms, phi_lam, phi_nu, shared = couple_counts(lam, nu, rng.child(9).generator(), 20_000)
+        assert np.array_equal(shared, phi_lam)
+        ys = phi_nu[:, atoms.index("y")].astype(float)
         se = ys.std() / math.sqrt(ys.size)
         assert abs(ys.mean() - 1.0) <= 3 * se
 
@@ -131,12 +113,9 @@ class TestCoupling:
         # thinning on one atom, superposition on the other, jointly exact
         lam = discrete({"x": 2.0, "y": 0.5})
         nu = discrete({"x": 1.0, "y": 1.5})
-        xs, ys = [], []
-        for i in range(20_000):
-            pair = thin_superpose_couple(lam, nu, rng=rng.child(10).child(i))
-            xs.append(pair.phi_nu.count("x"))
-            ys.append(pair.phi_nu.count("y"))
-        for vals, target in ((np.array(xs, float), 1.0), (np.array(ys, float), 1.5)):
+        atoms, _, phi_nu, _ = couple_counts(lam, nu, rng.child(10).generator(), 20_000)
+        for atom, target in (("x", 1.0), ("y", 1.5)):
+            vals = phi_nu[:, atoms.index(atom)].astype(float)
             se = vals.std() / math.sqrt(vals.size)
             assert abs(vals.mean() - target) <= 3 * se
             se2 = np.sqrt(np.var((vals - vals.mean()) ** 2) / vals.size)
@@ -262,11 +241,35 @@ class TestMecke:
             sys.setswitchinterval(interval)
         assert pooled == serial
 
-    def test_box_measure_route(self, rng):
-        box = BoxWindow((0.0,), (1.0,))
-        dens = lebesgue_measure(box, lambda p: 1.0, 1.0)
-        res = mecke_check(lambda x, phi: 1.0, dens, window=None, plan=MCPlan(20_000, rng.child(14)))
-        assert abs(res.lhs - res.rhs) <= 3 * res.stderr
+    def test_non_discrete_measure_rejected(self, rng):
+        with pytest.raises(TypeError, match="unsupported measure type"):
+            mecke_check(lambda x, phi: 1.0, levy.GammaJumps(2.0, 1.0), None,
+                        MCPlan(100, rng.child(16)))
+
+    @pytest.mark.parametrize("model, c", [
+        (levy.LevyModel(jumps=levy.GammaJumps(2.0, 1.0), t0=1.0, eps=0.05), 0.8),
+        (levy.LevyModel(jumps=levy.CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5}), drift=0.3,
+                        sigma2=0.25, t0=1.0), 0.2),
+    ], ids=["gamma", "cp_wiener"])
+    def test_levy_jump_space(self, rng, model, c):
+        # a Levy process is a Poisson process of jumps (t, x) on [0, t0] x R
+        # with intensity dt nu(dx); h(t, x, X) = x 1{X_{t-} <= c} reads the
+        # path strictly before t, which the jump at t leaves alone, so Mecke
+        # reads E sum_{jumps (t, x)} h = int_0^t0 int E h(t, x, X) nu(dx) dt
+        n = 20_000
+        paths = levy.simulate_paths(model, n, rng.child(14).generator())
+        own = np.arange(paths.counts.max(initial=0)) < paths.counts[:, None]
+        t, x = np.zeros(own.shape), np.zeros(own.shape)  # padding: t = 0, x = 0
+        t[own], x[own] = paths.jump_t, paths.jump_x
+        lhs = (x * (paths.left_values(t) <= c)).sum(axis=1)
+        # t uniform on [0, t0], a Wiener node of its path, and int x nu(dx)
+        # over the simulated jumps, those above eps
+        gen = rng.child(22).generator()
+        u = gen.uniform(0.0, model.t0, n)
+        below = levy.simulate_paths(model, n, gen, marks=u[None]).left_values(u) <= c
+        rhs = model.t0 * model.nu_integral(lambda y: y, model.eps, np.inf) * below
+        se = math.hypot(lhs.std(), rhs.std()) / math.sqrt(n)
+        assert abs(lhs.mean() - rhs.mean()) <= 3 * se
 
 
 LAM = discrete({"a": 0.7, "b": 1.3})

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 from test_path_batch import PERT, cp_model
-from test_rng import chunks_of, n_blocks
+from test_rng import chunks_of, each, n_blocks
 
 import poissonpert as pp
 from poissonpert import levy
 from poissonpert import rng as rng_module
-from poissonpert.rng import SPOT_CHECKS, MCPlan, RngStream, chunk_sizes, each, mc_mean
+from poissonpert.rng import SPOT_CHECKS, MCPlan, RngStream, chunk_sizes, mc_mean
 from poissonpert.series import mc_series, series_plan
 
 
