@@ -97,12 +97,6 @@ class PointConfiguration:
     def items(self):
         return sorted(self._counts.items(), key=lambda kv: repr(kv[0]))
 
-    def points(self):
-        """Every point, repeated with multiplicity, in deterministic order."""
-        for p, m in self.items():
-            for _ in range(m):
-                yield p
-
     def add(self, points: Iterable) -> "PointConfiguration":
         counts = dict(self._counts)
         added = 0
@@ -121,12 +115,6 @@ class PointConfiguration:
         else:
             counts[point] = m - 1
         return PointConfiguration._trusted(counts, self._total - 1)
-
-    def restrict(self, window) -> "PointConfiguration":
-        if window is None:
-            return self
-        counts = {p: m for p, m in self._counts.items() if window.contains(p)}
-        return PointConfiguration(counts)
 
     def __eq__(self, other):
         return isinstance(other, PointConfiguration) and self._counts == other._counts

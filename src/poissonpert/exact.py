@@ -7,7 +7,9 @@ the growth of f, not to the identity evaluated, so the plan is the engine's
 own: ``EnumerationPlan()``, or likelihood's ``plan_for_measures`` floor, and
 only the lattice primitives take one.  The functional is evaluated once over the
 whole lattice, as array work through its count-array form
-(``Functional.counts``), and the Poisson mixture is contracted afterwards.
+(``Functional.counts``), and the Poisson mixture is contracted afterwards:
+base-measure axes first, then the shift windows.  Each atom's law is built
+once per table, for its cap and its weights.
 A plain expectation is one exactly rounded sum over the lattice, so results
 are exact to near machine precision at desk scale.  That sum is
 ``configuration._fsum``: ``math.fsum`` of the weighted lattice, bit for bit,
@@ -93,6 +95,8 @@ class EnumerationPlan:
     def __post_init__(self):
         if not self.tail > 0.0:  # a zero bound is never met: cap would count forever
             raise ValueError(f"tail must be positive, got {self.tail!r}")
+        if not (isinstance(self.floor, (int, np.integer)) and self.floor >= 0):
+            raise ValueError(f"floor must be a nonnegative integer, got {self.floor!r}")
 
     def cap(self, mass: float, growth_degree: int | None = None) -> int:
         """Smallest count cap whose tail (inflated by polynomial growth of the
@@ -106,13 +110,23 @@ class EnumerationPlan:
         ``math.fsum``, computed only where it could decide the test: the K
         positive probabilities summed smallest first give each P(N > k)
         within a relative (K + 3) u, so a test whose cumulative sum lies
-        further than K 2^-50 from the bound has the same outcome.
+        further than K 2^-50 from the bound has the same outcome.  ``_law``
+        returns the cap with the law it read, so a table builds each once.
         """
+        return self._law(mass, growth_degree)[0]
+
+    def _law(self, mass: float, growth_degree: int | None = None,
+             length: int = 0) -> tuple[int, np.ndarray]:
+        """The cap and P(N = k) for k = 0 to at least max(cap, length), from one
+        ``poisson_pmf``.  A prefix that reaches the mode is ``poisson_pmf`` to its
+        length bit for bit (same start, same steps); a floor extends the law."""
         if mass <= 0.0:
-            return 0
+            return 0, poisson_pmf(mass, length)
         if mass > 1e6:
             raise ValueError(f"atom mass {mass:g} is far beyond enumeration scale")
-        probs = poisson_pmf(mass, _tail_reach(mass))
+        reach = _tail_reach(mass)
+        law = poisson_pmf(mass, max(reach + 1, self.floor, length))  # caps <= reach + 1
+        probs = law[:reach + 1]
         rough = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0).tolist()  # P(N > j)
         close = len(probs) * 2.0 ** -50 * self.tail
 
@@ -126,7 +140,7 @@ class EnumerationPlan:
         p = growth_degree or 0
         while sf(k, (k + 2) ** p) >= self.tail:
             k += 1
-        return max(k, self.floor)
+        return max(k, self.floor), law
 
 
 def exact_expectation(f: Functional, m: DiscreteMeasure,
@@ -173,10 +187,13 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
     Axis order follows ``shift_atoms``.  The functional is evaluated once
     over the total-count lattice by ``configuration.count_values``, with
     the count form spot-checked on ``_spot_nodes``; the Poisson
-    mixture over the base measure is contracted axis by axis afterwards.
-    Without shifts (``n_max = 0`` or no shift atoms) the result is a 0-d
-    array, the expectation itself: ``math.fsum`` of the weighted lattice,
-    computed by ``configuration._fsum``.
+    mixture over the base measure is contracted afterwards: the unshifted
+    axes first, last to first, one matrix-vector product each, then the
+    sliding windows of the shift axes over the small table left.  Each
+    atom's law is built once (``EnumerationPlan._law``).  Without shifts
+    (``n_max = 0`` or no shift atoms) the result is a 0-d array, the
+    expectation itself: ``math.fsum`` of the weighted lattice, computed by
+    ``configuration._fsum``.
     """
     plan = plan or EnumerationPlan()
     shift_atoms = list(shift_atoms)
@@ -186,11 +203,10 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
     growth = getattr(f, "growth_degree", None)
 
     union = shift_atoms + [a for a in base_atoms if a not in shift_atoms]
-    caps = [plan.cap(m.mass(a), growth) for a in union]
+    pmfs = [law[:k + 1] for k, law in (plan._law(m.mass(a), growth) for a in union)]
     shifts = [n_max if a in shift_atoms else 0 for a in union]
-    shape = tuple(k + s + 1 for k, s in zip(caps, shifts))
+    shape = tuple(len(pmf) + s for pmf, s in zip(pmfs, shifts))
     table = count_values(f, _open_grid(shape), union, _spot_nodes(shape))
-    pmfs = [poisson_pmf(m.mass(a), k) for a, k in zip(union, caps)]
 
     if not any(shifts):
         weights = np.ones(())
@@ -198,23 +214,16 @@ def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
             weights = weights * pmf[c]
         return _fsum((weights * table).ravel())
 
-    # contract the Poisson mixture over base-measure axes
-    axis = 0
-    for pmf, k, s in zip(pmfs, caps, shifts):
-        if k == 0:
-            if s > 0:
-                axis += 1  # pure shift axis stays
-            continue
-        if s == 0:
-            table = np.tensordot(table, pmf, axes=([axis], [0]))
-        else:
-            # sliding contraction: out[m] = sum_c pmf[c] * in[m + c]
-            window = np.zeros((s + 1, k + s + 1))
-            for shift in range(s + 1):
-                window[shift, shift:shift + k + 1] = pmf
-            moved = np.moveaxis(table, axis, 0)
-            table = np.moveaxis(np.tensordot(window, moved, axes=([1], [0])), 0, axis)
-            axis += 1
+    # the base axes trail the shift axes: sum each out while it is the last
+    for pmf in reversed(pmfs[len(shift_atoms):]):
+        table = table @ pmf
+    # sliding contraction of each shift axis: out[m] = sum_c pmf[c] * in[m + c]
+    for axis, pmf in enumerate(pmfs[:len(shift_atoms)]):
+        window = np.zeros((n_max + 1, len(pmf) + n_max))
+        for shift in range(n_max + 1):
+            window[shift, shift:shift + len(pmf)] = pmf
+        moved = np.moveaxis(table, axis, 0)
+        table = np.moveaxis(np.tensordot(window, moved, axes=([1], [0])), 0, axis)
     return table
 
 
@@ -341,7 +350,9 @@ def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     affinity = 1.0
     for a in sorted(set(lam.atoms) | set(nu.atoms), key=repr):
         ml, mn = lam.mass(a), nu.mass(a)
-        cap = max(plan.cap(ml), plan.cap(mn))
-        aff = math.fsum(np.sqrt(poisson_pmf(ml, cap) * poisson_pmf(mn, cap)))
+        length = max(_tail_reach(ml), _tail_reach(mn)) + 1  # covers both caps
+        (kl, pl), (kn, pn) = plan._law(ml, length=length), plan._law(mn, length=length)
+        cap = max(kl, kn)
+        aff = math.fsum(np.sqrt(pl[:cap + 1] * pn[:cap + 1]))
         affinity *= aff
     return 1.0 - affinity

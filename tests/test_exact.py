@@ -35,6 +35,13 @@ class TestEnumerationPlan:
         with pytest.raises(ValueError, match="tail must be positive"):
             EnumerationPlan(tail=tail)
 
+    @pytest.mark.parametrize("floor", [30.5, -5, 3.0, "3", None])
+    def test_floor_must_be_a_nonnegative_integer(self, floor):
+        # a fractional floor used to end in an IndexError inside the table,
+        # a negative one to be taken as 0
+        with pytest.raises(ValueError, match="floor must be a nonnegative integer"):
+            EnumerationPlan(floor=floor)
+
     def test_too_many_atoms(self):
         m = discrete({f"a{i}": 0.5 for i in range(7)})
         with pytest.raises(ValueError):

@@ -20,8 +20,8 @@ from scipy import stats
 from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, MCPlan,
                          PointConfiguration, RngStream, constant_functional, count_functional,
                          count_squared, discrete, exact_expectation, exact_expected_difference,
-                         fock_identity_check, mc_expectation, threshold_indicator,
-                         void_indicator)
+                         fock_identity_check, mc_expectation, poisson_hellinger_exact,
+                         threshold_indicator, void_indicator)
 from poissonpert.configuration import CountFormMismatchError, FunctionalEvaluationError
 from poissonpert import exact
 from poissonpert.exact import expectation_table, expected_difference_orders, poisson_pmf
@@ -142,6 +142,36 @@ class TestLatticeTable:
         got = expected_difference_orders(f, m, dict(zip(atoms, ws)), 1, COARSE)[0][1]
         assert abs(got - math.fsum(parts)) <= 1e-12 * math.fsum(abs(p) for p in parts) + 1e-300
 
+    @PROFILE
+    @given(data=st.data(), n=st.integers(1, 4), n_max=st.integers(1, 3),
+           kind=st.sampled_from(["count_sq", "void", "threshold"]))
+    def test_entries_are_within_a_dot_product_bound_of_fsum(self, data, n, n_max, kind):
+        # base axes are summed out first, then the shift windows: every entry
+        # is the Poisson-weighted sum of its lattice slice, to within the
+        # rounding of one dot product per axis
+        atoms = ATOMS[:n]
+        m = discrete({a: data.draw(masses) for a in atoms})
+        shift = data.draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=2, unique=True))
+        window = data.draw(st.none() | st.sets(st.sampled_from(atoms), min_size=1).map(AtomWindow))
+        f = {"count_sq": count_squared(window), "void": void_indicator(window),
+             "threshold": threshold_indicator(data.draw(st.integers(0, 4)), window)}[kind]
+        union = shift + [a for a in atoms if a not in shift]
+        caps = [COARSE.cap(m.mass(a), f.growth_degree) for a in union]
+        weights = np.ones(())
+        for a, k in zip(union, caps):
+            weights = np.multiply.outer(weights, poisson_pmf(m.mass(a), k))
+        shape = tuple(k + 1 + (n_max if a in shift else 0) for a, k in zip(union, caps))
+        values = np.broadcast_to(f.counts(open_grid(shape), union), shape)
+        slack = (sum(k + 1 for k in caps) + 2 * len(union)) * 2.0 ** -53
+
+        table = expectation_table(f, m, shift, n_max, COARSE)
+        assert table.shape == (n_max + 1,) * len(shift)
+        for node in np.ndindex(table.shape):
+            corner = node + (0,) * (len(union) - len(shift))
+            part = (weights * values[tuple(slice(j, j + k + 1)
+                                           for j, k in zip(corner, caps))]).ravel()
+            assert abs(table[node] - math.fsum(part)) <= slack * math.fsum(np.abs(part))
+
     def test_plain_expectation_is_the_unshifted_table(self):
         m = discrete({"a": 0.6, "b": 1.1})
         f = count_squared(AtomWindow({"a"}))
@@ -250,6 +280,35 @@ class TestPoissonHelpers:
         while sf(k) * (k + 2) ** (p or 0) >= tail:
             k += 1
         assert EnumerationPlan(tail=tail).cap(mass, p) == k
+
+    @pytest.mark.parametrize("mass", [0.5, 17.0, 800.0])  # 800 starts at the mode
+    @pytest.mark.parametrize("beyond_reach", [False, True])
+    def test_law_prefix_is_the_capped_pmf_bit_for_bit(self, mass, beyond_reach):
+        floor = exact._tail_reach(mass) + 25 if beyond_reach else 0
+        plan = EnumerationPlan(floor=floor)
+        for p in (None, 2):
+            cap, law = plan._law(mass, p)
+            assert cap == plan.cap(mass, p)
+            assert cap == floor if beyond_reach else cap < exact._tail_reach(mass)
+            assert law[:cap + 1].tobytes() == poisson_pmf(mass, cap).tobytes()
+
+    def test_each_atom_law_is_built_once(self, monkeypatch):
+        built = []
+        real = exact.poisson_pmf
+        monkeypatch.setattr(exact, "poisson_pmf",
+                            lambda mass, k: built.append(mass) or real(mass, k))
+        m = discrete({"a": 0.6, "b": 1.1, "c": 0.3, "d": 2.0})
+        for shift, n_max in [([], 0), (["a"], 3), (["b", "d"], 2), (ATOMS, 1), (["z"], 2)]:
+            built.clear()
+            expectation_table(count_squared(), m, shift, n_max)
+            assert len(built) <= len(set(shift) | set(ATOMS))
+        built.clear()
+        expectation_table(void_indicator(), discrete({"a": 0.3}), ["a"], 2,
+                          EnumerationPlan(floor=exact._tail_reach(0.3) + 10))
+        assert len(built) == 1
+        built.clear()
+        poisson_hellinger_exact(m, discrete({"a": 0.9, "e": 0.4}))
+        assert len(built) <= 2 * 5  # one law per atom and measure
 
     def test_floor_lifts_caps_of_positive_masses_only(self):
         plan = EnumerationPlan(floor=40)

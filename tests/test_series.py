@@ -12,7 +12,7 @@ from poissonpert import (DIFFERENCE_ORDER_CAP, ConditionError, Functional, MCPla
                          PerturbationFamily, constant_functional, count_functional,
                          count_squared, discrete, exact_expectation,
                          frechet_remainder_check, gateaux_derivative, parametric_series,
-                         sample_poisson, variational_series, void_indicator)
+                         sample_counts, variational_series, void_indicator)
 from poissonpert.series import (mc_series, series_plan, small_remainder_factor,
                                 truncation_budget)
 
@@ -61,11 +61,9 @@ class TestVariationalSeries:
         nu = lam.plus(mu)
         res = variational_series(void_indicator(), lam, nu, n_max=30,
                                  decomposition="monotone")
-        vals = []
-        for i in range(30_000):
-            phi = sample_poisson(lam, generator=rng.child(1).child(2 * i).generator())
-            psi = sample_poisson(mu, generator=rng.child(1).child(2 * i + 1).generator())
-            vals.append(void_indicator()(phi.add(psi.points())))
+        phi = sample_counts(lam, 30_000, generator=rng.child(1).generator())
+        psi = sample_counts(mu, 30_000, generator=rng.child(2).generator())
+        vals = void_indicator().counts(list((phi + psi).T), lam.support())
         mean = float(np.mean(vals))
         se = float(np.std(vals) / math.sqrt(len(vals)))
         assert abs(mean - res.value) <= 3 * se
