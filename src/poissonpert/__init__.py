@@ -13,11 +13,10 @@ from .configuration import (DIFFERENCE_ORDER_CAP, Functional, PointConfiguration
 from .derivatives import (coupled_scale_fd, linear_derivative, nonlinear_derivative,
                           pivotal_derivative, richardson_fd, scaled_derivative,
                           scaled_taylor_report)
-from .exact import (EnumerationPlan, FockCheck, exact_expectation,
-                    exact_expected_difference, fock_identity_check,
-                    poisson_hellinger_exact)
-from .likelihood import (LikelihoodRatio, likelihood_eval, plan_for_measures,
-                         reweighted_expectation, second_moment_bound, second_moment_exact)
+from .exact import (FockCheck, exact_expectation, exact_expected_difference,
+                    fock_identity_check, poisson_hellinger_exact)
+from .likelihood import (LikelihoodRatio, likelihood_eval, reweighted_expectation,
+                         second_moment_bound, second_moment_exact)
 from .measures import (AdmissibilityReport, AtomWindow, ConditionError, DiscreteMeasure,
                        MeasureMismatchError, PerturbationFamily, SignedPerturbation,
                        admissibility_check, discrete, hellinger_decomposed,

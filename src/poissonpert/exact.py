@@ -1,24 +1,25 @@
 """Exact expectations over Poisson laws on finite discrete spaces.
 
-Every result here comes from one lattice of count vectors.  Per-atom counts
-are truncated at a Poisson quantile chosen so the neglected tail mass stays
-below the plan's ``tail`` bound.  That tail belongs to the base measure and
-the growth of f, not to the identity evaluated, so the plan is the engine's
-own: ``EnumerationPlan()``, or likelihood's ``plan_for_measures`` floor, and
-only the lattice primitives take one.  The functional is evaluated once over the
-whole lattice, as array work through its count-array form
+Every result here comes from one lattice of count vectors, truncated by one
+rule.  Each atom of the base measure m with positive mass gets a count cap
+whose neglected Poisson tail, inflated by the declared polynomial growth of
+f, stays below ``_TAIL``.  The cap covers m's mass at that atom and the mass
+of each ``cover`` measure there: an integrand weighted by another law (the
+likelihood ratio of a change of measure) concentrates where that law does,
+so its tail is the cover measure's, not m's.  The functional is evaluated
+once over the whole lattice, as array work through its count-array form
 (``Functional.counts``), and the Poisson mixture is contracted afterwards:
 base-measure axes first, then the shift windows.  Each atom's law is built
-once per table, for its cap and its weights.
-A plain expectation is one exactly rounded sum over the lattice, so results
-are exact to near machine precision at desk scale.  That sum is
+once per measure and table, for its cap and its weights.  A plain
+expectation is one exactly rounded sum over the lattice, so results are
+exact to near machine precision at desk scale.  That sum is
 ``configuration._fsum``: ``math.fsum`` of the weighted lattice, bit for bit,
 from a few array passes of error-free extraction instead of one Python float
-at a time.  A functional without a
-count form (a plain callable, a hand-written ``Functional``) is evaluated
-node by node instead: the same lattice, one ``fn`` call per node, which is
-the slow fallback.  Cost is the product of the per-atom cap ranges, so
-enumeration refuses more than ``MAX_ATOMS`` atoms.
+at a time.  A functional without a count form (a plain callable, a
+hand-written ``Functional``) is evaluated node by node instead: the same
+lattice, one ``fn`` call per node, which is the slow fallback.  Cost is the
+product of the per-atom cap ranges, so enumeration refuses more than
+``MAX_ATOMS`` atoms.
 
 The lattice is a table of shifted expectations
 
@@ -49,6 +50,7 @@ from .measures import DiscreteMeasure
 
 _UNDERFLOW_MASS = 700.0  # e^(-mass) stays a normal float below this
 MAX_ATOMS = 6  # widest space enumerated (cost is the product of the cap ranges)
+_TAIL = 1e-14  # per-atom Poisson tail mass bound of every cap
 
 
 def poisson_pmf(mass: float, k_max: int) -> np.ndarray:
@@ -80,78 +82,55 @@ def _tail_reach(mass: float) -> int:
     return int(mass + 40.0 * math.sqrt(mass)) + 100
 
 
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """Truncation policy for exact enumeration.
+def _law(mass: float, growth_degree: int | None = None,
+         length: int = 0) -> tuple[int, np.ndarray]:
+    """The count cap of an atom of this mass and P(N = k) for k = 0 to at
+    least max(cap, length), from one ``poisson_pmf``.
 
-    ``tail``: per-atom Poisson tail mass bound.  ``floor``: smallest cap of
-    any atom with positive mass (likelihood-weighted integrands concentrate
-    where a tilted measure does, see ``likelihood.plan_for_measures``).
+    The cap is the smallest count whose tail, inflated by the polynomial
+    growth of the integrand when declared, is below ``_TAIL``: it starts one
+    past the tail quantile min{k : P(N > k) <= _TAIL} and grows while
+    P(N > k) (k + 2)^p >= _TAIL.  P(N > k) is the compensated forward sum of
+    the probabilities beyond k; 1 - cdf would lose every digit of so small a
+    tail.  Every test reads that ``math.fsum``, computed only where it could
+    decide the test: the K positive probabilities summed smallest first give
+    each P(N > k) within a relative (K + 3) u, so a test whose cumulative sum
+    lies further than K 2^-50 from the bound has the same outcome.  A prefix
+    of the law that reaches the mode is ``poisson_pmf`` to its length bit for
+    bit (same start, same steps); ``length`` extends the law past the cap.
     """
+    if mass <= 0.0:
+        return 0, poisson_pmf(mass, length)
+    if mass > 1e6:
+        raise ValueError(f"atom mass {mass:g} is far beyond enumeration scale")
+    reach = _tail_reach(mass)
+    law = poisson_pmf(mass, max(reach + 1, length))  # caps <= reach + 1
+    probs = law[:reach + 1]
+    rough = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0).tolist()  # P(N > j)
+    close = len(probs) * 2.0 ** -50 * _TAIL
 
-    tail: float = 1e-14
-    floor: int = 0
+    def sf(j: int, scale: int = 1) -> float:
+        value = rough[min(j, len(rough) - 1)] * scale
+        if abs(value - _TAIL) <= close:
+            value = math.fsum(probs[j + 1:]) * scale
+        return value
 
-    def __post_init__(self):
-        if not self.tail > 0.0:  # a zero bound is never met: cap would count forever
-            raise ValueError(f"tail must be positive, got {self.tail!r}")
-        if not (isinstance(self.floor, (int, np.integer)) and self.floor >= 0):
-            raise ValueError(f"floor must be a nonnegative integer, got {self.floor!r}")
-
-    def cap(self, mass: float, growth_degree: int | None = None) -> int:
-        """Smallest count cap whose tail (inflated by polynomial growth of the
-        integrand when declared) is below the plan bound, and at least
-        ``floor``.
-
-        The cap starts one past the tail quantile min{k : P(N > k) <= tail}
-        and grows while P(N > k) (k + 2)^p >= tail.  P(N > k) is the
-        compensated forward sum of the probabilities beyond k; 1 - cdf would
-        lose every digit of so small a tail.  Every test reads that
-        ``math.fsum``, computed only where it could decide the test: the K
-        positive probabilities summed smallest first give each P(N > k)
-        within a relative (K + 3) u, so a test whose cumulative sum lies
-        further than K 2^-50 from the bound has the same outcome.  ``_law``
-        returns the cap with the law it read, so a table builds each once.
-        """
-        return self._law(mass, growth_degree)[0]
-
-    def _law(self, mass: float, growth_degree: int | None = None,
-             length: int = 0) -> tuple[int, np.ndarray]:
-        """The cap and P(N = k) for k = 0 to at least max(cap, length), from one
-        ``poisson_pmf``.  A prefix that reaches the mode is ``poisson_pmf`` to its
-        length bit for bit (same start, same steps); a floor extends the law."""
-        if mass <= 0.0:
-            return 0, poisson_pmf(mass, length)
-        if mass > 1e6:
-            raise ValueError(f"atom mass {mass:g} is far beyond enumeration scale")
-        reach = _tail_reach(mass)
-        law = poisson_pmf(mass, max(reach + 1, self.floor, length))  # caps <= reach + 1
-        probs = law[:reach + 1]
-        rough = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0).tolist()  # P(N > j)
-        close = len(probs) * 2.0 ** -50 * self.tail
-
-        def sf(j: int, scale: int = 1) -> float:
-            value = rough[min(j, len(rough) - 1)] * scale
-            if abs(value - self.tail) <= close:
-                value = math.fsum(probs[j + 1:]) * scale
-            return value
-
-        k = bisect.bisect_left(range(len(probs)), True, key=lambda j: sf(j) <= self.tail) + 1
-        p = growth_degree or 0
-        while sf(k, (k + 2) ** p) >= self.tail:
-            k += 1
-        return max(k, self.floor), law
+    k = bisect.bisect_left(range(len(probs)), True, key=lambda j: sf(j) <= _TAIL) + 1
+    p = growth_degree or 0
+    while sf(k, (k + 2) ** p) >= _TAIL:
+        k += 1
+    return k, law
 
 
 def exact_expectation(f: Functional, m: DiscreteMeasure,
-                      plan: EnumerationPlan | None = None) -> float:
+                      cover: Sequence[DiscreteMeasure] = ()) -> float:
     """E f(Phi) under the Poisson law with intensity m: the ``n_max = 0``
-    case of :func:`expectation_table`, one compensated sum over the lattice."""
-    return float(expectation_table(f, m, [], 0, plan))
+    case of :func:`expectation_table`, one compensated sum over the lattice
+    whose caps also cover each ``cover`` measure, the laws f is weighted by."""
+    return float(expectation_table(f, m, [], 0, cover))
 
 
-def exact_expected_difference(f: Functional, m: DiscreteMeasure, xs: Sequence,
-                              plan: EnumerationPlan | None = None) -> float:
+def exact_expected_difference(f: Functional, m: DiscreteMeasure, xs: Sequence) -> float:
     """E D^n f(Phi) at the points xs, via the definitional subset sum.
 
     A cross-check of the lattice route: every node runs ``difference_n``.
@@ -159,7 +138,7 @@ def exact_expected_difference(f: Functional, m: DiscreteMeasure, xs: Sequence,
     wrapped = Functional(lambda phi: difference_n(f, phi, xs),
                          bound=None, growth_degree=getattr(f, "growth_degree", None),
                          name=f"D^{len(xs)}[{f.name}]")
-    return exact_expectation(wrapped, m, plan)
+    return exact_expectation(wrapped, m)
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +160,42 @@ def _spot_nodes(shape: tuple) -> list[tuple]:
 
 
 def expectation_table(f: Functional, m: DiscreteMeasure, shift_atoms: Sequence,
-                      n_max: int, plan: EnumerationPlan | None = None) -> np.ndarray:
+                      n_max: int, cover: Sequence[DiscreteMeasure] = ()) -> np.ndarray:
     """Table of E f(Phi + sum_i m_i delta_{x_i}) over the box 0..n_max per axis.
 
-    Axis order follows ``shift_atoms``.  The functional is evaluated once
+    Axis order follows ``shift_atoms``, which must not repeat an atom.  The
+    one truncation rule: an atom with positive m-mass is capped at the
+    largest growth-aware cap (``_law``) of m's mass and of each ``cover``
+    measure's mass at that atom, and weighted by m's law extended to that
+    cap.  ``cover`` names the laws the integrand is weighted by: f = L g
+    with L the density of Poisson(nu) against Poisson(m) puts its mass where
+    nu does, so its table needs nu's cap.  The functional is evaluated once
     over the total-count lattice by ``configuration.count_values``, with
     the count form spot-checked on ``_spot_nodes``; the Poisson
     mixture over the base measure is contracted afterwards: the unshifted
     axes first, last to first, one matrix-vector product each, then the
     sliding windows of the shift axes over the small table left.  Each
-    atom's law is built once (``EnumerationPlan._law``).  Without shifts
+    atom's law is built once per measure.  Without shifts
     (``n_max = 0`` or no shift atoms) the result is a 0-d array, the
     expectation itself: ``math.fsum`` of the weighted lattice, computed by
     ``configuration._fsum``.
     """
-    plan = plan or EnumerationPlan()
     shift_atoms = list(shift_atoms)
+    for i, a in enumerate(shift_atoms):
+        if a in shift_atoms[:i]:
+            raise ValueError(f"shift atom {a!r} is repeated; give each atom once")
     base_atoms = [a for a in m.support()]
     if len(base_atoms) > MAX_ATOMS:
         raise ValueError(f"{len(base_atoms)} atoms exceed enumeration limit {MAX_ATOMS}")
     growth = getattr(f, "growth_degree", None)
 
     union = shift_atoms + [a for a in base_atoms if a not in shift_atoms]
-    pmfs = [law[:k + 1] for k, law in (plan._law(m.mass(a), growth) for a in union)]
+    pmfs = []
+    for a in union:
+        mass = m.mass(a)
+        covers = [_law(c.mass(a), growth)[0] for c in cover if mass > 0.0]
+        cap, law = _law(mass, growth, max(covers, default=0))
+        pmfs.append(law[:max([cap] + covers) + 1])
     shifts = [n_max if a in shift_atoms else 0 for a in union]
     shape = tuple(len(pmf) + s for pmf, s in zip(pmfs, shifts))
     table = count_values(f, _open_grid(shape), union, _spot_nodes(shape))
@@ -276,9 +268,7 @@ def order_sums(table: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def expected_difference_orders(f: Functional, m: DiscreteMeasure,
-                               weights: dict, n_max: int,
-                               plan: EnumerationPlan | None = None
-                               ) -> tuple[np.ndarray, np.ndarray]:
+                               weights: dict, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-order sums of weighted expected differences.
 
     Returns ``(terms, abs_terms)`` where
@@ -292,7 +282,7 @@ def expected_difference_orders(f: Functional, m: DiscreteMeasure,
     """
     atoms = [a for a, w in sorted(weights.items(), key=lambda kv: repr(kv[0])) if w != 0.0]
     ws = [weights[a] for a in atoms]
-    a_table = expectation_table(f, m, atoms, n_max, plan)
+    a_table = expectation_table(f, m, atoms, n_max)
     delta = forward_difference_table(a_table)
     terms = order_sums(delta * weight_table(ws, n_max), n_max)
     abs_terms = order_sums(np.abs(delta) * weight_table([abs(w) for w in ws], n_max), n_max)
@@ -346,13 +336,11 @@ def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     minus that product.  Serves as the independent oracle for the identity
     route in :func:`poissonpert.measures.hellinger_poisson`.
     """
-    plan = EnumerationPlan()
     affinity = 1.0
     for a in sorted(set(lam.atoms) | set(nu.atoms), key=repr):
         ml, mn = lam.mass(a), nu.mass(a)
         length = max(_tail_reach(ml), _tail_reach(mn)) + 1  # covers both caps
-        (kl, pl), (kn, pn) = plan._law(ml, length=length), plan._law(mn, length=length)
+        (kl, pl), (kn, pn) = _law(ml, length=length), _law(mn, length=length)
         cap = max(kl, kn)
-        aff = math.fsum(np.sqrt(pl[:cap + 1] * pn[:cap + 1]))
-        affinity *= aff
+        affinity *= math.fsum(np.sqrt(pl[:cap + 1] * pn[:cap + 1]))
     return 1.0 - affinity

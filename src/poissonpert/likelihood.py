@@ -17,6 +17,8 @@ moment attains the bound exactly.  A classical fact worth recording: for
 bounded h the standing assumption is not only sufficient but also necessary
 for absolute continuity of the Poisson laws.  The code only reports the
 square gap; it never tries to decide absolute continuity beyond that.
+Exact expectations of L-weighted integrands enumerate under rho with caps
+that also cover the measures L reweights to (``exact.expectation_table``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Functional, PointConfiguration
-from .exact import EnumerationPlan, exact_expectation
+from .exact import exact_expectation
 from .measures import DEFAULT_CAP, ConditionError, DiscreteMeasure
 from .sampler import MCPlan, mc_expectation
 
@@ -104,21 +106,6 @@ def likelihood_counts(L: LikelihoodRatio, cs, atoms) -> np.ndarray:
     return np.where(alive, values, 0.0)
 
 
-def plan_for_measures(measures) -> EnumerationPlan:
-    """Enumeration plan wide enough for likelihood-weighted integrands.
-
-    Count caps must cover wherever the sampling measure or any tilted measure
-    puts mass (the weighted integrand concentrates where the tilted measure
-    does), so the caps are floored at the worst cap over all given measures.
-    """
-    base = EnumerationPlan()
-    floor = 0
-    for m in measures:
-        for _, mass in m.items():
-            floor = max(floor, base.cap(mass))
-    return EnumerationPlan(floor=floor)
-
-
 def second_moment_bound(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
     """exp(int (h-1)^2 drho), the proven ceiling for E_rho L^2."""
     L = LikelihoodRatio.from_discrete(nu, rho)
@@ -129,7 +116,8 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
                            mode: str = "exact", mc: MCPlan | None = None):
     """E_rho[L(Phi) g(Phi)], which equals E_nu g(Phi).
 
-    Exact mode enumerates on ``plan_for_measures([rho, nu])``.  The
+    Exact mode enumerates under rho with ``cover=(nu,)``: L g puts its
+    mass where nu does, so each atom's cap covers nu's mass too.  The
     square-integrability hypothesis is hard here: a capped gap raises
     ``ConditionError`` instead of warning, because the identity itself
     assumes it.
@@ -140,7 +128,7 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
             f"int (h-1)^2 drho = {L.square_gap:g} is not acceptably finite")
     weighted = L.weighted(g)
     if mode == "exact":
-        return exact_expectation(weighted, rho, plan_for_measures([rho, nu]))
+        return exact_expectation(weighted, rho, (nu,))
     if mode == "mc":
         if mc is None:
             raise ValueError("mc mode needs an MCPlan")
@@ -150,10 +138,10 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
 
 def second_moment_exact(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
     """Exact E_rho L^2 by enumeration; equals the bound on finite spaces.  L^2
-    weights counts like a Poisson law with masses h^2 rho, so the caps are
-    ``plan_for_measures`` of rho, nu and that tilted measure."""
+    weights counts like a Poisson law with masses h^2 rho, so the caps cover
+    nu and that tilted measure as well as rho."""
     L = LikelihoodRatio.from_discrete(nu, rho)
     squared = Functional(lambda phi: likelihood_eval(L, phi) ** 2, name="L^2",
                          counts=lambda cs, atoms: likelihood_counts(L, cs, atoms) ** 2)
     tilted = DiscreteMeasure({a: (L.h[a] ** 2) * rho.mass(a) for a in rho.atoms})
-    return exact_expectation(squared, rho, plan_for_measures([rho, nu, tilted]))
+    return exact_expectation(squared, rho, (nu, tilted))

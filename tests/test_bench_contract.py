@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonpert import levy, rng
+from poissonpert import count_squared, discrete, exact, levy, rng
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -77,6 +77,22 @@ def test_run_chunked_keeps_its_signature():
     stream = rng.RngStream(3)
     assert out == [0, 1, 2, 3]
     assert seen == [(c, n, stream.child(c)) for c, n in enumerate(rng.chunk_sizes(10, 4))]
+
+
+def test_lattice_entry_points_keep_their_leading_parameters(tracing):
+    # the tracer wraps expectation_table as wrapper(f, m, xs, *args, **kwargs)
+    # and reads len(xs); exact_expectation is traced with any arguments
+    for fn, leading in [(exact.expectation_table, ["f", "m", "shift_atoms", "n_max"]),
+                        (exact.exact_expectation, ["f", "m"])]:
+        params = list(inspect.signature(fn).parameters.values())[:len(leading)]
+        assert [p.name for p in params] == leading
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in params)
+    f, m = count_squared(), discrete({"a": 0.5, "b": 0.7})
+    wrapped = tracing.Tracer()._expectation_table("exact.expectation_table",
+                                                  exact.expectation_table)
+    assert (wrapped(f, m, ["a"], 2, [m]).tobytes()
+            == exact.expectation_table(f, m, ["a"], 2, [m]).tobytes())
 
 
 def test_tracer_installs_and_counts_one_generator_per_chunk(tracing, monkeypatch):

@@ -6,41 +6,28 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from poissonpert import (AtomWindow, EnumerationPlan, Functional, MCPlan,
+from poissonpert import (AtomWindow, Functional, MCPlan,
                          PointConfiguration, constant_functional, count_functional,
                          count_squared, discrete, exact_expectation,
                          exact_expected_difference, fock_identity_check,
                          mc_expectation, poisson_hellinger_exact, void_indicator)
-from poissonpert.exact import (expectation_table, expected_difference_orders,
+from poissonpert.exact import (_law, expectation_table, expected_difference_orders,
                                forward_difference_table)
 
 
 class TestEnumerationPlan:
+    """The enumeration's truncation: the per-atom caps of ``exact._law``."""
+
     def test_caps_meet_tail_bound(self):
-        plan = EnumerationPlan(tail=1e-14)
         for mass in (0.3, 1.0, 2.7):
-            k = plan.cap(mass)
+            k, _ = _law(mass)
             assert poisson.sf(k, mass) < 1e-14
 
     def test_growth_declaration_widens_caps(self):
-        plan = EnumerationPlan()
-        assert plan.cap(1.0, growth_degree=4) > plan.cap(1.0)
+        assert _law(1.0, growth_degree=4)[0] > _law(1.0)[0]
 
     def test_zero_mass(self):
-        assert EnumerationPlan().cap(0.0) == 0
-
-    @pytest.mark.parametrize("tail", [0.0, -1e-14, math.nan])
-    def test_tail_must_be_positive(self, tail):
-        # a zero tail used to make cap() loop forever, a NaN one return garbage
-        with pytest.raises(ValueError, match="tail must be positive"):
-            EnumerationPlan(tail=tail)
-
-    @pytest.mark.parametrize("floor", [30.5, -5, 3.0, "3", None])
-    def test_floor_must_be_a_nonnegative_integer(self, floor):
-        # a fractional floor used to end in an IndexError inside the table,
-        # a negative one to be taken as 0
-        with pytest.raises(ValueError, match="floor must be a nonnegative integer"):
-            EnumerationPlan(floor=floor)
+        assert _law(0.0)[0] == 0
 
     def test_too_many_atoms(self):
         m = discrete({f"a{i}": 0.5 for i in range(7)})
@@ -106,6 +93,14 @@ class TestExpectedDifference:
             for kb in range(4 - ka):
                 oracle = exact_expected_difference(f, m, ["a"] * ka + ["b"] * kb)
                 assert table[ka, kb] == pytest.approx(oracle, abs=1e-10)
+
+    def test_repeated_shift_atom_raises_naming_it(self):
+        # a repeated atom would get a second Poisson axis: E N^2 = 2.64 would read 4.59
+        m = discrete({"a": 0.5, "b": 0.7})
+        assert expectation_table(count_squared(), m, ["a"], 1)[0] == pytest.approx(2.64,
+                                                                                   rel=1e-14)
+        with pytest.raises(ValueError, match="shift atom 'a' is repeated"):
+            expectation_table(count_squared(), m, ["a", "a"], 1)
 
 
 class TestFockIdentity:

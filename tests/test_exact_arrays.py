@@ -7,6 +7,7 @@ helpers behind the enumeration caps.
 """
 
 import bisect
+import contextlib
 import dataclasses
 import math
 from decimal import Decimal, getcontext
@@ -17,11 +18,11 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from poissonpert import (AtomWindow, EnumerationPlan, LikelihoodRatio, MCPlan,
-                         PointConfiguration, RngStream, constant_functional, count_functional,
-                         count_squared, discrete, exact_expectation, exact_expected_difference,
-                         fock_identity_check, mc_expectation, poisson_hellinger_exact,
-                         threshold_indicator, void_indicator)
+from poissonpert import (AtomWindow, LikelihoodRatio, MCPlan, PointConfiguration, RngStream,
+                         constant_functional, count_functional, count_squared, discrete,
+                         exact_expectation, exact_expected_difference, fock_identity_check,
+                         mc_expectation, poisson_hellinger_exact, reweighted_expectation,
+                         second_moment_exact, threshold_indicator, void_indicator)
 from poissonpert.configuration import CountFormMismatchError, FunctionalEvaluationError
 from poissonpert import exact
 from poissonpert.exact import expectation_table, expected_difference_orders, poisson_pmf
@@ -33,7 +34,15 @@ from poissonpert.series import order_one
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=25,
                    phases=[Phase.explicit, Phase.generate],
                    suppress_health_check=[HealthCheck.too_slow])
-COARSE = EnumerationPlan(tail=1e-8)  # small lattices keep the per-node routes fast
+COARSE = 1e-8  # a tail bound whose small lattices keep the per-node routes fast
+
+
+@contextlib.contextmanager
+def caps_at(bound):
+    """Enumeration caps at this per-atom tail bound inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_TAIL", bound)
+        yield
 
 ATOMS = ["a", "b", "c", "d"]
 
@@ -125,8 +134,9 @@ class TestLatticeTable:
         m = discrete({a: data.draw(masses) for a in atoms})
         f = data.draw(st.one_of(builtins(atoms), likelihood_weighted(atoms)))
         shift = data.draw(st.lists(st.sampled_from(atoms), unique=True))
-        fast = expectation_table(f, m, shift, n_max, COARSE)
-        slow = expectation_table(dataclasses.replace(f, counts=None), m, shift, n_max, COARSE)
+        with caps_at(COARSE):
+            fast = expectation_table(f, m, shift, n_max)
+            slow = expectation_table(dataclasses.replace(f, counts=None), m, shift, n_max)
         assert fast.shape == slow.shape
         assert fast.tobytes() == slow.tobytes()
 
@@ -137,9 +147,10 @@ class TestLatticeTable:
         m = discrete({a: data.draw(masses) for a in atoms})
         f = data.draw(builtins(atoms))
         ws = [data.draw(st.floats(-1.0, 1.0)) for _ in atoms]
-        parts = [w * exact_expected_difference(f, m, [a], COARSE) for a, w in zip(atoms, ws)]
-        # order_one's exact mode, on the same coarse lattice
-        got = expected_difference_orders(f, m, dict(zip(atoms, ws)), 1, COARSE)[0][1]
+        with caps_at(COARSE):
+            parts = [w * exact_expected_difference(f, m, [a]) for a, w in zip(atoms, ws)]
+            # order_one's exact mode, on the same coarse lattice
+            got = expected_difference_orders(f, m, dict(zip(atoms, ws)), 1)[0][1]
         assert abs(got - math.fsum(parts)) <= 1e-12 * math.fsum(abs(p) for p in parts) + 1e-300
 
     @PROFILE
@@ -156,7 +167,9 @@ class TestLatticeTable:
         f = {"count_sq": count_squared(window), "void": void_indicator(window),
              "threshold": threshold_indicator(data.draw(st.integers(0, 4)), window)}[kind]
         union = shift + [a for a in atoms if a not in shift]
-        caps = [COARSE.cap(m.mass(a), f.growth_degree) for a in union]
+        with caps_at(COARSE):
+            caps = [exact._law(m.mass(a), f.growth_degree)[0] for a in union]
+            table = expectation_table(f, m, shift, n_max)
         weights = np.ones(())
         for a, k in zip(union, caps):
             weights = np.multiply.outer(weights, poisson_pmf(m.mass(a), k))
@@ -164,7 +177,6 @@ class TestLatticeTable:
         values = np.broadcast_to(f.counts(open_grid(shape), union), shape)
         slack = (sum(k + 1 for k in caps) + 2 * len(union)) * 2.0 ** -53
 
-        table = expectation_table(f, m, shift, n_max, COARSE)
         assert table.shape == (n_max + 1,) * len(shift)
         for node in np.ndindex(table.shape):
             corner = node + (0,) * (len(union) - len(shift))
@@ -250,11 +262,11 @@ class TestPoissonHelpers:
 
     @pytest.mark.parametrize("tail", [1e-14, 1e-10])
     def test_caps_keep_tail_bound_and_never_undercut_scipy(self, tail):
-        plan = EnumerationPlan(tail=tail)
         for mass in np.geomspace(0.01, 40.0, 60):
             mass = float(mass)
             for p in range(5):
-                k = plan.cap(mass, p or None)
+                with caps_at(tail):
+                    k, _ = exact._law(mass, p or None)
                 assert stats.poisson.sf(k, mass) * (k + 2) ** p < tail
                 ref = int(stats.poisson.isf(tail, mass)) + 1
                 while stats.poisson.sf(ref, mass) * (ref + 2) ** p >= tail:
@@ -279,20 +291,22 @@ class TestPoissonHelpers:
         k = bisect.bisect_left(range(len(probs)), True, key=lambda j: sf(j) <= tail) + 1
         while sf(k) * (k + 2) ** (p or 0) >= tail:
             k += 1
-        assert EnumerationPlan(tail=tail).cap(mass, p) == k
+        with caps_at(tail):
+            assert exact._law(mass, p)[0] == k
 
     @pytest.mark.parametrize("mass", [0.5, 17.0, 800.0])  # 800 starts at the mode
     @pytest.mark.parametrize("beyond_reach", [False, True])
     def test_law_prefix_is_the_capped_pmf_bit_for_bit(self, mass, beyond_reach):
-        floor = exact._tail_reach(mass) + 25 if beyond_reach else 0
-        plan = EnumerationPlan(floor=floor)
+        # a cover measure's cap past the reach extends the law, never the cap
+        covered = exact._tail_reach(mass) + 25 if beyond_reach else 0
         for p in (None, 2):
-            cap, law = plan._law(mass, p)
-            assert cap == plan.cap(mass, p)
-            assert cap == floor if beyond_reach else cap < exact._tail_reach(mass)
-            assert law[:cap + 1].tobytes() == poisson_pmf(mass, cap).tobytes()
+            cap, law = exact._law(mass, p, covered)
+            assert cap == exact._law(mass, p)[0] < exact._tail_reach(mass)
+            top = max(cap, covered)
+            assert law[:top + 1].tobytes() == poisson_pmf(mass, top).tobytes()
 
     def test_each_atom_law_is_built_once(self, monkeypatch):
+        # at most one law per atom for m and for each cover measure
         built = []
         real = exact.poisson_pmf
         monkeypatch.setattr(exact, "poisson_pmf",
@@ -304,14 +318,32 @@ class TestPoissonHelpers:
             assert len(built) <= len(set(shift) | set(ATOMS))
         built.clear()
         expectation_table(void_indicator(), discrete({"a": 0.3}), ["a"], 2,
-                          EnumerationPlan(floor=exact._tail_reach(0.3) + 10))
-        assert len(built) == 1
+                          [discrete({"a": 40.0})])
+        assert len(built) == 2
+        # a 4-atom change of measure, as exact-oracles times it: one law per
+        # atom for rho and one for the cover nu
+        nu = discrete({"a": 0.9, "b": 0.4, "c": 1.7, "d": 1.2})
+        built.clear()
+        reweighted_expectation(threshold_indicator(2, AtomWindow({"a", "c"})), nu, m)
+        assert len(built) <= 2 * 4
+        built.clear()
+        second_moment_exact(nu, m)
+        assert len(built) <= 3 * 4
         built.clear()
         poisson_hellinger_exact(m, discrete({"a": 0.9, "e": 0.4}))
         assert len(built) <= 2 * 5  # one law per atom and measure
 
-    def test_floor_lifts_caps_of_positive_masses_only(self):
-        plan = EnumerationPlan(floor=40)
-        assert plan.cap(0.5) == 40
-        assert plan.cap(0.0) == 0
-        assert EnumerationPlan(floor=2).cap(0.5) == EnumerationPlan().cap(0.5)
+    def test_floor_lifts_caps_of_positive_masses_only(self, monkeypatch):
+        # a cover measure's cap floors m's cap at the atoms m charges, and
+        # only there; a smaller one leaves it as it is
+        shapes = []
+        real = exact.count_values
+        monkeypatch.setattr(exact, "count_values", lambda f, grid, *rest: shapes.append(
+            tuple(c.size for c in grid)) or real(f, grid, *rest))
+        f, m = count_functional(), discrete({"a": 0.5})
+        wide, narrow = exact._law(20.0, f.growth_degree)[0], exact._law(0.5, f.growth_degree)[0]
+        cover = discrete({"a": 20.0, "b": 20.0})
+        assert exact_expectation(f, m, [cover]) == pytest.approx(0.5, rel=1e-14)
+        exact_expectation(f, m, [discrete({"a": 0.1})])
+        expectation_table(f, m, ["b"], 1, [cover])
+        assert shapes == [(wide + 1,), (narrow + 1,), (2, wide + 1)]

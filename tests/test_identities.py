@@ -5,9 +5,10 @@ also carry no mass, which gives the Lebesgue decompositions a singular
 part) and a built-in functional, and checks one identity against the exact
 engine: the variational series under every decomposition, the parametric
 series term by term, the Hellinger law identity, the admissibility verdicts
-against their clamped values (one divergent pair included), the likelihood ratio's
-first two moments on the plan of ``plan_for_measures``, the Fock
-identity and the Mecke identity.  The symmetry of D^n is checked on drawn configurations and
+against their clamped values (one divergent pair included), the change of
+measure E_rho[L f] = E_nu f and the likelihood ratio's first two moments
+(each table's caps cover the measures its integrand is weighted by), the
+Fock identity and the Mecke identity.  The symmetry of D^n is checked on drawn configurations and
 points, against the count kernel too, and D^n over a multiset against its
 signed binomial sum on the multiplicity lattice.  The Monte Carlo series
 (``mc_series`` through ``variational_series``) is checked against
@@ -119,6 +120,15 @@ def test_admissibility_verdicts_read_their_clamped_values(pair):
     for name, value, ok in rep.rows():
         assert ok == (clamped[name] < DEFAULT_CAP if name in clamped else rep.monotone_ok)
         assert isinstance(ok, bool)
+
+
+@given(pair=pairs(), f=functionals())
+@example(pair=(discrete({"a": 0.47}), discrete({"a": 1.35})), f=count_squared())
+@example(pair=(discrete({"a": 0.5}), discrete({"a": 1.5})), f=count_squared())
+def test_change_of_measure_reaches_the_target_expectation(pair, f):
+    rho, nu = pair  # rho charges every atom, so it dominates nu
+    target = exact_expectation(f, nu)
+    assert abs(reweighted_expectation(f, nu, rho) - target) <= 2e-14 * max(1.0, abs(target))
 
 
 @given(pair=pairs())
