@@ -296,11 +296,22 @@ def expected_difference_orders(f: Functional, m: DiscreteMeasure,
 
 @dataclass(frozen=True)
 class FockCheck:
+    """E[f g] and the expansion's terms; the other three are derived."""
+
     lhs: float
-    rhs_partial: float
-    gap: float
     terms: tuple[float, ...]
-    partials: tuple[float, ...]
+
+    @property
+    def partials(self) -> tuple[float, ...]:
+        return tuple(float(p) for p in np.cumsum(self.terms))
+
+    @property
+    def rhs_partial(self) -> float:
+        return self.partials[-1]
+
+    @property
+    def gap(self) -> float:
+        return abs(self.lhs - self.rhs_partial)
 
 
 def fock_identity_check(f: Functional, g: Functional, m: DiscreteMeasure,
@@ -321,11 +332,7 @@ def fock_identity_check(f: Functional, g: Functional, m: DiscreteMeasure,
     table_g = forward_difference_table(expectation_table(g, m, atoms, n_max))
     wt = weight_table([m.mass(a) for a in atoms], n_max)
     terms = order_sums(table_f * table_g * wt, n_max)
-    partials = np.cumsum(terms)
-    rhs = float(partials[-1])
-    return FockCheck(lhs=lhs, rhs_partial=rhs, gap=abs(lhs - rhs),
-                     terms=tuple(float(t) for t in terms),
-                     partials=tuple(float(p) for p in partials))
+    return FockCheck(lhs=lhs, terms=tuple(float(t) for t in terms))
 
 
 def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:

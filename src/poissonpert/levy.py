@@ -32,16 +32,15 @@ exploits and cross-checks path by path.
 
 A path is one ``CadlagPath``; the Monte Carlo estimators draw one
 ``PathBatch`` of n paths per block instead (``simulate_paths``,
-``simulate_coupled_paths``).  Its layout is ragged: flat jump times and sizes
-sorted by (path, time) with per-path offsets.  ``simulate_path`` is the
-one-path form of ``simulate_paths``: it makes the same draws, so
-``simulate_paths(model, 1, g).path(0)`` is the same path bit for bit.  Both
-classes read a path on its horizon [0, t0] only; a value or supremum at any
-other time raises ``ValueError``.  A Wiener part lives on each path's
-nodes (0, t0, every jump proposal time and the mark times where an estimator
-inserts jumps): W by Gaussian increments, and one Exp(1) draw E
-per segment, so that a segment of length h between the path's own end
-values u and v has the exact Brownian-bridge maximum
+``simulate_coupled_paths``), which keeps each path's jumps once, in padded
+rows.  ``simulate_path`` is the one-path form of ``simulate_paths``: it
+makes the same draws, so ``simulate_paths(model, 1, g).path(0)`` is the
+same path bit for bit.  Both classes read a path on its horizon [0, t0]
+only; a value or supremum at any other time raises ``ValueError``.  A Wiener
+part lives on each path's nodes (0, t0, every jump proposal time and the
+mark times where an estimator inserts jumps): W by Gaussian increments, and
+one Exp(1) draw E per segment, so that a segment of length h between the
+path's own end values u and v has the exact Brownian-bridge maximum
 (u + v + sqrt((v - u)^2 + 2 sigma^2 h E))/2, whatever the drift (Glasserman
 2004, Monte Carlo Methods in Financial Engineering, 6.4).  Without a Wiener
 part that is max(u, v), and nothing is drawn.  Values, suprema over
@@ -885,60 +884,49 @@ class BatchMismatchError(RuntimeError):
 
 
 class PathBatch:
-    """n paths of one model in one ragged layout: the batch form of
-    ``CadlagPath``.
+    """n paths of one model: the batch form of ``CadlagPath``.
 
-    Path i owns the jumps ``jump_t[offsets[i]:offsets[i + 1]]``, sorted by
-    time, and the matching sizes in ``jump_x``.  ``nodes`` is None or the
-    rows of every path's ``CadlagPath`` nodes, padded with +inf times (and
-    unread w and q) after its last node.  Per-path arguments (times,
-    interval ends, marks) are arrays with one entry per path, or scalars
-    shared by all; a time outside [0, t0] raises ``ValueError``.  The kernels
-    read a padded ``(n, width)`` copy of the jumps, width the largest jump
-    count, with +inf times and zero sizes after each path's own jumps, so a
+    ``times`` and ``sizes`` are ``(n, width)`` arrays.  Row i holds path i's
+    jump times in increasing order, then +inf, and the matching sizes, then
+    0; ties keep the order the jumps were drawn or inserted in.  So a
     per-path search is a row comparison and a segmented maximum a row
-    maximum.  Every value is formed by the same floating-point operations as
-    in ``CadlagPath`` (row cumsums, ``_bridge_max``), so ``path(i)``
-    reproduces it exactly.
+    maximum.  ``nodes`` is None or the rows of every path's ``CadlagPath``
+    nodes, padded with +inf times (and unread w and q) after its last node.
+    Per-path arguments (times, interval ends, marks) are arrays with one
+    entry per path, or scalars shared by all; a time outside [0, t0] raises
+    ``ValueError``.  Every value is formed by the same floating-point
+    operations as in ``CadlagPath`` (row cumsums, ``_bridge_max``), so
+    ``path(i)`` reproduces it exactly.
     """
 
-    __slots__ = ("t0", "slope", "jump_t", "jump_x", "offsets", "nodes",
-                 "_own", "_times", "_cum", "_tops", "_bridges")
+    __slots__ = ("t0", "slope", "times", "sizes", "nodes", "_cum", "_tops", "_bridges")
 
-    def __init__(self, t0, slope, jump_t, jump_x, offsets, nodes=None):
+    def __init__(self, t0, slope, times, sizes, nodes=None):
         self.t0 = float(t0)
         self.slope = float(slope)
-        self.jump_t = np.asarray(jump_t, dtype=float)
-        self.jump_x = np.asarray(jump_x, dtype=float)
-        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.times = np.asarray(times, dtype=float)
+        self.sizes = np.asarray(sizes, dtype=float)
         self.nodes = nodes
-        counts = self.counts
-        # slot j of row i holds path i's j-th jump
-        self._own = np.arange(counts.max(initial=0)) < counts[:, None]
-        self._times = np.full(self._own.shape, np.inf)
-        self._times[self._own] = self.jump_t
-        self._cum = np.zeros((self.n, self._own.shape[1] + 1))
-        sizes = self._cum[:, 1:]
-        sizes[self._own] = self.jump_x
-        np.cumsum(sizes, axis=1, out=sizes)
+        self._cum = np.zeros((self.n, self.times.shape[1] + 1))
+        np.cumsum(self.sizes, axis=1, out=self._cum[:, 1:])
         self._tops = self._bridges = None
 
     @property
     def n(self) -> int:
-        return self.offsets.size - 1
+        return self.times.shape[0]
 
     @property
     def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return np.isfinite(self.times).sum(axis=1)
 
     def path(self, i: int) -> CadlagPath:
-        a, b = self.offsets[i], self.offsets[i + 1]
+        k = int(np.isfinite(self.times[i]).sum())
         nodes = None
         if self.nodes is not None:
             t, w, q = (part[i] for part in self.nodes)
             m = int(np.isfinite(t).sum())
             nodes = (t[:m], w[:m], q[:m - 1])
-        return CadlagPath(self.t0, self.slope, self.jump_t[a:b], self.jump_x[a:b], nodes)
+        return CadlagPath(self.t0, self.slope, self.times[i, :k], self.sizes[i, :k], nodes)
 
     def _per_path(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -961,7 +949,7 @@ class PathBatch:
         ts = self._per_path(ts)
         rows = np.arange(self.n).reshape((-1,) + (1,) * (ts.ndim - 1))
         t = ts[..., None]
-        times = self._times.reshape((self.n,) + (1,) * (ts.ndim - 1) + (-1,))
+        times = self.times.reshape((self.n,) + (1,) * (ts.ndim - 1) + (-1,))
         k = (times < t if before else times <= t).sum(axis=-1)
         return self._skeleton(ts, rows) + self._cum[rows, k]
 
@@ -976,9 +964,9 @@ class PathBatch:
     def _jump_tops(self) -> np.ndarray:
         """max(X_t, X_{t-}) at every jump time, padded with -inf."""
         if self._tops is None:
-            t = np.where(self._own, self._times, 0.0)
+            t = np.minimum(self.times, self.t0)
             tops = np.maximum(self._at(t, before=False), self._at(t, before=True))
-            self._tops = np.where(self._own, tops, -np.inf)
+            self._tops = np.where(np.isfinite(self.times), tops, -np.inf)
         return self._tops
 
     def _bridge_tops(self) -> np.ndarray:
@@ -996,8 +984,8 @@ class PathBatch:
         ends = _on_horizon(np.stack([self._per_path(a), self._per_path(b)], axis=1), self.t0)
         a, b = ends[:, :1], ends[:, 1:]
         best = self._at(ends, before=False).max(axis=1)
-        if self._times.shape[1]:
-            inside = (self._times > a) & (self._times <= b)
+        if self.times.shape[1]:
+            inside = (self.times > a) & (self.times <= b)
             best = np.maximum(best, np.where(inside, self._jump_tops(), -np.inf).max(axis=1))
         if self.nodes is not None:
             t = self.nodes[0]
@@ -1009,19 +997,21 @@ class PathBatch:
         return self.sup_over(0.0, self.t0)
 
     def with_jumps(self, t, x) -> "PathBatch":
-        """Insert the jump (t[i], x[i]) into path i; a zero jump leaves its
-        path as it is."""
+        """Insert the jump (t[i], x[i]) into path i, after its jumps at t[i];
+        a zero jump leaves its path as it is."""
         t, x = _on_horizon(self._per_path(t), self.t0), self._per_path(x)
         self._skeleton(t, np.arange(self.n))  # raises off the nodes of a Wiener path
         add = x != 0.0
-        at = (self.offsets[:-1] + (self._times <= t[:, None]).sum(axis=1))[add]
-        new = np.zeros(self.jump_t.size + at.size, dtype=bool)
-        new[at + np.arange(at.size)] = True  # the inserted jumps' places
-        jump_t, jump_x = np.empty(new.size), np.empty(new.size)
-        jump_t[new], jump_x[new] = t[add], x[add]
-        jump_t[~new], jump_x[~new] = self.jump_t, self.jump_x
-        offsets = self.offsets + np.concatenate(([0], np.cumsum(add)))
-        return PathBatch(self.t0, self.slope, jump_t, jump_x, offsets, self.nodes)
+        at = np.where(add, (self.times <= t[:, None]).sum(axis=1), self.times.shape[1])
+        # slots before a path's insertion point stay, the rest move one right
+        stay = np.arange(self.times.shape[1]) < at[:, None]
+        times = np.full((self.n, self.times.shape[1] + 1), np.inf)
+        sizes = np.zeros(times.shape)
+        for new, old in ((times, self.times), (sizes, self.sizes)):
+            np.copyto(new[:, :-1], old, where=stay)
+            np.copyto(new[:, 1:], old, where=~stay)
+        times[add, at[add]], sizes[add, at[add]] = t[add], x[add]
+        return PathBatch(self.t0, self.slope, times, sizes, self.nodes)
 
 
 @dataclass(frozen=True)
@@ -1136,19 +1126,17 @@ def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
 
 def _batch(model: LevyModel, counts, times, sizes, keep, nodes) -> PathBatch:
     """The batch of the proposals (``counts`` per path, in path order) that
-    ``keep`` retains, sorted by (path, time)."""
+    ``keep`` retains, each row stably sorted by time (ties in draw order)."""
     if keep is not None:
         counts = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
                              minlength=counts.size)
         times, sizes = times[keep], sizes[keep]
-    offsets = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    # a stable sort of each +inf-padded row: the (path, time) order, ties in draw order
     own = np.arange(counts.max(initial=0)) < counts[:, None]
-    rows = np.full(own.shape, np.inf)
-    rows[own] = times
-    order = (rows.argsort(axis=1, kind="stable") + offsets[:-1, None])[own]
-    return PathBatch(model.t0, model.slope, times[order], sizes[order], offsets, nodes)
+    row_t, row_x = np.full(own.shape, np.inf), np.zeros(own.shape)
+    row_t[own], row_x[own] = times, sizes
+    order = row_t.argsort(axis=1, kind="stable")
+    return PathBatch(model.t0, model.slope, np.take_along_axis(row_t, order, axis=1),
+                     np.take_along_axis(row_x, order, axis=1), nodes)
 
 
 def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator,
@@ -1456,7 +1444,6 @@ class SupremumDerivativeResult:
     q_summary: Histogram
     kernel_max_err: float
     bound_violations: int
-    samples: int
 
 
 def supremum_derivative(model: LevyModel, pert: JumpPerturbation,
@@ -1513,7 +1500,7 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation,
     return SupremumDerivativeResult(
         *res.estimate(), q_summary=Histogram(edges=edges, counts=counts),
         kernel_max_err=float(np.max(res.values(2))),
-        bound_violations=int(np.sum(res.values(3))), samples=mc.samples)
+        bound_violations=int(np.sum(res.values(3))))
 
 
 def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,

@@ -138,10 +138,19 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
 
 def second_moment_exact(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:
     """Exact E_rho L^2 by enumeration; equals the bound on finite spaces.  L^2
-    weights counts like a Poisson law with masses h^2 rho, so the caps cover
-    nu and that tilted measure as well as rho."""
+    weights counts like a Poisson law with masses h^2 rho = nu^2 / rho, so
+    the caps cover that tilted measure and rho, which between them cover nu.
+    L^2 overflowing a float on the lattice raises ``ValueError``."""
     L = LikelihoodRatio.from_discrete(nu, rho)
     squared = Functional(lambda phi: likelihood_eval(L, phi) ** 2, name="L^2",
                          counts=lambda cs, atoms: likelihood_counts(L, cs, atoms) ** 2)
     tilted = DiscreteMeasure({a: (L.h[a] ** 2) * rho.mass(a) for a in rho.atoms})
-    return exact_expectation(squared, rho, (nu, tilted))
+    try:
+        with np.errstate(over="ignore"):
+            value = exact_expectation(squared, rho, (tilted,))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"E_rho L^2 overflows on the enumeration lattice "
+                         f"(bound exp({L.square_gap:.6g}))")
+    return value

@@ -28,10 +28,12 @@ generator from its own child stream and calls every draw once on it.  Batch
 means run over the C chunks: the replications are i.i.d., so each stratum's
 rows, in block order, are cut into C consecutive chunks (Schmeiser 1982), and
 every field is reduced to its pooled mean and batch-means standard error
-over the chunk means, taken in chunk order.  The chunk means of a field come
-from two reshaped row means, one over the longer chunks and one over the
-shorter, with no per-chunk call.  B depends on the budget and C
-only, never on the workers, and where B = C every chunk is one block.
+over the chunk means, taken in chunk order.  A ``ChunkedDraws`` stores a
+stratum's rows and C, and computes its chunk sizes ``chunk_sizes(K_s, C)``.
+The chunk means of a field come from two reshaped row means, one over the
+longer chunks and one over the shorter, with no per-chunk call.  B depends
+on the budget and C only, never on the workers, and where B = C every chunk
+is one block.
 With ``spot = k`` the first min(k, n) replications of block 0 of every
 stratum are drawn first, as ``draw(gen, k, True)`` on the same generator:
 the draw cross-checks its fast evaluation on them (f's count form, the path
@@ -191,22 +193,19 @@ def combine_batch_means(means: Sequence[float], sizes: Sequence[int]) -> tuple[f
 @dataclass(frozen=True)
 class ChunkedDraws:
     """Every replication's fields as one ``(fields, n)`` array in draw order,
-    and the sizes of the consecutive chunks that batch means group it in:
-    ``chunk_sizes(n, len(sizes))``, the only layout accepted."""
+    grouped for batch means in min(``chunks``, n) consecutive chunks whose
+    ``sizes``, ``chunk_sizes(n, chunks)``, are computed, not stored."""
 
-    sizes: list[int]
+    chunks: int
     draws: np.ndarray
 
     def __post_init__(self):
         if self.draws.ndim != 2:
             raise ValueError(f"draws must be a (fields, n) array, got shape {self.draws.shape}")
-        total, n = sum(self.sizes), self.draws.shape[1]
-        if total != n:
-            raise ValueError(f"chunk sizes sum to {total} but there are {n} draws")
-        layout = chunk_sizes(total, len(self.sizes))
-        if list(self.sizes) != layout:
-            raise ValueError(f"chunk sizes {list(self.sizes)} are not the layout "
-                             f"chunk_sizes({total}, {len(self.sizes)}) = {layout}")
+
+    @property
+    def sizes(self) -> list[int]:
+        return chunk_sizes(self.draws.shape[1], self.chunks)
 
     def estimate(self, field: int = 0) -> EstimateResult:
         """Pooled mean and batch-means standard error of one field.
@@ -217,12 +216,12 @@ class ChunkedDraws:
         with the same pairwise sum as a 1-D slice of it, so every chunk mean
         is bit-identical to ``np.mean`` of that chunk's slice.
         """
-        row = self.draws[field]
-        base, rem = divmod(row.size, len(self.sizes))
+        row, sizes = self.draws[field], self.sizes
+        base, rem = divmod(row.size, len(sizes))
         cut = rem * (base + 1)
         means = (row[:cut].reshape(rem, base + 1).mean(axis=1).tolist()
                  + row[cut:].reshape(-1, base).mean(axis=1).tolist())
-        return EstimateResult(*combine_batch_means(means, self.sizes))
+        return EstimateResult(*combine_batch_means(means, sizes))
 
     def values(self, field: int) -> np.ndarray:
         """One field of every replication, in draw order."""
@@ -276,7 +275,7 @@ def mc_mean(draw: Callable | Sequence[tuple[Callable, int]], plan: MCPlan,
         return out
 
     done = run_chunked(block, total, plan.stream, blocks, plan.workers)
-    results = [ChunkedDraws(chunk_sizes(k, chunks), np.ascontiguousarray(
+    results = [ChunkedDraws(chunks, np.ascontiguousarray(
                    np.concatenate([part for b in done for part in b[s]], axis=1)))
-               for s, (_, k) in enumerate(strata)]
+               for s in range(len(strata))]
     return results[0] if single else results

@@ -94,9 +94,12 @@ def mc_expectation(f, m: DiscreteMeasure, plan: MCPlan) -> EstimateResult:
 class MeckeResult:
     lhs: float
     rhs: float
-    stderr: float
     lhs_stderr: float
     rhs_stderr: float
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.lhs_stderr**2 + self.rhs_stderr**2)
 
     def __iter__(self):
         yield self.lhs
@@ -168,6 +171,4 @@ def mecke_check(f, m, window, plan: MCPlan) -> MeckeResult:
     sides = [r.estimate() for r in mc_mean(strata, rhs_plan)] if atoms else []
     rhs = math.fsum(mr.mass(a) * s.estimate for a, s in zip(atoms, sides))
     rhs_se = math.sqrt(math.fsum((mr.mass(a) * s.stderr) ** 2 for a, s in zip(atoms, sides)))
-    return MeckeResult(lhs=lhs, rhs=rhs,
-                       stderr=math.sqrt(lhs_se**2 + rhs_se**2),
-                       lhs_stderr=lhs_se, rhs_stderr=rhs_se)
+    return MeckeResult(lhs=lhs, rhs=rhs, lhs_stderr=lhs_se, rhs_stderr=rhs_se)

@@ -72,6 +72,8 @@ EPS_ABS = 1e-10
 class SeriesResult:
     """Per-order terms of a perturbation series with convergence bookkeeping.
 
+    ``terms`` run from order 0 to ``truncation_order``, which is derived from
+    them, as are ``partial_sums`` and ``value`` (``math.fsum`` of the terms).
     ``abs_terms`` tracks the fully absolute companion series (integrand and
     weights in absolute value); its plateau is the practical finiteness
     diagnostic for the expansion.  ``converged`` is set where the series is
@@ -89,8 +91,6 @@ class SeriesResult:
 
     terms: list[float]
     abs_terms: list[float]
-    partial_sums: list[float]
-    truncation_order: int
     converged: bool
     stderrs: list[float] | None = None
     samples: list[int] | None = None
@@ -98,8 +98,16 @@ class SeriesResult:
     truncation_budget: float | None = None
 
     @property
+    def truncation_order(self) -> int:
+        return len(self.terms) - 1
+
+    @property
+    def partial_sums(self) -> list[float]:
+        return [math.fsum(self.terms[: n + 1]) for n in range(len(self.terms))]
+
+    @property
     def value(self) -> float:
-        return self.partial_sums[-1] if self.partial_sums else 0.0
+        return math.fsum(self.terms)
 
     def to_csv(self) -> str:
         """The columns order, term, partial_sum, abs_term as CSV text."""
@@ -122,13 +130,9 @@ def _truncate_exact(terms: np.ndarray, abs_terms: np.ndarray, eps_abs: float
 
 
 def _assemble(terms, abs_terms, stop, converged, **fields) -> SeriesResult:
-    terms = [float(t) for t in terms[: stop + 1]]
-    abs_terms = [float(t) for t in abs_terms[: stop + 1]]
-    partials = []
-    for n in range(len(terms)):
-        partials.append(math.fsum(terms[: n + 1]))
-    return SeriesResult(terms=terms, abs_terms=abs_terms, partial_sums=partials,
-                        truncation_order=stop, converged=converged, **fields)
+    return SeriesResult(terms=[float(t) for t in terms[: stop + 1]],
+                        abs_terms=[float(t) for t in abs_terms[: stop + 1]],
+                        converged=converged, **fields)
 
 
 # decomposition -> (its dominating measure from lam and nu, its verdict in the report)
@@ -413,7 +417,10 @@ class RemainderRow:
     norm: float
     remainder: float
     bound: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return abs(self.remainder) / self.norm if self.norm > 0 else 0.0
 
 
 def small_remainder_factor(t: float) -> float:
@@ -449,6 +456,5 @@ def frechet_remainder_check(f: Functional, lam: DiscreteMeasure,
         linear = gateaux_derivative(f, lam, hfun)
         remainder = target - base_value - linear
         bound = factor * small_remainder_factor(norm)
-        rows.append(RemainderRow(norm=norm, remainder=remainder, bound=bound,
-                                 ratio=(abs(remainder) / norm if norm > 0 else 0.0)))
+        rows.append(RemainderRow(norm=norm, remainder=remainder, bound=bound))
     return rows

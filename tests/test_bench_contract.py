@@ -112,3 +112,35 @@ def test_tracer_installs_and_counts_one_generator_per_chunk(tracing, monkeypatch
     assert metrics["rng.run_chunked.calls"] == 1
     assert pp.rng.run_chunked is rng.run_chunked and not hasattr(rng.run_chunked,
                                                                  "__wrapped__")
+
+
+def test_result_attributes_the_benchmark_reads():
+    # bench/session.py runs each operation's check outside its try, so a
+    # result attribute that went missing would end the whole bench session
+    import poissonpert as pp
+
+    def numbers(obj, names):
+        for name in names:
+            value = getattr(obj, name)
+            assert all(isinstance(v, (int, float)) for v in
+                       (value if isinstance(value, (list, tuple)) else [value])), name
+
+    lam, nu = pp.discrete({"a": 1.0, "b": 0.5}), pp.discrete({"a": 1.5, "b": 0.4})
+    f = pp.void_indicator()
+    for kwargs in ({}, {"mode": "mc", "mc": pp.MCPlan(200, pp.RngStream(5), chunks=8)}):
+        res = pp.variational_series(f, lam, nu, n_max=6, **kwargs)
+        numbers(res, ["value", "terms", "abs_terms", "truncation_order"])
+        assert isinstance(res.converged, bool)
+        assert kwargs == {} or len(res.stderrs) == res.truncation_order + 1
+    numbers(pp.fock_identity_check(pp.count_squared(), pp.threshold_indicator(1), lam, 6),
+            ["lhs", "gap"])
+    for row in pp.frechet_remainder_check(f, lam, [{"a": 0.1, "b": -0.2}]):
+        numbers(row, ["remainder", "bound"])
+    mecke = pp.mecke_check(lambda x, phi: float(phi.count_in(None)), lam, None,
+                           pp.MCPlan(200, pp.RngStream(6), chunks=8))
+    numbers(mecke, ["lhs", "rhs", "lhs_stderr", "rhs_stderr"])
+    cp = levy.CompoundPoissonJumps({1.0: 1.0, -0.5: 0.5})
+    model = levy.LevyModel(jumps=cp, drift=0.3, drift_form="plain", eps=0.0)
+    pert = levy.JumpPerturbation(levy.cp_direction(cp, {1.0: 0.5, -0.5: -1.0}))
+    sup = levy.supremum_derivative(model, pert, rng.MCPlan(200, rng.RngStream(7), chunks=8))
+    numbers(sup, ["estimate", "stderr", "kernel_max_err", "bound_violations"])

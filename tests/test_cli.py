@@ -315,6 +315,19 @@ def test_repeated_jump_size_is_a_config_error(tmp_path, capsys):
     assert "config error: jump size 1.0 is listed twice" in capsys.readouterr().err
 
 
+def test_likelihood_second_moment_overflow_is_a_config_error(tmp_path, capsys):
+    # a traceback of a bare OverflowError (exit 1)
+    (tmp_path / "nu.txt").write_text("a 3.0\n")
+    (tmp_path / "rho.txt").write_text("a 0.1\n")
+    path = small_copy("likelihood.ini", tmp_path, likelihood__functional_window="a",
+                      likelihood__nu_file=str(tmp_path / "nu.txt"),
+                      likelihood__rho_file=str(tmp_path / "rho.txt"))
+    argv = ["likelihood", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: E_rho L^2 overflows on the enumeration lattice (bound exp(84.1))" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")) + [None])
 def test_study_reports_check_rows_identically_for_any_worker_count(config, tmp_path):
     if config is None:

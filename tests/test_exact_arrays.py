@@ -321,14 +321,14 @@ class TestPoissonHelpers:
                           [discrete({"a": 40.0})])
         assert len(built) == 2
         # a 4-atom change of measure, as exact-oracles times it: one law per
-        # atom for rho and one for the cover nu
+        # atom for rho and one for the cover, nu (or h^2 rho for E_rho L^2)
         nu = discrete({"a": 0.9, "b": 0.4, "c": 1.7, "d": 1.2})
         built.clear()
         reweighted_expectation(threshold_indicator(2, AtomWindow({"a", "c"})), nu, m)
         assert len(built) <= 2 * 4
         built.clear()
         second_moment_exact(nu, m)
-        assert len(built) <= 3 * 4
+        assert len(built) <= 2 * 4
         built.clear()
         poisson_hellinger_exact(m, discrete({"a": 0.9, "e": 0.4}))
         assert len(built) <= 2 * 5  # one law per atom and measure

@@ -79,6 +79,13 @@ class TestMoments:
             assert exact_sq <= bound + 1e-10
             assert exact_sq == pytest.approx(bound, abs=1e-10)
 
+    @pytest.mark.parametrize("rho, nu, gap", [(0.1, 3.0, "84.1"), (0.05, 2.0, "76.05")])
+    def test_second_moment_overflow_is_named(self, rho, nu, gap):
+        # E_rho L^2 = exp(gap) is finite, but L^2 overflows at the far corner
+        # of the lattice, whose cap follows h^2 rho: a bare OverflowError
+        with pytest.raises(ValueError, match=rf"E_rho L\^2 overflows .*\(bound exp\({gap}\)\)"):
+            second_moment_exact(discrete({"a": nu}), discrete({"a": rho}))
+
 
 class TestReweighting:
     def test_void_probability_transfer(self):

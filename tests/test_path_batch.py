@@ -1,8 +1,9 @@
 """Chunk-batched Levy paths.
 
-``PathBatch`` against the same paths as ``CadlagPath`` on generated ragged
-jump sets and on hand-built ties, the batch simulators (``simulate_path`` is
-a batch of one), and the spot cross-check that the estimators run on the
+``PathBatch`` against the same paths as ``CadlagPath`` on generated jump
+sets and on hand-built ties, the invariants of its padded rows after
+thinning and jump insertion, the batch simulators (``simulate_path`` is a
+batch of one), and the spot cross-check that the estimators run on the
 first paths of their first chunk.
 """
 
@@ -58,18 +59,23 @@ def ragged_paths(draw):
     return t0, slope, paths, nodes
 
 
+def padded(rows, fills, widths):
+    """Per-path tuples of arrays as one ``(n, width)`` array per part, each
+    row's values first and then the part's fill."""
+    out = [np.full((len(rows), w), fill) for fill, w in zip(fills, widths)]
+    for i, row in enumerate(rows):
+        for part, values in zip(out, row):
+            part[i, :values.size] = values
+    return tuple(out)
+
+
 def as_batch(t0, slope, paths, nodes):
-    offsets = np.concatenate(([0], np.cumsum([t.size for t, _ in paths])))
-    padded = None
+    width = max(t.size for t, _ in paths)
+    times, sizes = padded(paths, (np.inf, 0.0), (width, width))
     if nodes is not None:
         m = max(t.size for t, _, _ in nodes)
-        padded = (np.full((len(nodes), m), np.inf), np.zeros((len(nodes), m)),
-                  np.zeros((len(nodes), m - 1)))
-        for i, row in enumerate(nodes):
-            for part, values in zip(padded, row):
-                part[i, :values.size] = values
-    return PathBatch(t0, slope, np.concatenate([t for t, _ in paths]),
-                     np.concatenate([x for _, x in paths]), offsets, padded)
+        nodes = padded(nodes, (np.inf, 0.0, 0.0), (m, m, m - 1))
+    return PathBatch(t0, slope, times, sizes, nodes)
 
 
 def as_paths(t0, slope, paths, nodes):
@@ -97,6 +103,23 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)
 
 
+def assert_padded_layout(batch, paths):
+    """The invariants of the padded rows, and path i equal to ``paths[i]``."""
+    finite = np.isfinite(batch.times)
+    assert batch.times.shape == batch.sizes.shape and batch.n == len(paths)
+    assert np.all(batch.times[:, 1:] >= batch.times[:, :-1])  # nondecreasing
+    assert not np.any(~finite[:, :-1] & finite[:, 1:])  # +inf only after the jumps
+    assert np.all(np.isposinf(batch.times[~finite]))
+    np.testing.assert_array_equal(batch.sizes == 0.0, ~finite)
+    np.testing.assert_array_equal(batch.counts, finite.sum(axis=1))
+    for i, want in enumerate(paths):
+        got = batch.path(i)
+        np.testing.assert_array_equal(got.jump_t, want.jump_t)
+        np.testing.assert_array_equal(got.jump_x, want.jump_x)
+    for f in BUILTINS:
+        assert_close(f.on_batch(batch), [f(w) for w in paths])
+
+
 class TestBatchAgainstCadlagPath:
     @PROFILE
     @given(data=st.data(), spec=ragged_paths())
@@ -121,13 +144,8 @@ class TestBatchAgainstCadlagPath:
         batch, paths = as_batch(*spec), as_paths(*spec)
         ts = per_path_times(data.draw, spec)
         xs = np.array([data.draw(st.sampled_from([0.0, -0.7, 1.3])) for _ in paths])
-        moved = batch.with_jumps(ts, xs)
-        want = [p.with_jump(t, x) for p, t, x in zip(paths, ts, xs)]
-        for i, w in enumerate(want):
-            np.testing.assert_array_equal(moved.path(i).jump_t, w.jump_t)
-            np.testing.assert_array_equal(moved.path(i).jump_x, w.jump_x)
-        for f in BUILTINS:
-            assert_close(f.on_batch(moved), [f(w) for w in want])
+        assert_padded_layout(batch.with_jumps(ts, xs),
+                             [p.with_jump(t, x) for p, t, x in zip(paths, ts, xs)])
 
     @PROFILE
     @given(spec=ragged_paths())
@@ -204,9 +222,13 @@ class TestBatchOrder:
             row, times, sizes = row[keep], times[keep], sizes[keep]
         order = np.lexsort((times, row))
         batch = levy._batch(model, self.COUNTS, self.TIMES, self.SIZES, keep, None)
-        np.testing.assert_array_equal(batch.jump_t, times[order])
-        np.testing.assert_array_equal(batch.jump_x, sizes[order])
-        np.testing.assert_array_equal(batch.counts, np.bincount(row, minlength=3))
+        counts = np.bincount(row, minlength=3)
+        own = np.arange(counts.max()) < counts[:, None]
+        want_t, want_x = np.full(own.shape, np.inf), np.zeros(own.shape)
+        want_t[own], want_x[own] = times[order], sizes[order]
+        np.testing.assert_array_equal(batch.times, want_t)
+        np.testing.assert_array_equal(batch.sizes, want_x)
+        np.testing.assert_array_equal(batch.counts, counts)
         paths = [CadlagPath(1.0, model.slope, times[order][row[order] == i],
                             sizes[order][row[order] == i]) for i in range(3)]
         ts = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
@@ -226,6 +248,41 @@ class TestBatchOrder:
             np.testing.assert_array_equal(got.left_values(ts), want.left_values(ts))
             assert got.supremum() == want.supremum()
         np.testing.assert_array_equal(batch.supremum(), [p.supremum() for p in paths])
+
+
+class TestPaddedLayout:
+    @PROFILE
+    @given(data=st.data())
+    def test_invariants_after_thinning_and_insertion(self, data):
+        # proposals on a few time values (ties likely), thinned or not, then
+        # jumps inserted a few times over, some of them zero; each path is
+        # compared with the CadlagPath that takes the same jumps one by one
+        model = cp_model()
+        spots = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [1.0]
+        counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=5)))
+        total = int(counts.sum())
+        times = np.array(data.draw(st.lists(st.sampled_from(spots), min_size=total,
+                                            max_size=total)), dtype=float)
+        sizes = np.array(data.draw(st.lists(st.floats(-2.0, 2.0).filter(bool), min_size=total,
+                                            max_size=total)), dtype=float)
+        keep = data.draw(st.none() | st.lists(st.booleans(), min_size=total, max_size=total)
+                         .map(lambda k: np.array(k, dtype=bool)))
+        batch = levy._batch(model, counts, times, sizes, keep, None)
+        kept = np.ones(total, dtype=bool) if keep is None else keep
+        row = np.repeat(np.arange(counts.size), counts)
+        paths = []
+        for i in range(counts.size):
+            path = CadlagPath(model.t0, model.slope, [], [])
+            for t, x in zip(times[kept & (row == i)], sizes[kept & (row == i)]):
+                path = path.with_jump(t, x)
+            paths.append(path)
+        assert_padded_layout(batch, paths)
+        for _ in range(data.draw(st.integers(1, 3))):
+            ts = np.array([data.draw(st.sampled_from(spots)) for _ in paths])
+            xs = np.array([data.draw(st.sampled_from([0.0, -0.7, 1.3])) for _ in paths])
+            batch = batch.with_jumps(ts, xs)
+            paths = [p.with_jump(t, x) for p, t, x in zip(paths, ts, xs)]
+            assert_padded_layout(batch, paths)
 
 
 CP = CompoundPoissonJumps({1.0: 1.0, -0.6: 0.5})
@@ -272,7 +329,8 @@ class TestSimulators:
 
     def test_jumps_sorted_within_each_path(self, rng):
         batch = simulate_paths(cp_model(), 200, rng.child(2).generator())
-        assert batch.n == 200 and batch.offsets[-1] == batch.jump_t.size
+        assert batch.n == 200 and batch.times.shape == batch.sizes.shape
+        assert np.all(batch.times[:, 1:] >= batch.times[:, :-1])
         for i in range(batch.n):
             assert np.all(np.diff(batch.path(i).jump_t) >= 0)
 
@@ -320,8 +378,8 @@ class TestSimulators:
     def test_equal_models_couple_identically(self, rng):
         model = cp_model()
         b_lo, b_hi = simulate_coupled_paths(model, model, 100, rng.child(5).generator())
-        np.testing.assert_array_equal(b_lo.jump_t, b_hi.jump_t)
-        np.testing.assert_array_equal(b_lo.offsets, b_hi.offsets)
+        np.testing.assert_array_equal(b_lo.times, b_hi.times)
+        np.testing.assert_array_equal(b_lo.sizes, b_hi.sizes)
 
 
 class TestSpotCheck:

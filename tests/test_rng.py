@@ -195,19 +195,17 @@ def test_estimate_is_batch_means_over_per_chunk_means(total, chunks, fields, kin
     # bit for bit: every chunk mean is np.mean over the chunk's own slice
     draws = VALUES[kind](np.random.default_rng(seed), (fields, total))
     sizes = chunk_sizes(total, chunks)
-    res = ChunkedDraws(sizes, draws)
+    res = ChunkedDraws(chunks, draws)
+    assert res.sizes == sizes
     for f in range(fields):
         means = [float(np.mean(p)) for p in np.split(draws[f], np.cumsum(sizes[:-1]))]
         assert tuple(res.estimate(f)) == combine_batch_means(means, sizes)
 
 
-@pytest.mark.parametrize("sizes, draws, match", [
-    ([3, 3], np.zeros((1, 7)), "sum to 6 but there are 7 draws"),
-    ([4, 4], np.zeros((2, 7)), "sum to 8 but there are 7 draws"),
-    ([3, 4], np.zeros((1, 7)), r"\[3, 4\] are not the layout chunk_sizes\(7, 2\) = \[4, 3\]"),
-    ([2, 1, 2, 2, 1], np.zeros((1, 8)), "not the layout"),
-    ([4, 3], np.zeros(7), r"\(fields, n\) array"),
-], ids=["extra-row", "missing-row", "short-chunk-first", "uneven", "1-d"])
-def test_chunked_draws_rejects_sizes_that_do_not_match(sizes, draws, match):
+@pytest.mark.parametrize("chunks, draws, match", [
+    (2, np.zeros(7), r"\(fields, n\) array"),
+], ids=["1-d"])
+def test_chunked_draws_rejects_sizes_that_do_not_match(chunks, draws, match):
+    # the chunk sizes are computed from the draws, so only their shape can be wrong
     with pytest.raises(ValueError, match=match):
-        ChunkedDraws(sizes, draws)
+        ChunkedDraws(chunks, draws)
