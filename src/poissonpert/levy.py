@@ -44,8 +44,9 @@ path's own end values u and v has the exact Brownian-bridge maximum
 (u + v + sqrt((v - u)^2 + 2 sigma^2 h E))/2, whatever the drift (Glasserman
 2004, Monte Carlo Methods in Financial Engineering, 6.4).  Without a Wiener
 part that is max(u, v), and nothing is drawn.  Values, suprema over
-per-path intervals and jump insertion act on every path at once and
-reproduce ``CadlagPath``'s floating-point operations; the built-in path
+per-path intervals and jump insertion act on every path at once, slot by
+slot and by position in each path's sorted row (``PathBatch``), and
+reproduce ``CadlagPath``'s values bit for bit; the built-in path
 functionals have array forms, any other functional is evaluated path by
 path.  The identity checks run where they did per path:
 
@@ -789,6 +790,21 @@ def _bridge_max(u, v, q):
     return 0.5 * (u + v + np.sqrt((v - u) ** 2 + q))
 
 
+def _slot_count(slots: np.ndarray, ts: np.ndarray, before: bool) -> np.ndarray:
+    """How many of row i's slots lie before ts[..., i] (``before``) or at or
+    before it: one length-n comparison per slot, summed over the slots."""
+    cols = slots.T.reshape(slots.shape[1:] + (1,) * (ts.ndim - 1) + slots.shape[:1])
+    return (np.less if before else np.less_equal)(cols, ts, order="C").sum(axis=0)
+
+
+def _tie_starts(cols: np.ndarray) -> np.ndarray:
+    """For each entry of slot-major rows (one row per slot, each column
+    sorted), the slot where its column's run of equal entries starts."""
+    new = np.ones(cols.shape, dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=new[1:])
+    return np.maximum.accumulate(np.where(new, np.arange(cols.shape[0])[:, None], 0), axis=0)
+
+
 class CadlagPath:
     """A simulated path: drift slope, jumps sorted by time and, with a
     Wiener part, ``nodes`` = (t, w, q): node times from 0 to t0 holding every
@@ -799,6 +815,10 @@ class CadlagPath:
     jumps in (a, b] and the bridge maxima of the segments inside [a, b].  A
     Wiener path is known at its nodes only; other times raise ``ValueError``,
     and so does any time outside [0, t0].
+
+    The estimators' spot checks compare a ``PathBatch`` with this reference,
+    so it shares none of the batch's kernels: it searches by
+    ``searchsorted``, slices the jumps in (a, b] and splices a new jump in.
     """
 
     __slots__ = ("t0", "slope", "jump_t", "jump_x", "nodes", "_cum")
@@ -854,7 +874,8 @@ class CadlagPath:
         """Exact supremum over [a, b] (see the class docstring)."""
         _check_time(a, self.t0)
         _check_time(b, self.t0)
-        jt = self.jump_t[(self.jump_t > a) & (self.jump_t <= b)]
+        jt = self.jump_t[self.jump_t.searchsorted(a, "right"):
+                         self.jump_t.searchsorted(b, "right")]  # the jumps in (a, b]
         cands = [self._at(np.array([a, b]), "right"), self._at(jt, "right"),
                  self._at(jt, "left")]
         if self.nodes is not None:
@@ -873,10 +894,10 @@ class CadlagPath:
         self._skeleton(np.array([t]))  # raises off the nodes of a Wiener path
         if x == 0.0:
             return self
-        idx = int(np.searchsorted(self.jump_t, t, side="right"))
-        new_t = np.insert(self.jump_t, idx, t)
-        new_x = np.insert(self.jump_x, idx, x)
-        return CadlagPath(self.t0, self.slope, new_t, new_x, self.nodes)
+        k = int(self.jump_t.searchsorted(t, "right"))
+        jt, jx = self.jump_t, self.jump_x
+        return CadlagPath(self.t0, self.slope, np.concatenate((jt[:k], [t], jt[k:])),
+                          np.concatenate((jx[:k], [x], jx[k:])), self.nodes)
 
 
 class BatchMismatchError(RuntimeError):
@@ -888,15 +909,19 @@ class PathBatch:
 
     ``times`` and ``sizes`` are ``(n, width)`` arrays.  Row i holds path i's
     jump times in increasing order, then +inf, and the matching sizes, then
-    0; ties keep the order the jumps were drawn or inserted in.  So a
-    per-path search is a row comparison and a segmented maximum a row
-    maximum.  ``nodes`` is None or the rows of every path's ``CadlagPath``
-    nodes, padded with +inf times (and unread w and q) after its last node.
-    Per-path arguments (times, interval ends, marks) are arrays with one
-    entry per path, or scalars shared by all; a time outside [0, t0] raises
-    ``ValueError``.  Every value is formed by the same floating-point
-    operations as in ``CadlagPath`` (row cumsums, ``_bridge_max``), so
-    ``path(i)`` reproduces it exactly.
+    0; ties keep the order the jumps were drawn or inserted in.  ``nodes``
+    is None or the rows of every path's ``CadlagPath`` nodes, padded with
+    +inf times (and unread w and q) after its last node.  Per-path arguments
+    (times, interval ends, marks) are arrays with one entry per path, or
+    scalars shared by all; a time outside [0, t0] raises ``ValueError``.
+
+    The kernels work slot by slot: a count before a time sums one length-n
+    comparison per jump or node slot, and masked maxima run over the slots.
+    A path's own jumps and nodes are read by position: a jump's X_{t-} and
+    X_t take the jumps before and through its run of tied times, a node's W
+    is at the first node of its run.  Each value is the same sum as in
+    ``CadlagPath`` and a maximum is exact in any order, so ``path(i)``
+    reproduces every value bit for bit.
     """
 
     __slots__ = ("t0", "slope", "times", "sizes", "nodes", "_cum", "_tops", "_bridges")
@@ -917,7 +942,7 @@ class PathBatch:
 
     @property
     def counts(self) -> np.ndarray:
-        return np.isfinite(self.times).sum(axis=1)
+        return np.isfinite(self.times.T, order="C").sum(axis=0)
 
     def path(self, i: int) -> CadlagPath:
         k = int(np.isfinite(self.times[i]).sum())
@@ -932,65 +957,75 @@ class PathBatch:
         ts = np.asarray(ts, dtype=float)
         return ts if ts.ndim else np.full(self.n, ts)
 
-    def _skeleton(self, ts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """slope t plus W of path ``rows`` at ts, each a node of its path."""
+    def _skeleton(self, ts: np.ndarray) -> np.ndarray:
+        """slope t plus W at ts[..., i], each a node of path i: the first
+        node at or after t, as ``CadlagPath``'s searchsorted finds it."""
         base = self.slope * ts
         if self.nodes is None:
             return base
-        hit = self.nodes[0][rows] == ts[..., None]
-        found = hit.any(axis=-1)
-        if not found.all():
-            raise ValueError(f"time {float(ts[~found][0])!r} is not a node of its Wiener path")
-        return base + self.nodes[1][rows, hit.argmax(axis=-1)]
+        node_t, node_w = self.nodes[:2]
+        k = np.minimum(_slot_count(node_t, ts, before=True), node_t.shape[1] - 1)
+        rows = np.arange(self.n)
+        off = node_t[rows, k] != ts
+        if off.any():
+            raise ValueError(f"time {float(ts[off][0])!r} is not a node of its Wiener path")
+        return base + node_w[rows, k]
 
     def _at(self, ts, before: bool) -> np.ndarray:
-        """X_t (or X_{t-}) of every path at its own times ts, of shape (n,)
-        or (n, m)."""
+        """X_t (or X_{t-}) of every path at its own times ts[..., i]."""
         ts = self._per_path(ts)
-        rows = np.arange(self.n).reshape((-1,) + (1,) * (ts.ndim - 1))
-        t = ts[..., None]
-        times = self.times.reshape((self.n,) + (1,) * (ts.ndim - 1) + (-1,))
-        k = (times < t if before else times <= t).sum(axis=-1)
-        return self._skeleton(ts, rows) + self._cum[rows, k]
+        return self._skeleton(ts) + self._cum[np.arange(self.n),
+                                              _slot_count(self.times, ts, before)]
 
     def values(self, ts) -> np.ndarray:
-        """X_t of every path, the jumps at t included."""
-        return self._at(_on_horizon(ts, self.t0), before=False)
+        """X_t of every path, the jumps at t included; ts[i] holds path i's
+        times."""
+        return self._at(_on_horizon(ts, self.t0).T, before=False).T
 
     def left_values(self, ts) -> np.ndarray:
-        """X_{t-} of every path."""
-        return self._at(_on_horizon(ts, self.t0), before=True)
+        """X_{t-} of every path, ts[i] holding path i's times."""
+        return self._at(_on_horizon(ts, self.t0).T, before=True).T
 
     def _jump_tops(self) -> np.ndarray:
-        """max(X_t, X_{t-}) at every jump time, padded with -inf."""
+        """max(X_t, X_{t-}) at every jump, one row per slot, padded with -inf;
+        X_{t-} takes the jumps before the jump's run of ties, X_t through it."""
         if self._tops is None:
-            t = np.minimum(self.times, self.t0)
-            tops = np.maximum(self._at(t, before=False), self._at(t, before=True))
-            self._tops = np.where(np.isfinite(self.times), tops, -np.inf)
+            t = self.times.T
+            rows = np.arange(self.n)
+            base = self._skeleton(np.minimum(t, self.t0))
+            after = t.shape[0] - _tie_starts(t[::-1])[::-1]  # a run's last slot + 1
+            tops = np.maximum(base + self._cum[rows, after],
+                              base + self._cum[rows, _tie_starts(t)])
+            self._tops = np.where(np.isfinite(t), tops, -np.inf)
         return self._tops
 
     def _bridge_tops(self) -> np.ndarray:
-        """Every segment's bridge maximum; padding is read at t0, never used."""
+        """Every segment's bridge maximum, one row per segment (padding is
+        read at t0, never used); a node's W is at the first node of its run."""
         if self._bridges is None:
-            t = np.minimum(self.nodes[0], self.t0)
-            self._bridges = _bridge_max(self._at(t, before=False)[:, :-1],
-                                        self._at(t, before=True)[:, 1:], self.nodes[2])
+            t, w, q = (part.T for part in self.nodes)
+            t = np.minimum(t, self.t0)
+            rows = np.arange(self.n)
+            base = self.slope * t + w[_tie_starts(t), rows]
+            self._bridges = _bridge_max(
+                base[:-1] + self._cum[rows, _slot_count(self.times, t[:-1], before=False)],
+                base[1:] + self._cum[rows, _slot_count(self.times, t[1:], before=True)], q)
         return self._bridges
 
     def sup_over(self, a, b) -> np.ndarray:
         """Supremum of every path over its own [a, b]: the ends, X_t and
         X_{t-} at the jumps in (a, b] and the bridge maxima of the segments
-        inside [a, b], each reduced by a masked row maximum."""
-        ends = _on_horizon(np.stack([self._per_path(a), self._per_path(b)], axis=1), self.t0)
-        a, b = ends[:, :1], ends[:, 1:]
-        best = self._at(ends, before=False).max(axis=1)
-        if self.times.shape[1]:
-            inside = (self.times > a) & (self.times <= b)
-            best = np.maximum(best, np.where(inside, self._jump_tops(), -np.inf).max(axis=1))
+        inside [a, b], each a masked maximum over the slots."""
+        a, b = ends = _on_horizon(np.stack([self._per_path(a), self._per_path(b)]), self.t0)
+        best = np.maximum(*self._at(ends, before=False))
+        t = self.times.T
+        inside = np.greater(t, a, order="C") & np.less_equal(t, b, order="C")
+        best = np.maximum(best, np.where(inside, self._jump_tops(), -np.inf)
+                          .max(axis=0, initial=-np.inf))
         if self.nodes is not None:
-            t = self.nodes[0]
-            inside = (t[:, :-1] >= a) & (t[:, 1:] <= b)
-            best = np.maximum(best, np.where(inside, self._bridge_tops(), -np.inf).max(axis=1))
+            t = self.nodes[0].T
+            inside = np.greater_equal(t[:-1], a, order="C") & np.less_equal(t[1:], b, order="C")
+            best = np.maximum(best, np.where(inside, self._bridge_tops(), -np.inf).max(axis=0))
         return best
 
     def supremum(self) -> np.ndarray:
@@ -1000,9 +1035,9 @@ class PathBatch:
         """Insert the jump (t[i], x[i]) into path i, after its jumps at t[i];
         a zero jump leaves its path as it is."""
         t, x = _on_horizon(self._per_path(t), self.t0), self._per_path(x)
-        self._skeleton(t, np.arange(self.n))  # raises off the nodes of a Wiener path
+        self._skeleton(t)  # raises off the nodes of a Wiener path
         add = x != 0.0
-        at = np.where(add, (self.times <= t[:, None]).sum(axis=1), self.times.shape[1])
+        at = np.where(add, _slot_count(self.times, t, before=False), self.times.shape[1])
         # slots before a path's insertion point stay, the rest move one right
         stay = np.arange(self.times.shape[1]) < at[:, None]
         times = np.full((self.n, self.times.shape[1] + 1), np.inf)

@@ -48,7 +48,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -165,6 +164,7 @@ def run_chunked(
                    and time.perf_counter() - start >= sys.getswitchinterval())
     threads = min(workers, os.cpu_count() or 1) if long_chunks else 1
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # it loads logging: only here
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(fn, *t) for t in tasks[2:]]
             return out + [f.result() for f in futures]

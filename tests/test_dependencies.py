@@ -1,5 +1,6 @@
 """The package runs on numpy alone: scipy is a test-only dependency, and
-importing it loads no ``numpy.random``.  No module sums an array through a
+importing it loads neither ``numpy.random`` nor the thread pool's
+``concurrent.futures`` and ``logging``.  No module sums an array through a
 Python list."""
 
 import ast
@@ -28,6 +29,20 @@ def test_package_imports_no_numpy_random():
             "import poissonpert, poissonpert.levy, poissonpert.cli\n"
             "print(sorted(m for m in sys.modules if m == 'numpy.random'"
             " or m.startswith('numpy.random.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_no_thread_pool():
+    # run_chunked imports its thread pool where it starts one: at import,
+    # concurrent.futures and the logging it loads added about 10 ms to every
+    # benchmark workload's setup_s
+    code = ("import sys\n"
+            "import poissonpert, poissonpert.levy, poissonpert.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0]"
+            " in ('concurrent', 'logging')))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)

@@ -151,7 +151,22 @@ class TestLatticeTable:
             parts = [w * exact_expected_difference(f, m, [a]) for a, w in zip(atoms, ws)]
             # order_one's exact mode, on the same coarse lattice
             got = expected_difference_orders(f, m, dict(zip(atoms, ws)), 1)[0][1]
-        assert abs(got - math.fsum(parts)) <= 1e-12 * math.fsum(abs(p) for p in parts) + 1e-300
+            # that route reads E D_a f as T(e_a) - T(0) off one table
+            shift = [a for a, w in zip(atoms, ws) if w != 0.0]
+            table = expectation_table(f, m, shift, 1)
+            caps = [exact._law(m.mass(a), f.growth_degree)[0] for a in atoms]
+        # each entry is within one dot product per axis of its slice's
+        # absolute sum (test_entries_are_within_a_dot_product_bound_of_fsum),
+        # which is |T| for these one-signed built-ins; the difference, its
+        # weight and the sum over the n atoms add n + 2 roundings.  Where f
+        # ignores an atom its parts are exactly 0, and this alone is the gap.
+        slack = (sum(k + 1 for k in caps) + 2 * n + n + 2) * 2.0 ** -53
+        origin = (0,) * len(shift)
+        rounding = slack * math.fsum(
+            abs(ws[atoms.index(a)]) * (abs(table[origin[:i] + (1,) + origin[i + 1:]])
+                                       + abs(table[origin]))
+            for i, a in enumerate(shift))
+        assert abs(got - math.fsum(parts)) <= 1e-12 * math.fsum(map(abs, parts)) + rounding
 
     @PROFILE
     @given(data=st.data(), n=st.integers(1, 4), n_max=st.integers(1, 3),

@@ -84,16 +84,19 @@ def as_paths(t0, slope, paths, nodes):
 
 
 def per_path_times(draw, spec):
-    """One time per path: with a Wiener part one of the path's nodes, else a
-    jump time of the path when it has one and the draw says so, else any time
-    in [0, t0]."""
+    """One time per path: one of the path's jump times (when it has one), t0,
+    or any other time, which with a Wiener part is one of the path's nodes
+    and otherwise any time in [0, t0]."""
     t0, _, paths, nodes = spec
     out = []
     for i, (t, _) in enumerate(paths):
-        if nodes is not None:
-            out.append(draw(st.sampled_from(nodes[i][0].tolist())))
-        elif t.size and draw(st.booleans()):
+        pick = draw(st.sampled_from(["jump", "end", "other"] if t.size else ["end", "other"]))
+        if pick == "jump":
             out.append(float(t[draw(st.integers(0, t.size - 1))]))
+        elif pick == "end":
+            out.append(t0)
+        elif nodes is not None:
+            out.append(draw(st.sampled_from(nodes[i][0].tolist())))
         else:
             out.append(draw(st.floats(0.0, t0)))
     return np.array(out)
@@ -117,7 +120,7 @@ def assert_padded_layout(batch, paths):
         np.testing.assert_array_equal(got.jump_t, want.jump_t)
         np.testing.assert_array_equal(got.jump_x, want.jump_x)
     for f in BUILTINS:
-        assert_close(f.on_batch(batch), [f(w) for w in paths])
+        np.testing.assert_array_equal(f.on_batch(batch), [f(w) for w in paths])
 
 
 class TestBatchAgainstCadlagPath:
@@ -127,16 +130,16 @@ class TestBatchAgainstCadlagPath:
         batch, paths = as_batch(*spec), as_paths(*spec)
         t0 = spec[0]
         ts = per_path_times(data.draw, spec)
-        assert_close(batch.values(ts), [p.values(np.array([t]))[0] for p, t in zip(paths, ts)])
-        assert_close(batch.left_values(ts),
-                     [p.left_values(np.array([t]))[0] for p, t in zip(paths, ts)])
+        same = np.testing.assert_array_equal
+        same(batch.values(ts), [p.values(np.array([t]))[0] for p, t in zip(paths, ts)])
+        same(batch.left_values(ts), [p.left_values(np.array([t]))[0] for p, t in zip(paths, ts)])
         other = per_path_times(data.draw, spec)
         a, b = np.minimum(ts, other), np.maximum(ts, other)
-        assert_close(batch.sup_over(a, b), [p.sup_over(lo, hi) for p, lo, hi in zip(paths, a, b)])
-        assert_close(batch.sup_over(0.0, ts), [p.sup_over(0.0, t) for p, t in zip(paths, ts)])
-        assert_close(batch.sup_over(ts, t0), [p.sup_over(t, t0) for p, t in zip(paths, ts)])
+        same(batch.sup_over(a, b), [p.sup_over(lo, hi) for p, lo, hi in zip(paths, a, b)])
+        same(batch.sup_over(0.0, ts), [p.sup_over(0.0, t) for p, t in zip(paths, ts)])
+        same(batch.sup_over(ts, t0), [p.sup_over(t, t0) for p, t in zip(paths, ts)])
         for f in BUILTINS:
-            assert_close(f.on_batch(batch), [f(p) for p in paths])
+            same(f.on_batch(batch), [f(p) for p in paths])
 
     @PROFILE
     @given(data=st.data(), spec=ragged_paths())
@@ -254,12 +257,23 @@ class TestPaddedLayout:
     @PROFILE
     @given(data=st.data())
     def test_invariants_after_thinning_and_insertion(self, data):
-        # proposals on a few time values (ties likely), thinned or not, then
-        # jumps inserted a few times over, some of them zero; each path is
-        # compared with the CadlagPath that takes the same jumps one by one
+        # proposals on a few time values (ties likely), thinned or not, with
+        # or without a Wiener part on those values, then jumps inserted a few
+        # times over (at existing jump times and at t0 too), some of them
+        # zero; each path is compared with the CadlagPath that takes the same
+        # jumps one by one
         model = cp_model()
         spots = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [1.0]
         counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=5)))
+        n = counts.size
+        nodes = None
+        if data.draw(st.booleans()):
+            node_t = np.unique([0.0, *spots])
+            m = node_t.size
+            w = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * m, max_size=n * m))
+            q = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n * (m - 1),
+                                   max_size=n * (m - 1)))
+            nodes = (np.tile(node_t, (n, 1)), np.reshape(w, (n, m)), np.reshape(q, (n, m - 1)))
         total = int(counts.sum())
         times = np.array(data.draw(st.lists(st.sampled_from(spots), min_size=total,
                                             max_size=total)), dtype=float)
@@ -267,12 +281,13 @@ class TestPaddedLayout:
                                             max_size=total)), dtype=float)
         keep = data.draw(st.none() | st.lists(st.booleans(), min_size=total, max_size=total)
                          .map(lambda k: np.array(k, dtype=bool)))
-        batch = levy._batch(model, counts, times, sizes, keep, None)
+        batch = levy._batch(model, counts, times, sizes, keep, nodes)
         kept = np.ones(total, dtype=bool) if keep is None else keep
-        row = np.repeat(np.arange(counts.size), counts)
+        row = np.repeat(np.arange(n), counts)
         paths = []
-        for i in range(counts.size):
-            path = CadlagPath(model.t0, model.slope, [], [])
+        for i in range(n):
+            path = CadlagPath(model.t0, model.slope, [], [],
+                              None if nodes is None else tuple(part[i] for part in nodes))
             for t, x in zip(times[kept & (row == i)], sizes[kept & (row == i)]):
                 path = path.with_jump(t, x)
             paths.append(path)
