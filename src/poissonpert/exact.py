@@ -33,13 +33,16 @@ atom of the series and derivative engines; a plain expectation is its
 
 Poisson probabilities come from the recurrence p_k = p_{k-1} mass / k and
 tails from a compensated forward sum of the probabilities beyond k, never
-from 1 - cdf.
+from 1 - cdf.  A law runs only to ``_reach``, past which its terms sum to
+less than 2^-70 ``_TAIL``: the caps are those of longer laws unless a tested
+tail lies that close to its bound, and every law prefix is unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +81,28 @@ def poisson_pmf(mass: float, k_max: int) -> np.ndarray:
 
 
 def _tail_reach(mass: float) -> int:
-    """A count past which the Poisson(mass) tail is far below 1e-200."""
+    """A count past which the Poisson(mass) tail is far below 1e-200: the
+    ceiling of ``_reach``, and all of it where 2^-70 ``_TAIL`` underflows."""
     return int(mass + 40.0 * math.sqrt(mass)) + 100
+
+
+def _reach(mass: float) -> int:
+    """How far an atom's law runs: the first k >= 2 mass with p_k < 2^-70
+    ``_TAIL``, at most ``_tail_reach`` (all of it where that floor is no
+    normal float).  From 2 mass on p_{k+1} / p_k = mass / (k + 1) < 1/2, so
+    the terms past it sum to less than p_k: a cap whose tail, times its growth
+    factor g, lies further than 2^-70 ``_TAIL`` g above ``_TAIL`` is kept."""
+    if mass <= 0.0:
+        return 0
+    ceiling, floor = _tail_reach(mass), 2.0 ** -70 * _TAIL
+    if floor < sys.float_info.min:
+        return ceiling
+    k = min(math.ceil(2.0 * mass), ceiling)
+    p = math.exp(k * math.log(mass) - mass - math.lgamma(k + 1))
+    while p >= floor and k < ceiling:
+        k += 1
+        p *= mass / k
+    return k
 
 
 def _law(mass: float, growth_degree: int | None = None,
@@ -91,22 +114,23 @@ def _law(mass: float, growth_degree: int | None = None,
     growth of the integrand when declared, is below ``_TAIL``: it starts one
     past the tail quantile min{k : P(N > k) <= _TAIL} and grows while
     P(N > k) (k + 2)^p >= _TAIL.  P(N > k) is the compensated forward sum of
-    the probabilities beyond k; 1 - cdf would lose every digit of so small a
-    tail.  Every test reads that ``math.fsum``, computed only where it could
-    decide the test: the K positive probabilities summed smallest first give
-    each P(N > k) within a relative (K + 3) u, so a test whose cumulative sum
-    lies further than K 2^-50 from the bound has the same outcome.  A prefix
-    of the law that reaches the mode is ``poisson_pmf`` to its length bit for
-    bit (same start, same steps); ``length`` extends the law past the cap.
+    the probabilities beyond k, up to ``_reach``; 1 - cdf would lose every
+    digit of so small a tail.  Every test reads that ``math.fsum``, computed
+    only where it could decide the test: the K positive probabilities summed
+    smallest first give each P(N > k) within a relative (K + 3) u, so a test
+    whose cumulative sum lies further than K 2^-50 from the bound has the
+    same outcome.  A prefix of the law that reaches the mode is ``poisson_pmf``
+    to its length bit for bit (same start, same steps); ``length`` extends it
+    past the cap.
     """
     if mass <= 0.0:
         return 0, poisson_pmf(mass, length)
     if mass > 1e6:
         raise ValueError(f"atom mass {mass:g} is far beyond enumeration scale")
-    reach = _tail_reach(mass)
+    reach = _reach(mass)
     law = poisson_pmf(mass, max(reach + 1, length))  # caps <= reach + 1
     probs = law[:reach + 1]
-    rough = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0).tolist()  # P(N > j)
+    rough = np.cumsum(probs[:0:-1])[::-1].tolist() + [0.0]  # P(N > j)
     close = len(probs) * 2.0 ** -50 * _TAIL
 
     def sf(j: int, scale: int = 1) -> float:
@@ -341,12 +365,13 @@ def poisson_hellinger_exact(lam: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     Counts factorize over atoms, so the Bhattacharyya affinity is a product
     of per-atom sums sum_k sqrt(pmf_lam(k) pmf_nu(k)); the distance is one
     minus that product.  Serves as the independent oracle for the identity
-    route in :func:`poissonpert.measures.hellinger_poisson`.
+    route in :func:`poissonpert.measures.hellinger_poisson`.  Both laws of an
+    atom run to the larger ``_reach`` + 1, which covers both caps.
     """
     affinity = 1.0
     for a in sorted(set(lam.atoms) | set(nu.atoms), key=repr):
         ml, mn = lam.mass(a), nu.mass(a)
-        length = max(_tail_reach(ml), _tail_reach(mn)) + 1  # covers both caps
+        length = max(_reach(ml), _reach(mn)) + 1  # covers both caps
         (kl, pl), (kn, pn) = _law(ml, length=length), _law(mn, length=length)
         cap = max(kl, kn)
         affinity *= math.fsum(np.sqrt(pl[:cap + 1] * pn[:cap + 1]))

@@ -1162,10 +1162,10 @@ def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
 def _batch(model: LevyModel, counts, times, sizes, keep, nodes) -> PathBatch:
     """The batch of the proposals (``counts`` per path, in path order) that
     ``keep`` retains, each row stably sorted by time (ties in draw order)."""
-    if keep is not None:
-        counts = np.bincount(np.repeat(np.arange(counts.size), counts)[keep],
-                             minlength=counts.size)
-        times, sizes = times[keep], sizes[keep]
+    if keep is not None:  # kept per path: kept positions below each end, differenced
+        kept = np.flatnonzero(keep)
+        counts = np.diff(np.searchsorted(kept, np.cumsum(counts)), prepend=0)
+        times, sizes = times[kept], sizes[kept]
     own = np.arange(counts.max(initial=0)) < counts[:, None]
     row_t, row_x = np.full(own.shape, np.inf), np.zeros(own.shape)
     row_t[own], row_x[own] = times, sizes
@@ -1246,6 +1246,8 @@ def check_pair(model: LevyModel, target: LevyModel) -> dict:
     separately built equal builders qualify.  Every integrand is formed from
     the exact density gaps g - 1 (``LevyModel.gap``), never by subtracting
     values of g, and a quadrature failure names the integral it happened in.
+    The reference (``density`` None) has the gap 0, so its two gaps are 0.0,
+    what their quadrature returns, without one.
     """
     if model.jumps != target.jumps:
         raise ConditionError("models must share the reference jump measure")
@@ -1258,9 +1260,11 @@ def check_pair(model: LevyModel, target: LevyModel) -> dict:
 
     out = {}
     for tag, m in (("base", model), ("target", target)):
-        gap = integral(f"{tag} square gap", lambda x: m.gap(x) ** 2, 0.0, np.inf)
-        wedge = integral(f"{tag} small-jump x gap",
-                         lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0)
+        gap = wedge = 0.0
+        if m.density is not None:
+            gap = integral(f"{tag} square gap", lambda x: m.gap(x) ** 2, 0.0, np.inf)
+            wedge = integral(f"{tag} small-jump x gap",
+                             lambda x: np.minimum(np.abs(x), 1.0) * np.abs(m.gap(x)), 0.0, 1.0)
         out[f"{tag}_square_gap"] = gap
         out[f"{tag}_x_gap"] = wedge
         if not math.isfinite(gap) or gap >= DEFAULT_CAP:

@@ -309,6 +309,18 @@ class TestPoissonHelpers:
         with caps_at(tail):
             assert exact._law(mass, p)[0] == k
 
+    def test_laws_stop_where_their_tail_cannot_matter(self):
+        # a law runs to the first k >= 2 mass with P(N = k) < 2^-70 _TAIL, and
+        # one term on: under 60 terms for masses up to 5 at growth up to 5,
+        # where laws built out to _tail_reach have 100 to 195
+        for mass in np.geomspace(1e-6, 5.0, 40):
+            for p in (None, 1, 2, 3, 4, 5):
+                cap, law = exact._law(float(mass), p)
+                assert cap < len(law) < 60
+        # where 2^-70 _TAIL is no normal float the law runs to _tail_reach
+        with caps_at(1e-300):
+            assert len(exact._law(1e-6)[1]) == exact._tail_reach(1e-6) + 2
+
     @pytest.mark.parametrize("mass", [0.5, 17.0, 800.0])  # 800 starts at the mode
     @pytest.mark.parametrize("beyond_reach", [False, True])
     def test_law_prefix_is_the_capped_pmf_bit_for_bit(self, mass, beyond_reach):

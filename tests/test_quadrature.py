@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
+from poissonpert import levy
 from poissonpert.levy import (GammaJumps, JumpDensity, LevyModel, QuadratureError,
                               StableJumps, _exp1, _panel_quad, check_pair, stable_direction)
 
@@ -101,6 +102,33 @@ class TestGapRounding:
         # oracle: 0.25 int g_dir^2 d nu_ref = 0.25 / (1.2 - 2 * 0.5)
         assert out["target_square_gap"] == pytest.approx(1.25, rel=1e-9)
         assert out["target_x_gap"] == pytest.approx(0.5 / (1.0 - 0.5), rel=1e-9)
+
+    def test_reference_gaps_take_no_quadrature(self, monkeypatch):
+        # the reference's gap is 0 everywhere: its two gaps are exactly 0.0
+        # without a _panel_quad call, and the target's are its own integrals
+        g_dir = self.direction.g
+        target = self.target(JumpDensity(lambda x: 1.0 + 0.5 * g_dir(x),
+                                         lambda x: 0.5 * g_dir(x)))
+        calls = []
+        real = levy._panel_quad
+        monkeypatch.setattr(levy, "_panel_quad",
+                            lambda fn, lo, hi: calls.append((lo, hi)) or real(fn, lo, hi))
+        out = check_pair(self.model, target)
+        in_check = len(calls)
+        calls.clear()
+        for key in ("base_square_gap", "base_x_gap"):
+            assert out[key] == 0.0 and math.copysign(1.0, out[key]) == 1.0
+        integrate = self.st.integrate
+        assert out["target_square_gap"] == integrate(lambda x: target.gap(x) ** 2, 0.0, np.inf)
+        assert out["target_x_gap"] == integrate(
+            lambda x: np.minimum(np.abs(x), 1.0) * np.abs(target.gap(x)), 0.0, 1.0)
+        integrate(lambda x: np.asarray(x) * target.gap(x), 0.0, 1.0)  # the compensation move
+        assert in_check == len(calls) > 0
+        # two references in the plain form: no quadrature at all
+        gamma = LevyModel(jumps=GammaJumps(2.0, 1.0), drift=0.3, eps=0.01)
+        calls.clear()
+        assert set(check_pair(gamma, gamma).values()) == {0.0}
+        assert calls == []
 
     def test_plain_callable_density_rejected(self):
         # a density without its exact gap is not a model's density
