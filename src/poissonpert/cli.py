@@ -4,21 +4,14 @@ Every study is a subcommand driven by a flat key-value config file with
 section headers (INI).  Discrete measures and densities live in plain-text
 files of ``atom value`` lines, read by ``measures.atom_values``.  Each study
 checks one identity of the paper on its inputs and reports every check as a
-``battery.CheckRow``, the row the ``validate`` battery uses, through one
-writer:
-
-* ``<study>.csv`` with columns check, value, target, tol, mode, pass (the tol
-  of a ``z`` row is the standard error of its Monte Carlo estimate);
-* ``<study>_summary.txt`` with the identity, the study's notes, one line per
-  check and a ``k/n checks passed`` line.
-
-Data that is not a check goes to its own file: ``series_terms.csv`` (order,
-term, partial_sum, abs_term) and ``levy-sup_q.csv`` (bin_left, bin_right,
-count of the Y_t histogram).  Seeds are mandatory and re-running a config
-with the same seed is byte-identical for any worker count.
-
-Exit codes: 0 all checks pass, 2 config error, 3 a failed hypothesis
-(``ConditionError``), 4 one or more checks failed.
+``battery.CheckRow``, the row the ``validate`` battery uses.  One writer,
+``_report``, writes every output file: ``<study>.csv``, the summary and the
+data tables (``series_terms.csv``, and the Y_t histogram ``levy-sup_q.csv``),
+each CSV through ``_csv`` with every number in the one format of ``_fmt``;
+result objects hold numbers only.  ``OUTPUT_DOCS``, the ``--help`` epilog,
+lists the files' columns and the exit codes.  Seeds are mandatory and
+re-running a config with the same seed is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -141,7 +134,17 @@ def _atom_pairs(text: str) -> dict:
 
 
 def _fmt(x: float) -> str:
+    """The number format of every output file: 17 digits, the same double."""
     return format(float(x), ".17g")
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header and rows: text as it is, every number by ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _row_line(r: CheckRow, good: bool) -> str:
@@ -155,23 +158,21 @@ def _row_line(r: CheckRow, good: bool) -> str:
 
 
 def _report(out_dir: Path, study: str, rows: list[CheckRow], notes: list[str],
-            data: dict[str, str] | None = None) -> int:
-    """Write ``<study>.csv``, ``<study>_summary.txt`` and the study's data
-    files; EXIT_CHECK when a row fails or there is no row to pass."""
+            data: dict[str, tuple] | None = None) -> int:
+    """Write ``<study>_summary.txt``, ``<study>.csv`` and the study's data
+    tables, each a header and rows (``_csv``); EXIT_CHECK when a row fails
+    or there is no row to pass."""
     verdicts = [r.passed for r in rows]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "value", "target", "tol", "mode", "pass"])
-    for r, good in zip(rows, verdicts):
-        writer.writerow([r.name, _fmt(r.value), _fmt(r.target), _fmt(r.tol), r.mode,
-                         "pass" if good else "FAIL"])
+    checks = [[r.name, r.value, r.target, r.tol, r.mode, "pass" if good else "FAIL"]
+              for r, good in zip(rows, verdicts)]
+    tables = {f"{study}.csv": (["check", "value", "target", "tol", "mode", "pass"], checks),
+              **(data or {})}
     lines = [f"study: {study}", f"identity: {IDENTITY_NOTES[study]}", "", *notes,
              *map(_row_line, rows, verdicts), "", f"{sum(verdicts)}/{len(rows)} checks passed"]
-    files = {f"{study}.csv": buf.getvalue(),
-             f"{study}_summary.txt": "\n".join(lines) + "\n", **(data or {})}
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_text(text)
+    (out_dir / f"{study}_summary.txt").write_text("\n".join(lines) + "\n")
+    for name, table in tables.items():
+        (out_dir / name).write_text(_csv(*table))
     return EXIT_OK if verdicts and all(verdicts) else EXIT_CHECK
 
 
@@ -191,9 +192,6 @@ def _run_series(cfg, args, out_dir: Path) -> int:
     mc = _mc_plan(cfg, args, default_samples=20_000) if mode == "mc" else None
     result = series.variational_series(f, lam, nu, n_max=n_max, mode=mode, mc=mc,
                                        decomposition=decomposition, strict=args.strict)
-    # converged: exact mode stopped on two consecutive terms below eps_abs; Monte
-    # Carlo mode runs to n_max and converged says its truncation budget,
-    # sup|f| sum_{n > n_max} (2M)^n / n!, is known and at most eps_abs
     notes = [f"value {_fmt(result.value)} after {result.truncation_order} orders "
              f"(converged: {result.converged})"]
     if mode == "exact":
@@ -216,7 +214,9 @@ def _run_series(cfg, args, out_dir: Path) -> int:
                          f"{exact.MAX_ATOMS}: the target is a Monte Carlo estimate "
                          "whose stderr joins the value's in quadrature")
         row = CheckRow(name, result.value, target, se, "z", result.truncation_budget or 0.0)
-    return _report(out_dir, "series", [row], notes, {"series_terms.csv": result.to_csv()})
+    terms = zip(range(len(result.terms)), result.terms, result.partial_sums, result.abs_terms)
+    return _report(out_dir, "series", [row], notes,
+                   {"series_terms.csv": (["order", "term", "partial_sum", "abs_term"], terms)})
 
 
 def _run_deriv(cfg, args, out_dir: Path) -> int:
@@ -417,8 +417,9 @@ def _run_levy_sup(cfg, args, out_dir: Path) -> int:
     ]
     notes = [f"sup_derivative stderr {_fmt(sup.stderr)} and coupled-FD target stderr "
              f"{_fmt(fd.stderr)}, combined in quadrature"]
-    return _report(out_dir, "levy-sup", rows, notes,
-                   {"levy-sup_q.csv": sup.q_summary.to_csv()})
+    q = sup.q_summary
+    return _report(out_dir, "levy-sup", rows, notes, {"levy-sup_q.csv": (
+        ["bin_left", "bin_right", "count"], zip(q.edges[:-1], q.edges[1:], q.counts))})
 
 
 def _run_validate(cfg, args, out_dir: Path) -> int:

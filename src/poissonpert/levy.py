@@ -33,8 +33,11 @@ exploits and cross-checks path by path.
 A path is one ``CadlagPath``; the Monte Carlo estimators draw one
 ``PathBatch`` of n paths per block instead (``simulate_paths``,
 ``simulate_coupled_paths``), which keeps each path's jumps once, in padded
-rows.  ``simulate_path`` is the one-path form of ``simulate_paths``: it
-makes the same draws, so ``simulate_paths(model, 1, g).path(0)`` is the
+rows, acts on every path at once and reproduces ``CadlagPath``'s values bit
+for bit.  Every simulator draws the jump counts, then the proposal times,
+sizes and thinning uniforms through one routine (``_proposals``), then the
+Wiener part.  ``simulate_path``, four times faster per path, is the one-path
+form of ``simulate_paths``: ``simulate_paths(model, 1, g).path(0)`` is the
 same path bit for bit.  Both classes read a path on its horizon [0, t0]
 only; a value or supremum at any other time raises ``ValueError``.  A Wiener
 part lives on each path's nodes (0, t0, every jump proposal time and the
@@ -43,11 +46,8 @@ one Exp(1) draw E per segment, so that a segment of length h between the
 path's own end values u and v has the exact Brownian-bridge maximum
 (u + v + sqrt((v - u)^2 + 2 sigma^2 h E))/2, whatever the drift (Glasserman
 2004, Monte Carlo Methods in Financial Engineering, 6.4).  Without a Wiener
-part that is max(u, v), and nothing is drawn.  Values, suprema over
-per-path intervals and jump insertion act on every path at once, slot by
-slot and by position in each path's sorted row (``PathBatch``), and
-reproduce ``CadlagPath``'s values bit for bit; the built-in path
-functionals have array forms, any other functional is evaluated path by
+part that is max(u, v), and nothing is drawn.  The built-in path
+functionals have array forms; any other functional is evaluated path by
 path.  The identity checks run where they did per path:
 
 * ``supremum_derivative`` compares the kernel with the re-evaluated path
@@ -56,8 +56,8 @@ path.  The identity checks run where they did per path:
   ``rng.SPOT_CHECKS`` paths of block 0 (of every order in ``levy_series``)
   are re-evaluated through ``CadlagPath`` (the suprema of
   ``supremum_derivative``, f on both paths of ``coupled_supremum_fd``, the
-  path difference of ``jump_draw``), and a gap above ``SPOT_TOL`` raises
-  ``BatchMismatchError``.
+  path difference of ``jump_draw``), and a value that differs in any bit
+  raises ``BatchMismatchError`` (``_spot_check``).
 
 ``jump_draw`` returns the Levy backend ``(draw, M)`` of ``series``, with
 M = t0 Q and Q the mass of the direction's mark law w |g| d nu_ref
@@ -86,7 +86,6 @@ from .series import SeriesResult, _check_order, mc_series, mc_term
 DRIFT_TOL = 1e-9  # ``check_pair``: absolute tolerance of the drift relation
 GAMMA_GRID_POINTS = 4097  # nodes of the gamma jump sampler's inverse-CDF grid
 Q_BINS = 81  # bins of the Y_t summary of ``supremum_derivative``
-SPOT_TOL = 1e-12  # largest accepted gap between a batch value and ``CadlagPath``
 EPS = float(np.finfo(float).eps)
 EULER_GAMMA = 0.57721566490153286061
 _E1_SERIES = tuple((-1.0) ** k / (k * math.factorial(k)) for k in range(20, 0, -1))
@@ -1124,18 +1123,27 @@ def within_bound(values, bound: float) -> np.ndarray:
     return values
 
 
+def _proposals(model: LevyModel, total: int, gen: np.random.Generator,
+               thin: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every simulator's draws after its jump counts: ``total`` times uniform
+    on [0, t0], their sizes above eps, then (``thin`` and a density) one
+    thinning uniform each.  Returns times, sizes and the kept mask or None."""
+    times = gen.random(total) * model.t0
+    sizes = model.jumps.sample_above(model.eps, total, gen)
+    keep = None
+    if thin and model.density is not None and total > 0:
+        gv = within_bound(model.density(sizes), model.density_bound)
+        keep = gen.random(total) * model.density_bound < gv
+    return times, sizes, keep
+
+
 def simulate_path(model: LevyModel, *, generator: np.random.Generator) -> CadlagPath:
     """One path from ``generator``: jumps above eps exactly, then the Wiener
     part on the path's skeleton 0, the sorted proposals, t0.  The one-path
     form of ``simulate_paths``: ``simulate_paths(model, 1, g).path(0)`` draws
     the same numbers and returns the same path, bit for bit."""
     n = int(generator.poisson(model.jump_rate))
-    times = generator.random(n) * model.t0  # the doubles of uniform(0, t0, n)
-    sizes = model.jumps.sample_above(model.eps, n, generator)
-    keep = None
-    if model.density is not None and n > 0:
-        gv = within_bound(model.density(sizes), model.density_bound)
-        keep = generator.random(n) * model.density_bound < gv
+    times, sizes, keep = _proposals(model, n, generator)
     order = times.argsort(kind="stable")
     proposals = times = times[order]
     sizes = sizes[order]
@@ -1152,9 +1160,8 @@ def simulate_path(model: LevyModel, *, generator: np.random.Generator) -> Cadlag
 
 def simulate_coupled(model_lo: LevyModel, model_hi: LevyModel,
                      generator: np.random.Generator) -> tuple[CadlagPath, CadlagPath]:
-    """Common-random-numbers pair: shared jump proposals thinned to each
-    density with one uniform per jump, shared Wiener skeleton. One pair of
-    ``simulate_coupled_paths``, which consumes the generator the same way."""
+    """One common-random-numbers pair of ``simulate_coupled_paths``, drawn
+    the same way."""
     lo, hi = simulate_coupled_paths(model_lo, model_hi, 1, generator)
     return lo.path(0), hi.path(0)
 
@@ -1176,29 +1183,22 @@ def _batch(model: LevyModel, counts, times, sizes, keep, nodes) -> PathBatch:
 
 def simulate_paths(model: LevyModel, n: int, gen: np.random.Generator,
                    marks=()) -> PathBatch:
-    """n paths on one generator, the batch form of ``simulate_path``: every
-    path's jump count, then all proposal times, sizes and thinning uniforms,
-    then the Wiener part.  At n = 1 the draws are those of ``simulate_path``,
-    whose path equals ``path(0)`` bit for bit.  ``marks``, a (k, n) array, adds k nodes to each
-    path's skeleton (column i to path i), where an estimator inserts jumps."""
+    """n paths on one generator, the batch form of ``simulate_path``, whose
+    path equals ``path(0)`` at n = 1 bit for bit.  ``marks``, a (k, n) array,
+    adds k nodes to each path's skeleton (column i to path i), where an
+    estimator inserts jumps."""
     counts = gen.poisson(model.jump_rate, n)
-    total = int(counts.sum())
-    times = gen.uniform(0.0, model.t0, total)
-    sizes = model.jumps.sample_above(model.eps, total, gen)
-    keep = None
-    if model.density is not None and total > 0:
-        gv = within_bound(model.density(sizes), model.density_bound)
-        keep = gen.random(total) * model.density_bound < gv
+    times, sizes, keep = _proposals(model, int(counts.sum()), gen)
     return _batch(model, counts, times, sizes, keep,
                   _batch_nodes(model, counts, times, marks, gen))
 
 
 def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
                            gen: np.random.Generator) -> tuple[PathBatch, PathBatch]:
-    """n common-random-numbers pairs: shared jump proposals, one thinning
-    uniform per proposal, and a shared Wiener part on the shared nodes.  Each
-    path takes its bridge maxima from its own end values, so both marginals
-    are exact even where the two slopes differ."""
+    """n common-random-numbers pairs: shared jump proposals (``_proposals``,
+    unthinned), one thinning uniform per proposal, and a shared Wiener part
+    on the shared nodes.  Each path takes its bridge maxima from its own end
+    values, so both marginals are exact even where the two slopes differ."""
     for attr in ("t0", "eps", "sigma2"):
         if getattr(model_lo, attr) != getattr(model_hi, attr):
             raise ValueError(f"coupled models must agree on {attr}")
@@ -1207,10 +1207,8 @@ def simulate_coupled_paths(model_lo: LevyModel, model_hi: LevyModel, n: int,
     bound = max(model_lo.density_bound, model_hi.density_bound)
     # both rates are t0 * density_bound * mass_above(eps): the larger uses the bound
     counts = gen.poisson(max(model_lo.jump_rate, model_hi.jump_rate), n)
-    total = int(counts.sum())
-    times = gen.uniform(0.0, model_lo.t0, total)
-    sizes = model_lo.jumps.sample_above(model_lo.eps, total, gen)
-    u = gen.random(total) * bound
+    times, sizes, _ = _proposals(model_lo, int(counts.sum()), gen, thin=False)
+    u = gen.random(times.size) * bound
     keep = [u < within_bound(m.g(sizes), bound) for m in (model_lo, model_hi)]
     nodes = _batch_nodes(model_lo, counts, times, (), gen)
     return (_batch(model_lo, counts, times, sizes, keep[0], nodes),
@@ -1373,8 +1371,7 @@ def jump_draw(f: PathFunctional, model: LevyModel,
     times the marks' weights sgn g / w (``_mark_weights``), signed and
     absolute, as a (2, k) array; order 0 gives f(X).  With ``check`` every
     path's difference is recomputed through ``CadlagPath``
-    (``path_difference``) and a gap above ``SPOT_TOL`` raises
-    ``BatchMismatchError``.
+    (``path_difference``, ``_spot_check``).
     """
     t0 = model.t0
     mass = t0 * direction.mark_mass
@@ -1386,9 +1383,8 @@ def jump_draw(f: PathFunctional, model: LevyModel,
         batch = simulate_paths(model, k, gen, ts)
         dval = _batch_difference(f, batch, ts, xs)
         if check:
-            for i in range(k):
-                _agree(f"{f.name} path difference", dval[i],
-                       path_difference(f, batch.path(i), list(zip(ts[:, i], xs[:, i]))))
+            _spot_check(f"{f.name} path difference", batch, dval, lambda path, i:
+                        path_difference(f, path, list(zip(ts[:, i], xs[:, i]))))
         term = mass ** n / math.factorial(n) * weight * dval
         return np.stack([term, np.abs(term)])
 
@@ -1401,18 +1397,19 @@ def levy_derivative(f: PathFunctional, model: LevyModel, pert: JumpPerturbation,
 
     The order-one ``series.mc_term`` of ``jump_draw``: one mark (t, x) from
     uniform time tensor the direction's mark law, and the weighted one-jump
-    difference on a common path.  The first ``SPOT_CHECKS`` paths of block 0
-    are checked against ``CadlagPath``.
+    difference on a common path.
     """
     check_direction(pert.direction)
     return mc_term(*jump_draw(f, model, pert.direction), 1, mc, SPOT_CHECKS)
 
 
-def _agree(name: str, batch_value: float, path_value: float) -> None:
-    """The spot cross-check of a batch value against ``CadlagPath``."""
-    if not abs(batch_value - path_value) <= SPOT_TOL:
-        raise BatchMismatchError(f"{name}: the path batch gives {batch_value!r}, "
-                                 f"CadlagPath {path_value!r}")
+def _spot_check(name: str, batch: PathBatch, values: np.ndarray, reference: Callable) -> None:
+    """The spot check: ``values[i]`` must equal ``reference(batch.path(i), i)``,
+    its value through ``CadlagPath``, bit for bit, or ``BatchMismatchError``."""
+    for i, value in enumerate(values):
+        if value != (want := reference(batch.path(i), i)):
+            raise BatchMismatchError(f"{name}: the path batch gives {value!r}, "
+                                     f"CadlagPath {want!r}")
 
 
 def _batch_difference(f: PathFunctional, batch: PathBatch, ts: np.ndarray,
@@ -1469,12 +1466,6 @@ class Histogram:
     edges: np.ndarray
     counts: np.ndarray
 
-    def to_csv(self) -> str:
-        lines = ["bin_left,bin_right,count"]
-        for i in range(self.counts.size):
-            lines.append(f"{self.edges[i]:.17g},{self.edges[i + 1]:.17g},{int(self.counts[i])}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class SupremumDerivativeResult:
@@ -1492,13 +1483,11 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation,
     Per replication: draw t uniform, simulate a path with t as a node, form
     the past/future supremum gap Y_t, draw a jump size x from the direction's
     mark law, and evaluate the closed kernel (x - Y_t)^+ - (Y_t)^-, weighted
-    as in ``jump_draw``.  Each block does this for a whole ``PathBatch``.  The kernel is cross-checked
-    against the re-evaluated path difference and the |difference| <= 2|x|
-    envelope on every sample; the first ``SPOT_CHECKS`` paths of block 0 are
-    re-evaluated through ``CadlagPath`` (both suprema and the supremum after
-    the jump), and a gap above ``SPOT_TOL`` raises ``BatchMismatchError``.
-    Y_t is summarized in ``Q_BINS`` bins over +-(4 scale + 1), with scale
-    the terminal mean and standard deviation plus the drift over [0, t0].
+    as in ``jump_draw``.  Each block does this for a whole ``PathBatch``.
+    The kernel is cross-checked against the re-evaluated path difference and
+    the |difference| <= 2|x| envelope on every sample.  Y_t is summarized in
+    ``Q_BINS`` bins over +-(4 scale + 1), with scale the terminal mean and
+    standard deviation plus the drift over [0, t0].
     """
     if not model.jumps.mom5_ok:
         raise ConditionError("the upper-tail second moment of the reference "
@@ -1515,20 +1504,18 @@ def supremum_derivative(model: LevyModel, pert: JumpPerturbation,
         t = gen.uniform(0.0, t0, n)
         batch = simulate_paths(model, n, gen, t[None])
         past, future = batch.sup_over(0.0, t), batch.sup_over(t, t0)
-        checked = range(n) if check else range(0)
-        for i in checked:
-            path = batch.path(i)
-            _agree("sup_over(0, t)", past[i], path.sup_over(0.0, t[i]))
-            _agree("sup_over(t, t0)", future[i], path.sup_over(t[i], t0))
+        if check:
+            _spot_check("sup_over(0, t)", batch, past, lambda p, i: p.sup_over(0.0, t[i]))
+            _spot_check("sup_over(t, t0)", batch, future, lambda p, i: p.sup_over(t[i], t0))
         y = past - future
         if mass == 0:
             return np.stack([np.zeros(n), y, np.zeros(n), np.zeros(n)])
         x = d.sample_marks(n, gen)
         kernel = np.maximum(x - y, 0.0) - np.maximum(-y, 0.0)
         moved = batch.with_jumps(t, x).supremum()
-        for i in checked:
-            _agree("with_jump(t, x).supremum()", moved[i],
-                   batch.path(i).with_jump(t[i], x[i]).supremum())
+        if check:
+            _spot_check("with_jump(t, x).supremum()", batch, moved,
+                        lambda p, i: p.with_jump(t[i], x[i]).supremum())
         delta = moved - batch.supremum()
         return np.stack([mass * _mark_weights(d, x) * kernel, y, np.abs(delta - kernel),
                          np.abs(delta) > 2.0 * np.abs(x) + 1e-12])
@@ -1548,9 +1535,8 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
     paths (shared jump proposals, and a shared Wiener part on their nodes),
     one coupled batch per block.  Each path's bridge maxima come from its own
     end values, so each side is exact even where a compensated drift moves
-    the slope with theta.  The suprema of the first ``SPOT_CHECKS`` pairs of
-    block 0 are checked against ``CadlagPath``.  delta must be finite and
-    positive (``ValueError`` otherwise)."""
+    the slope with theta.  delta must be finite and positive (``ValueError``
+    otherwise)."""
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     f = running_supremum
@@ -1560,9 +1546,9 @@ def coupled_supremum_fd(model: LevyModel, pert: JumpPerturbation, delta: float,
     def draw(gen, n, check=False):
         pair = simulate_coupled_paths(lo, hi, n, gen)
         f_lo, f_hi = (f.on_batch(b) for b in pair)
-        for i in range(n) if check else range(0):
-            _agree(f"{f.name} (theta0 - delta)", f_lo[i], f(pair[0].path(i)))
-            _agree(f"{f.name} (theta0 + delta)", f_hi[i], f(pair[1].path(i)))
+        if check:
+            _spot_check(f"{f.name} (theta0 - delta)", pair[0], f_lo, lambda p, i: f(p))
+            _spot_check(f"{f.name} (theta0 + delta)", pair[1], f_hi, lambda p, i: f(p))
         return ((f_hi - f_lo) / (2.0 * delta))[None]
 
     return mc_mean(draw, mc, spot=SPOT_CHECKS).estimate()

@@ -31,7 +31,8 @@ import numpy as np
 from .configuration import Functional, PointConfiguration
 from .exact import exact_expectation
 from .measures import DEFAULT_CAP, ConditionError, DiscreteMeasure
-from .sampler import MCPlan, mc_expectation
+from .rng import MCPlan, _exact_mode
+from .sampler import mc_expectation
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,9 @@ def reweighted_expectation(g: Functional, nu: DiscreteMeasure, rho: DiscreteMeas
         raise ConditionError(
             f"int (h-1)^2 drho = {L.square_gap:g} is not acceptably finite")
     weighted = L.weighted(g)
-    if mode == "exact":
+    if _exact_mode(mode, mc):
         return exact_expectation(weighted, rho, (nu,))
-    if mode == "mc":
-        if mc is None:
-            raise ValueError("mc mode needs an MCPlan")
-        return mc_expectation(weighted, rho, plan=mc)
-    raise ValueError(f"unknown mode {mode!r}")
+    return mc_expectation(weighted, rho, plan=mc)
 
 
 def second_moment_exact(nu: DiscreteMeasure, rho: DiscreteMeasure) -> float:

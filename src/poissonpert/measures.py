@@ -351,12 +351,21 @@ def _capped(value: float) -> float:
     return value if math.isfinite(value) and value < DEFAULT_CAP else DEFAULT_CAP
 
 
+def _gap_term(x: float, m: float) -> float:
+    """x ** 2 * m, or x (x m) where Python's ``**`` raises on an overflow."""
+    try:
+        return x ** 2 * m
+    except OverflowError:
+        return x * (x * m)
+
+
 def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
                         rho: DiscreteMeasure | None = None) -> AdmissibilityReport:
     """Report every admissibility diagnostic for the pair (lam, nu).
 
-    Nothing is thrown: divergent quantities are clamped at ``DEFAULT_CAP``,
-    and the report's verdicts read the clamped values.  Monotone-direction
+    Nothing is thrown, not even where a squared gap overflows a float:
+    divergent quantities are clamped at ``DEFAULT_CAP``, and the report's
+    verdicts read the clamped values.  Monotone-direction
     checks are included whenever nu >= lam or nu <= lam atom-wise.
     """
     if rho is None:
@@ -364,16 +373,16 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
     h_lam = lam.density_against(rho)
     h_nu = nu.density_against(rho)
 
-    gap_low = math.fsum((1.0 - h_lam[a]) ** 2 * rho.mass(a) for a in rho.atoms)
-    gap_high = math.fsum((1.0 - h_nu[a]) ** 2 * rho.mass(a) for a in rho.atoms)
+    gap_low = math.fsum(_gap_term(1.0 - h_lam[a], rho.mass(a)) for a in rho.atoms)
+    gap_high = math.fsum(_gap_term(1.0 - h_nu[a], rho.mass(a)) for a in rho.atoms)
 
     nu1, nu2 = lebesgue_decompose(nu, lam)
     leb_nu = math.fsum(
-        (1.0 - nu1.mass(a) / m) ** 2 * m for a, m in lam.items() if m > 0.0
+        _gap_term(1.0 - nu1.mass(a) / m, m) for a, m in lam.items() if m > 0.0
     ) + nu2.total()
     lam1, lam2 = lebesgue_decompose(lam, nu)
     leb_lam = math.fsum(
-        (1.0 - lam1.mass(a) / m) ** 2 * m for a, m in nu.items() if m > 0.0
+        _gap_term(1.0 - lam1.mass(a) / m, m) for a, m in nu.items() if m > 0.0
     ) + lam2.total()
 
     atoms = sorted(set(lam.atoms) | set(nu.atoms), key=repr)
@@ -388,13 +397,13 @@ def admissibility_check(lam: DiscreteMeasure, nu: DiscreteMeasure,
         lam_plus_mu = lam.plus(mu)
         h = lam.density_against(lam_plus_mu)
         mu_side = math.fsum((1.0 - h[a]) * mu.mass(a) for a in lam_plus_mu.atoms)
-        l2_side = math.fsum((1.0 - h[a]) ** 2 * lam_plus_mu.mass(a) for a in lam_plus_mu.atoms)
+        l2_side = math.fsum(_gap_term(1.0 - h[a], lam_plus_mu.mass(a)) for a in lam_plus_mu.atoms)
         monotone_up = (_capped(mu_side), _capped(l2_side))
     elif down and not up:
         # nu = lam - mu: square-integrability of dmu/dlam decides the verdict
         mu = DiscreteMeasure({a: lam.mass(a) - nu.mass(a) for a in atoms})
         h_mu = mu.density_against(lam)
-        monotone_down = _capped(math.fsum(h_mu[a] ** 2 * lam.mass(a) for a in lam.atoms))
+        monotone_down = _capped(math.fsum(_gap_term(h_mu[a], lam.mass(a)) for a in lam.atoms))
 
     return AdmissibilityReport(
         l2_gap_low=_capped(gap_low), l2_gap_high=_capped(gap_high),

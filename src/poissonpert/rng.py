@@ -127,6 +127,16 @@ class MCPlan:
         return MCPlan(self.samples, self.stream.child(index), self.chunks, self.workers)
 
 
+def _exact_mode(mode: str, mc: MCPlan | None) -> bool:
+    """Every ``mode`` switch: True for "exact", False for "mc" with a plan;
+    any other mode, then "mc" without a plan, raises ``ValueError``."""
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "mc" and mc is None:
+        raise ValueError("mc mode needs an MCPlan")
+    return mode == "exact"
+
+
 @dataclass(frozen=True)
 class EstimateResult:
     estimate: float

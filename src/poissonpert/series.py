@@ -5,8 +5,9 @@ The target expectation under nu expands around lam as
     E_nu f = E_lam f + sum_{n>=1} 1/n! * int (E_lam D^n f) d(nu - lam)^n,
 
 with the signed powers integrated through densities against any dominating
-measure.  Exact mode evaluates each order from a shifted-expectation table
-and its mixed forward differences (see :mod:`poissonpert.exact`).
+measure.  Every ``mode`` switch goes through ``rng._exact_mode``.  Exact
+mode evaluates each order from a shifted-expectation table and its mixed
+forward differences (see :mod:`poissonpert.exact`).
 
 Monte Carlo mode runs over one backend protocol: a backend is a pair
 ``(draw, M)`` of an order-n term sampler and the absolute mass M of the
@@ -24,19 +25,14 @@ Two backends meet it:
   k paths, the n-fold path difference over the batch weighted by sgn g / w.
 
 Two drivers run a backend: ``mc_series`` is the whole series as one
-stratified ``mc_mean`` pass (a block builds one generator and draws its
-share of every order on it, and the first replications of every stratum run
-with ``check``), and ``mc_term`` is the order-n term alone.
+stratified ``mc_mean`` pass, and ``mc_term`` is the order-n term alone.
 
-The signs are carried as weights.  With M the absolute mass of the
-perturbation, term n is at most sup|f| (2M)^n / n! while one order-n sample
-costs 2^n evaluations, so the budget follows the Poisson(M) weights: order n
-gets about ``mc.samples`` M^n / n! replications while that is at least two,
-and the remaining orders up to n_max share one tail stratum whose draws pick
-their order from Poisson(M) conditioned on the tail (the randomized-order
-estimator of McLeish 2011 and Rhee & Glynn 2015, confined to the tail).  The
-series always runs to n_max; what the orders above n_max can add is reported
-as ``truncation_budget`` where f declares a bound.  Derivatives are the
+The signs are carried as weights.  Term n is at most sup|f| (2M)^n / n!
+while one order-n sample costs 2^n evaluations, so ``series_plan`` budgets
+the orders by their Poisson(M) weights, the rare ones pooled in one
+randomized-order tail stratum (McLeish 2011, Rhee & Glynn 2015).  The series
+always runs to n_max; what the orders above n_max can add is reported as
+``truncation_budget`` where f declares a bound.  Derivatives are the
 order-one ``mc_term`` of the same backends.
 
 The parametric version follows the one-dimensional family
@@ -47,8 +43,6 @@ order-1 coefficient is the Gateaux derivative of nu -> E_nu f at lam.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,8 +55,8 @@ from .configuration import DIFFERENCE_ORDER_CAP, Functional, difference_counts
 from .exact import (exact_expectation, expectation_table, expected_difference_orders,
                     forward_difference_table, order_sums, weight_table)
 from .measures import (ConditionError, DiscreteMeasure, PerturbationFamily, _as_density,
-                       admissibility_check, lebesgue_decompose)
-from .rng import SPOT_CHECKS, EstimateResult, MCPlan, mc_mean
+                       admissibility_check)
+from .rng import SPOT_CHECKS, EstimateResult, MCPlan, _exact_mode, mc_mean
 from .sampler import sample_counts
 
 EPS_ABS = 1e-10
@@ -109,15 +103,6 @@ class SeriesResult:
     def value(self) -> float:
         return math.fsum(self.terms)
 
-    def to_csv(self) -> str:
-        """The columns order, term, partial_sum, abs_term as CSV text."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["order", "term", "partial_sum", "abs_term"])
-        for n, (t, p, a) in enumerate(zip(self.terms, self.partial_sums, self.abs_terms)):
-            writer.writerow([n, format(t, ".17g"), format(p, ".17g"), format(a, ".17g")])
-        return buf.getvalue()
-
 
 def _truncate_exact(terms: np.ndarray, abs_terms: np.ndarray, eps_abs: float
                     ) -> tuple[int, bool]:
@@ -135,15 +120,12 @@ def _assemble(terms, abs_terms, stop, converged, **fields) -> SeriesResult:
                         converged=converged, **fields)
 
 
-# decomposition -> (its dominating measure from lam and nu, its verdict in the report)
+# decomposition -> the ``AdmissibilityReport.rows`` whose verdicts back it
 _DECOMPOSITIONS = {
-    "direct": (lambda lam, nu: lam.plus(nu), lambda r: r.l2_ok),
-    "lebesgue-nu": (lambda lam, nu: lam.plus(lebesgue_decompose(nu, lam)[1]),
-                    lambda r: r.lebesgue_nu_ok),
-    "lebesgue-lambda": (lambda lam, nu: nu.plus(lebesgue_decompose(lam, nu)[1]),
-                        lambda r: r.lebesgue_lam_ok),
-    "monotone": (lambda lam, nu: lam.plus(nu),
-                 lambda r: r.l2_ok if r.monotone_ok is None else r.monotone_ok),
+    "direct": ("l2_gap_low", "l2_gap_high"),
+    "lebesgue-nu": ("lebesgue_gap_nu",),
+    "lebesgue-lambda": ("lebesgue_gap_lam",),
+    "monotone": ("monotone_up_l2_side", "monotone_down_sq"),
 }
 
 
@@ -153,12 +135,13 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
                        eps_abs: float = EPS_ABS) -> SeriesResult:
     """Expand E_nu f around lam in powers of the signed perturbation nu - lam.
 
-    ``decomposition`` selects which sufficient condition backs the run:
-    "direct" uses the density gaps against lam + nu,
-    "lebesgue-nu"/"lebesgue-lambda" use the split along the absolutely
-    continuous part, "monotone" the one-sided criterion.  The numerical terms
-    are identical in every case; the choice only governs the gate.  Failing
-    the gate warns by default and raises in strict mode.
+    ``decomposition`` selects which verdict of ``admissibility_check(lam,
+    nu)`` backs the run: "direct" the density gaps against lam + nu,
+    "lebesgue-nu"/"lebesgue-lambda" the split along the absolutely continuous
+    part, "monotone" the one-sided criterion (else the direct gaps).  The
+    terms are identical in every case; the choice only governs the gate.
+    Failing it warns, naming the failing values as the report's rows do, and
+    raises ``ConditionError`` in strict mode.
 
     ``eps_abs`` is the accepted truncation error: exact mode stops after two
     consecutive terms below it, Monte Carlo mode runs to ``n_max`` and is
@@ -167,11 +150,12 @@ def variational_series(f: Functional, lam: DiscreteMeasure, nu: DiscreteMeasure,
     _check_order(n_max)
     if decomposition not in _DECOMPOSITIONS:
         raise ValueError(f"unknown decomposition {decomposition!r}")
-    dominating, verdict = _DECOMPOSITIONS[decomposition]
-    report = admissibility_check(lam, nu, rho=dominating(lam, nu))
-    if not verdict(report):
-        msg = (f"admissibility gaps capped for decomposition {decomposition!r}: "
-               f"low={report.l2_gap_low:g} high={report.l2_gap_high:g}")
+    rows = admissibility_check(lam, nu).rows()
+    read = ([r for r in rows if r[0] in _DECOMPOSITIONS[decomposition]]
+            or [r for r in rows if r[0] in _DECOMPOSITIONS["direct"]])
+    failing = [f"{name}={value:g}" for name, value, ok in read if not ok]
+    if failing:
+        msg = f"admissibility fails for decomposition {decomposition!r}: {', '.join(failing)}"
         if strict:
             raise ConditionError(msg)
         warnings.warn(msg, RuntimeWarning)
@@ -301,14 +285,10 @@ def _atom_series(f: Functional, base: DiscreteMeasure, weights: dict, n_max: int
     evaluations) and the truncation budget covers them, so ``converged``
     means the budget is known and at most ``eps_abs``.
     """
-    if mode == "exact":
+    if _exact_mode(mode, mc):
         terms, abs_terms = expected_difference_orders(f, base, weights, n_max)
         stop, converged = _truncate_exact(terms, abs_terms, eps_abs)
         return _assemble(terms, abs_terms, stop, converged)
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if mc is None:
-        raise ValueError("mc mode needs an MCPlan")
     return mc_series(*atom_draw(f, base, *_signed_atoms(weights)),
                      min(n_max, DIFFERENCE_ORDER_CAP), mc, f.bound, eps_abs)
 
@@ -361,13 +341,9 @@ def order_one(f: Functional, base: DiscreteMeasure, atoms: Sequence, ws: Sequenc
     serves every atom; Monte Carlo mode is the order-one ``mc_term`` of
     ``atom_draw``.
     """
-    if mode == "exact":
+    if _exact_mode(mode, mc):
         terms, _ = expected_difference_orders(f, base, dict(zip(atoms, ws)), 1)
         return float(terms[1])
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if mc is None:
-        raise ValueError("mc mode needs an MCPlan")
     return mc_term(*atom_draw(f, base, atoms, ws), 1, mc, SPOT_CHECKS)
 
 

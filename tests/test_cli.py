@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonpert import battery, cli
+from poissonpert import battery, cli, discrete, levy, series, void_indicator
 from poissonpert.battery import CheckRow, z_gate
 from poissonpert.cli import EXIT_ADMISSIBILITY, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from poissonpert.rng import RngStream
@@ -101,6 +101,34 @@ class TestSeriesStudy:
         assert main(["series", "--config", str(path), "--out", str(tmp_path / "out")]) \
             == EXIT_CONFIG
         assert "config error: n_max must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_data_files_round_trip_through_the_report(tmp_path):
+    # result objects hold numbers only; ``_report`` renders the data files
+    # (this was the series module's ``to_csv`` round trip)
+    for name, mass in (("lam.txt", 1.0), ("nu.txt", 2.0)):
+        (tmp_path / name).write_text(f"b {mass}\n")
+    path = tmp_path / "series.ini"
+    path.write_text("[series]\nfunctional = void\nlambda_file = lam.txt\n"
+                    "nu_file = nu.txt\nn_max = 10\n")
+    out = tmp_path / "out"
+    assert main(["series", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    res = series.variational_series(void_indicator(), discrete({"b": 1.0}),
+                                    discrete({"b": 2.0}), n_max=10)
+    with (out / "series_terms.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["order", "term", "partial_sum", "abs_term"]
+    assert [[int(r[0])] + [float(v) for v in r[1:]] for r in rows] == [
+        [n, t, p, a] for n, (t, p, a) in
+        enumerate(zip(res.terms, res.partial_sums, res.abs_terms))]
+
+    path = small_copy("levy_sup_cp.ini", tmp_path)
+    assert main(["levy-sup", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    with (out / "levy-sup_q.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["bin_left", "bin_right", "count"]
+    assert len(rows) == levy.Q_BINS
+    assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
 
 
 class TestZGate:

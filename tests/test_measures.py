@@ -11,6 +11,7 @@ from poissonpert import (ConditionError, DiscreteMeasure, MeasureMismatchError,
                          hellinger_poisson, lebesgue_decompose, signed_power_integral)
 from poissonpert.exact import poisson_hellinger_exact
 from poissonpert.levy import GammaJumps
+from poissonpert.measures import DEFAULT_CAP
 
 
 class TestDiscreteMeasure:
@@ -206,6 +207,16 @@ class TestAdmissibility:
         assert not rep.monotone_ok
         rows = {name: value for name, value, _ in rep.rows()}
         assert rows["monotone_up_mu_side"] == rows["monotone_up_l2_side"] == 1e12
+
+    @pytest.mark.parametrize("tiny, large", [(1e-300, 1e6), (1e-300, 1e-145)])
+    def test_overflowing_square_does_not_raise(self, tiny, large):
+        # (1 - 1e306) ** 2 raised OverflowError, out of variational_series and
+        # the hellinger study (exit 1); a term whose square overflows but whose
+        # product with its tiny mass does not keeps its value
+        lam, nu = discrete({"a": tiny, "b": 1.0}), discrete({"a": large, "b": 1.0})
+        gap = min((large - tiny) ** 2 / tiny, DEFAULT_CAP)
+        assert admissibility_check(lam, nu).lebesgue_gap_nu == pytest.approx(gap, rel=1e-12)
+        assert admissibility_check(nu, lam).lebesgue_gap_lam == pytest.approx(gap, rel=1e-12)
 
 
 class TestLebesgueDecompose:

@@ -429,6 +429,22 @@ class TestSpotCheck:
             levy.levy_derivative(terminal_value, cp_model(), PERT,
                                  MCPlan(240, rng.child(9), chunks=8))
 
+    @pytest.mark.parametrize("method, estimate, name", [
+        ("sup_over", lambda plan: levy.supremum_derivative(cp_model(0.5), PERT, plan),
+         "sup_over"),
+        ("sup_over", lambda plan: levy.coupled_supremum_fd(cp_model(), PERT, 0.1, plan),
+         "running_supremum"),
+        ("values", lambda plan: levy.levy_derivative(terminal_value, cp_model(), PERT, plan),
+         "terminal_value"),
+    ], ids=["supremum_derivative", "coupled_supremum_fd", "jump_draw"])
+    def test_one_ulp_off_raises(self, rng, monkeypatch, method, estimate, name):
+        # the check is bit for bit: a 1e-12 tolerance let a one-ulp gap pass
+        original = getattr(PathBatch, method)
+        monkeypatch.setattr(PathBatch, method,
+                            lambda self, *args: np.nextafter(original(self, *args), np.inf))
+        with pytest.raises(BatchMismatchError, match=name):
+            estimate(MCPlan(240, rng.child(11), chunks=8))
+
     def test_corrupted_series_values_raise(self, rng, monkeypatch):
         # every series stratum checks its first paths, not only order one
         original = PathBatch.values

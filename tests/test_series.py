@@ -1,8 +1,6 @@
 """Variational and parametric series, Gateaux and norm-uniform derivatives."""
 
-import csv
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -13,7 +11,9 @@ from poissonpert import (DIFFERENCE_ORDER_CAP, ConditionError, Functional, MCPla
                          count_squared, discrete, exact_expectation,
                          frechet_remainder_check, gateaux_derivative, parametric_series,
                          sample_counts, variational_series, void_indicator)
-from poissonpert.series import (mc_series, series_plan, small_remainder_factor,
+from poissonpert.likelihood import reweighted_expectation
+from poissonpert.rng import RngStream
+from poissonpert.series import (mc_series, order_one, series_plan, small_remainder_factor,
                                 truncation_budget)
 
 
@@ -87,6 +87,17 @@ class TestVariationalSeries:
         with pytest.raises(ConditionError):
             variational_series(void_indicator(), lam, nu, n_max=5, strict=True)
 
+    def test_failing_gate_names_the_values_its_verdict_reads(self):
+        # the message named the l2 gaps whatever the decomposition, though the
+        # Lebesgue verdicts do not read them
+        lam, nu = discrete({"b": 1.0}), discrete({"b": 1.0, "c": 2e12})
+        with pytest.raises(ConditionError,
+                           match=r"'lebesgue-nu': lebesgue_gap_nu=1e\+12$"):
+            variational_series(void_indicator(), lam, nu, n_max=5,
+                               decomposition="lebesgue-nu", strict=True)
+        with pytest.warns(RuntimeWarning, match=r"'direct': l2_gap_low=1e\+12$"):
+            variational_series(void_indicator(), lam, nu, n_max=5)
+
     def test_monte_carlo_mode_matches_exact(self, rng):
         lam, nu = discrete({"b": 1.0}), discrete({"b": 2.0})
         res = variational_series(void_indicator(), lam, nu, n_max=8, mode="mc",
@@ -106,14 +117,6 @@ class TestVariationalSeries:
         assert all(t >= 0.0 for t in res.abs_terms)
         assert res.value == pytest.approx(exact_expectation(void_indicator(), nu),
                                           abs=1e-10)
-
-    def test_csv_round_trip(self):
-        lam, nu = discrete({"b": 1.0}), discrete({"b": 2.0})
-        res = variational_series(void_indicator(), lam, nu, n_max=10)
-        rows = list(csv.reader(io.StringIO(res.to_csv())))
-        assert rows[0] == ["order", "term", "partial_sum", "abs_term"]
-        assert len(rows) == len(res.terms) + 1
-        assert float(rows[1][1]) == res.terms[0]
 
 
 class TestMonteCarloSeries:
@@ -329,3 +332,25 @@ class TestFrechetRemainder:
         for t in (1e-2, 1e-3):
             assert small_remainder_factor(t) == pytest.approx(
                 t * t / math.sqrt(2.0), rel=1e-3)
+
+
+MODE_LAM, MODE_NU = discrete({"b": 1.0}), discrete({"b": 2.0})
+MODE_CALLS = {
+    "variational_series": lambda mode, mc: variational_series(
+        void_indicator(), MODE_LAM, MODE_NU, mode=mode, mc=mc),
+    "order_one": lambda mode, mc: order_one(void_indicator(), MODE_LAM, ["b"], [1.0], mode, mc),
+    "reweighted_expectation": lambda mode, mc: reweighted_expectation(
+        void_indicator(), MODE_NU, MODE_LAM, mode=mode, mc=mc),
+}
+
+
+@pytest.mark.parametrize("call", sorted(MODE_CALLS))
+@pytest.mark.parametrize("mode, plan, message", [
+    ("exakt", None, "unknown mode 'exakt'"),
+    ("exakt", MCPlan(100, RngStream(0)), "unknown mode 'exakt'"),
+    ("mc", None, "mc mode needs an MCPlan"),
+])
+def test_mode_errors(call, mode, plan, message):
+    # an unknown mode is named first, with or without a plan
+    with pytest.raises(ValueError, match=message):
+        MODE_CALLS[call](mode, plan)
